@@ -51,7 +51,6 @@ from .habitat import (
     chi_integral,
     chi_sample,
     constant_rate,
-    cumulative_hazard,
     gauss_profile_nodes,
     linear_habitat,
     separable_rate,
@@ -82,9 +81,7 @@ from .sampler import (
     sample_poisson,
     sample_trajectory_marginals,
     stationary_intensity,
-    thin_and_age,
     transient_intensity,
-    transition_step,
 )
 from .test_functions import (
     F_theta,

@@ -218,8 +218,10 @@ def cmd_simulate(args):
     _write_header(out_dir, cfg, "simulate", seed)
     indices = list(range(cfg.n_paths))
     if args.threads > 1:
-        chunks = [indices[i :: args.threads] for i in range(args.threads)]
-        work = [(args.config, chunk, seed) for chunk in chunks if chunk]
+        # contiguous blocks keep the rows in path order for any thread count
+        size = max(1, -(-cfg.n_paths // args.threads))
+        chunks = [indices[i : i + size] for i in range(0, cfg.n_paths, size)]
+        work = [(args.config, chunk, seed) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_simulate_chunk, work))
     else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, interpolate
 
-from .habitat import chi_integral, gauss_profile_nodes
+from .habitat import chi_integral, gauss_profile_nodes, survival_factor, survival_slice
 from .mark_space import u_prime_max_constant
 from .test_functions import F_theta, Theta, log_F_theta
 
@@ -90,20 +90,9 @@ class FlowedTheta:
     def x_breakpoints(self):
         return self.base.x_breakpoints
 
-    def _survival(self, x, alpha):
-        M = self.model.cumulative
-        if M is not None:
-            return np.exp(M(x, alpha) - M(x, alpha + self.t))
-        from .habitat import cumulative_hazard
-
-        return np.exp(
-            cumulative_hazard(self.model, x, alpha)
-            - cumulative_hazard(self.model, x, alpha + self.t)
-        )
-
     def theta(self, x, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        return self.base.theta(x, alpha + self.t) * self._survival(x, alpha)
+        return self.base.theta(x, alpha + self.t) * survival_factor(self.model, x, alpha, self.t)
 
     __call__ = theta
 
@@ -113,7 +102,7 @@ class FlowedTheta:
     def theta_age_derivative(self, x, alpha):
         """d/dalpha theta_t, analytic via the base derivative and the hazard."""
         alpha = np.asarray(alpha, dtype=float)
-        q = self._survival(x, alpha)
+        q = survival_factor(self.model, x, alpha, self.t)
         shifted = alpha + self.t
         g_shift = self.base.g(x, shifted)
         dtheta_shift = -self.base.g_age_derivative(x, shifted) * np.exp(-g_shift)
@@ -176,20 +165,7 @@ class ArrivalExponent:
 
     def psi(self, u):
         """Vectorized over u >= 0."""
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u)
-        x = self._nodes[:, None, :]  # (N, 1, d)
-        g = self.theta.g(x, uu[None, :])  # (N, G)
-        if self.model.cumulative is not None:
-            M = self.model.cumulative(x, uu[None, :])
-        else:
-            from .habitat import cumulative_hazard
-
-            M = cumulative_hazard(self.model, x, uu[None, :])
-        vals = np.expm1(-g) * np.exp(-M)
-        out = self._weights @ vals
-        return float(out[0]) if scalar else out
+        return survival_slice(self.model, self._nodes, self._weights, self.theta.theta, u)
 
     def _extend(self, t_max):
         t_max = max(t_max, 4.0)
@@ -270,29 +246,20 @@ def flowed_log_F(theta, config, model, times):
     pos = config.positions[:, None, :]  # (P, 1, d)
     ages = config.ages[:, None]  # (P, 1)
     shifted = ages + times[None, :]
-    if model.cumulative is not None:
-        logq = model.cumulative(pos, ages) - model.cumulative(pos, shifted)
-    else:
-        from .habitat import cumulative_hazard
-
-        logq = cumulative_hazard(model, pos, ages) - cumulative_hazard(model, pos, shifted)
+    logq = model.cumulative(pos, ages) - model.cumulative(pos, shifted)
     theta_t = np.expm1(-theta.g(pos, shifted)) * np.exp(logq)
     return np.sum(np.log1p(theta_t), axis=0)
 
 
-def explicit_solution(theta, s, t, config, habitat, model, exponent=None, method="quad"):
+def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
     """E_config F_{theta_s}(X_t): the closed-form semigroup action.
 
     Equals exp(H(s+t) - H(s)) * F_{theta_{s+t}}(config) with H the arrival
-    exponent.  `method` selects the H route: "quad" (adaptive, high
-    precision) or "spline" (fast, cached).
+    exponent, integrated adaptively (H_quad).
     """
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    if method == "quad":
-        expo = exponent.H_quad(s + t) - exponent.H_quad(s)
-    else:
-        expo = exponent.H(s + t) - exponent.H(s)
+    expo = exponent.H_quad(s + t) - exponent.H_quad(s)
     return float(np.exp(expo + flowed_log_F(theta, config, model, np.array(s + t)))[0])
 
 

@@ -4,6 +4,8 @@ The habitat is a closed axis-aligned box in R^d carrying the arrival measure
 chi(dx) = density(x) dx with a bounded density.  Departure models supply the
 age-dependent hazard m(x, alpha) together with its bounds m_zero <= m <= m_star,
 a closed-form cumulative hazard when available, and a continuity modulus.
+The survival integral int int h(x, u) exp(-M(x, u)) chi(dx) du, to which every
+law agedpop checks reduces, is computed here and nowhere else.
 
 Shipped families:
   * constant_rate(m):    m(x, alpha) = m, exactly solvable throughout;
@@ -29,8 +31,9 @@ __all__ = [
     "DepartureModel",
     "constant_rate",
     "separable_rate",
-    "cumulative_hazard",
     "survival_factor",
+    "survival_slice",
+    "survival_weighted_integral",
     "chi_sample",
     "chi_integral",
     "chi_integral_with_error",
@@ -130,9 +133,11 @@ class DepartureModel:
     """Age-dependent departure hazard with stated bounds.
 
     rate(x, alpha) broadcasts: x of shape (..., dim) against alpha of shape
-    (...).  cumulative is the closed-form M(x, alpha) = int_0^alpha m(x, .) when
-    available (None means: integrate numerically).  modulus(eps) bounds the
-    variation of m over age displacements <= eps, uniformly in x.
+    (...).  cumulative is M(x, alpha) = int_0^alpha m(x, .) and broadcasts
+    like rate; when None is given, a numeric one is installed that integrates
+    each broadcast element adaptively to absolute tolerance 1e-10.
+    modulus(eps) bounds the variation of m over age displacements <= eps,
+    uniformly in x.
     """
 
     m_star: float
@@ -144,6 +149,25 @@ class DepartureModel:
     def __post_init__(self):
         if not (0.0 <= self.m_zero <= self.m_star) or not math.isfinite(self.m_star):
             raise ValueError("need 0 <= m_zero <= m_star < inf")
+        if self.cumulative is None:
+            rate = self.rate
+
+            def cumulative(x, alpha):
+                x = np.asarray(x, dtype=float)
+                alpha = np.asarray(alpha, dtype=float)
+                shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
+                xb = np.broadcast_to(x, shape + (x.shape[-1],))
+                ab = np.broadcast_to(alpha, shape)
+                out = np.empty(shape)
+                it = np.nditer(ab, flags=["multi_index"])
+                for a in it:
+                    xi = xb[it.multi_index]
+                    out[it.multi_index], _ = integrate.quad(
+                        lambda b: float(rate(xi, b)), 0.0, float(a), epsabs=1e-10
+                    )
+                return out if out.ndim else float(out)
+
+            object.__setattr__(self, "cumulative", cumulative)
 
 
 def constant_rate(m):
@@ -204,36 +228,42 @@ def separable_rate(habitat, base, amplitude, frequency):
     )
 
 
-def cumulative_hazard(model, x, alpha, tol=1e-10):
-    """M(x, alpha) = int_0^alpha m(x, beta) dbeta; closed form when available.
-
-    Broadcasts like model.rate.  The numeric fallback integrates each
-    broadcast element adaptively to absolute tolerance `tol`.
-    """
-    if model.cumulative is not None:
-        return model.cumulative(x, alpha)
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
-    xb = np.broadcast_to(x, shape + (x.shape[-1],))
-    ab = np.broadcast_to(alpha, shape)
-    out = np.empty(shape)
-    it = np.nditer(ab, flags=["multi_index"])
-    for a in it:
-        idx = it.multi_index
-        xi = xb[idx]
-        val, _ = integrate.quad(lambda b: float(model.rate(xi, b)), 0.0, float(a), epsabs=tol)
-        out[idx] = val
-    return out if out.ndim else float(out)
-
-
 def survival_factor(model, x, alpha, t):
     """q_t(x, alpha) = exp(M(x, alpha) - M(x, alpha + t)), the survival chance.
 
     Lies in [exp(-m_star t), exp(-m_zero t)] for t >= 0.
     """
     alpha = np.asarray(alpha, dtype=float)
-    return np.exp(cumulative_hazard(model, x, alpha) - cumulative_hazard(model, x, alpha + t))
+    return np.exp(model.cumulative(x, alpha) - model.cumulative(x, alpha + t))
+
+
+def survival_slice(model, nodes, weights, h, ages):
+    """sum_i weights[i] h(nodes[i], u) exp(-M(nodes[i], u)) at each age u.
+
+    (nodes, weights) is a chi-weighted spatial rule from gauss_profile_nodes,
+    so this is the window integral int h(x, u) exp(-M(x, u)) chi(dx).  h
+    broadcasts like model.rate.  Vectorized over ages; a scalar age gives a
+    float.
+    """
+    u = np.asarray(ages, dtype=float)
+    x = nodes[:, None, :]
+    uu = np.atleast_1d(u)[None, :]
+    out = weights @ (h(x, uu) * np.exp(-model.cumulative(x, uu)))
+    return float(out[0]) if u.ndim == 0 else out
+
+
+def survival_weighted_integral(habitat, model, h, a_lo, a_hi, breakpoints=(), tol=1e-11):
+    """int_{a_lo}^{a_hi} int_window h(x, u) exp(-M(x, u)) chi(dx) du.
+
+    Gauss-Legendre in space (split at the supplied kinks), adaptive in age.
+    """
+    if a_hi <= a_lo:
+        return 0.0
+    nodes, weights = gauss_profile_nodes(habitat, breakpoints=breakpoints)
+    val, _ = integrate.quad(
+        lambda a: survival_slice(model, nodes, weights, h, a), a_lo, a_hi, epsabs=tol, limit=400
+    )
+    return val
 
 
 def chi_sample(habitat, rng, size=None):

@@ -24,17 +24,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .config_space import MarkedConfiguration
-from .habitat import chi_sample, survival_factor
+from .habitat import (
+    chi_sample,
+    gauss_profile_nodes,
+    survival_factor,
+    survival_slice,
+    survival_weighted_integral,
+)
 
 __all__ = [
     "IntensityMeasure",
     "transient_intensity",
     "stationary_intensity",
     "sample_poisson",
-    "thin_and_age",
-    "transition_step",
     "PathBundle",
     "Event",
     "EventTrajectory",
@@ -70,61 +75,30 @@ class IntensityMeasure:
 
     def density(self, x, alpha):
         """Pointwise intensity density; zero outside the window and age range."""
-        from .habitat import cumulative_hazard
-
         x = np.asarray(x, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
         in_age = (alpha >= 0) & (alpha < self.age_upper)
         in_box = np.all((x >= self.habitat.lower) & (x <= self.habitat.upper), axis=-1)
-        M = cumulative_hazard(self.model, x, alpha)
+        M = self.model.cumulative(x, alpha)
         return np.where(in_age & in_box, self.habitat.density(x) * np.exp(-M), 0.0)
 
     def theta_integral(self, theta, tol=1e-10):
         """int theta d rho over the age window, by nested quadrature."""
-        from scipy import integrate
-
-        from .habitat import gauss_profile_nodes
-
-        nodes, weights = gauss_profile_nodes(
-            self.habitat, breakpoints=getattr(theta, "x_breakpoints", ())
+        return survival_weighted_integral(
+            self.habitat, self.model, theta.theta, 0.0, self.age_upper,
+            breakpoints=getattr(theta, "x_breakpoints", ()), tol=tol,
         )
-        M = self.model.cumulative
-        if M is None:
-            from .habitat import cumulative_hazard as M_num
-
-            def slice_at(a):
-                Ms = M_num(self.model, nodes, np.full(nodes.shape[0], a))
-                return float(np.sum(weights * theta.theta(nodes, a) * np.exp(-Ms)))
-
-        else:
-
-            def slice_at(a):
-                return float(
-                    np.sum(weights * theta.theta(nodes, a) * np.exp(-M(nodes, np.asarray(a))))
-                )
-
-        edges = list(self.strip_edges)
-        val, _ = integrate.quad(
-            slice_at, 0.0, self.age_upper, epsabs=tol, limit=400,
-            points=edges[1:-1] or None,
-        )
-        return val
 
 
 def _strip_quadrature(habitat, model, edges):
     """Masses int_strip int_window exp(-M) dchi dalpha by Gauss-Legendre."""
-    from numpy.polynomial.legendre import leggauss
-
-    from .habitat import cumulative_hazard, gauss_profile_nodes
-
     nodes, weights = gauss_profile_nodes(habitat)
     gx, gw = leggauss(_AGE_GL_ORDER)
     masses = np.empty(len(edges) - 1)
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         half = (b - a) / 2.0
         ages = (a + b) / 2.0 + half * gx
-        M = cumulative_hazard(model, nodes[:, None, :], ages[None, :])
-        masses[i] = float(np.sum(weights[:, None] * np.exp(-M) * (half * gw)[None, :]))
+        masses[i] = survival_slice(model, nodes, weights, lambda x, u: 1.0, ages) @ (half * gw)
     return masses
 
 
@@ -172,8 +146,6 @@ def _sample_points(intensity, count, rng):
     total = intensity.total_mass
     if total <= 0:
         raise ValueError("intensity has zero mass")
-    from .habitat import cumulative_hazard
-
     strat = rng.multinomial(count, intensity.strip_masses / total)
     pos_out = np.empty((count, d))
     age_out = np.empty(count)
@@ -189,7 +161,7 @@ def _sample_points(intensity, count, rng):
             batch = max(32, int(1.2 * need / max(accept_rate, 1e-3)))
             xs = chi_sample(habitat, rng, size=batch)
             ages = rng.uniform(a, b, size=batch)
-            M = cumulative_hazard(model, xs, ages)
+            M = model.cumulative(xs, ages)
             keep = rng.uniform(0.0, envelope, size=batch) < np.exp(-M)
             xs, ages = xs[keep], ages[keep]
             take = min(need, xs.shape[0])
@@ -208,36 +180,6 @@ def sample_poisson(intensity, rng):
         return MarkedConfiguration.empty(intensity.habitat.dim)
     pos, ages = _sample_points(intensity, n, rng)
     return MarkedConfiguration(pos, ages)
-
-
-def thin_and_age(config, t, model, rng):
-    """Survive-and-age step: the exact deterministic-flow kernel.
-
-    Each particle independently survives with probability
-    q_t = exp(M(x, alpha) - M(x, alpha + t)) and, if it survives, ages by t.
-    Averaging prod (1 + theta) over the independent survivals gives
-    prod (1 + q_t theta(x, alpha + t)), which is exactly the flowed
-    functional F_{theta_t}; since that family separates laws, this kernel is
-    the unique realization of the flow.
-    """
-    if t < 0:
-        raise ValueError("time step must be nonnegative")
-    if not len(config) or t == 0.0:
-        return config
-    q = survival_factor(model, config.positions, config.ages, t)
-    keep = rng.random(len(config)) < q
-    return MarkedConfiguration(config.positions[keep], config.ages[keep] + t)
-
-
-def transition_step(config, t, habitat, model, rng, intensity=None):
-    """One exact transition of length t: survivors plus fresh arrivals."""
-    if t == 0.0:
-        return config
-    survivors = thin_and_age(config, t, model, rng)
-    if intensity is None:
-        intensity = transient_intensity(habitat, model, t)
-    arrivals = sample_poisson(intensity, rng)
-    return survivors.union(arrivals)
 
 
 class PathBundle:
@@ -266,6 +208,11 @@ class PathBundle:
         return cls(n_paths, config.dim, ids, pos, ages)
 
     def thin_and_age(self, dt, model, rng):
+        """Each particle survives dt with chance q_dt(x, alpha), then ages by dt.
+
+        Averaging prod (1 + theta) over the survivals gives the flowed
+        functional F_{theta_dt}: this is the exact kernel of the age flow.
+        """
         if self.path_ids.size == 0 or dt == 0.0:
             self.ages = self.ages + dt
             return

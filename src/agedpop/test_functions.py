@@ -28,8 +28,6 @@ from .mark_space import DEFAULT_LADDER, u_basis, u_basis_derivative
 
 __all__ = [
     "Theta",
-    "g_eval",
-    "theta_eval",
     "star_product",
     "F_theta",
     "log_F_theta",
@@ -125,16 +123,6 @@ class Theta:
 
     def star(self, other):
         return star_product(self, other)
-
-
-def g_eval(theta, x, alpha):
-    """Exponent g of a test function at (x, alpha)."""
-    return theta.g(x, alpha)
-
-
-def theta_eval(theta, x, alpha):
-    """Value of the test function at (x, alpha)."""
-    return theta.theta(x, alpha)
 
 
 def star_product(theta_a, theta_b):

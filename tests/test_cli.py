@@ -158,6 +158,22 @@ def test_simulate_threads(tmp_path, config_path):
     )
     assert code == 0
     assert (out_dir / "events.jsonl").exists()
+    # 300 paths of an age-varying hazard: enough rows that a reordered mean
+    # differs in its last digits
+    case = {
+        "habitat": {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
+        "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
+        "theta": [[1, 1, 1], [3, 2, 1]],
+        "run": {"seed": 11, "n_paths": 300, "times": [0.5, 1.0, 1.5, 2.0]},
+    }
+    path = _write(tmp_path, case, name="threads.json")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
+        outs.append(out)
+    for name in ("summary.csv", "events.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_verify_metrics_suite(tmp_path, config_path, capsys):

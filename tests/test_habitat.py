@@ -7,14 +7,17 @@ import pytest
 from scipy import integrate, stats
 
 from agedpop import (
+    ArrivalExponent,
+    MarkedConfiguration,
     chi_integral,
     chi_sample,
     constant_rate,
-    cumulative_hazard,
+    explicit_solution,
     gauss_profile_nodes,
     linear_habitat,
     separable_rate,
     survival_factor,
+    transient_intensity,
     uniform_habitat,
 )
 
@@ -80,19 +83,46 @@ def test_separable_rate_bounds_and_cumulative(habitat_1d):
         assert got == pytest.approx(want, abs=1e-10)
 
 
+def _without_cumulative(model):
+    return type(model)(
+        m_star=model.m_star,
+        m_zero=model.m_zero,
+        rate=model.rate,
+        cumulative=None,
+        modulus=model.modulus,
+    )
+
+
 def test_cumulative_hazard_numeric_fallback(habitat_1d):
     base = separable_rate(habitat_1d, 0.4, 0.8, 3.0)
-    stripped = type(base)(
-        m_star=base.m_star,
-        m_zero=base.m_zero,
-        rate=base.rate,
-        cumulative=None,
-        modulus=base.modulus,
-    )
+    stripped = _without_cumulative(base)
     x = np.array([[0.3], [0.8]])
     a = np.array([0.7, 2.1])
+    np.testing.assert_allclose(stripped.cumulative(x, a), base.cumulative(x, a), atol=1e-8)
+
+
+def test_numeric_cumulative_matches_closed_form_downstream(habitat_1d, separable_model, theta_two):
+    # every consumer of M sees the numeric fallback as it sees the closed form
+    stripped = _without_cumulative(separable_model)
+    theta = theta_two
+    ages = np.array([0.0, 0.4, 1.7])
     np.testing.assert_allclose(
-        cumulative_hazard(stripped, x, a), base.cumulative(x, a), atol=1e-8
+        ArrivalExponent(theta, habitat_1d, stripped).psi(ages),
+        ArrivalExponent(theta, habitat_1d, separable_model).psi(ages),
+        atol=1e-8,
+    )
+    assert transient_intensity(habitat_1d, stripped, 1.3).total_mass == pytest.approx(
+        transient_intensity(habitat_1d, separable_model, 1.3).total_mass, abs=1e-8
+    )
+    x = np.array([[0.2], [0.55], [0.9]])
+    np.testing.assert_allclose(
+        survival_factor(stripped, x, ages, 0.8),
+        survival_factor(separable_model, x, ages, 0.8),
+        atol=1e-8,
+    )
+    config = MarkedConfiguration(np.array([[0.35]]), np.array([0.6]))
+    assert explicit_solution(theta, 0.0, 0.7, config, habitat_1d, stripped) == pytest.approx(
+        explicit_solution(theta, 0.0, 0.7, config, habitat_1d, separable_model), abs=1e-8
     )
 
 

@@ -16,9 +16,7 @@ from agedpop import (
     sample_poisson,
     sample_trajectory_marginals,
     stationary_intensity,
-    thin_and_age,
     transient_intensity,
-    transition_step,
 )
 
 
@@ -109,12 +107,10 @@ def test_thin_and_age_exact(habitat_1d, const_model, rng):
     config = MarkedConfiguration(np.array([[0.4]]), np.array([0.7]))
     t = 0.9
     n = 20_000
-    survived = 0
-    for _ in range(n):
-        out = thin_and_age(config, t, const_model, rng)
-        if len(out):
-            survived += 1
-            assert out.ages[0] == pytest.approx(0.7 + t)
+    bundle = PathBundle.from_configuration(config, n)
+    bundle.thin_and_age(t, const_model, rng)
+    survived = int(np.count_nonzero(bundle.counts()))
+    np.testing.assert_allclose(bundle.ages, 0.7 + t)
     p = math.exp(-t)
     assert abs(survived / n - p) < 4 * math.sqrt(p * (1 - p) / n)
 
@@ -123,9 +119,9 @@ def test_transition_step_mean_count(habitat_1d, const_model, rng):
     config = MarkedConfiguration(np.array([[0.2], [0.8]]), np.array([0.1, 2.0]))
     t = 0.6
     n = 5000
-    counts = np.array(
-        [len(transition_step(config, t, habitat_1d, const_model, rng)) for _ in range(n)]
-    )
+    bundle = PathBundle.from_configuration(config, n)
+    bundle.transition(t, transient_intensity(habitat_1d, const_model, t), const_model, rng)
+    counts = bundle.counts()
     want = 2 * math.exp(-t) + habitat_1d.chi_mass * (-math.expm1(-t))
     var = 2 * math.exp(-t) * (1 - math.exp(-t)) + habitat_1d.chi_mass * (-math.expm1(-t))
     assert abs(counts.mean() - want) < 4 * math.sqrt(var / n)

@@ -23,12 +23,14 @@ from agedpop import (
     fokker_planck_check,
     format_reports,
     laplace_uniqueness_check,
+    PathBundle,
+    Theta,
+    linear_habitat,
     martingale_residual,
-    poisson_expectation,
+    separable_rate,
     stationarity_check,
     stationary_intensity,
     survival_weighted_integral,
-    thin_and_age,
     transient_intensity,
     write_reports_csv,
 )
@@ -57,12 +59,10 @@ def test_thinned_dirac_vs_monte_carlo(theta_two, dirac_config, const_model, rng)
     phi = lambda x, a: x[..., 0] + a
     want_w = law.expect_weighted(theta_two, phi)
     n = 30_000
-    fs = np.empty(n)
-    ws = np.empty(n)
-    for i in range(n):
-        out = thin_and_age(dirac_config, t, const_model, rng)
-        fs[i] = F_theta(theta_two, out)
-        ws[i] = fs[i] * float(np.sum(phi(out.positions, out.ages))) if len(out) else 0.0
+    bundle = PathBundle.from_configuration(dirac_config, n)
+    bundle.thin_and_age(t, const_model, rng)
+    fs = bundle.f_theta(theta_two)
+    ws = fs * bundle.sum_by_path(phi(bundle.positions, bundle.ages))
     assert abs(fs.mean() - want_f) < 4 * fs.std(ddof=1) / math.sqrt(n)
     assert abs(ws.mean() - want_w) < 4 * ws.std(ddof=1) / math.sqrt(n)
 
@@ -70,10 +70,14 @@ def test_thinned_dirac_vs_monte_carlo(theta_two, dirac_config, const_model, rng)
 def test_poisson_law_two_quadrature_routes(theta_two, habitat_1d, const_model):
     intensity = transient_intensity(habitat_1d, const_model, 1.4)
     law = PoissonLaw(intensity)
-    # route 1: the intensity's own nested quadrature; route 2: the law's
-    assert law.expect_F(theta_two) == pytest.approx(
-        poisson_expectation(theta_two, intensity), abs=1e-9
-    )
+    # the law's engine route against a direct double integral of theta e^{-M} chi
+
+    def integrand(a, x):
+        pt = np.array([[x]])
+        return theta_two.theta(pt, np.array([a]))[0] * 2.0 * math.exp(-a)
+
+    want, _ = integrate.dblquad(integrand, 0.0, 1.0, 0.0, 1.4, epsabs=1e-11)
+    assert law.expect_F(theta_two) == pytest.approx(math.exp(want), abs=1e-9)
 
 
 def test_poisson_weighted_vs_monte_carlo(theta_two, habitat_1d, const_model, rng):
@@ -199,6 +203,15 @@ def test_ergodicity(theta_two, habitat_1d, const_model):
     report = ergodicity_check(theta_two, habitat_1d, const_model)
     assert report.passed, report.line()
     report = stationarity_check(theta_two, habitat_1d, const_model, [0.5, 1.5])
+    assert report.passed, report.line()
+
+
+def test_ergodicity_band_for_varying_hazard():
+    # the gap of an age-varying hazard decays faster than m_zero, within m_star
+    hab = linear_habitat([(0.0, 1.0)], 2.0, 6.0)
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1)], hab)
+    report = ergodicity_check(theta, hab, model)
     assert report.passed, report.line()
 
 
