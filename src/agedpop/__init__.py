@@ -77,7 +77,6 @@ from .sampler import (
     IntensityMeasure,
     PathBundle,
     event_driven_simulate,
-    per_path_seeds,
     sample_poisson,
     sample_trajectory_marginals,
     stationary_intensity,

@@ -36,12 +36,11 @@ from .mark_space import MarkSet, rho_distance
 from .sampler import (
     PathBundle,
     event_driven_simulate,
-    per_path_seeds,
     sample_poisson,
     stationary_intensity,
     transient_intensity,
 )
-from .test_functions import F_theta, Theta
+from .test_functions import Theta
 from .verify import (
     DiracLaw,
     PoissonLaw,
@@ -180,34 +179,70 @@ def _write_header(out_dir, cfg, command, seed):
     (out_dir / "header.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def _simulate_chunk(args):
-    """Worker: run a block of event-driven paths; returns events and counts."""
-    config_path, path_indices, seed = args
-    cfg = load_config(config_path)
+# Paths per seeded block: block b draws from child b of SeedSequence(seed),
+# and workers receive whole blocks, so the output is the same for any
+# --threads.  Changing it changes every simulate output.
+_BLOCK_PATHS = 100
+
+
+def _block_rng(seed, block):
+    """Generator of child `block` of SeedSequence(seed)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+
+
+def _event_lines(events, first_path):
+    """events.jsonl text of a structured event array, as json.dumps writes it."""
+    return "".join(
+        f'{{"path": {p}, "time": {t!r}, "kind": "{k}", "id": {i}, '
+        f'"x": [{", ".join(map(repr, x))}], "age": {a!r}}}\n'
+        for p, t, k, i, x, a in zip(
+            (events["path"] + first_path).tolist(), events["time"].tolist(),
+            events["kind"].tolist(), events["id"].tolist(), events["x"].tolist(),
+            events["age"].tolist(),
+        )
+    )
+
+
+def _simulate_block(cfg, block, seed):
+    """One seeded block of paths from the empty start.
+
+    Returns (events.jsonl text, event count, counts and F_theta values of
+    shape (paths, times), thinning proposals, thinning accepts).
+    """
+    first = block * _BLOCK_PATHS
     empty = MarkedConfiguration.empty(cfg.habitat.dim)
-    seeds = per_path_seeds(seed, cfg.n_paths)
-    events = []
-    stats = []
-    for p in path_indices:
-        rng = np.random.default_rng(seeds[p])
-        traj = event_driven_simulate(empty, cfg.horizon, cfg.habitat, cfg.model, rng)
-        for ev in traj.events:
-            events.append(
-                {
-                    "path": p,
-                    "time": ev.time,
-                    "kind": ev.kind,
-                    "id": ev.pid,
-                    "x": list(ev.x),
-                    "age": ev.age,
-                }
-            )
-        row = []
-        for t in cfg.times:
-            state = traj.state_at(t)
-            row.append((len(state), F_theta(cfg.theta, state)))
-        stats.append(row)
-    return events, stats
+    traj = event_driven_simulate(
+        empty, cfg.horizon, cfg.habitat, cfg.model, _block_rng(seed, block),
+        n_paths=min(_BLOCK_PATHS, cfg.n_paths - first),
+    )
+    states = [traj.state_at(t) for t in cfg.times]
+    counts = np.stack([state.counts() for state in states], axis=1)
+    fvals = np.stack([state.f_theta(cfg.theta) for state in states], axis=1)
+    events = traj.events
+    return _event_lines(events, first), len(events), counts, fvals, traj.proposals, traj.accepts
+
+
+def _simulate_chunk(args):
+    """Worker: simulate whole blocks of paths; returns their results in order."""
+    config_path, blocks, seed = args
+    cfg = load_config(config_path)
+    return [_simulate_block(cfg, block, seed) for block in blocks]
+
+
+def _block_results(args, cfg, seed):
+    """Every block's result in block order, from this process or a pool."""
+    n_blocks = -(-cfg.n_paths // _BLOCK_PATHS)
+    if args.threads <= 1:
+        for block in range(n_blocks):
+            yield _simulate_block(cfg, block, seed)
+        return
+    size = -(-n_blocks // args.threads)
+    work = [
+        (args.config, range(b, min(b + size, n_blocks)), seed) for b in range(0, n_blocks, size)
+    ]
+    with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        for chunk in pool.map(_simulate_chunk, work):
+            yield from chunk
 
 
 def cmd_simulate(args):
@@ -216,24 +251,18 @@ def cmd_simulate(args):
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_header(out_dir, cfg, "simulate", seed)
-    indices = list(range(cfg.n_paths))
-    if args.threads > 1:
-        # contiguous blocks keep the rows in path order for any thread count
-        size = max(1, -(-cfg.n_paths // args.threads))
-        chunks = [indices[i : i + size] for i in range(0, cfg.n_paths, size)]
-        work = [(args.config, chunk, seed) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_simulate_chunk, work))
-    else:
-        results = [_simulate_chunk((args.config, indices, seed))]
-    all_events = [ev for events, _ in results for ev in events]
-    all_stats = [row for _, stats in results for row in stats]
-    all_events.sort(key=lambda ev: (ev["path"], ev["time"]))
+    counts, fvals = [], []
+    n_events = proposals = accepts = 0
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for ev in all_events:
-            fh.write(json.dumps(ev) + "\n")
-    counts = np.array([[c for c, _ in row] for row in all_stats], dtype=float)
-    fvals = np.array([[f for _, f in row] for row in all_stats], dtype=float)
+        for text, n_ev, c, f, prop, acc in _block_results(args, cfg, seed):
+            fh.write(text)
+            counts.append(c)
+            fvals.append(f)
+            n_events += n_ev
+            proposals += prop
+            accepts += acc
+    counts = np.concatenate(counts).astype(float)
+    fvals = np.concatenate(fvals)
     n = counts.shape[0]
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -241,7 +270,11 @@ def cmd_simulate(args):
         for j, t in enumerate(cfg.times):
             writer.writerow(["%g" % t, "mean_count", counts[:, j].mean(), counts[:, j].std(ddof=1) / math.sqrt(n)])
             writer.writerow(["%g" % t, "mean_f_theta", fvals[:, j].mean(), fvals[:, j].std(ddof=1) / math.sqrt(n)])
-    print(f"wrote {len(all_events)} events over {n} paths to {out_dir}")
+    rate = accepts / proposals if proposals else 0.0
+    print(
+        f"wrote {n_events} events over {n} paths to {out_dir} "
+        f"(thinning accepted {accepts} of {proposals} proposals, {rate:.1%})"
+    )
     return 0
 
 

@@ -282,7 +282,10 @@ def chi_sample(habitat, rng, size=None):
         want = n - filled
         batch = max(32, int(1.2 * want * habitat.density_sup * habitat.volume / habitat.chi_mass))
         props = rng.uniform(habitat.lower, habitat.upper, size=(batch, d))
-        accept = rng.uniform(0.0, habitat.density_sup, size=batch) < habitat.density(props)
+        dens = habitat.density(props)
+        if np.any(dens > habitat.density_sup):
+            raise ValueError("arrival density exceeds its declared bound density_sup")
+        accept = rng.uniform(0.0, habitat.density_sup, size=batch) < dens
         hits = props[accept]
         take = min(want, hits.shape[0])
         out[filled : filled + take] = hits[:take]

@@ -5,8 +5,11 @@ Two independent routes to the same law:
   * one-shot transition sampling: the time-t state from an initial
     configuration is (survivors, aged by t) union (fresh arrivals from the
     newcomer intensity rho_t), both exact draws;
-  * event-driven simulation: arrivals as a homogeneous Poisson stream in
-    time, departures by per-particle hazard thinning with envelope m_star.
+  * event-driven simulation: each path's arrivals are a homogeneous Poisson
+    stream in time with chi-distributed locations, and given them each
+    particle departs by Lewis-Shedler thinning of its own rate-m_star clock;
+    all paths of a call are drawn together and kept as flat per-particle
+    arrays (EventTrajectory).
 
 The newcomer intensity at horizon t is
 
@@ -16,12 +19,17 @@ sampled by stratifying the age window into strips of width <= 2/m_star and
 rejecting uniform proposals against the strip envelope exp(-m_zero * left
 edge).  For constant hazards every strip accepts with probability >= e^-2;
 the draw is exact for any hazard regardless of acceptance rate.
+
+The samplers rely on the declared bounds m_zero <= m <= m_star and
+density <= density_sup; a draw that sees one broken raises ValueError
+instead of quietly biasing the sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,11 +49,9 @@ __all__ = [
     "stationary_intensity",
     "sample_poisson",
     "PathBundle",
-    "Event",
     "EventTrajectory",
     "event_driven_simulate",
     "sample_trajectory_marginals",
-    "per_path_seeds",
 ]
 
 _AGE_GL_ORDER = 16
@@ -161,8 +167,10 @@ def _sample_points(intensity, count, rng):
             batch = max(32, int(1.2 * need / max(accept_rate, 1e-3)))
             xs = chi_sample(habitat, rng, size=batch)
             ages = rng.uniform(a, b, size=batch)
-            M = model.cumulative(xs, ages)
-            keep = rng.uniform(0.0, envelope, size=batch) < np.exp(-M)
+            survival = np.exp(-model.cumulative(xs, ages))
+            if np.any(survival > envelope):
+                raise ValueError("exp(-M) exceeds its strip envelope: hazard below m_zero")
+            keep = rng.uniform(0.0, envelope, size=batch) < survival
             xs, ages = xs[keep], ages[keep]
             take = min(need, xs.shape[0])
             start = filled + int(n_i) - need
@@ -257,86 +265,116 @@ class PathBundle:
         return MarkedConfiguration(self.positions[sel], self.ages[sel])
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: str  # "arrival" | "departure"
-    pid: int
-    x: tuple
-    age: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EventTrajectory:
-    """Full event history of one path plus enough to replay any marginal."""
+    """Event histories of n_paths paths as flat per-particle arrays.
+
+    Particle j of the run belongs to path path_ids[j], where it is number
+    ids[j]: the initial particles first, then the arrivals in time order.
+    It sits at positions[j], was born at births[j] (minus its age for an
+    initial particle) and departs at deaths[j] (inf if alive at the
+    horizon).  proposals and accepts count the thinning clock's proposals
+    before the horizon and the departures among them.
+    """
 
     dim: int
     horizon: float
-    births: dict = field(default_factory=dict)  # pid -> (x, birth time)
-    deaths: dict = field(default_factory=dict)  # pid -> death time
-    events: list = field(default_factory=list)
+    n_paths: int
+    n_initial: int
+    path_ids: np.ndarray
+    ids: np.ndarray
+    positions: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
+    proposals: int
+    accepts: int
 
     def state_at(self, time):
+        """The population of every path at `time`, with ages, as a PathBundle."""
         if not (0.0 <= time <= self.horizon):
             raise ValueError("time outside the simulated horizon")
-        pos, ages = [], []
-        for pid, (x, birth) in self.births.items():
-            if birth <= time and self.deaths.get(pid, math.inf) > time:
-                pos.append(x)
-                ages.append(time - birth)
-        if not pos:
-            return MarkedConfiguration.empty(self.dim)
-        return MarkedConfiguration(np.asarray(pos), np.asarray(ages))
+        alive = (self.births <= time) & (self.deaths > time)
+        return PathBundle(
+            self.n_paths, self.dim, self.path_ids[alive], self.positions[alive],
+            time - self.births[alive],
+        )
+
+    @cached_property
+    def events(self):
+        """Arrivals and departures as a structured array sorted by (path, time).
+
+        Fields: path, time, kind ("arrival" or "departure"), id, x, age (0 at
+        an arrival, death - birth at a departure).  Initial particles have no
+        arrival event.
+        """
+        arrived = np.flatnonzero(self.ids >= self.n_initial)
+        departed = np.flatnonzero(np.isfinite(self.deaths))
+        rows = np.concatenate([arrived, departed])
+        is_departure = np.arange(rows.size) >= arrived.size
+        out = np.empty(
+            rows.size,
+            dtype=[("path", np.int64), ("time", float), ("kind", "U9"), ("id", np.int64),
+                   ("x", float, (self.dim,)), ("age", float)],
+        )
+        out["path"] = self.path_ids[rows]
+        out["time"] = np.concatenate([self.births[arrived], self.deaths[departed]])
+        out["kind"] = np.where(is_departure, "departure", "arrival")
+        out["id"] = self.ids[rows]
+        out["x"] = self.positions[rows]
+        out["age"] = np.where(is_departure, out["time"] - self.births[rows], 0.0)
+        return out[np.lexsort((out["time"], out["path"]))]
 
 
-def event_driven_simulate(config, horizon, habitat, model, rng):
-    """Simulate by competing exponential clocks and hazard thinning.
+def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
+    """Simulate n_paths paths from `config` by arrival streams and hazard thinning.
 
-    Arrivals occur at rate chi_mass with locations drawn from chi; each live
-    particle proposes departures at the envelope rate m_star, accepted with
-    probability m(x, current age)/m_star.  Equivalent to per-particle
-    thinning, but with one aggregate clock so the rate follows the population.
+    Each path's arrivals are a Poisson(chi_mass * horizon) number of uniform
+    times with chi-distributed locations.  Given them, particles depart
+    independently: each runs a rate-m_star clock from max(birth, 0) and a
+    proposal at age a is accepted with probability m(x, a)/m_star
+    (Lewis-Shedler thinning).  The clocks of all live particles advance
+    together, one proposal per round, until each has departed or passed the
+    horizon.  Raises ValueError if a proposal sees m(x, a) > m_star.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    traj = EventTrajectory(dim=habitat.dim, horizon=float(horizon))
-    alive = {}
-    for pid in range(len(config)):
-        x = config.positions[pid]
-        traj.births[pid] = (tuple(x), -float(config.ages[pid]))
-        alive[pid] = x
-    next_pid = len(config)
-    order = []  # stable list of live pids for uniform picks
-    order.extend(range(len(config)))
-    t = 0.0
-    chi_mass = habitat.chi_mass
+    horizon = float(horizon)
+    dim, k = habitat.dim, len(config)
+    arrivals = rng.poisson(habitat.chi_mass * horizon, n_paths)
+    n_arr = int(arrivals.sum())
+    sizes = k + arrivals
+    path_ids = np.repeat(np.arange(n_paths, dtype=np.int64), sizes)
+    ids = np.arange(path_ids.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    initial = ids < k
+    times = rng.uniform(0.0, horizon, n_arr)
+    births = np.empty(path_ids.size)
+    births[initial] = np.tile(-np.asarray(config.ages, dtype=float), n_paths)
+    births[~initial] = times[np.lexsort((times, path_ids[~initial]))]
+    positions = np.empty((path_ids.size, dim))
+    positions[initial] = np.tile(config.positions, (n_paths, 1))
+    if n_arr:
+        positions[~initial] = chi_sample(habitat, rng, size=n_arr)
+    deaths = np.full(path_ids.size, math.inf)
+    proposals = accepts = 0
     m_star = model.m_star
-    while True:
-        rate = chi_mass + len(order) * m_star
-        if rate <= 0.0:
-            break
-        t = t + rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        if rng.random() < chi_mass / rate:
-            x = chi_sample(habitat, rng)
-            traj.births[next_pid] = (tuple(x), t)
-            alive[next_pid] = x
-            order.append(next_pid)
-            traj.events.append(Event(t, "arrival", next_pid, tuple(x), 0.0))
-            next_pid += 1
-        else:
-            slot = int(rng.integers(len(order)))
-            pid = order[slot]
-            x = alive[pid]
-            age = t - traj.births[pid][1]
-            if rng.random() < float(model.rate(x, age)) / m_star:
-                traj.deaths[pid] = t
-                traj.events.append(Event(t, "departure", pid, tuple(x), age))
-                order[slot] = order[-1]
-                order.pop()
-                del alive[pid]
-    return traj
+    live = np.arange(path_ids.size) if m_star > 0 else np.empty(0, dtype=np.int64)
+    clock = np.maximum(births, 0.0)
+    while live.size:
+        clock[live] += rng.exponential(1.0 / m_star, live.size)
+        live = live[clock[live] < horizon]
+        ages = clock[live] - births[live]
+        rate = model.rate(positions[live], ages)
+        if np.any(rate > m_star):
+            raise ValueError("departure rate exceeds its declared bound m_star")
+        hit = rng.random(live.size) * m_star < rate
+        deaths[live[hit]] = clock[live[hit]]
+        proposals += live.size
+        accepts += int(np.count_nonzero(hit))
+        live = live[~hit]
+    return EventTrajectory(
+        dim, horizon, int(n_paths), k, path_ids, ids, positions, births, deaths,
+        proposals, accepts,
+    )
 
 
 def sample_trajectory_marginals(
@@ -372,7 +410,3 @@ def sample_trajectory_marginals(
             out[("count", ti)] = bundle.counts()
     return out
 
-
-def per_path_seeds(seed, n_paths):
-    """Independent child seeds, one per path, stable across worker splits."""
-    return np.random.SeedSequence(seed).spawn(n_paths)

@@ -534,16 +534,9 @@ def count_law_oracle(
     reports = []
     times = sorted(times)
     horizon = times[-1]
-    counts = np.zeros((len(times), n_paths), dtype=np.int64)
     empty = MarkedConfiguration.empty(habitat.dim)
-    for p in range(n_paths):
-        traj = event_driven_simulate(empty, horizon, habitat, model, rng)
-        for i, t in enumerate(times):
-            counts[i, p] = sum(
-                1
-                for pid, (x, birth) in traj.births.items()
-                if birth <= t and traj.deaths.get(pid, math.inf) > t
-            )
+    traj = event_driven_simulate(empty, horizon, habitat, model, rng, n_paths=n_paths)
+    counts = np.stack([traj.state_at(t).counts() for t in times])
     for i, t in enumerate(times):
         lam = habitat.chi_mass * (-math.expm1(-m * t)) / m
         err = abs(counts[i].mean() - lam)
@@ -612,14 +605,10 @@ def cross_sampler_check(theta, t, habitat, model, n_paths, rng, seed=None, name=
     bundle.add_poisson(transient_intensity(habitat, model, t), rng)
     f_one = bundle.f_theta(theta)
     counts_one = bundle.counts()
-    f_evt = np.empty(n_paths)
-    counts_evt = np.empty(n_paths, dtype=np.int64)
     empty = MarkedConfiguration.empty(habitat.dim)
-    for p in range(n_paths):
-        traj = event_driven_simulate(empty, t, habitat, model, rng)
-        state = traj.state_at(t)
-        f_evt[p] = F_theta(theta, state)
-        counts_evt[p] = len(state)
+    state = event_driven_simulate(empty, t, habitat, model, rng, n_paths=n_paths).state_at(t)
+    f_evt = state.f_theta(theta)
+    counts_evt = state.counts()
     diff = f_one.mean() - f_evt.mean()
     se = math.sqrt(f_one.var(ddof=1) / n_paths + f_evt.var(ddof=1) / n_paths)
     reports = [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from agedpop import MarkedConfiguration, save_configuration
+from agedpop import cli
 from agedpop.cli import ConfigError, load_config, main
 
 GOOD = {
@@ -133,13 +134,18 @@ def test_stationary_sample_command(tmp_path, config_path, capsys):
     assert json.loads(header["config"]) == GOOD  # verbatim round trip
 
 
-def test_simulate_command(tmp_path, config_path):
+def test_simulate_command(tmp_path, config_path, capsys):
     out_dir = tmp_path / "sim"
     code = main(["simulate", "--config", config_path, "--out-dir", str(out_dir)])
     assert code == 0
-    events = [json.loads(l) for l in (out_dir / "events.jsonl").read_text().splitlines()]
-    for ev in events:
-        assert set(ev) == {"path", "time", "kind", "id", "x", "age"}
+    assert "thinning accepted" in capsys.readouterr().out
+    lines = (out_dir / "events.jsonl").read_text().splitlines()
+    assert lines
+    events = [json.loads(l) for l in lines]
+    for line, ev in zip(lines, events):
+        # the text json.dumps writes, keys in this order
+        assert line == json.dumps(ev)
+        assert list(ev) == ["path", "time", "kind", "id", "x", "age"]
         assert 0.0 <= ev["time"] <= 0.5
         assert ev["kind"] in ("arrival", "departure")
     with open(out_dir / "summary.csv") as fh:
@@ -151,7 +157,7 @@ def test_simulate_command(tmp_path, config_path):
     assert header["config"] == (tmp_path / "exp.json").read_text()
 
 
-def test_simulate_threads(tmp_path, config_path):
+def test_simulate_threads(tmp_path, config_path, monkeypatch):
     out_dir = tmp_path / "sim2"
     code = main(
         ["simulate", "--config", config_path, "--threads", "2", "--out-dir", str(out_dir)]
@@ -167,13 +173,34 @@ def test_simulate_threads(tmp_path, config_path):
         "run": {"seed": 11, "n_paths": 300, "times": [0.5, 1.0, 1.5, 2.0]},
     }
     path = _write(tmp_path, case, name="threads.json")
+    chunks = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, work):
+            work = list(work)
+            chunks.extend(work)
+            return super().map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
         outs.append(out)
+    # 300 paths are 3 blocks of 100, dealt to the 2 workers as [0, 1] and [2]
+    assert [list(blocks) for _, blocks, _ in chunks] == [[0, 1], [2]]
     for name in ("summary.csv", "events.jsonl"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_block_seeds_deterministic():
+    a = cli._block_rng(7, 2).random(3)
+    b = cli._block_rng(7, 2).random(3)
+    np.testing.assert_array_equal(a, b)
+    # block b draws from child b of SeedSequence(seed), whatever the split
+    child = np.random.default_rng(np.random.SeedSequence(7).spawn(5)[2]).random(3)
+    np.testing.assert_array_equal(a, child)
+    assert not np.allclose(a, cli._block_rng(7, 3).random(3))
 
 
 def test_verify_metrics_suite(tmp_path, config_path, capsys):

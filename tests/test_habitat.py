@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from agedpop import (
     ArrivalExponent,
+    Habitat,
     MarkedConfiguration,
     chi_integral,
     chi_sample,
@@ -153,6 +154,14 @@ def test_chi_sample_uniform_2d(habitat_2d):
     for j, (lo, hi) in enumerate([(0, 1), (0, 2)]):
         stat = stats.kstest(xs[:, j], lambda x: (x - lo) / (hi - lo)).statistic
         assert stat < 1.63 / math.sqrt(20_000)
+
+
+def test_chi_sample_rejects_density_above_sup():
+    # density 1 + 2x peaks at 3 but is declared to stay below 2
+    good = linear_habitat([(0.0, 1.0)], 1.0, 2.0)
+    bad = Habitat(good.lower, good.upper, good.density, chi_mass=good.chi_mass, density_sup=2.0)
+    with pytest.raises(ValueError, match="density_sup"):
+        chi_sample(bad, np.random.default_rng(5), size=100)
 
 
 def test_chi_integral_closed_forms(habitat_2d):

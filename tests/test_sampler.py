@@ -7,15 +7,16 @@ import pytest
 from scipy import integrate, stats
 
 from agedpop import (
+    DepartureModel,
     MarkedConfiguration,
     PathBundle,
     constant_rate,
     event_driven_simulate,
     linear_habitat,
-    per_path_seeds,
     sample_poisson,
     sample_trajectory_marginals,
     stationary_intensity,
+    survival_factor,
     transient_intensity,
 )
 
@@ -127,6 +128,16 @@ def test_transition_step_mean_count(habitat_1d, const_model, rng):
     assert abs(counts.mean() - want) < 4 * math.sqrt(var / n)
 
 
+def test_strip_sampler_rejects_hazard_below_m_zero(habitat_1d):
+    # hazard 0.5 declared with floor 1: exp(-M) rises above the envelopes
+    # exp(-m_zero * left edge) of the strips after the first
+    slow = constant_rate(0.5)
+    bad = DepartureModel(m_star=1.0, m_zero=1.0, rate=slow.rate, cumulative=slow.cumulative)
+    intensity = transient_intensity(habitat_1d, bad, 5.0)
+    with pytest.raises(ValueError, match="envelope"):
+        PathBundle(1000, 1).add_poisson(intensity, np.random.default_rng(6))
+
+
 # -------------------------------------------------------------- path bundle
 def test_bundle_reductions(habitat_1d, theta_two, rng):
     config = MarkedConfiguration(np.array([[0.3], [0.7]]), np.array([1.0, 0.5]))
@@ -162,24 +173,21 @@ def test_bundle_transition_matches_scalar_sampler(habitat_1d, const_model, rng):
 def test_event_trajectory_invariants(habitat_1d, separable_model, rng):
     start = MarkedConfiguration(np.array([[0.4], [0.9]]), np.array([0.0, 3.0]))
     horizon = 4.0
-    traj = event_driven_simulate(start, horizon, habitat_1d, separable_model, rng)
+    traj = event_driven_simulate(start, horizon, habitat_1d, separable_model, rng, n_paths=20)
     assert traj.horizon == horizon
-    for ev in traj.events:
-        assert 0.0 <= ev.time <= horizon
-        assert ev.kind in ("arrival", "departure")
-    for pid, death in traj.deaths.items():
-        x, birth = traj.births[pid]
-        assert death > birth
-    # state replay consistency at a few probe times
+    events = traj.events
+    assert np.all((0.0 <= events["time"]) & (events["time"] <= horizon))
+    assert set(events["kind"].tolist()) <= {"arrival", "departure"}
+    died = np.isfinite(traj.deaths)
+    assert np.all(traj.deaths[died] > traj.births[died])
+    # state replay: initial particles plus arrivals minus departures up to t
     for t in (0.0, 1.7, horizon):
         state = traj.state_at(t)
-        alive = sum(
-            1
-            for pid, (x, birth) in traj.births.items()
-            if birth <= t and traj.deaths.get(pid, math.inf) > t
-        )
-        assert len(state) == alive
-        if len(state):
+        seen = events[events["time"] <= t]
+        step = np.where(seen["kind"] == "arrival", 1, -1)
+        alive = len(start) + np.bincount(seen["path"], weights=step, minlength=20)
+        np.testing.assert_array_equal(state.counts(), alive)
+        if state.ages.size:
             assert state.ages.min() >= 0.0
 
 
@@ -187,20 +195,44 @@ def test_event_driven_initial_ages(habitat_1d, const_model, rng):
     start = MarkedConfiguration(np.array([[0.5]]), np.array([2.0]))
     traj = event_driven_simulate(start, 1.0, habitat_1d, const_model, rng)
     state0 = traj.state_at(0.0)
-    if len(state0):
+    if state0.ages.size:
         assert state0.ages[0] == pytest.approx(2.0)
 
 
 def test_event_driven_count_mean(habitat_1d, const_model, rng):
     n = 600
     t = 2.0
-    counts = np.empty(n)
     empty = MarkedConfiguration.empty(1)
-    for i in range(n):
-        traj = event_driven_simulate(empty, t, habitat_1d, const_model, rng)
-        counts[i] = len(traj.state_at(t))
+    traj = event_driven_simulate(empty, t, habitat_1d, const_model, rng, n_paths=n)
+    counts = traj.state_at(t).counts()
     lam = habitat_1d.chi_mass * (-math.expm1(-t))
     assert abs(counts.mean() - lam) < 4 * math.sqrt(lam / n)
+
+
+def test_event_driven_aged_initial_survival(habitat_1d, separable_model, rng):
+    x, age, horizon, n = 0.4, 3.0, 2.0, 20_000
+    start = MarkedConfiguration(np.array([[x]]), np.array([age]))
+    traj = event_driven_simulate(start, horizon, habitat_1d, separable_model, rng, n_paths=n)
+    first = traj.ids == 0
+    for t in (0.5, 1.0, horizon):
+        alive = np.count_nonzero(traj.deaths[first] > t) / n
+        p = float(survival_factor(separable_model, np.array([x]), age, t))
+        assert abs(alive - p) < 4 * math.sqrt(p * (1 - p) / n)
+    events = traj.events
+    assert np.all((0.0 <= events["time"]) & (events["time"] < horizon))
+    gone = events[events["kind"] == "departure"]
+    row = np.searchsorted(traj.path_ids, gone["path"]) + gone["id"]
+    np.testing.assert_array_equal(gone["age"], gone["time"] - traj.births[row])
+    np.testing.assert_array_equal(gone["time"], traj.deaths[row])
+    assert traj.accepts == gone.size and traj.proposals >= traj.accepts
+
+
+def test_event_driven_rejects_rate_above_m_star(habitat_1d):
+    fast = constant_rate(2.0)
+    bad = DepartureModel(m_star=1.0, m_zero=1.0, rate=fast.rate, cumulative=fast.cumulative)
+    start = MarkedConfiguration(np.array([[0.5]]), np.array([0.0]))
+    with pytest.raises(ValueError, match="m_star"):
+        event_driven_simulate(start, 5.0, habitat_1d, bad, np.random.default_rng(0), n_paths=50)
 
 
 # -------------------------------------------------------------- marginals
@@ -222,12 +254,3 @@ def test_sample_trajectory_marginals_sorted_times(habitat_1d, const_model, theta
             None, [1.0, 0.5], [theta_two], habitat_1d, const_model, 10, rng
         )
 
-
-def test_per_path_seeds_deterministic():
-    a = per_path_seeds(7, 5)
-    b = per_path_seeds(7, 5)
-    ra = np.random.default_rng(a[2]).random(3)
-    rb = np.random.default_rng(b[2]).random(3)
-    np.testing.assert_array_equal(ra, rb)
-    rc = np.random.default_rng(a[3]).random(3)
-    assert not np.allclose(ra, rc)
