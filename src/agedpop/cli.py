@@ -159,6 +159,14 @@ def load_config(path):
     times = [float(t) for t in run.get("times", [1.0])]
     if times != sorted(times) or any(t < 0 for t in times):
         raise ConfigError("run.times: expected a sorted list of nonnegative times")
+    n_paths = int(run.get("n_paths", 1000))
+    if n_paths < 2:
+        raise ConfigError("run.n_paths: need at least 2 paths for a standard error")
+    horizon = float(run.get("horizon", max(times) if times else 1.0))
+    if horizon < 0:
+        raise ConfigError("run.horizon: expected a nonnegative time")
+    if times and horizon < times[-1]:
+        raise ConfigError(f"run.horizon: {horizon} is before the last of run.times ({times[-1]})")
     out = data.get("output", {})
     _require(out, "output", [], ["dir"])
     return ExperimentConfig(
@@ -166,9 +174,9 @@ def load_config(path):
         model=model,
         theta=theta,
         seed=int(run["seed"]),
-        n_paths=int(run.get("n_paths", 1000)),
+        n_paths=n_paths,
         times=times,
-        horizon=float(run.get("horizon", max(times) if times else 1.0)),
+        horizon=horizon,
         out_dir=str(out.get("dir", "out")),
         raw_text=text,
     )

@@ -206,7 +206,7 @@ class ArrivalExponent:
         return self.H_quad(horizon), bound
 
 
-def apply_generator(theta_like, config, habitat, model, chi_theta0=None, tol=1e-10):
+def apply_generator(theta_like, config, habitat, model, chi_theta0=None):
     """(L F_theta)(config) for a plain or flowed test function.
 
     chi_theta0 short-circuits the arrival integral int theta(x, 0) chi(dx)
@@ -217,7 +217,6 @@ def apply_generator(theta_like, config, habitat, model, chi_theta0=None, tol=1e-
         chi_theta0 = chi_integral(
             habitat,
             lambda x: theta_like.theta(x, np.zeros(x.shape[:-1])),
-            tol=tol,
             points=theta_like.x_breakpoints,
         )
     if len(config):
@@ -340,7 +339,7 @@ class GeneratorBounds:
     cbar_theta: float
 
 
-def compute_bounds(theta, habitat, model, tol=1e-10):
+def compute_bounds(theta, habitat, model):
     """Bounds for L F_theta, checked on sample grids before being returned.
 
     ell_theta dominates |L F_{theta_t}| uniformly in t; est_bound dominates
@@ -353,12 +352,11 @@ def compute_bounds(theta, habitat, model, tol=1e-10):
     c = u_prime_max_constant()
     cbar = math.exp(-sigma_bar * 2.0 ** (2.0 / 3.0) / 3.0)
     chi_g0 = chi_integral(
-        habitat, lambda x: theta.g(x, np.zeros(x.shape[:-1])), tol=tol, points=theta.x_breakpoints
+        habitat, lambda x: theta.g(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
     )
     chi_abs_theta0 = chi_integral(
         habitat,
         lambda x: np.abs(theta.theta(x, np.zeros(x.shape[:-1]))),
-        tol=tol,
         points=theta.x_breakpoints,
     )
     m_star = model.m_star

@@ -96,33 +96,12 @@ def format_reports(reports):
 
 
 class DiracLaw:
-    """Point mass at a fixed configuration."""
+    """A point mass at a configuration pushed through t of independent
+    survival and aging; t = 0 is the point mass itself (survival chance 1),
+    whose expect_F is F_theta at the configuration.
+    """
 
-    def __init__(self, config):
-        self.config = config
-
-    def expect_F(self, vtheta):
-        return F_theta(vtheta, self.config)
-
-    def expect_weighted(self, vtheta, phi):
-        cfg = self.config
-        if not len(cfg):
-            return 0.0
-        F = F_theta(vtheta, cfg)
-        return F * float(np.sum(phi(cfg.positions, cfg.ages)))
-
-    def aged(self, t, model):
-        return ThinnedDiracLaw(self.config, t, model) if t > 0 else self
-
-    def sample_points(self, n_paths, rng):
-        bundle = PathBundle.from_configuration(self.config, n_paths)
-        return bundle.path_ids, bundle.positions, bundle.ages
-
-
-class ThinnedDiracLaw:
-    """A point mass pushed through t of independent survival and aging."""
-
-    def __init__(self, config, t, model):
+    def __init__(self, config, t=0.0, model=None):
         self.config = config
         self.t = float(t)
         self.model = model
@@ -130,11 +109,13 @@ class ThinnedDiracLaw:
     def _pieces(self, vtheta):
         cfg = self.config
         shifted = cfg.ages + self.t
-        q = survival_factor(self.model, cfg.positions, cfg.ages, self.t)
+        q = survival_factor(self.model, cfg.positions, cfg.ages, self.t) if self.t else np.ones(len(cfg))
         th = vtheta.theta(cfg.positions, shifted)
         return cfg.positions, shifted, q, th
 
     def expect_F(self, vtheta):
+        if not self.t:
+            return F_theta(vtheta, self.config)
         if not len(self.config):
             return 1.0
         _, _, q, th = self._pieces(vtheta)
@@ -149,11 +130,12 @@ class ThinnedDiracLaw:
         return float(base * np.sum(contrib))
 
     def aged(self, s, model):
-        return ThinnedDiracLaw(self.config, self.t + s, model)
+        return DiracLaw(self.config, self.t + s, model)
 
     def sample_points(self, n_paths, rng):
         bundle = PathBundle.from_configuration(self.config, n_paths)
-        bundle.thin_and_age(self.t, self.model, rng)
+        if self.t:
+            bundle.thin_and_age(self.t, self.model, rng)
         return bundle.path_ids, bundle.positions, bundle.ages
 
 
@@ -258,10 +240,7 @@ class ExplicitLaw:
         self.model = model
         self.exponent = ArrivalExponent(theta, habitat, model)
         self._c3 = chi_integral(
-            habitat,
-            lambda x: theta.theta(x, np.zeros(x.shape[:-1])),
-            tol=1e-12,
-            points=theta.x_breakpoints,
+            habitat, lambda x: theta.theta(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
         )
 
     def _phi(self, pos, ages):
@@ -357,10 +336,7 @@ def martingale_residual(
     if not (0.0 <= t1 < t2):
         raise ValueError("need 0 <= t1 < t2")
     c3 = chi_integral(
-        habitat,
-        lambda x: theta.theta(x, np.zeros(x.shape[:-1])),
-        tol=1e-12,
-        points=theta.x_breakpoints,
+        habitat, lambda x: theta.theta(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
     )
     bundle = PathBundle(n_paths, habitat.dim)
     ids, pos, ages = initial.sample_points(n_paths, rng)

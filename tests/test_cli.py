@@ -92,6 +92,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "run.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "run, field",
+    [
+        ({"n_paths": 0}, "run.n_paths"),
+        ({"n_paths": -5}, "run.n_paths"),
+        ({"n_paths": 1}, "run.n_paths"),
+        ({"times": [0.5, 1.0], "horizon": 0.5}, "run.horizon"),
+        ({"times": [], "horizon": -1.0}, "run.horizon"),
+    ],
+)
+def test_bad_run_sizes_rejected(tmp_path, capsys, run, field):
+    p = _write(tmp_path, _with(lambda d: d["run"].update(run)))
+    with pytest.raises(ConfigError, match=field):
+        load_config(p)
+    code = main(["simulate", "--config", p, "--out-dir", str(tmp_path / "sim")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_separable_model_config(tmp_path):
     data = _with(
         lambda d: d.__setitem__(
@@ -220,6 +239,18 @@ def test_verify_generator_suite(config_path, capsys):
     code = main(["verify", "--config", config_path, "--suite", "generator"])
     assert code == 0
     assert "generator-kolmogorov" in capsys.readouterr().out
+
+
+def test_verify_generator_suite_2d(tmp_path, capsys):
+    data = {
+        "habitat": {"window": [[0.0, 1.0], [0.0, 1.0]], "density": {"family": "constant", "level": 3.0}},
+        "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
+        "theta": [[1, 1, 1], [3, 2, 1]],
+        "run": {"seed": 11},
+    }
+    code = main(["verify", "--config", _write(tmp_path, data), "--suite", "generator"])
+    assert code == 0
+    assert "3/3 checks passed" in capsys.readouterr().out
 
 
 def test_console_script_help():

@@ -12,8 +12,8 @@ from agedpop import (
     FlowedTheta,
     MarkedConfiguration,
     PathBundle,
+    Theta,
     apply_generator,
-    chi_integral,
     compute_bounds,
     explicit_solution,
     flow,
@@ -22,7 +22,9 @@ from agedpop import (
     kolmogorov_residual,
     resolvent,
     resolvent_identity_residual,
+    separable_rate,
     transient_intensity,
+    uniform_habitat,
 )
 from conftest import random_configuration
 
@@ -77,6 +79,19 @@ def test_flow_pde_richardson(theta_two, separable_model):
 
 
 # ------------------------------------------------------------ the generator
+def _chi_quad(habitat, f, points):
+    """int f dchi on a 1-d window by adaptive quadrature split at the kinks."""
+    lo, hi = float(habitat.lower[0]), float(habitat.upper[0])
+    cuts = sorted({float(p) for p in (*points, *habitat.density_breakpoints) if lo < p < hi})
+
+    def integrand(x):
+        pos = np.array([[x]])
+        return float(f(pos)[0] * habitat.density(pos)[0])
+
+    val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-12, limit=400, points=cuts or None)
+    return val
+
+
 def _definitional_generator(theta, config, habitat, model, h=1e-6):
     """L F from the raw definition: age drift + departure jumps + arrival jumps."""
     f0 = F_theta(theta, config)
@@ -87,11 +102,8 @@ def _definitional_generator(theta, config, habitat, model, h=1e-6):
     for i in range(len(config)):
         rate = model.rate(config.positions[i], config.ages[i])
         departure += float(rate) * (F_theta(theta, config.without_index(i)) - f0)
-    arrival = chi_integral(
-        habitat,
-        lambda x: f0 * theta.theta(x, np.zeros(x.shape[:-1])),
-        tol=1e-12,
-        points=theta.x_breakpoints,
+    arrival = _chi_quad(
+        habitat, lambda x: f0 * theta.theta(x, np.zeros(x.shape[:-1])), theta.x_breakpoints
     )
     return aging + departure + arrival
 
@@ -116,11 +128,8 @@ def test_apply_generator_separable(theta_two, habitat_1d, separable_model, rng):
 
 def test_generator_on_empty(theta_two, habitat_1d, const_model):
     got = apply_generator(theta_two, MarkedConfiguration.empty(1), habitat_1d, const_model)
-    want = chi_integral(
-        habitat_1d,
-        lambda x: theta_two.theta(x, np.zeros(x.shape[:-1])),
-        tol=1e-12,
-        points=theta_two.x_breakpoints,
+    want = _chi_quad(
+        habitat_1d, lambda x: theta_two.theta(x, np.zeros(x.shape[:-1])), theta_two.x_breakpoints
     )
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -129,11 +138,10 @@ def test_generator_on_empty(theta_two, habitat_1d, const_model):
 def test_psi_oracle(theta_two, habitat_1d, const_model):
     exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
     for u in (0.0, 0.4, 1.7):
-        direct = chi_integral(
+        direct = _chi_quad(
             habitat_1d,
             lambda x: theta_two.theta(x, np.full(x.shape[:-1], u)) * math.exp(-u),
-            tol=1e-12,
-            points=theta_two.x_breakpoints,
+            theta_two.x_breakpoints,
         )
         assert exponent.psi(u) == pytest.approx(direct, abs=1e-10)
         assert exponent.psi(u) <= 0.0
@@ -233,6 +241,23 @@ def test_compute_bounds_values(theta_two, habitat_1d, const_model):
     assert b.chi_abs_theta_zero > 0.0
     assert b.est_bound > 0.0
     assert b.ell_theta > b.est_bound  # the flowed bound dominates the static one
+
+
+def test_compute_bounds_2d_evaluates_g_on_arrays(monkeypatch):
+    # both chi-integrals are one weighted sum, not one g call per point
+    hab = uniform_habitat([(0.0, 1.0), (0.0, 1.0)], 3.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1)], hab)
+    calls = []
+    g = Theta.g
+
+    def counted(self, x, alpha):
+        calls.append(1)
+        return g(self, x, alpha)
+
+    monkeypatch.setattr(Theta, "g", counted)
+    b = compute_bounds(theta, hab, separable_rate(hab, 0.5, 1.0, 2.0))
+    assert len(calls) <= 10
+    assert b.chi_g_zero > 0.0 and b.est_bound > 0.0
 
 
 def test_bounds_cover_sampled_generator(theta_two, habitat_1d, const_model, rng):

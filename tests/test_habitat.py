@@ -173,11 +173,11 @@ def test_chi_integral_closed_forms(habitat_2d):
     assert val == pytest.approx(0.5 + 2.0 / 3.0, rel=1e-10)
 
 
-def test_chi_integral_montecarlo_3d():
+def test_chi_integral_deterministic_3d():
     hab = uniform_habitat([(0.0, 1.0)] * 3, 2.0)
-    rng = np.random.default_rng(5)
-    val = chi_integral(hab, lambda x: x.sum(axis=-1), rng=rng)
-    assert val == pytest.approx(3.0, rel=0.02)
+    val = chi_integral(hab, lambda x: x.sum(axis=-1))
+    assert val == pytest.approx(3.0, rel=1e-12)
+    assert chi_integral(hab, lambda x: x.sum(axis=-1)) == val
 
 
 def test_gauss_profile_nodes_integrates_exactly(habitat_1d):

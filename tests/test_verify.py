@@ -32,6 +32,7 @@ from agedpop import (
     stationary_intensity,
     survival_weighted_integral,
     transient_intensity,
+    uniform_habitat,
     write_reports_csv,
 )
 from agedpop.verify import _poisson_bins
@@ -164,6 +165,30 @@ def test_explicit_law_stationary_generator_zero(theta_two, habitat_1d, const_mod
     # at stationarity mu(LF) = 0 for every t
     for t in (0.0, 0.6):
         assert abs(law.expect_LF(t)) < 1e-9
+
+
+# 2-d window: c3 and psi share the tensor rule, so the laws close up to age
+# quadrature alone
+@pytest.fixture(scope="module")
+def setup_2d():
+    hab = uniform_habitat([(0.0, 1.0), (0.0, 1.0)], 3.0)
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1)], hab)
+    mid = hab.midpoint[None, :]
+    config = MarkedConfiguration(np.vstack([mid, 0.9 * mid + 0.1 * hab.lower]), np.array([0.4, 1.3]))
+    return hab, model, theta, config
+
+
+def test_explicit_law_c3_is_psi_at_zero_2d(setup_2d):
+    hab, model, theta, config = setup_2d
+    law = ExplicitLaw(DiracLaw(config), theta, hab, model)
+    assert law._c3 == law.exponent.psi(0.0)
+
+
+def test_fokker_planck_dirac_2d(setup_2d):
+    hab, model, theta, config = setup_2d
+    report = fokker_planck_check(theta, DiracLaw(config), 1.0, hab, model, n_grid=128)
+    assert report.passed, report.line()
 
 
 # ----------------------------------------------------------------- checks
