@@ -24,6 +24,12 @@ is then explicit:
                             * F_{theta_t}(config),
 
 and the resolvent is its Laplace transform in t.
+
+Every integral here runs on the two fixed rules of agedpop.habitat: the
+spatial rule of gauss_profile_nodes and the 16-point Gauss-Legendre age
+panels, no wider than age_panel_width(model, theta.age_scale).  H is a
+SurvivalCumulative, and the t-integrals of the resolvent use panels of width
+at most 1/lam as well, evaluated for all t at once.
 """
 
 from __future__ import annotations
@@ -32,9 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate
 
-from .habitat import chi_integral, gauss_profile_nodes, survival_factor, survival_slice
+from .habitat import SurvivalCumulative, age_panel_width, age_rule, chi_integral, survival_factor
 from .mark_space import u_prime_max_constant
 from .test_functions import F_theta, Theta, log_F_theta
 
@@ -59,20 +64,22 @@ class FlowedTheta:
 
     Evaluates theta_t(x, alpha) = theta(x, alpha + t) q_t(x, alpha) with
     q_t = exp(M(x, alpha) - M(x, alpha + t)); stays in (-1, 0], and its
-    exponent g_t = -log(1 + theta_t) never exceeds g(x, alpha + t).
+    exponent g_t = -log(1 + theta_t) never exceeds g(x, alpha + t).  t may be
+    an array of flow times, which broadcasts against the age argument.
     """
 
     __slots__ = ("base", "t", "model")
 
     def __init__(self, base, t, model):
-        if t < 0:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("flow time must be nonnegative")
         if isinstance(base, FlowedTheta):
             # composition law: flowing a flowed function adds the times
             t = t + base.t
             base = base.base
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "t", float(t) if t.ndim == 0 else t)
         object.__setattr__(self, "model", model)
 
     def __setattr__(self, *a):
@@ -89,6 +96,10 @@ class FlowedTheta:
     @property
     def x_breakpoints(self):
         return self.base.x_breakpoints
+
+    @property
+    def age_scale(self):
+        return self.base.age_scale
 
     def theta(self, x, alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -147,51 +158,31 @@ class ArrivalExponent:
         psi(u) = int_window theta(x, u) exp(-M(x, u)) chi(dx).
 
     psi is evaluated on fixed Gauss-Legendre nodes split at the plateau kinks
-    (exact for the smooth pieces), and H is served from a cubic-spline
-    antiderivative on a dense grid, extended on demand; H_quad integrates
-    psi adaptively for an independent, higher-precision route.
+    (exact for the smooth pieces).  H is a SurvivalCumulative: 16-point
+    Gauss-Legendre on age panels of width age_panel_width(model,
+    theta.age_scale), summed once and cached, so a vectorized call over many
+    T costs no new psi evaluations below the panels already built.
     """
 
-    def __init__(self, theta, habitat, model, grid_step=1.0 / 128.0, order=24):
+    def __init__(self, theta, habitat, model):
         self.theta = theta
         self.habitat = habitat
         self.model = model
-        self.grid_step = float(grid_step)
-        self._nodes, self._weights = gauss_profile_nodes(
-            habitat, breakpoints=theta.x_breakpoints, order=order
+        self._cumulative = SurvivalCumulative(
+            habitat, model, theta.theta, theta.x_breakpoints, age_scale=theta.age_scale
         )
-        self._spline = None
-        self._t_max = 0.0
 
     def psi(self, u):
         """Vectorized over u >= 0."""
-        return survival_slice(self.model, self._nodes, self._weights, self.theta.theta, u)
-
-    def _extend(self, t_max):
-        t_max = max(t_max, 4.0)
-        n = int(math.ceil(t_max / self.grid_step)) + 1
-        grid = np.linspace(0.0, (n - 1) * self.grid_step, n)
-        values = self.psi(grid)
-        self._spline = interpolate.CubicSpline(grid, values).antiderivative()
-        self._t_max = float(grid[-1])
+        return self._cumulative.slice(u)
 
     def H(self, T):
-        """Spline-backed cumulative integral; vectorized over T >= 0."""
-        T = np.asarray(T, dtype=float)
-        top = float(np.max(T)) if T.size else 0.0
-        if self._spline is None or top > self._t_max:
-            self._extend(1.25 * top)
-        out = self._spline(T)
-        return float(out) if out.ndim == 0 else out
+        """int_0^T psi; vectorized over T >= 0."""
+        return self._cumulative(T)
 
-    def H_quad(self, T, tol=1e-13):
-        """Adaptive quadrature of psi on [0, T]; independent of the spline."""
-        if T == 0.0:
-            return 0.0
-        val, _ = integrate.quad(lambda u: self.psi(u), 0.0, float(T), epsabs=tol, limit=400)
-        return val
+    H_quad = H  # former name, still traced by perfbench
 
-    def H_limit(self, tol=None):
+    def H_limit(self):
         """(H(infinity) approximation, truncation bound); needs m_zero > 0.
 
         Integrates to A = 40/m_zero where the remaining tail is below
@@ -203,7 +194,7 @@ class ArrivalExponent:
             raise ValueError("H has a finite limit only when m_zero > 0")
         horizon = 40.0 / m0
         bound = self.habitat.chi_mass * math.exp(-m0 * horizon) / m0
-        return self.H_quad(horizon), bound
+        return self.H(horizon), bound
 
 
 def apply_generator(theta_like, config, habitat, model, chi_theta0=None):
@@ -211,7 +202,8 @@ def apply_generator(theta_like, config, habitat, model, chi_theta0=None):
 
     chi_theta0 short-circuits the arrival integral int theta(x, 0) chi(dx)
     when the caller has it precomputed (it does not depend on the
-    configuration).
+    configuration).  A FlowedTheta with an array of flow times gives an
+    array, one value per time, with chi_theta0 an array of the same length.
     """
     if chi_theta0 is None:
         chi_theta0 = chi_integral(
@@ -219,18 +211,18 @@ def apply_generator(theta_like, config, habitat, model, chi_theta0=None):
             lambda x: theta_like.theta(x, np.zeros(x.shape[:-1])),
             points=theta_like.x_breakpoints,
         )
-    if len(config):
-        g = theta_like.g(config.positions, config.ages)
-        gprime = theta_like.g_age_derivative(config.positions, config.ages)
-        rates = model.rate(config.positions, config.ages)
-        F = float(np.exp(-np.sum(g)))
-        aging = -float(np.sum(gprime)) * F
-        departure = F * float(np.sum(rates * np.expm1(g)))
-    else:
-        F = 1.0
-        aging = 0.0
-        departure = 0.0
-    return aging + departure + F * float(chi_theta0)
+    scalar = np.ndim(getattr(theta_like, "t", 0.0)) == 0
+    if not len(config):
+        return float(chi_theta0) if scalar else np.asarray(chi_theta0, dtype=float)
+    # one row per particle, one column per flow time
+    pos = config.positions[:, None, :]
+    ages = config.ages[:, None]
+    g = theta_like.g(pos, ages)
+    gprime = theta_like.g_age_derivative(pos, ages)
+    rates = model.rate(pos, ages)
+    F = np.exp(-np.sum(g, axis=0))
+    out = F * (-np.sum(gprime, axis=0) + np.sum(rates * np.expm1(g), axis=0) + chi_theta0)
+    return float(out[0]) if scalar else out
 
 
 def flowed_log_F(theta, config, model, times):
@@ -254,11 +246,11 @@ def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
     """E_config F_{theta_s}(X_t): the closed-form semigroup action.
 
     Equals exp(H(s+t) - H(s)) * F_{theta_{s+t}}(config) with H the arrival
-    exponent, integrated adaptively (H_quad).
+    exponent.
     """
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    expo = exponent.H_quad(s + t) - exponent.H_quad(s)
+    expo = exponent.H(s + t) - exponent.H(s)
     return float(np.exp(expo + flowed_log_F(theta, config, model, np.array(s + t)))[0])
 
 
@@ -280,47 +272,48 @@ def kolmogorov_residual(theta, t, config, habitat, model, h=1e-3, exponent=None)
         deriv = (value(t + h) - value(t)) / h
     flowed = FlowedTheta(theta, t, model)
     lf = apply_generator(flowed, config, habitat, model, chi_theta0=exponent.psi(t))
-    lf *= math.exp(exponent.H_quad(t))
+    lf *= math.exp(exponent.H(t))
     return abs(deriv - lf)
 
 
-def resolvent(theta, s, lam, config, habitat, model, exponent=None, tol=1e-10):
+def _laplace_rule(s, lam, model, exponent):
+    """Nodes t and weights of the t-rule on [0, 40/lam], and the factor
+    exp(-lam t + H(s+t) - H(s)) that every resolvent integrand carries.
+
+    Panels have width at most min(1/lam, age_panel_width(model,
+    theta.age_scale)); past T = 40/lam the integrand is below e^{-40}/lam.
+    """
+    if lam <= 0:
+        raise ValueError("resolvent parameter must be positive")
+    width = min(1.0 / lam, age_panel_width(model, exponent.theta.age_scale))
+    t, weights = age_rule(0.0, 40.0 / lam, width)
+    factor = np.exp(-lam * t + exponent.H(s + t) - exponent.H(s))
+    return t, weights, factor
+
+
+def resolvent(theta, s, lam, config, habitat, model, exponent=None):
     """int_0^inf e^{-lam t} E_config F_{theta_s}(X_t) dt, in (0, 1/lam).
 
     Truncated at T = 40/lam where the integrand is below e^{-40}/lam.
     """
-    if lam <= 0:
-        raise ValueError("resolvent parameter must be positive")
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    horizon = 40.0 / lam
-    h_s = exponent.H(s)
-
-    def integrand(t):
-        e = exponent.H(s + t) - h_s
-        return math.exp(-lam * t + e + flowed_log_F(theta, config, model, s + t)[0])
-
-    val, _ = integrate.quad(integrand, 0.0, horizon, epsabs=tol, limit=400)
-    return val
+    t, weights, factor = _laplace_rule(s, lam, model, exponent)
+    return float(weights @ (factor * np.exp(flowed_log_F(theta, config, model, s + t))))
 
 
-def resolvent_identity_residual(theta, s, lam, config, habitat, model, exponent=None, tol=1e-10):
+def resolvent_identity_residual(theta, s, lam, config, habitat, model, exponent=None):
     """|L F_lam - lam F_lam + F_{theta_s}| with L applied under the integral.
 
     Zero analytically; the returned value is pure quadrature error.
     """
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    horizon = 40.0 / lam
-    h_s = exponent.H(s)
-
-    def lf_integrand(t):
-        flowed = FlowedTheta(theta, s + t, model)
-        lf = apply_generator(flowed, config, habitat, model, chi_theta0=exponent.psi(s + t))
-        return math.exp(-lam * t + exponent.H(s + t) - h_s) * lf
-
-    lf_lam, _ = integrate.quad(lf_integrand, 0.0, horizon, epsabs=tol, limit=400)
-    f_lam = resolvent(theta, s, lam, config, habitat, model, exponent=exponent, tol=tol)
+    t, weights, factor = _laplace_rule(s, lam, model, exponent)
+    flowed = FlowedTheta(theta, s + t, model)
+    lf = apply_generator(flowed, config, habitat, model, chi_theta0=exponent.psi(s + t))
+    lf_lam = float(weights @ (factor * lf))
+    f_lam = resolvent(theta, s, lam, config, habitat, model, exponent=exponent)
     f_s = math.exp(flowed_log_F(theta, config, model, float(s))[0])
     return abs(lf_lam - lam * f_lam + f_s)
 

@@ -7,7 +7,14 @@ a closed-form cumulative hazard when available, and a continuity modulus.
 The survival integral int int h(x, u) exp(-M(x, u)) chi(dx) du, to which every
 law agedpop checks reduces, is computed here and nowhere else.  Every
 chi-integral, that one and chi_integral alike, uses the one deterministic
-Gauss-Legendre rule of gauss_profile_nodes, split at the kinks in dim 1 only.
+Gauss-Legendre rule of gauss_profile_nodes, split at the kinks in dim 1 only
+and cached per (habitat, kinks).  Every age integral uses one rule as well:
+16-point Gauss-Legendre on panels no wider than age_panel_width, which
+follows the age scales of the integrand (the survival decay 1/m_star, the
+hazard's own variation read off its modulus, and the test function's age
+scale), vectorized over all ages at once, behind SurvivalCumulative (a
+running integral queried at many ends) and survival_weighted_integral (one
+window).
 
 Shipped families:
   * constant_rate(m):    m(x, alpha) = m, exactly solvable throughout;
@@ -18,13 +25,13 @@ Shipped families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss, legvander
 
 __all__ = [
     "Habitat",
@@ -36,6 +43,10 @@ __all__ = [
     "survival_factor",
     "survival_slice",
     "survival_weighted_integral",
+    "SurvivalCumulative",
+    "age_panel_width",
+    "age_panels",
+    "age_rule",
     "chi_sample",
     "chi_integral",
     "gauss_profile_nodes",
@@ -136,9 +147,10 @@ class DepartureModel:
     rate(x, alpha) broadcasts: x of shape (..., dim) against alpha of shape
     (...).  cumulative is M(x, alpha) = int_0^alpha m(x, .) and broadcasts
     like rate; when None is given, a numeric one is installed that integrates
-    each broadcast element adaptively to absolute tolerance 1e-10.
+    the rate on the age panels of age_rule, all broadcast elements at once.
     modulus(eps) bounds the variation of m over age displacements <= eps,
-    uniformly in x.
+    uniformly in x; the age rule reads it as a Lipschitz bound to size its
+    panels (see age_panel_width).
     """
 
     m_star: float
@@ -151,24 +163,7 @@ class DepartureModel:
         if not (0.0 <= self.m_zero <= self.m_star) or not math.isfinite(self.m_star):
             raise ValueError("need 0 <= m_zero <= m_star < inf")
         if self.cumulative is None:
-            rate = self.rate
-
-            def cumulative(x, alpha):
-                x = np.asarray(x, dtype=float)
-                alpha = np.asarray(alpha, dtype=float)
-                shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
-                xb = np.broadcast_to(x, shape + (x.shape[-1],))
-                ab = np.broadcast_to(alpha, shape)
-                out = np.empty(shape)
-                it = np.nditer(ab, flags=["multi_index"])
-                for a in it:
-                    xi = xb[it.multi_index]
-                    out[it.multi_index], _ = integrate.quad(
-                        lambda b: float(rate(xi, b)), 0.0, float(a), epsabs=1e-10
-                    )
-                return out if out.ndim else float(out)
-
-            object.__setattr__(self, "cumulative", cumulative)
+            object.__setattr__(self, "cumulative", _numeric_cumulative(self.rate, age_panel_width(self)))
 
 
 def constant_rate(m):
@@ -238,33 +233,184 @@ def survival_factor(model, x, alpha, t):
     return np.exp(model.cumulative(x, alpha) - model.cumulative(x, alpha + t))
 
 
+_AGE_ORDER = 16
+_AGE_X, _AGE_W = leggauss(_AGE_ORDER)
+# c_k = sum_i values_i _LEGENDRE[i, k] are the Legendre coefficients of the
+# degree-15 interpolant through the 16 node values of a panel
+_LEGENDRE = (_AGE_W[:, None] * legvander(_AGE_X, _AGE_ORDER - 1)) * (
+    np.arange(_AGE_ORDER) + 0.5
+)
+_BLOCK = 1 << 17  # elements in one (spatial node x age) temporary
+
+
+def age_panel_width(model, age_scale=1.0):
+    """Widest age panel of the age rule for integrands built on model.
+
+    The least of three widths, one per age scale of the integrand:
+      * min(1, 2/m_star): exp(-M) falls by at most e^-2 over a panel, the
+        cap the sampler strips use;
+      * spread / slope, with spread = m_star - m_zero and slope =
+        modulus(w)/w the hazard's age slope at the width w so far: the time
+        the hazard needs to sweep its whole range.  For separable_rate this
+        is 2/frequency, a third of a period of the age factor;
+      * age_scale, the scale on which the rest of the integrand varies in
+        age (Theta.age_scale for test functions).
+    """
+    width = min(1.0, 2.0 / max(model.m_star, 2.0), float(age_scale))
+    spread = model.m_star - model.m_zero
+    slope = model.modulus(width) / width
+    if spread > 0 and slope > 0:
+        width = min(width, spread / slope)
+    return width
+
+
+def age_panels(edges):
+    """16-point Gauss-Legendre nodes and weights on the panels between edges.
+
+    Both have shape (len(edges) - 1, 16).
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = (edges[1:] - edges[:-1]) / 2.0
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    return mid[:, None] + half[:, None] * _AGE_X, half[:, None] * _AGE_W
+
+
+def age_rule(a_lo, a_hi, width):
+    """Flat nodes and weights of the composite rule on [a_lo, a_hi].
+
+    The interval is cut into the fewest equal panels of width <= width.
+    """
+    n = max(1, math.ceil((a_hi - a_lo) / width - 1e-12))
+    ages, weights = age_panels(np.linspace(a_lo, a_hi, n + 1))
+    return ages.ravel(), weights.ravel()
+
+
+def _numeric_cumulative(rate, width):
+    """M(x, alpha) = int_0^alpha rate(x, b) db on the age rule, vectorized.
+
+    Each [0, alpha] is cut into as many equal panels as the largest alpha of
+    the call needs; elements are processed in blocks of bounded size.
+    """
+
+    def cumulative(x, alpha):
+        x = np.asarray(x, dtype=float)
+        alpha = np.asarray(alpha, dtype=float)
+        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
+        xs = np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1])
+        ages = np.broadcast_to(alpha, shape).ravel()
+        top = float(ages.max()) if ages.size else 0.0
+        # the rule on [0, 1], scaled by each alpha
+        frac, weights = age_rule(0.0, 1.0, width / top if top > width else 1.0)
+        out = np.empty(ages.size)
+        step = max(1, _BLOCK // frac.size)
+        for i in range(0, ages.size, step):
+            a = ages[i : i + step, None]
+            out[i : i + step] = a[:, 0] * (rate(xs[i : i + step, None, :], a * frac) @ weights)
+        out = out.reshape(shape)
+        return out if out.ndim else float(out)
+
+    return cumulative
+
+
 def survival_slice(model, nodes, weights, h, ages):
     """sum_i weights[i] h(nodes[i], u) exp(-M(nodes[i], u)) at each age u.
 
     (nodes, weights) is a chi-weighted spatial rule from gauss_profile_nodes,
     so this is the window integral int h(x, u) exp(-M(x, u)) chi(dx).  h
-    broadcasts like model.rate.  Vectorized over ages; a scalar age gives a
-    float.
+    broadcasts like model.rate.  Vectorized over ages of any shape, taken in
+    blocks so that no temporary exceeds _BLOCK elements; a scalar age gives
+    a float.
     """
     u = np.asarray(ages, dtype=float)
+    flat = u.ravel()
     x = nodes[:, None, :]
-    uu = np.atleast_1d(u)[None, :]
-    out = weights @ (h(x, uu) * np.exp(-model.cumulative(x, uu)))
-    return float(out[0]) if u.ndim == 0 else out
+    out = np.empty(flat.size)
+    step = max(1, _BLOCK // len(nodes))
+    for i in range(0, flat.size, step):
+        uu = flat[None, i : i + step]
+        out[i : i + step] = weights @ (h(x, uu) * np.exp(-model.cumulative(x, uu)))
+    return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
-def survival_weighted_integral(habitat, model, h, a_lo, a_hi, breakpoints=(), tol=1e-11):
+def _partial_panel_weights(X):
+    """Weights w_i(X) with int_{-1}^{X} p = sum_i w_i(X) p(x_i) for every
+    polynomial p of degree <= 15 (x_i the 16 Gauss nodes on [-1, 1]).
+
+    Uses int_{-1}^{X} P_k = (P_{k+1} - P_{k-1})(X) / (2k + 1), which is exactly
+    0 at X = -1; at X = 1 the weights are the Gauss weights.
+    """
+    V = legvander(X, _AGE_ORDER)
+    B = np.empty(X.shape + (_AGE_ORDER,))
+    B[..., 0] = V[..., 1] + V[..., 0]
+    B[..., 1:] = (V[..., 2:] - V[..., :-2]) / (2.0 * np.arange(1, _AGE_ORDER) + 1.0)
+    # an elementwise product summed row by row, not a matrix product, so a
+    # query gives the same bits alone or inside an array
+    return np.sum(B[..., None, :] * _LEGENDRE, axis=-1)
+
+
+class SurvivalCumulative:
+    """C(T) = int_origin^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any T >= origin.
+
+    The ages are cut into the panels [origin + k w, origin + (k+1) w] with
+    w = age_panel_width(model, age_scale), age_scale being the age scale of
+    h (Theta.age_scale when h is built on a test function).  Whole panels
+    carry the 16-point Gauss-Legendre rule; their node values and running
+    totals are cached and extended on demand, so a call costs 16 slice
+    evaluations per new panel and none per query.  The piece [origin + k w, T] of the panel
+    holding T integrates the degree-15 interpolant through that panel's node
+    values, so C is the composite Gauss sum at every panel edge.  Vectorized
+    over T; a scalar T gives a float.
+    """
+
+    def __init__(self, habitat, model, h, breakpoints=(), origin=0.0, age_scale=1.0):
+        self.model = model
+        self.h = h
+        self.origin = float(origin)
+        self.width = age_panel_width(model, age_scale)
+        self._nodes, self._weights = gauss_profile_nodes(habitat, breakpoints=breakpoints)
+        self._values = np.empty((0, _AGE_ORDER))  # slice values at panel nodes
+        self._totals = np.zeros(1)  # C at each panel edge
+
+    def slice(self, ages):
+        """int h(x, u) exp(-M(x, u)) chi(dx) at each age u."""
+        return survival_slice(self.model, self._nodes, self._weights, self.h, ages)
+
+    def _extend(self, n_panels):
+        have = len(self._values)
+        if n_panels <= have:
+            return
+        n_panels = max(n_panels, 2 * have)
+        ages, weights = age_panels(self.origin + self.width * np.arange(have, n_panels + 1))
+        values = self.slice(ages)
+        self._values = np.concatenate([self._values, values])
+        sums = np.cumsum(np.sum(values * weights, axis=1))
+        self._totals = np.concatenate([self._totals, self._totals[-1] + sums])
+
+    def __call__(self, T):
+        T = np.asarray(T, dtype=float)
+        pos = (T - self.origin) / self.width
+        if np.any(pos < 0):
+            raise ValueError("the cumulative integral starts at its origin")
+        # the panel holding T; a T on an edge closes the panel below it
+        k = np.maximum(np.ceil(pos) - 1, 0).astype(int)
+        self._extend(int(k.max()) + 1 if k.size else 0)
+        partial = np.sum(self._values[k] * _partial_panel_weights(2.0 * (pos - k) - 1.0), axis=-1)
+        out = self._totals[k] + partial * (self.width / 2.0)
+        return float(out) if out.ndim == 0 else out
+
+
+def survival_weighted_integral(habitat, model, h, a_lo, a_hi, breakpoints=(), age_scale=1.0):
     """int_{a_lo}^{a_hi} int_window h(x, u) exp(-M(x, u)) chi(dx) du.
 
-    Gauss-Legendre in space (split at the supplied kinks), adaptive in age.
+    Gauss-Legendre in space (split at the supplied kinks) and, in age, the
+    composite rule of age_rule on the fewest equal panels no wider than
+    age_panel_width(model, age_scale).
     """
     if a_hi <= a_lo:
         return 0.0
     nodes, weights = gauss_profile_nodes(habitat, breakpoints=breakpoints)
-    val, _ = integrate.quad(
-        lambda a: survival_slice(model, nodes, weights, h, a), a_lo, a_hi, epsabs=tol, limit=400
-    )
-    return val
+    ages, age_weights = age_rule(a_lo, a_hi, age_panel_width(model, age_scale))
+    return float(age_weights @ survival_slice(model, nodes, weights, h, ages))
 
 
 def chi_sample(habitat, rng, size=None):
@@ -317,8 +463,18 @@ def gauss_profile_nodes(habitat, breakpoints=(), order=24):
     is of order 1e-4 away from the exact chi-integral at order 24.  Returns
     (nodes, weights) with nodes of shape (N, dim) and weights already
     multiplied by the arrival density, so that sum_i weights[i] * f(nodes[i])
-    ~= int f dchi for f smooth between breakpoints.
+    ~= int f dchi for f smooth between breakpoints.  The rule is built once
+    per (habitat, breakpoints, order) and returned as read-only arrays.
     """
+    if habitat.dim == 1:
+        breakpoints = tuple(sorted({float(b) for b in breakpoints}))
+    else:
+        breakpoints = ()
+    return _profile_rule(habitat, breakpoints, order)
+
+
+@functools.lru_cache(maxsize=64)
+def _profile_rule(habitat, breakpoints, order):
     base_x, base_w = leggauss(order)
     d = habitat.dim
     lo, hi = habitat.lower, habitat.upper
@@ -345,4 +501,6 @@ def gauss_profile_nodes(habitat, breakpoints=(), order=24):
         wgrids = np.meshgrid(*wts, indexing="ij")
         weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
     weights = weights * habitat.density(nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights

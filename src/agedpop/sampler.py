@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .config_space import MarkedConfiguration
 from .habitat import (
+    age_panels,
     chi_sample,
     gauss_profile_nodes,
     survival_factor,
@@ -53,9 +53,6 @@ __all__ = [
     "event_driven_simulate",
     "sample_trajectory_marginals",
 ]
-
-_AGE_GL_ORDER = 16
-
 
 @dataclass(frozen=True, eq=False)
 class IntensityMeasure:
@@ -88,24 +85,22 @@ class IntensityMeasure:
         M = self.model.cumulative(x, alpha)
         return np.where(in_age & in_box, self.habitat.density(x) * np.exp(-M), 0.0)
 
-    def theta_integral(self, theta, tol=1e-10):
-        """int theta d rho over the age window, by nested quadrature."""
+    def theta_integral(self, theta):
+        """int theta d rho over the age window, on the age-panel rule."""
         return survival_weighted_integral(
             self.habitat, self.model, theta.theta, 0.0, self.age_upper,
-            breakpoints=getattr(theta, "x_breakpoints", ()), tol=tol,
+            breakpoints=getattr(theta, "x_breakpoints", ()),
+            age_scale=getattr(theta, "age_scale", 1.0),
         )
 
 
 def _strip_quadrature(habitat, model, edges):
-    """Masses int_strip int_window exp(-M) dchi dalpha by Gauss-Legendre."""
+    """Masses int_strip int_window exp(-M) dchi dalpha, one 16-point age
+    panel per strip, all strips in one survival_slice call."""
     nodes, weights = gauss_profile_nodes(habitat)
-    gx, gw = leggauss(_AGE_GL_ORDER)
-    masses = np.empty(len(edges) - 1)
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        half = (b - a) / 2.0
-        ages = (a + b) / 2.0 + half * gx
-        masses[i] = survival_slice(model, nodes, weights, lambda x, u: 1.0, ages) @ (half * gw)
-    return masses
+    ages, age_weights = age_panels(edges)
+    values = survival_slice(model, nodes, weights, lambda x, u: 1.0, ages)
+    return np.sum(values * age_weights, axis=1)
 
 
 def _make_intensity(habitat, model, age_upper, kind, truncation_error=0.0):

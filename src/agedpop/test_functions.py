@@ -84,6 +84,19 @@ class Theta:
         """Kink locations of x -> g(x, .) for 1-d habitats (plateau edges)."""
         return self._breaks
 
+    @property
+    def age_scale(self):
+        """Age scale of alpha -> g(x, alpha): min_j min(n_j^(-1/3), sigma_j^(-1/2), 1).
+
+        u_n(alpha) = n^(-2/3) U(n^(1/3) alpha) with U(b) = b^2/(1 + b^3),
+        whose complex poles lie at distance sqrt(3)/2 from the real axis, so
+        u_n varies on ages of order n^(-1/3); exp(-sigma u_n) moves by order
+        one over ages of order sigma^(-1/2) once sigma exceeds 1.  The age
+        rule sizes its panels by this (see habitat.age_panel_width).
+        """
+        scales = np.minimum(self._ns ** (-1.0 / 3.0), np.maximum(self._sigmas, 1.0) ** -0.5)
+        return float(scales.min())
+
     def g(self, x, alpha):
         """g(x, alpha); broadcasts x (..., dim) against alpha (...)."""
         x = np.asarray(x, dtype=float)
@@ -149,13 +162,13 @@ def F_theta(theta, config):
     return float(np.exp(log_F_theta(theta, config)))
 
 
-def poisson_expectation(theta, intensity, tol=1e-10):
+def poisson_expectation(theta, intensity):
     """E F_theta under the Poisson law with the given intensity measure.
 
     Equals exp(int theta d rho); the integral runs over the intensity's age
     window, whose truncation error bound is reported by the intensity itself.
     """
-    return float(np.exp(intensity.theta_integral(theta, tol=tol)))
+    return float(np.exp(intensity.theta_integral(theta)))
 
 
 def convolution_expectation(expectations):

@@ -28,7 +28,9 @@ from scipy import integrate, stats
 
 from .config_space import MarkedConfiguration
 from .generator import ArrivalExponent, FlowedTheta, flow, resolvent
-from .habitat import chi_integral, survival_factor, survival_weighted_integral
+# survival_weighted_integral is re-exported here for callers (and the
+# benchmark's tracer) that reach it through this module
+from .habitat import SurvivalCumulative, chi_integral, survival_weighted_integral
 from .sampler import (
     PathBundle,
     _sample_points,
@@ -36,7 +38,6 @@ from .sampler import (
     stationary_intensity,
     transient_intensity,
 )
-from .test_functions import F_theta
 
 __all__ = [
     "VerificationReport",
@@ -95,10 +96,26 @@ def format_reports(reports):
     return "\n".join(lines)
 
 
-class DiracLaw:
+class _InitialLaw:
+    """Single-law expectations, read off aged_expectations at age shift 0.
+
+    aged_expectations(ts, model, vtheta, phi=None) returns, for the law aged
+    by each time of ts under model (None keeps the law's own),
+    (E F_theta, E[F_theta * sum_particles phi]) as two arrays; the second is
+    None when phi is None.  Each is computed once per call, for all ts.
+    """
+
+    def expect_F(self, vtheta):
+        return float(self.aged_expectations(0.0, None, vtheta)[0][0])
+
+    def expect_weighted(self, vtheta, phi):
+        return float(self.aged_expectations(0.0, None, vtheta, phi)[1][0])
+
+
+class DiracLaw(_InitialLaw):
     """A point mass at a configuration pushed through t of independent
-    survival and aging; t = 0 is the point mass itself (survival chance 1),
-    whose expect_F is F_theta at the configuration.
+    survival and aging; t = 0 is the point mass itself, whose expect_F is
+    F_theta at the configuration.
     """
 
     def __init__(self, config, t=0.0, model=None):
@@ -106,28 +123,29 @@ class DiracLaw:
         self.t = float(t)
         self.model = model
 
-    def _pieces(self, vtheta):
+    def aged_expectations(self, ts, model, vtheta, phi=None):
+        tau = self.t + np.atleast_1d(np.asarray(ts, dtype=float))
+        model = self.model if model is None else model
+        if model is None and np.any(tau):
+            raise ValueError("aging a point mass needs a departure model")
         cfg = self.config
-        shifted = cfg.ages + self.t
-        q = survival_factor(self.model, cfg.positions, cfg.ages, self.t) if self.t else np.ones(len(cfg))
-        th = vtheta.theta(cfg.positions, shifted)
-        return cfg.positions, shifted, q, th
-
-    def expect_F(self, vtheta):
-        if not self.t:
-            return F_theta(vtheta, self.config)
-        if not len(self.config):
-            return 1.0
-        _, _, q, th = self._pieces(vtheta)
-        return float(np.prod(1.0 + q * th))
-
-    def expect_weighted(self, vtheta, phi):
-        if not len(self.config):
-            return 0.0
-        pos, shifted, q, th = self._pieces(vtheta)
-        base = np.prod(1.0 + q * th)
-        contrib = q * phi(pos, shifted) * (1.0 + th) / (1.0 + q * th)
-        return float(base * np.sum(contrib))
+        if not len(cfg):
+            return np.ones(tau.shape), None if phi is None else np.zeros(tau.shape)
+        # one row per particle, one column per age shift
+        pos = cfg.positions[:, None, :]
+        ages = cfg.ages[:, None]
+        shifted = ages + tau
+        # log of the survival chance q over the shift
+        log_q = 0.0 if model is None else model.cumulative(pos, ages) - model.cumulative(pos, shifted)
+        g = vtheta.g(pos, shifted)
+        # -log(1 + q theta) = g - log1p((1 - q)(e^g - 1)), exactly g where q = 1
+        g_aged = g - np.log1p(-np.expm1(log_q) * np.expm1(g))
+        f = np.exp(-np.sum(g_aged, axis=0))
+        if phi is None:
+            return f, None
+        # each particle contributes q phi (1 + theta) / (1 + q theta)
+        contrib = phi(pos, shifted) * np.exp(log_q + g_aged - g)
+        return f, f * np.sum(contrib, axis=0)
 
     def aged(self, s, model):
         return DiracLaw(self.config, self.t + s, model)
@@ -139,39 +157,39 @@ class DiracLaw:
         return bundle.path_ids, bundle.positions, bundle.ages
 
 
-class PoissonLaw:
+class PoissonLaw(_InitialLaw):
     """Poisson field over an intensity, optionally pushed through age_offset.
 
     Pushing a Poisson field through survival-and-aging yields the Poisson
     field of the pushed intensity, which for the survival-weighted densities
-    used here is just the same integrand over a shifted age window.
+    used here is just the same integrand over a shifted age window.  The
+    window integrals for every shift come from one SurvivalCumulative per
+    integrand, started at age_offset.
     """
 
     def __init__(self, intensity, age_offset=0.0):
         self.intensity = intensity
         self.age_offset = float(age_offset)
 
-    def _window(self):
-        lo = self.age_offset
-        return lo, lo + self.intensity.age_upper
-
-    def _integral(self, h, vtheta_breaks=()):
-        lo, hi = self._window()
-        return survival_weighted_integral(
-            self.intensity.habitat, self.intensity.model, h, lo, hi, breakpoints=vtheta_breaks
+    def _window_integrals(self, h, breaks, age_scale, lo):
+        """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
+        cumulative = SurvivalCumulative(
+            self.intensity.habitat, self.intensity.model, h, breaks, self.age_offset, age_scale
         )
+        return cumulative(lo + self.intensity.age_upper) - cumulative(lo)
 
-    def expect_F(self, vtheta):
+    def aged_expectations(self, ts, model, vtheta, phi=None):
+        lo = self.age_offset + np.atleast_1d(np.asarray(ts, dtype=float))
         breaks = getattr(vtheta, "x_breakpoints", ())
-        return float(np.exp(self._integral(vtheta.theta, breaks)))
-
-    def expect_weighted(self, vtheta, phi):
-        breaks = getattr(vtheta, "x_breakpoints", ())
+        scale = getattr(vtheta, "age_scale", 1.0)
+        f = np.exp(self._window_integrals(vtheta.theta, breaks, scale, lo))
+        if phi is None:
+            return f, None
 
         def h(x, a):
             return phi(x, a) * (1.0 + vtheta.theta(x, a))
 
-        return self.expect_F(vtheta) * self._integral(h, breaks)
+        return f, f * self._window_integrals(h, breaks, scale, lo)
 
     def aged(self, s, model):
         return PoissonLaw(self.intensity, self.age_offset + s)
@@ -183,28 +201,21 @@ class PoissonLaw:
         return bundle.path_ids, bundle.positions, bundle.ages
 
 
-class ConvolutionLaw:
+class ConvolutionLaw(_InitialLaw):
     """Law of the union of independent draws from the component laws."""
 
     def __init__(self, parts):
         self.parts = list(parts)
 
-    def expect_F(self, vtheta):
-        out = 1.0
-        for p in self.parts:
-            out *= p.expect_F(vtheta)
-        return out
-
-    def expect_weighted(self, vtheta, phi):
-        fs = [p.expect_F(vtheta) for p in self.parts]
-        ws = [p.expect_weighted(vtheta, phi) for p in self.parts]
-        total = 0.0
-        prod_all = float(np.prod(fs))
-        for i, (f, w) in enumerate(zip(fs, ws)):
-            if f == 0.0:
-                return 0.0
-            total += prod_all / f * w
-        return total
+    def aged_expectations(self, ts, model, vtheta, phi=None):
+        pairs = [p.aged_expectations(ts, model, vtheta, phi) for p in self.parts]
+        fs = [f for f, _ in pairs]
+        f = np.prod(fs, axis=0)
+        if phi is None:
+            return f, None
+        # E[F sum phi] = sum_i E_i[F sum phi] prod_{j != i} E_j[F]
+        w = sum(w_i * np.prod(fs[:i] + fs[i + 1 :], axis=0) for i, (_, w_i) in enumerate(pairs))
+        return f, w
 
     def aged(self, s, model):
         return ConvolutionLaw([p.aged(s, model) for p in self.parts])
@@ -230,7 +241,9 @@ class ExplicitLaw:
 
     expect_F(t) evaluates mu_t(F_theta) exactly (up to quadrature);
     expect_LF(t) evaluates mu_t(L F_theta) through the factorized particle
-    sums, an independent route from differentiating expect_F.
+    sums, an independent route from differentiating expect_F.  Both are
+    vectorized over t (a scalar t gives a float), and the age integrals of
+    the arrivals are running SurvivalCumulatives built once per law.
     """
 
     def __init__(self, initial, theta, habitat, model):
@@ -242,6 +255,9 @@ class ExplicitLaw:
         self._c3 = chi_integral(
             habitat, lambda x: theta.theta(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
         )
+        self._arrivals_weighted = SurvivalCumulative(
+            habitat, model, self._phi_weighted, theta.x_breakpoints, age_scale=theta.age_scale
+        )
 
     def _phi(self, pos, ages):
         g = self.theta.g(pos, ages)
@@ -249,25 +265,20 @@ class ExplicitLaw:
         m = self.model.rate(pos, ages)
         return -gp + m * np.expm1(g)
 
+    def _phi_weighted(self, pos, ages):
+        return self._phi(pos, ages) * (1.0 + self.theta.theta(pos, ages))
+
     def expect_F(self, t):
-        pre = math.exp(self.exponent.H_quad(t))
-        return pre * self.initial.aged(t, self.model).expect_F(self.theta)
+        f, _ = self.initial.aged_expectations(t, self.model, self.theta)
+        out = np.exp(self.exponent.H(t)) * f
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def expect_LF(self, t):
-        theta = self.theta
-        pre = math.exp(self.exponent.H_quad(t))
-        aged = self.initial.aged(t, self.model)
-        d_f = aged.expect_F(theta)
-        d_w = aged.expect_weighted(theta, self._phi)
-
-        def h(x, a):
-            return self._phi(x, a) * (1.0 + theta.theta(x, a))
-
-        p_w = survival_weighted_integral(
-            self.habitat, self.model, h, 0.0, t, breakpoints=theta.x_breakpoints
-        )
-        mu_f = pre * d_f
-        return mu_f * self._c3 + pre * (p_w * d_f + d_w)
+        f, w = self.initial.aged_expectations(t, self.model, self.theta, self._phi)
+        pre = np.exp(self.exponent.H(t))
+        p_w = self._arrivals_weighted(t)
+        out = pre * (f * (self._c3 + p_w) + w)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def law_at(self, t):
         parts = []
@@ -278,19 +289,29 @@ class ExplicitLaw:
 
 
 def fokker_planck_check(theta, initial, t, habitat, model, n_grid=64, name="fokker-planck"):
-    """Residual of mu_t(F) = mu_0(F) + int_0^t mu_s(L F) ds, Simpson in s."""
+    """Residual of mu_t(F) = mu_0(F) + int_0^t mu_s(L F) ds, Simpson in s.
+
+    mu_s(L F) is evaluated on the whole grid in one vectorized call.  For an
+    even n_grid the note gives the Simpson error estimate |S_n - S_{n/2}|/15.
+    """
     law = ExplicitLaw(initial, theta, habitat, model)
     grid = np.linspace(0.0, t, n_grid + 1)
-    lf = np.array([law.expect_LF(s) for s in grid])
+    lf = law.expect_LF(grid)
     integral = integrate.simpson(lf, x=grid)
-    residual = abs(law.expect_F(t) - law.expect_F(0.0) - integral)
+    note = f"n_grid={n_grid}, t={t}"
+    if n_grid % 2 == 0:
+        # the halved rule needs every other grid point to reach t
+        simpson_err = abs(integral - integrate.simpson(lf[::2], x=grid[::2])) / 15.0
+        note += f", simpson error ~{simpson_err:.1e}"
+    f_t, f_0 = law.expect_F(np.array([t, 0.0]))
+    residual = abs(f_t - f_0 - integral)
     return VerificationReport(
         name=name,
         statistic="|mu_t(F) - mu_0(F) - simpson(mu_s(LF))|",
         value=residual,
         threshold=1e-8,
         passed=residual < 1e-8,
-        note=f"n_grid={n_grid}, t={t}",
+        note=note,
     )
 
 
@@ -393,7 +414,7 @@ def ergodicity_gap_curve(theta, habitat, model, times):
     exponent = ArrivalExponent(theta, habitat, model)
     h_inf, tail = exponent.H_limit()
     pi_value = math.exp(h_inf)
-    gaps = np.array([abs(math.exp(exponent.H_quad(t)) - pi_value) for t in times])
+    gaps = np.abs(np.exp(exponent.H(np.asarray(times, dtype=float))) - pi_value)
     return gaps, pi_value, tail
 
 
@@ -433,7 +454,7 @@ def stationarity_check(theta, habitat, model, times, name="stationarity"):
     intensity = stationary_intensity(habitat, model)
     law = ExplicitLaw(PoissonLaw(intensity), theta, habitat, model)
     pi_value = law.expect_F(0.0)
-    worst = max(abs(law.expect_F(t) - pi_value) for t in times)
+    worst = float(np.max(np.abs(law.expect_F(np.asarray(times, dtype=float)) - pi_value)))
     tol = 1e-6
     return VerificationReport(
         name=name,
@@ -448,12 +469,12 @@ def stationarity_check(theta, habitat, model, times, name="stationarity"):
 def chapman_kolmogorov_check(theta, config, s, t, habitat, model, name="chapman-kolmogorov"):
     """Two-leg vs one-leg closed forms of the transition expectation."""
     one = ArrivalExponent(theta, habitat, model)
-    lhs = math.exp(one.H_quad(s + t)) * DiracLaw(config).aged(s + t, model).expect_F(theta)
+    lhs = math.exp(one.H(s + t)) * DiracLaw(config).aged(s + t, model).expect_F(theta)
     flowed = FlowedTheta(theta, s, model)
     two_stage = ArrivalExponent(flowed, habitat, model)
     rhs = (
-        math.exp(one.H_quad(s))
-        * math.exp(two_stage.H_quad(t))
+        math.exp(one.H(s))
+        * math.exp(two_stage.H(t))
         * DiracLaw(config).aged(t, model).expect_F(flowed)
     )
     residual = abs(lhs - rhs)

@@ -253,6 +253,23 @@ def test_verify_generator_suite_2d(tmp_path, capsys):
     assert "3/3 checks passed" in capsys.readouterr().out
 
 
+def test_verify_all_suites_2d(tmp_path, capsys):
+    # the Fokker-Planck checks run at the fixed Simpson grid cli._FPE_GRID,
+    # fine enough for laws-fpe-dirac here (1.24e-8 at 64 cells)
+    data = {
+        "habitat": {"window": [[0.0, 1.0], [0.0, 1.0]], "density": {"family": "constant", "level": 3.0}},
+        "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
+        "theta": [[1, 1, 1], [3, 2, 1]],
+        "run": {"seed": 11},
+    }
+    code = main(["verify", "--config", _write(tmp_path, data), "--suite", "all"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "FAIL" not in out
+    assert "15/15 checks passed" in out
+    assert out.count("n_grid=128") == 2
+
+
 def test_console_script_help():
     out = subprocess.run(
         [sys.executable, "-m", "agedpop.cli", "--help"], capture_output=True, text=True

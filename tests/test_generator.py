@@ -147,21 +147,30 @@ def test_psi_oracle(theta_two, habitat_1d, const_model):
         assert exponent.psi(u) <= 0.0
 
 
+def _H_oracle(exponent, T):
+    """int_0^T psi by adaptive quadrature, independent of the age panels."""
+    val, _ = integrate.quad(exponent.psi, 0.0, T, epsabs=1e-13, limit=400)
+    return val
+
+
 def test_H_routes_agree(theta_two, habitat_1d, separable_model):
     exponent = ArrivalExponent(theta_two, habitat_1d, separable_model)
-    assert exponent.H_quad(0.0) == 0.0
+    assert exponent.H(0.0) == 0.0
     for T in (0.3, 1.0, 2.7, 6.0):
-        assert exponent.H(T) == pytest.approx(exponent.H_quad(T), abs=5e-9)
+        assert exponent.H(T) == pytest.approx(_H_oracle(exponent, T), abs=5e-9)
     # H decreasing (psi <= 0)
-    vals = [exponent.H_quad(T) for T in (0.5, 1.0, 2.0, 4.0)]
+    Ts = np.array([0.5, 1.0, 2.0, 4.0])
+    vals = exponent.H(Ts)
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+    # one vectorized call equals scalar calls
+    assert list(vals) == [exponent.H(T) for T in Ts]
 
 
 def test_H_limit(theta_two, habitat_1d, const_model):
     exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
     h_inf, bound = exponent.H_limit()
     assert bound == pytest.approx(habitat_1d.chi_mass * math.exp(-40.0), rel=1e-12)
-    assert abs(exponent.H_quad(80.0) - h_inf) <= bound + 1e-12
+    assert abs(_H_oracle(exponent, 80.0) - h_inf) <= bound + 1e-12
 
 
 # ------------------------------------------------- explicit solution et al.

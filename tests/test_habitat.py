@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from agedpop import generator, habitat
+from agedpop.habitat import SurvivalCumulative, age_panel_width, survival_weighted_integral
+from agedpop.mark_space import SigmaLadder
 from agedpop import (
     ArrivalExponent,
     Habitat,
     MarkedConfiguration,
+    Theta,
     chi_integral,
     chi_sample,
     constant_rate,
@@ -197,3 +203,161 @@ def test_gauss_profile_nodes_2d(habitat_2d):
     got = float(np.sum(weights * nodes[:, 0] * nodes[:, 1]))
     assert got == pytest.approx(3.0, rel=1e-12)
     assert weights.sum() == pytest.approx(habitat_2d.chi_mass, rel=1e-12)
+
+
+# ------------------------------------------------------- age-panel rule
+def _separable_oracle(dim, T):
+    """int_0^T int cos(x_0) e^{-0.3 a} e^{-M(x, a)} chi(dx) da by dblquad in (a, x_0).
+
+    Hazard 0.5 + s(x) (1 + sin 2a)/2 on [0,1]^dim at density 2 (1-d) or 3
+    (2-d); in 2-d the x_1-integral of exp(-c (1 - cos 2 pi x_1)/2) is
+    i0e(c/2) in closed form.
+    """
+    level = 2.0 if dim == 1 else 3.0
+
+    def integrand(a, x0):
+        age_part = a / 2.0 + (1.0 - math.cos(2.0 * a)) / 4.0
+        s0 = (1.0 - math.cos(2.0 * math.pi * x0)) / 2.0
+        if dim == 1:
+            inner = math.exp(-s0 * age_part)
+        else:
+            inner = special.i0e(s0 * age_part / 2.0)
+        return level * math.cos(x0) * math.exp(-0.8 * a) * inner
+
+    val, _ = integrate.dblquad(integrand, 0.0, 1.0, 0.0, T, epsabs=1e-12)
+    return val
+
+
+def _halve_age_panels(monkeypatch):
+    full = habitat.age_panel_width
+    monkeypatch.setattr(habitat, "age_panel_width", lambda *args: full(*args) / 2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("T", [0.3, 1.0, 3.0, 10.0])
+def test_survival_weighted_integral_against_dblquad(dim, T, monkeypatch):
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 2.0 if dim == 1 else 3.0)
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+
+    def h(x, a):
+        return np.cos(x[..., 0]) * np.exp(-0.3 * a)
+
+    got = survival_weighted_integral(hab, model, h, 0.0, T)
+    assert got == pytest.approx(_separable_oracle(dim, T), abs=1e-10)
+    _halve_age_panels(monkeypatch)
+    assert abs(got - survival_weighted_integral(hab, model, h, 0.0, T)) <= 1e-13
+
+
+def test_survival_weighted_integral_high_rate_panels(monkeypatch):
+    # m_star = 20 at age frequency 2, where the hazard's modulus allows unit
+    # panels: only the 2/m_star cap narrows them.  Ends inside a unit panel
+    # would be 9e-10 off through its interpolant
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    model = separable_rate(hab, 0.5, 19.5, 2.0)
+    assert age_panel_width(model) == pytest.approx(0.1)
+
+    def h(x, a):
+        return np.exp(-0.3 * a) * np.ones(x.shape[:-1])
+
+    def age_density(a):
+        # x-integral of 2 exp(-c (1 - cos 2 pi x)/2) is 2 i0e(c/2)
+        age_part = a / 2.0 + (1.0 - math.cos(2.0 * a)) / 4.0
+        return 2.0 * math.exp(-0.8 * a) * special.i0e(19.5 * age_part / 2.0)
+
+    cumulative = SurvivalCumulative(hab, model, h)
+    for T in (0.35, 0.55):
+        want, _ = integrate.quad(age_density, 0.0, T, epsabs=1e-14, limit=400)
+        assert cumulative(T) == pytest.approx(want, abs=1e-11)
+    want, _ = integrate.quad(age_density, 0.0, 1.0, epsabs=1e-14, limit=400, points=[0.25, 0.5, 0.75])
+    got = survival_weighted_integral(hab, model, h, 0.0, 1.0)
+    assert got == pytest.approx(want, abs=1e-11)
+    _halve_age_panels(monkeypatch)
+    assert abs(got - survival_weighted_integral(hab, model, h, 0.0, 1.0)) <= 1e-13
+
+
+def test_survival_weighted_integral_high_frequency_hazard(monkeypatch):
+    # amplitude 1, frequency 50: m_star = 1.5 alone would allow unit panels,
+    # 4e-4 off; the hazard's modulus narrows them to 2/50
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    model = separable_rate(hab, 0.5, 1.0, 50.0)
+    assert age_panel_width(model) == pytest.approx(0.04)
+
+    def age_density(a):
+        # int rate e^{-M} chi(dx) with s = (1 - cos 2 pi x)/2: the x-integrals
+        # of e^{-s A} and s e^{-s A} are i0e(A/2) and (i0e - i1e)(A/2)/2
+        c = (1.0 + math.sin(50.0 * a)) / 2.0
+        A = a / 2.0 + (1.0 - math.cos(50.0 * a)) / 100.0
+        i0, i1 = special.i0e(A / 2.0), special.i1e(A / 2.0)
+        return 2.0 * math.exp(-0.5 * a) * (0.5 * i0 + c * (i0 - i1) / 2.0)
+
+    for T in (1.0, 3.0):
+        want, _ = integrate.quad(age_density, 0.0, T, epsabs=1e-14, limit=2000)
+        got = survival_weighted_integral(hab, model, model.rate, 0.0, T)
+        assert got == pytest.approx(want, abs=1e-11)
+    _halve_age_panels(monkeypatch)
+    assert abs(got - survival_weighted_integral(hab, model, model.rate, 0.0, T)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, sigma_bar", [(1000, 1.0), (1, 100.0)])
+def test_age_rule_follows_theta_age_scale(n, sigma_bar, monkeypatch):
+    # u_n turns at (2/n)^(1/3) and exp(-sigma u_n) moves over sigma^(-1/2):
+    # unit panels are 3e-8 (n = 1000) and 1.5e-6 (sigma_bar = 100) off
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+    theta = Theta([(1, 2, n), (2, 3, n)], hab, SigmaLadder(sigma_bar))
+    assert theta.age_scale == pytest.approx(min(n ** (-1.0 / 3.0), theta.ladder.value(3) ** -0.5))
+    exponent = ArrivalExponent(theta, hab, model)
+    kinks = [(2.0 / n) ** (1.0 / 3.0), theta.ladder.value(3) ** -0.5]
+    for T in (0.5, 3.0):
+        want, _ = integrate.quad(exponent.psi, 0.0, T, epsabs=1e-14, limit=400, points=kinks)
+        assert exponent.H(T) == pytest.approx(want, abs=1e-11)
+        got = survival_weighted_integral(
+            hab, model, theta.theta, 0.0, T, theta.x_breakpoints, age_scale=theta.age_scale
+        )
+        assert got == pytest.approx(want, abs=1e-11)
+    _halve_age_panels(monkeypatch)
+    halved = survival_weighted_integral(
+        hab, model, theta.theta, 0.0, T, theta.x_breakpoints, age_scale=theta.age_scale
+    )
+    assert abs(got - halved) <= 1e-13
+
+
+def test_survival_cumulative_against_quad(habitat_1d, separable_model, theta_two):
+    cumulative = SurvivalCumulative(habitat_1d, separable_model, theta_two.theta, theta_two.x_breakpoints)
+    T = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+    got = cumulative(T)
+    assert got[0] == 0.0
+    for t, value in zip(T[1:], got[1:]):
+        want, _ = integrate.quad(cumulative.slice, 0.0, t, epsabs=1e-13, limit=400)
+        assert value == pytest.approx(want, abs=1e-12)
+    # scalar queries see the same cached panels
+    assert cumulative(2.5) == got[3]
+    # a later origin integrates from there
+    shifted = SurvivalCumulative(
+        habitat_1d, separable_model, theta_two.theta, theta_two.x_breakpoints, origin=1.0
+    )
+    assert shifted(7.0) == pytest.approx(got[4] - got[2], abs=1e-13)
+    with pytest.raises(ValueError):
+        shifted(0.5)
+
+
+def test_gauss_profile_nodes_cached(habitat_1d):
+    first = gauss_profile_nodes(habitat_1d, breakpoints=(0.7, 0.3))
+    again = gauss_profile_nodes(habitat_1d, breakpoints=[0.3, 0.7, 0.3])
+    assert first[0] is again[0] and first[1] is again[1]
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+
+
+@pytest.mark.parametrize("module", [habitat, generator])
+def test_engine_modules_use_no_adaptive_quadrature(module):
+    # the survival engine and the generator run on fixed rules only
+    banned = {"scipy.integrate", "scipy.interpolate"}
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+        else:
+            continue
+        assert not names & banned, names
+    assert not {getattr(v, "__name__", None) for v in vars(module).values()} & banned

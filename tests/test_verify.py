@@ -35,6 +35,7 @@ from agedpop import (
     uniform_habitat,
     write_reports_csv,
 )
+from agedpop import verify
 from agedpop.verify import _poisson_bins
 
 
@@ -51,6 +52,16 @@ def test_dirac_law(theta_two, dirac_config):
     assert law.expect_weighted(theta_two, phi) == pytest.approx(
         2.0 * F_theta(theta_two, dirac_config)
     )
+
+
+def test_dirac_law_aging_needs_model(theta_two, dirac_config, const_model):
+    with pytest.raises(ValueError):
+        DiracLaw(dirac_config, 0.5).expect_F(theta_two)
+    with pytest.raises(ValueError):
+        DiracLaw(dirac_config).aged_expectations([0.0, 0.5], None, theta_two)
+    f, _ = DiracLaw(dirac_config).aged_expectations([0.0, 0.5], const_model, theta_two)
+    assert f[0] == F_theta(theta_two, dirac_config)
+    assert f[1] == pytest.approx(DiracLaw(dirac_config, 0.5, const_model).expect_F(theta_two), rel=1e-15)
 
 
 def test_thinned_dirac_vs_monte_carlo(theta_two, dirac_config, const_model, rng):
@@ -189,6 +200,66 @@ def test_fokker_planck_dirac_2d(setup_2d):
     hab, model, theta, config = setup_2d
     report = fokker_planck_check(theta, DiracLaw(config), 1.0, hab, model, n_grid=128)
     assert report.passed, report.line()
+
+
+def test_expect_LF_poisson_start_integrates_each_window_once(theta_two, habitat_1d, const_model, monkeypatch):
+    built = []
+
+    class Counted(verify.SurvivalCumulative):
+        def __init__(self, habitat, model, h, *args, **kwargs):
+            built.append(h)
+            super().__init__(habitat, model, h, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "SurvivalCumulative", Counted)
+    initial = PoissonLaw(stationary_intensity(habitat_1d, const_model))
+    law = ExplicitLaw(initial, theta_two, habitat_1d, const_model)
+    built.clear()
+    one = law.expect_LF(0.6)
+    # the F window and the weighted window of the aged field, once each
+    assert len(built) == 2
+    assert built[0] == theta_two.theta and built[1] != theta_two.theta
+    built.clear()
+    grid = np.linspace(0.0, 1.0, 65)
+    batch = law.expect_LF(grid)
+    assert len(built) == 2
+    for k in (0, 38, 64):
+        assert batch[k] == pytest.approx(law.expect_LF(grid[k]), rel=1e-12, abs=1e-15)
+    # the single-law route gives the same mu_t(LF)
+    aged = initial.aged(0.6, const_model)
+    f = aged.expect_F(theta_two)
+    w = aged.expect_weighted(theta_two, law._phi)
+    pre = math.exp(law.exponent.H(0.6))
+    p_w = survival_weighted_integral(
+        habitat_1d, const_model, law._phi_weighted, 0.0, 0.6, breakpoints=theta_two.x_breakpoints
+    )
+    assert one == pytest.approx(pre * (f * law._c3 + p_w * f + w), abs=1e-12)
+
+
+def test_fokker_planck_poisson_start_batches_theta(theta_two, habitat_1d, const_model, monkeypatch):
+    initial = PoissonLaw(stationary_intensity(habitat_1d, const_model))
+    calls = []
+    original = Theta.g
+
+    def counted(self, x, alpha):
+        calls.append(np.broadcast_shapes(np.shape(x)[:-1], np.shape(alpha)))
+        return original(self, x, alpha)
+
+    monkeypatch.setattr(Theta, "g", counted)
+    report = fokker_planck_check(theta_two, initial, 1.0, habitat_1d, const_model)
+    assert report.passed, report.line()
+    assert len(calls) <= 40, len(calls)
+
+
+def test_fokker_planck_note_has_simpson_error(theta_two, habitat_1d, separable_model, dirac_config):
+    fine = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model, n_grid=128)
+    coarse = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model, n_grid=64)
+    err = float(fine.note.split("simpson error ~")[1])
+    # |S_n - S_{n/2}|/15 tracks the Simpson error that the residual measures
+    assert 0.5 * fine.value <= err <= 2.0 * fine.value
+    assert coarse.value / fine.value == pytest.approx(16.0, rel=0.2)
+    # on an odd grid every other point stops short of t: no estimate
+    odd = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model, n_grid=65)
+    assert odd.note == "n_grid=65, t=1.0"
 
 
 # ----------------------------------------------------------------- checks
