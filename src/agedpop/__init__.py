@@ -18,15 +18,16 @@ from .config_space import (
     BasisFunction,
     MarkedConfiguration,
     MarkedParticle,
+    Plateaus,
     basis_count_below_scale,
     configuration_from_json,
     configuration_to_json,
     ground_distance,
     ground_tail_bound,
-    kappa_component,
     kappa_distance,
     kappa_tail_bound,
     load_configuration,
+    plateau_table,
     save_configuration,
     v_enumerate,
     window_truncation_error,
@@ -62,9 +63,10 @@ from .mark_space import (
     MarkSet,
     SigmaLadder,
     mark_sums,
-    rho_component,
     rho_distance,
     rho_tail_bound,
+    series_distance,
+    series_weights,
     u_basis,
     u_basis_derivative,
     u_basis_max,
@@ -85,9 +87,7 @@ from .sampler import (
 from .test_functions import (
     F_theta,
     Theta,
-    convolution_expectation,
     log_F_theta,
-    poisson_expectation,
     star_product,
     theta_from_json,
     theta_to_json,

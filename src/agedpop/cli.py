@@ -30,16 +30,10 @@ from .config_space import (
     kappa_distance,
     load_configuration,
 )
-from .generator import FlowedTheta, compute_bounds, flow, flow_pde_residual, kolmogorov_residual
+from .generator import compute_bounds, flow, flow_pde_residual, kolmogorov_residual
 from .habitat import constant_rate, linear_habitat, separable_rate, uniform_habitat
 from .mark_space import MarkSet, rho_distance
-from .sampler import (
-    PathBundle,
-    event_driven_simulate,
-    sample_poisson,
-    stationary_intensity,
-    transient_intensity,
-)
+from .sampler import event_driven_simulate, sample_poisson, stationary_intensity
 from .test_functions import Theta
 from .verify import (
     DiracLaw,
@@ -474,21 +468,25 @@ def cmd_verify(args):
 
 def cmd_distance(args):
     cfg = load_config(args.config)
+    budget = {"ground": 30, "kappa": 30, "rho": 40}[args.metric] if args.budget is None else args.budget
+    source = args.first  # what an error message names
     try:
-        a = load_configuration(args.first)
-        b = load_configuration(args.second)
+        a = load_configuration(source, dim=cfg.habitat.dim)
+        source = args.second
+        b = load_configuration(source, dim=cfg.habitat.dim)
+        source = f"--budget {budget}"
+        if args.metric == "ground":
+            dist, tail = ground_distance(a, b, cfg.habitat, budget=budget)
+        elif args.metric == "kappa":
+            dist, tail = kappa_distance(a, b, cfg.habitat, budget=budget)
+        else:
+            dist, tail = rho_distance(MarkSet(a.ages), MarkSet(b.ages), budget=budget)
     except json.JSONDecodeError as exc:
-        print(f"error: {exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
+        print(f"error: {source}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    if args.metric == "ground":
-        budget = args.budget or 30
-        dist, tail = ground_distance(a, b, cfg.habitat, budget=budget)
-    elif args.metric == "kappa":
-        budget = args.budget or 30
-        dist, tail = kappa_distance(a, b, cfg.habitat, budget=budget)
-    else:
-        budget = args.budget or 40
-        dist, tail = rho_distance(MarkSet(a.ages), MarkSet(b.ages), budget=budget)
+    except (OSError, ValueError) as exc:
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.metric} distance = {dist:.12f}  (truncation tail <= {tail:.3e}, budget {budget})")
     return 0
 

@@ -10,7 +10,9 @@ separating functions:
 Each component |sum_g f - sum_g' f| is a seminorm, so the weighted series
 (and any truncation of it) satisfies the metric axioms exactly; truncation
 only reduces separating power, and every truncated distance reports its tail
-bound.
+bound.  Both are mark_space.series_distance of per-configuration features:
+plateau sums (ground), and the plateau matrix times the mark-weight matrix
+(kappa).
 
 The plateau family v_s is enumerated deterministically from the habitat
 window: scale j contributes one trapezoid profile per dyadic lattice cell and
@@ -22,24 +24,24 @@ height 1/2, whose support covers the whole window.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .mark_space import DEFAULT_LADDER, u_basis
+from .mark_space import DEFAULT_LADDER, series_distance, series_weights, w_basis
 
 __all__ = [
     "MarkedParticle",
     "MarkedConfiguration",
     "BasisFunction",
+    "Plateaus",
+    "plateau_table",
     "v_enumerate",
     "basis_count_below_scale",
     "ground_distance",
     "ground_tail_bound",
-    "kappa_component",
     "kappa_distance",
     "kappa_tail_bound",
     "window_truncation_error",
@@ -140,17 +142,25 @@ class BasisFunction:
     height: float
 
     def __call__(self, x):
+        return Plateaus(np.array([self.center]), np.array([self.inner_radius]), np.array([self.height]))(x)[0]
+
+
+class Plateaus(NamedTuple):
+    """Plateaus v_s for an index set, as arrays: centers (S, dim), radii and heights (S,)."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+    heights: np.ndarray
+
+    def __call__(self, x):
+        """v_s(x) for every index at once: shape (S,) + x.shape[:-1]."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x - np.asarray(self.center), axis=-1)
-        q = self.inner_radius
-        return self.height * np.clip(2.0 - r / q, 0.0, 1.0)
-
-    @property
-    def support_radius(self):
-        return 2.0 * self.inner_radius
-
-
-_HEIGHTS = (0.5, 0.75)
+        dim = self.centers.shape[1]
+        if x.shape[-1] != dim:
+            raise ValueError(f"points have dimension {x.shape[-1]}, the plateaus {dim}")
+        lead = (-1,) + (1,) * (x.ndim - 1)
+        r2 = sum((x[..., i] - self.centers[:, i].reshape(lead)) ** 2 for i in range(dim))
+        return self.heights.reshape(lead) * np.clip(2.0 - np.sqrt(r2) / self.radii.reshape(lead), 0.0, 1.0)
 
 
 def basis_count_below_scale(j, dim):
@@ -158,34 +168,26 @@ def basis_count_below_scale(j, dim):
     return sum(2 * (1 << (dim * (i - 1))) for i in range(1, j))
 
 
-@lru_cache(maxsize=None)
-def _v_enumerate_cached(s, lower, upper):
-    lower = np.asarray(lower)
-    upper = np.asarray(upper)
-    dim = lower.size
-    diameter = float(np.linalg.norm(upper - lower))
-    # locate the scale block: scale j holds 2 * 2**(dim*(j-1)) functions,
-    # ordered (cell row-major) x (height 1/2 then 3/4)
-    remaining = s - 1
-    j = 1
-    while True:
-        block = 2 * (1 << (dim * (j - 1)))
-        if remaining < block:
-            break
-        remaining -= block
-        j += 1
-    cell_index = remaining // 2
-    height = _HEIGHTS[remaining % 2]
-    cells_per_axis = 1 << (j - 1)
-    digits = []
-    rest = cell_index
-    for _ in range(dim):
-        digits.append(rest % cells_per_axis)
-        rest //= cells_per_axis
-    digits = digits[::-1]  # row-major: first axis varies slowest
-    side = (upper - lower) / cells_per_axis
-    center = lower + (np.asarray(digits, dtype=float) + 0.5) * side
-    return BasisFunction(tuple(center), diameter * 2.0 ** (-j), height)
+@lru_cache(maxsize=64)
+def plateau_table(indices, habitat):
+    """The plateaus v_s for a tuple of indices s, enumerated as in v_enumerate."""
+    s = np.asarray(indices, dtype=np.int64) - 1
+    if s.size and s.min() < 0:
+        raise ValueError("enumeration starts at s = 1")
+    dim = habitat.dim
+    starts = [0]  # first (zero-based) index of each scale
+    while starts[-1] <= s.max(initial=0):
+        starts.append(basis_count_below_scale(len(starts) + 1, dim))
+    j = np.searchsorted(starts, s, side="right")
+    offset = s - np.asarray(starts)[j - 1]
+    cells_per_axis = np.left_shift(1, j - 1)[:, None]
+    # row-major cell digits: the first axis varies slowest
+    digits = offset[:, None] // 2 // cells_per_axis ** np.arange(dim - 1, -1, -1) % cells_per_axis
+    centers = habitat.lower + (digits + 0.5) * ((habitat.upper - habitat.lower) / cells_per_axis)
+    table = Plateaus(centers, habitat.diameter * np.exp2(-j), np.where(offset % 2, 0.75, 0.5))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def v_enumerate(s, habitat):
@@ -196,13 +198,14 @@ def v_enumerate(s, habitat):
     s = 1 is the window midpoint at scale 1 with height 1/2, s = 2 the same
     plateau with height 3/4, and s = 3 starts scale 2.
     """
-    if s < 1:
-        raise ValueError("enumeration starts at s = 1")
-    return _v_enumerate_cached(int(s), tuple(habitat.lower), tuple(habitat.upper))
+    table = plateau_table((int(s),), habitat)
+    return BasisFunction(tuple(table.centers[0]), float(table.radii[0]), float(table.heights[0]))
 
 
 def ground_tail_bound(budget):
     """sum_{s > budget} 2**-s."""
+    if budget < 1:
+        raise ValueError("budget must allow s = 1")
     return float(np.exp2(-budget))
 
 
@@ -211,28 +214,11 @@ def ground_distance(config_a, config_b, habitat, budget=30):
 
     Returns (distance, tail_bound).
     """
-    total = 0.0
-    for s in range(1, budget + 1):
-        v = v_enumerate(s, habitat)
-        da = float(np.sum(v(config_a.positions))) if len(config_a) else 0.0
-        db = float(np.sum(v(config_b.positions))) if len(config_b) else 0.0
-        ds = abs(da - db)
-        total += 2.0 ** (-s) * ds / (1.0 + ds)
-    return total, ground_tail_bound(budget)
-
-
-def kappa_component(config_a, config_b, s, k, n, habitat, ladder=DEFAULT_LADDER):
-    """kappa_{s,k,n} = |sum_a v_s(x) w_{k,n}(alpha) - sum_b ...|."""
-    v = v_enumerate(s, habitat)
-    sigma = ladder.value(k)
-
-    def total(cfg):
-        if not len(cfg):
-            return 0.0
-        w = np.exp(-sigma * u_basis(n, cfg.ages))
-        return float(np.sum(v(cfg.positions) * w))
-
-    return abs(total(config_a) - total(config_b))
+    tail = ground_tail_bound(budget)
+    plateaus = plateau_table(tuple(range(1, budget + 1)), habitat)
+    fa = plateaus(config_a.positions).sum(axis=1)
+    fb = plateaus(config_b.positions).sum(axis=1)
+    return series_distance(series_weights(budget, budget), fa, fb), tail
 
 
 def kappa_tail_bound(budget):
@@ -243,22 +229,14 @@ def kappa_tail_bound(budget):
     return float(np.sum((m - 1) * (m - 2) / 2.0 * np.exp2(-m)))
 
 
-def _g_sums(cfg, habitat, budget, ladder):
-    """Matrix G[s-1, idx(k,n)] = sum_particles v_s(x) w_{k,n}(alpha).
-
-    Factorizes into a (s, particles) x (particles, (k,n)) product.
-    """
-    s_max = budget - 2
-    kn_max = budget - 2
-    ks = np.arange(1, kn_max + 1)
-    pairs = [(k, n) for k in ks for n in ks if k + n <= budget - 1]
-    if not len(cfg):
-        return np.zeros((s_max, len(pairs))), pairs
-    V = np.stack([v_enumerate(s, habitat)(cfg.positions) for s in range(1, s_max + 1)])
-    sig = np.asarray(ladder.value(np.array([k for k, _ in pairs])))
-    u = u_basis(np.array([n for _, n in pairs])[:, None], cfg.ages[None, :])
-    W = np.exp(-sig[:, None] * u)  # (pairs, particles)
-    return V @ W.T, pairs
+@lru_cache(maxsize=None)
+def _kappa_pairs(budget):
+    """The (k, n) pairs with k + n <= budget - 1 and the series weights on (s, pair)."""
+    ks, ns = (i + 1 for i in np.nonzero(series_weights(budget - 1, budget - 2, budget - 2)))
+    weights = series_weights(budget, budget - 2, budget - 1)[:, ks + ns - 1]
+    for a in (ks, ns, weights):
+        a.flags.writeable = False
+    return ks, ns, weights
 
 
 def kappa_distance(config_a, config_b, habitat, budget=30, ladder=DEFAULT_LADDER):
@@ -266,19 +244,17 @@ def kappa_distance(config_a, config_b, habitat, budget=30, ladder=DEFAULT_LADDER
 
     Truncated at s + k + n <= budget; returns (distance, tail_bound).  Always
     below 1: the weights sum to less than 1 and each term is below its weight.
+    The features of a configuration, F[s-1, q] = sum_particles v_s(x)
+    w_{(k,n)_q}(alpha), are one matrix product.
     """
-    ga, pairs = _g_sums(config_a, habitat, budget, ladder)
-    gb, _ = _g_sums(config_b, habitat, budget, ladder)
-    diff = np.abs(ga - gb)
-    total = 0.0
-    for idx, (k, n) in enumerate(pairs):
-        s_allowed = budget - k - n
-        if s_allowed < 1:
-            continue
-        col = diff[:s_allowed, idx]
-        weights = np.exp2(-(np.arange(1, s_allowed + 1, dtype=float) + k + n))
-        total += float(np.sum(weights * col / (1.0 + col)))
-    return total, kappa_tail_bound(budget)
+    tail = kappa_tail_bound(budget)
+    ks, ns, weights = _kappa_pairs(budget)
+    plateaus = plateau_table(tuple(range(1, budget - 1)), habitat)
+
+    def features(cfg):
+        return plateaus(cfg.positions) @ w_basis(ks[:, None], ns[:, None], cfg.ages, ladder).T
+
+    return series_distance(weights, features(config_a), features(config_b)), tail
 
 
 def window_truncation_error(config_a, config_b, habitat, sub_lower, sub_upper, s_star, budget=30):
@@ -291,12 +267,12 @@ def window_truncation_error(config_a, config_b, habitat, sub_lower, sub_upper, s
     """
     sub_lower = np.asarray(sub_lower, dtype=float)
     sub_upper = np.asarray(sub_upper, dtype=float)
-    for s in range(1, s_star + 1):
-        v = v_enumerate(s, habitat)
-        c = np.asarray(v.center)
-        r = v.support_radius
-        if np.any(c - r < sub_lower) or np.any(c + r > sub_upper):
-            raise ValueError(f"sub-window does not cover the support of basis s={s}")
+    plateaus = plateau_table(tuple(range(1, s_star + 1)), habitat)
+    reach = 2.0 * plateaus.radii[:, None]
+    outside = (plateaus.centers - reach < sub_lower) | (plateaus.centers + reach > sub_upper)
+    if outside.any():
+        s = int(np.argmax(outside.any(axis=1))) + 1
+        raise ValueError(f"sub-window does not cover the support of basis s={s}")
     eps = 2.0 ** (-s_star)
     full, _ = kappa_distance(config_a, config_b, habitat, budget=budget)
     ra = config_a.restrict(sub_lower, sub_upper)
@@ -328,10 +304,13 @@ def configuration_from_json(text, dim=None):
         return MarkedConfiguration.empty(dim)
     positions, ages = [], []
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or set(rec) != {"x", "alpha"}:
-            raise ValueError(f"record {i}: expected exactly the keys 'x' and 'alpha'")
-        positions.append([float(c) for c in rec["x"]])
-        ages.append(float(rec["alpha"]))
+        if not isinstance(rec, dict) or set(rec) != {"x", "alpha"} or not isinstance(rec["x"], list):
+            raise ValueError(f"record {i}: expected exactly the keys 'x' (a list) and 'alpha'")
+        try:
+            positions.append([float(c) for c in rec["x"]])
+            ages.append(float(rec["alpha"]))
+        except TypeError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
     widths = {len(p) for p in positions}
     if len(widths) != 1:
         raise ValueError("records disagree on the coordinate dimension")

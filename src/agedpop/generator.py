@@ -41,7 +41,7 @@ import numpy as np
 
 from .habitat import SurvivalCumulative, age_panel_width, age_rule, chi_integral, survival_factor
 from .mark_space import u_prime_max_constant
-from .test_functions import F_theta, Theta, log_F_theta
+from .test_functions import F_theta, Theta
 
 __all__ = [
     "FlowedTheta",
@@ -329,7 +329,6 @@ class GeneratorBounds:
     tau_star: float
     est_bound: float
     cbar: float
-    cbar_theta: float
 
 
 def compute_bounds(theta, habitat, model):
@@ -377,5 +376,4 @@ def compute_bounds(theta, habitat, model):
         tau_star=tau,
         est_bound=est,
         cbar=cbar,
-        cbar_theta=cbar / (2.0 * j) if j else cbar,
     )

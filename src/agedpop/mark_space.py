@@ -15,12 +15,16 @@ metric is the weighted series
 
 truncated at k + n <= budget with an explicitly reported tail bound.  Because
 sigma_1 = 0, the k = 1 band measures the cardinality gap | |a| - |b| |.
+
+Every distance of the package (rho, ground, kappa) is series_distance: the
+series_weights times d / (1 + d), summed over feature differences d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +38,11 @@ __all__ = [
     "u_prime_max_constant",
     "w_basis",
     "MarkSet",
-    "rho_component",
     "rho_distance",
     "rho_tail_bound",
     "mark_sums",
+    "series_weights",
+    "series_distance",
 ]
 
 # Exact supremum of |u_n'| * n**(1/3) over ages, attained where
@@ -147,19 +152,28 @@ class MarkSet:
 
 def mark_sums(ages, k_max, n_max, ladder=DEFAULT_LADDER):
     """Matrix of sums S[k-1, n-1] = sum_alpha w_{k,n}(alpha) for k <= k_max, n <= n_max."""
-    ages = np.asarray(ages, dtype=float)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    u = u_basis(ns[:, None], ages[None, :])  # (n, ages)
-    sig = np.asarray(ladder.value(np.arange(1, k_max + 1)))  # (k,)
-    # (k, n, ages) -> sum over ages
-    return np.exp(-sig[:, None, None] * u[None, :, :]).sum(axis=2)
+    ks = np.arange(1, k_max + 1)[:, None, None]
+    ns = np.arange(1, n_max + 1)[None, :, None]
+    return w_basis(ks, ns, np.asarray(ages, dtype=float)[None, None, :], ladder).sum(axis=2)
 
 
-def rho_component(a, b, k, n, ladder=DEFAULT_LADDER):
-    """rho_{k,n}(a,b) = |sum_a w_{k,n} - sum_b w_{k,n}| (multiplicity counted)."""
-    sa = float(np.sum(w_basis(k, n, np.asarray(a.ages)))) if len(a) else 0.0
-    sb = float(np.sum(w_basis(k, n, np.asarray(b.ages)))) if len(b) else 0.0
-    return abs(sa - sb)
+@lru_cache(maxsize=None)
+def series_weights(budget, *sizes):
+    """Series weights 2**-(i_1 + ... + i_m) on the index grid 1..sizes[0] x ...
+
+    Zero where the index sum exceeds budget, so a truncated series is a plain
+    weighted sum over the whole grid.  Cached and read-only.
+    """
+    index_sum = sum(np.ix_(*(np.arange(1, size + 1) for size in sizes)))
+    weights = np.where(index_sum <= budget, np.exp2(-index_sum.astype(float)), 0.0)
+    weights.flags.writeable = False
+    return weights
+
+
+def series_distance(weights, features_a, features_b):
+    """sum weights * d / (1 + d) with d = |features_a - features_b|."""
+    d = np.abs(features_a - features_b)
+    return float(np.sum(weights * d / (1.0 + d)))
 
 
 def rho_tail_bound(budget):
@@ -177,12 +191,9 @@ def rho_distance(a, b, budget=40, ladder=DEFAULT_LADDER):
     axioms exactly (each component is a seminorm composed with t -> t/(1+t));
     the tail bound quantifies the missing separation only.
     """
+    tail = rho_tail_bound(budget)
     k_max = budget - 1
+    weights = series_weights(budget, k_max, k_max)
     sa = mark_sums(a.ages, k_max, k_max, ladder)
     sb = mark_sums(b.ages, k_max, k_max, ladder)
-    diff = np.abs(sa - sb)
-    ks = np.arange(1, k_max + 1)
-    keep = ks[:, None] + ks[None, :] <= budget
-    weights = np.exp2(-(ks[:, None] + ks[None, :]).astype(float))
-    total = float(np.sum(weights[keep] * diff[keep] / (1.0 + diff[keep])))
-    return total, rho_tail_bound(budget)
+    return series_distance(weights, sa, sb), tail

@@ -40,7 +40,6 @@ from .habitat import (
     gauss_profile_nodes,
     survival_factor,
     survival_slice,
-    survival_weighted_integral,
 )
 
 __all__ = [
@@ -84,14 +83,6 @@ class IntensityMeasure:
         in_box = np.all((x >= self.habitat.lower) & (x <= self.habitat.upper), axis=-1)
         M = self.model.cumulative(x, alpha)
         return np.where(in_age & in_box, self.habitat.density(x) * np.exp(-M), 0.0)
-
-    def theta_integral(self, theta):
-        """int theta d rho over the age window, on the age-panel rule."""
-        return survival_weighted_integral(
-            self.habitat, self.model, theta.theta, 0.0, self.age_upper,
-            breakpoints=getattr(theta, "x_breakpoints", ()),
-            age_scale=getattr(theta, "age_scale", 1.0),
-        )
 
 
 def _strip_quadrature(habitat, model, edges):
@@ -254,10 +245,6 @@ class PathBundle:
 
     def f_theta(self, theta):
         return np.exp(self.log_f_theta(theta))
-
-    def extract(self, i):
-        sel = self.path_ids == i
-        return MarkedConfiguration(self.positions[sel], self.ages[sel])
 
 
 @dataclass(frozen=True, eq=False)

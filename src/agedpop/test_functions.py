@@ -11,7 +11,8 @@ The associated configuration functional
 
 lies in (0, 1], is multiplicative over disjoint unions, and the family over
 all finite triple multisets separates laws: Poisson expectations are
-exp(int theta d rho) and expectations of independent superpositions multiply.
+exp(int theta d rho) (verify.PoissonLaw.expect_F) and expectations of
+independent superpositions multiply.
 
 The star product theta * theta' = theta + theta' + theta theta' corresponds to
 concatenating term lists, since 1 + (theta * theta') = (1+theta)(1+theta').
@@ -23,16 +24,14 @@ import json
 
 import numpy as np
 
-from .config_space import v_enumerate
-from .mark_space import DEFAULT_LADDER, u_basis, u_basis_derivative
+from .config_space import plateau_table
+from .mark_space import DEFAULT_LADDER, u_basis_derivative, w_basis
 
 __all__ = [
     "Theta",
     "star_product",
     "F_theta",
     "log_F_theta",
-    "poisson_expectation",
-    "convolution_expectation",
     "theta_to_json",
     "theta_from_json",
 ]
@@ -46,30 +45,27 @@ class Theta:
     age zero), and g(x, 0) recovers sum_j v_{s_j}(x) exactly.
     """
 
-    __slots__ = ("terms", "habitat", "ladder", "_bases", "_sigmas", "_ns", "_breaks")
+    __slots__ = ("terms", "habitat", "ladder", "_plateaus", "_ks", "_ns", "_breaks")
 
     def __init__(self, terms, habitat, ladder=DEFAULT_LADDER):
         terms = tuple((int(s), int(k), int(n)) for (s, k, n) in terms)
         if not terms:
             raise ValueError("a test function needs at least one index triple")
-        for s, k, n in terms:
-            if s < 1 or k < 1 or n < 1:
-                raise ValueError("triples must have s, k, n >= 1")
+        s, k, n = np.array(terms).T
+        if min(s.min(), k.min(), n.min()) < 1:
+            raise ValueError("triples must have s, k, n >= 1")
+        plateaus = plateau_table(tuple(s.tolist()), habitat)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "habitat", habitat)
         object.__setattr__(self, "ladder", ladder)
-        object.__setattr__(self, "_bases", tuple(v_enumerate(s, habitat) for s, _, _ in terms))
-        object.__setattr__(
-            self, "_sigmas", np.array([ladder.value(k) for _, k, _ in terms], dtype=float)
-        )
-        object.__setattr__(self, "_ns", np.array([n for _, _, n in terms], dtype=float))
-        breaks = set()
+        object.__setattr__(self, "_plateaus", plateaus)
+        object.__setattr__(self, "_ks", k)
+        object.__setattr__(self, "_ns", n)
+        breaks = ()
         if habitat.dim == 1:
-            for b in self._bases:
-                c = b.center[0]
-                for r in (b.inner_radius, b.support_radius):
-                    breaks.update((c - r, c + r))
-        object.__setattr__(self, "_breaks", tuple(sorted(breaks)))
+            c, q = plateaus.centers[:, 0], plateaus.radii
+            breaks = tuple(np.unique(np.concatenate([c - q, c + q, c - 2.0 * q, c + 2.0 * q])).tolist())
+        object.__setattr__(self, "_breaks", breaks)
 
     def __setattr__(self, *a):
         raise AttributeError("Theta is immutable")
@@ -94,39 +90,32 @@ class Theta:
         one over ages of order sigma^(-1/2) once sigma exceeds 1.  The age
         rule sizes its panels by this (see habitat.age_panel_width).
         """
-        scales = np.minimum(self._ns ** (-1.0 / 3.0), np.maximum(self._sigmas, 1.0) ** -0.5)
+        sigmas = self.ladder.value(self._ks)
+        scales = np.minimum(self._ns ** (-1.0 / 3.0), np.maximum(sigmas, 1.0) ** -0.5)
         return float(scales.min())
+
+    def _term_sum(self, x, alpha, mark):
+        """sum_j v_{s_j}(x) mark(k_j, n_j, alpha), all terms at once, added in term order."""
+        x = np.asarray(x, dtype=float)
+        alpha = np.asarray(alpha, dtype=float)
+        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
+        lead = (-1,) + (1,) * len(shape)
+        v = self._plateaus(x).reshape((-1,) + (1,) * (len(shape) + 1 - x.ndim) + x.shape[:-1])
+        terms = v * mark(self._ks.reshape(lead), self._ns.reshape(lead), alpha)
+        out = np.add.accumulate(terms, axis=0)[-1]
+        return out if out.ndim else float(out)
 
     def g(self, x, alpha):
         """g(x, alpha); broadcasts x (..., dim) against alpha (...)."""
-        x = np.asarray(x, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
-        out = np.zeros(shape)
-        if not self.terms:
-            return out if out.ndim else float(out)
-        u = u_basis(self._ns.reshape((-1,) + (1,) * len(shape)), alpha)
-        w = np.exp(-self._sigmas.reshape((-1,) + (1,) * len(shape)) * u)
-        for j, basis in enumerate(self._bases):
-            out = out + basis(x) * w[j]
-        return out if out.ndim else float(out)
+        return self._term_sum(x, alpha, lambda k, n, a: w_basis(k, n, a, self.ladder))
 
     def g_age_derivative(self, x, alpha):
         """d/dalpha g = -sum_j v_j(x) sigma_j u'_{n_j}(alpha) w_j(alpha)."""
-        x = np.asarray(x, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
-        out = np.zeros(shape)
-        if not self.terms:
-            return out if out.ndim else float(out)
-        ns = self._ns.reshape((-1,) + (1,) * len(shape))
-        sig = self._sigmas.reshape((-1,) + (1,) * len(shape))
-        u = u_basis(ns, alpha)
-        du = u_basis_derivative(ns, alpha)
-        wprime = -sig * du * np.exp(-sig * u)
-        for j, basis in enumerate(self._bases):
-            out = out + basis(x) * wprime[j]
-        return out if out.ndim else float(out)
+
+        def w_prime(k, n, a):
+            return -self.ladder.value(k) * u_basis_derivative(n, a) * w_basis(k, n, a, self.ladder)
+
+        return self._term_sum(x, alpha, w_prime)
 
     def theta(self, x, alpha):
         """theta = exp(-g) - 1 in (-1, 0]."""
@@ -160,23 +149,6 @@ def log_F_theta(theta, config):
 def F_theta(theta, config):
     """prod (1 + theta(x, alpha)) = exp(-sum g) in (0, 1]."""
     return float(np.exp(log_F_theta(theta, config)))
-
-
-def poisson_expectation(theta, intensity):
-    """E F_theta under the Poisson law with the given intensity measure.
-
-    Equals exp(int theta d rho); the integral runs over the intensity's age
-    window, whose truncation error bound is reported by the intensity itself.
-    """
-    return float(np.exp(intensity.theta_integral(theta)))
-
-
-def convolution_expectation(expectations):
-    """E F_theta under an independent superposition: the plain product."""
-    out = 1.0
-    for e in expectations:
-        out *= float(e)
-    return out
 
 
 def theta_to_json(theta):

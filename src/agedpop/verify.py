@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .config_space import MarkedConfiguration
-from .generator import ArrivalExponent, FlowedTheta, flow, resolvent
+from .generator import ArrivalExponent, FlowedTheta, resolvent
 # survival_weighted_integral is re-exported here for callers (and the
 # benchmark's tracer) that reach it through this module
 from .habitat import SurvivalCumulative, chi_integral, survival_weighted_integral
@@ -279,13 +279,6 @@ class ExplicitLaw:
         p_w = self._arrivals_weighted(t)
         out = pre * (f * (self._c3 + p_w) + w)
         return float(out[0]) if np.ndim(t) == 0 else out
-
-    def law_at(self, t):
-        parts = []
-        if t > 0:
-            parts.append(PoissonLaw(transient_intensity(self.habitat, self.model, t)))
-        parts.append(self.initial.aged(t, self.model))
-        return ConvolutionLaw(parts)
 
 
 def fokker_planck_check(theta, initial, t, habitat, model, n_grid=64, name="fokker-planck"):

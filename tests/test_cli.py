@@ -136,6 +136,58 @@ def test_distance_command(tmp_path, config_path, capsys):
         assert f"{metric} distance" in out and "tail" in out
 
 
+def _distance_files(tmp_path, first, second):
+    paths = []
+    for name, records in (("a.json", first), ("b.json", second)):
+        path = tmp_path / name
+        path.write_text(json.dumps(records), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+ONE_D = [{"x": [0.2], "alpha": 1.0}]
+TWO_D = [{"x": [0.2, 0.4], "alpha": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "first, second, extra",
+    [
+        (ONE_D, ONE_D, []),  # 1-d files on a 2-d window
+        (TWO_D, [{"x": [0.2, 0.4, 0.6], "alpha": 1.0}], []),  # a 3-d file
+        (TWO_D, [{"x": [0.2, 0.4], "alpha": -1.0}], []),  # a negative age
+        (TWO_D, [{"x": 0.2, "alpha": 1.0}], []),  # coordinates not a list
+        (TWO_D, [{"x": [0.2, 0.4], "alpha": None}], []),  # an age that is not a number
+        (TWO_D, TWO_D, ["--budget", "0"]),
+        (TWO_D, TWO_D, ["--budget", "2", "--metric", "kappa"]),
+        (TWO_D, TWO_D, ["--budget", "1", "--metric", "rho"]),
+        (TWO_D, TWO_D, ["--budget", "-3", "--metric", "ground"]),
+    ],
+)
+def test_distance_rejects_bad_input(tmp_path, capsys, first, second, extra):
+    data = _with(lambda d: d["habitat"].__setitem__("window", [[0.0, 1.0], [0.0, 1.0]]))
+    config = _write(tmp_path, data, "exp2d.json")
+    pa, pb = _distance_files(tmp_path, first, second)
+    code = main(["distance", pa, pb, "--config", config, *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_distance_empty_file_is_the_empty_configuration(tmp_path, capsys):
+    # an empty list is the empty configuration, read at the window's dimension
+    data = _with(lambda d: d["habitat"].__setitem__("window", [[0.0, 1.0], [0.0, 1.0]]))
+    config = _write(tmp_path, data, "exp2d.json")
+    pa, pb = _distance_files(tmp_path, [], TWO_D)
+    code = main(["distance", pa, pb, "--config", config, "--metric", "ground"])
+    assert code == 0
+    want, _ = cli.ground_distance(
+        MarkedConfiguration.empty(2), MarkedConfiguration(np.array([[0.2, 0.4]]), np.array([1.0])),
+        load_config(config).habitat,
+    )
+    assert f"ground distance = {want:.12f}" in capsys.readouterr().out
+
+
 def test_stationary_sample_command(tmp_path, config_path, capsys):
     out_dir = tmp_path / "stat"
     code = main(

@@ -8,22 +8,76 @@ import pytest
 
 from agedpop import (
     DEFAULT_LADDER,
+    BasisFunction,
     MarkedConfiguration,
+    MarkSet,
+    Theta,
     basis_count_below_scale,
     configuration_from_json,
     configuration_to_json,
     ground_distance,
     ground_tail_bound,
-    kappa_component,
     kappa_distance,
     kappa_tail_bound,
     load_configuration,
+    rho_distance,
     save_configuration,
-    u_basis,
+    uniform_habitat,
     v_enumerate,
     window_truncation_error,
 )
 from conftest import random_configuration
+
+
+# ---------------------------------------------------------------- oracles
+def kappa_component(config_a, config_b, s, k, n, habitat, ladder=DEFAULT_LADDER):
+    """kappa_{s,k,n} = |sum_a v_s(x) w_{k,n}(alpha) - sum_b ...|.
+
+    One index at a time, from the raw plateau and mark-weight formulas: the
+    per-component route the library's batched kernel is checked against.
+    With k = 1 (sigma_1 = 0, so w = 1) it is the ground component of s.
+    """
+    v = v_enumerate(s, habitat)
+    sigma = ladder.value(k)
+
+    def total(cfg):
+        r = np.sqrt(np.sum((cfg.positions - np.asarray(v.center)) ** 2, axis=1))
+        plateau = v.height * np.clip(2.0 - r / v.inner_radius, 0.0, 1.0)
+        u = cfg.ages**2 / (1.0 + n * cfg.ages**3)
+        return float(np.sum(plateau * np.exp(-sigma * u)))
+
+    return abs(total(config_a) - total(config_b))
+
+
+def kappa_series(a, b, habitat, budget):
+    """The truncated kappa series summed term by term over s + k + n <= budget."""
+    total = 0.0
+    for s in range(1, budget - 1):
+        for k in range(1, budget - s):
+            for n in range(1, budget - s - k + 1):
+                c = kappa_component(a, b, s, k, n, habitat)
+                total += 2.0 ** -(s + k + n) * c / (1.0 + c)
+    return total
+
+
+def ground_series(a, b, habitat, budget):
+    total = 0.0
+    for s in range(1, budget + 1):
+        c = kappa_component(a, b, s, 1, 1, habitat)
+        total += 2.0**-s * c / (1.0 + c)
+    return total
+
+
+@pytest.fixture(scope="module")
+def configs_2d(habitat_2d):
+    """Configurations of 0, 5, 300 and 300 particles in the 2-d window."""
+    gen = np.random.default_rng(404)
+    span = habitat_2d.upper - habitat_2d.lower
+
+    def draw(size):
+        return MarkedConfiguration(habitat_2d.lower + gen.random((size, 2)) * span, gen.exponential(1.0, size))
+
+    return [draw(0), draw(5), draw(300), draw(300)]
 
 
 # ------------------------------------------------------------ configurations
@@ -159,16 +213,49 @@ def test_kappa_component_consistent_with_distance(habitat_1d, rng):
     a = random_configuration(rng, habitat_1d)
     b = random_configuration(rng, habitat_1d)
     budget = 8
-    total = 0.0
-    for s in range(1, budget - 1):
-        for k in range(1, budget - 1):
-            for n in range(1, budget - 1):
-                if s + k + n > budget:
-                    continue
-                comp = kappa_component(a, b, s, k, n, habitat_1d)
-                total += 2.0 ** -(s + k + n) * comp / (1.0 + comp)
     dist, _ = kappa_distance(a, b, habitat_1d, budget=budget)
-    assert dist == pytest.approx(total, rel=1e-12)
+    assert dist == pytest.approx(kappa_series(a, b, habitat_1d, budget), rel=1e-12)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2), (2, 3)])
+def test_kernel_matches_direct_series_2d(habitat_2d, configs_2d, i, j):
+    a, b = configs_2d[i], configs_2d[j]
+    kappa, _ = kappa_distance(a, b, habitat_2d, budget=30)
+    assert kappa == pytest.approx(kappa_series(a, b, habitat_2d, 30), rel=1e-12, abs=0.0)
+    ground, _ = ground_distance(a, b, habitat_2d, budget=30)
+    assert ground == pytest.approx(ground_series(a, b, habitat_2d, 30), rel=1e-12, abs=0.0)
+
+
+def test_distances_symmetric_and_zero_on_diagonal(habitat_2d, configs_2d):
+    metrics = {
+        "kappa": lambda a, b: kappa_distance(a, b, habitat_2d)[0],
+        "ground": lambda a, b: ground_distance(a, b, habitat_2d)[0],
+        "rho": lambda a, b: rho_distance(MarkSet(a.ages), MarkSet(b.ages))[0],
+    }
+    for name, d in metrics.items():
+        for a in configs_2d:
+            assert d(a, a) == 0.0, name
+            for b in configs_2d:
+                assert d(a, b) == d(b, a), name
+
+
+def test_kernels_make_no_per_index_basis_calls(configs_2d, monkeypatch):
+    """The metrics and Theta evaluate every plateau in one call, never one
+    BasisFunction at a time; a fresh window forces fresh plateau tables."""
+
+    def refuse(self, x):
+        raise AssertionError("per-index BasisFunction call")
+
+    monkeypatch.setattr(BasisFunction, "__call__", refuse)
+    window = uniform_habitat([(0.0, 1.1), (0.0, 2.1)], 1.0)
+    with pytest.raises(AssertionError):
+        v_enumerate(1, window)(np.zeros(2))
+    a, b = configs_2d[1], configs_2d[2]
+    assert kappa_distance(a, b, window)[0] > 0.0
+    assert ground_distance(a, b, window)[0] > 0.0
+    theta = Theta([(1, 1, 1), (3, 2, 1), (9, 1, 3)], window)
+    assert np.all(theta.g(b.positions, b.ages) >= 0.0)
+    assert np.all(np.isfinite(theta.g_age_derivative(b.positions, b.ages)))
 
 
 def test_kappa_tail_closed_form():
@@ -258,6 +345,10 @@ def test_json_strictness():
         configuration_from_json(json.dumps([{"x": [0.1], "alpha": 1.0, "extra": 2}]))
     with pytest.raises(ValueError):
         configuration_from_json(json.dumps([{"x": [0.1]}]))
+    with pytest.raises(ValueError, match="record 0"):
+        configuration_from_json(json.dumps([{"x": 0.1, "alpha": 1.0}]))
+    with pytest.raises(ValueError, match="record 0"):
+        configuration_from_json(json.dumps([{"x": [0.1], "alpha": None}]))
     with pytest.raises(ValueError):
         configuration_from_json(json.dumps([{"x": [0.1], "alpha": 1.0}, {"x": [0.1, 0.2], "alpha": 1.0}]))
     with pytest.raises(ValueError):

@@ -244,7 +244,6 @@ def test_compute_bounds_values(theta_two, habitat_1d, const_model):
     b = compute_bounds(theta_two, habitat_1d, const_model)
     assert b.j_count == 2
     assert b.cbar == pytest.approx(math.exp(-(2.0 ** (2.0 / 3.0)) / 3.0), rel=1e-12)
-    assert b.cbar_theta == pytest.approx(b.cbar / (2 * b.j_count), rel=1e-12)
     assert b.tau_star == pytest.approx(1.0 / (const_model.m_star * math.e**2), rel=1e-12)
     assert b.chi_g_zero > 0.0
     assert b.chi_abs_theta_zero > 0.0

@@ -13,7 +13,6 @@ from agedpop import (
     MarkSet,
     SigmaLadder,
     mark_sums,
-    rho_component,
     rho_distance,
     rho_tail_bound,
     u_basis,
@@ -183,6 +182,32 @@ def test_rho_triangle(xs, ys, zs):
     dbc, _ = rho_distance(b, c, budget=budget)
     dac, _ = rho_distance(a, c, budget=budget)
     assert dac <= dab + dbc + 1e-12
+
+
+def rho_component(a, b, k, n, ladder=DEFAULT_LADDER):
+    """rho_{k,n}(a,b) = |sum_a w_{k,n} - sum_b w_{k,n}|, one (k, n) at a time from
+    the raw formula: the per-component route rho_distance is checked against."""
+    sigma = ladder.value(k)
+    sa = float(np.sum(np.exp(-sigma * _u_raw(n, a.ages))))
+    sb = float(np.sum(np.exp(-sigma * _u_raw(n, b.ages))))
+    return abs(sa - sb)
+
+
+def rho_series(a, b, budget):
+    total = 0.0
+    for k in range(1, budget):
+        for n in range(1, budget - k + 1):
+            c = rho_component(a, b, k, n)
+            total += 2.0 ** -(k + n) * c / (1.0 + c)
+    return total
+
+
+def test_rho_matches_direct_series():
+    gen = np.random.default_rng(404)
+    marks = [MarkSet(gen.exponential(1.0, size)) for size in (0, 5, 300, 300)]
+    for i, j in [(0, 1), (0, 2), (1, 2), (2, 3)]:
+        dist, _ = rho_distance(marks[i], marks[j], budget=40)
+        assert dist == pytest.approx(rho_series(marks[i], marks[j], 40), rel=1e-12, abs=0.0)
 
 
 def test_rho_component_matches_definition():

@@ -9,10 +9,9 @@ from scipy import integrate
 from agedpop import (
     F_theta,
     MarkedConfiguration,
+    PoissonLaw,
     Theta,
-    convolution_expectation,
     log_F_theta,
-    poisson_expectation,
     star_product,
     theta_from_json,
     theta_to_json,
@@ -119,12 +118,8 @@ def test_poisson_expectation_against_quadrature(theta_two, habitat_1d, const_mod
 
     inner, _ = integrate.dblquad(integrand, 0.0, 1.0, 0.0, 1.5, epsabs=1e-11)
     expected = math.exp(inner)
-    got = poisson_expectation(theta_two, intensity)
+    got = PoissonLaw(intensity).expect_F(theta_two)
     assert got == pytest.approx(expected, abs=1e-8)
-
-
-def test_convolution_expectation():
-    assert convolution_expectation([0.5, 0.25, 0.9]) == pytest.approx(0.1125)
 
 
 def test_json_round_trip(theta_two, habitat_1d):

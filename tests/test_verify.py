@@ -162,7 +162,11 @@ def test_explicit_law_consistency(theta_two, habitat_1d, const_model, dirac_conf
     law = ExplicitLaw(DiracLaw(dirac_config), theta_two, habitat_1d, const_model)
     assert law.expect_F(0.0) == pytest.approx(F_theta(theta_two, dirac_config), rel=1e-10)
     t = 0.9
-    via_conv = law.law_at(t).expect_F(theta_two)
+    # the law at t as the union of the newcomers and the aged start
+    at_t = ConvolutionLaw(
+        [PoissonLaw(transient_intensity(habitat_1d, const_model, t)), DiracLaw(dirac_config).aged(t, const_model)]
+    )
+    via_conv = at_t.expect_F(theta_two)
     assert law.expect_F(t) == pytest.approx(via_conv, abs=1e-8)
 
 
