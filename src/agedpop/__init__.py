@@ -54,6 +54,7 @@ from .habitat import (
     constant_rate,
     gauss_profile_nodes,
     linear_habitat,
+    log_survival,
     separable_rate,
     survival_factor,
     uniform_habitat,

@@ -138,7 +138,10 @@ class ExperimentConfig:
 
 
 def load_config(path):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -39,7 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .habitat import SurvivalCumulative, age_panel_width, age_rule, chi_integral, survival_factor
+from .habitat import (
+    SurvivalCumulative,
+    age_panel_width,
+    age_rule,
+    chi_integral,
+    log_survival,
+    survival_factor,
+)
 from .mark_space import u_prime_max_constant
 from .test_functions import F_theta, Theta
 
@@ -237,7 +244,7 @@ def flowed_log_F(theta, config, model, times):
     pos = config.positions[:, None, :]  # (P, 1, d)
     ages = config.ages[:, None]  # (P, 1)
     shifted = ages + times[None, :]
-    logq = model.cumulative(pos, ages) - model.cumulative(pos, shifted)
+    logq = log_survival(model, pos, ages, times)
     theta_t = np.expm1(-theta.g(pos, shifted)) * np.exp(logq)
     return np.sum(np.log1p(theta_t), axis=0)
 

@@ -40,6 +40,7 @@ __all__ = [
     "DepartureModel",
     "constant_rate",
     "separable_rate",
+    "log_survival",
     "survival_factor",
     "survival_slice",
     "survival_weighted_integral",
@@ -202,8 +203,19 @@ def separable_rate(habitat, base, amplitude, frequency):
     span = hi - lo
 
     def profile(x):
-        z = (np.asarray(x, dtype=float) - lo) / span
-        return np.prod((1.0 - np.cos(2.0 * np.pi * z)) / 2.0, axis=-1)
+        # (1 - cos(2 pi z_i))/2 one axis column at a time, worked in place and
+        # multiplied in axis order: the bits of the product over the last axis
+        x = np.asarray(x, dtype=float)
+        out = None
+        for i in range(lo.size):
+            col = np.subtract(x[..., i], lo[i], out=np.empty(x.shape[:-1]))
+            col /= span[i]
+            col *= 2.0 * np.pi
+            np.cos(col, out=col)
+            np.subtract(1.0, col, out=col)
+            col /= 2.0
+            out = col if out is None else np.multiply(out, col, out=out)
+        return out
 
     def rate(x, alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -211,9 +223,17 @@ def separable_rate(habitat, base, amplitude, frequency):
 
     def cumulative(x, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        # int_0^a (1 + sin(f b))/2 db = a/2 + (1 - cos(f a))/(2 f)
-        age_part = alpha / 2.0 + (1.0 - np.cos(freq * alpha)) / (2.0 * freq)
-        return base * alpha + amp * profile(x) * age_part
+        # int_0^a (1 + sin(f b))/2 db = a/2 + (1 - cos(f a))/(2 f), in place
+        wave = np.multiply(freq, alpha, out=np.empty(alpha.shape))
+        np.cos(wave, out=wave)
+        np.subtract(1.0, wave, out=wave)
+        wave /= 2.0 * freq
+        wave += alpha / 2.0
+        spatial = profile(x)
+        spatial *= amp
+        out = spatial * wave
+        out += base * alpha
+        return out
 
     return DepartureModel(
         m_star=base + amp,
@@ -224,13 +244,26 @@ def separable_rate(habitat, base, amplitude, frequency):
     )
 
 
+def log_survival(model, x, alpha, t):
+    """M(x, alpha) - M(x, alpha + t), the log of the chance to survive t more.
+
+    Both ages go through one model.cumulative call on a trailing age pair, so
+    the spatial part of the hazard is evaluated once per point; for the
+    shipped families the result has the bits of two separate calls.  x
+    (..., dim) broadcasts against alpha and t.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    ages = np.stack(np.broadcast_arrays(alpha, alpha + t), axis=-1)
+    M = model.cumulative(np.asarray(x, dtype=float)[..., None, :], ages)
+    return M[..., 0] - M[..., 1]
+
+
 def survival_factor(model, x, alpha, t):
     """q_t(x, alpha) = exp(M(x, alpha) - M(x, alpha + t)), the survival chance.
 
     Lies in [exp(-m_star t), exp(-m_zero t)] for t >= 0.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    return np.exp(model.cumulative(x, alpha) - model.cumulative(x, alpha + t))
+    return np.exp(log_survival(model, x, alpha, t))
 
 
 _AGE_ORDER = 16
@@ -247,8 +280,8 @@ def age_panel_width(model, age_scale=1.0):
     """Widest age panel of the age rule for integrands built on model.
 
     The least of three widths, one per age scale of the integrand:
-      * min(1, 2/m_star): exp(-M) falls by at most e^-2 over a panel, the
-        cap the sampler strips use;
+      * min(1, 2/m_star): exp(-M) falls by at most e^-2 over a panel (the
+        sampler strips, panels of this rule, are capped at 1/m_star too);
       * spread / slope, with spread = m_star - m_zero and slope =
         modulus(w)/w the hazard's age slope at the width w so far: the time
         the hazard needs to sweep its whole range.  For separable_rate this
@@ -422,18 +455,20 @@ def chi_sample(habitat, rng, size=None):
         raise ValueError("cannot sample from a zero arrival measure")
     n = 1 if size is None else int(size)
     d = habitat.dim
+    lo, span = habitat.lower, habitat.upper - habitat.lower
     out = np.empty((n, d))
     filled = 0
-    # uniform-box proposals accepted with density / density_sup
+    # uniform-box proposals accepted with density / density_sup, drawn as
+    # lo + span * U: the bits of rng.uniform(lo, hi) without its broadcast
     while filled < n:
         want = n - filled
         batch = max(32, int(1.2 * want * habitat.density_sup * habitat.volume / habitat.chi_mass))
-        props = rng.uniform(habitat.lower, habitat.upper, size=(batch, d))
+        props = lo + span * rng.random((batch, d))
         dens = habitat.density(props)
         if np.any(dens > habitat.density_sup):
             raise ValueError("arrival density exceeds its declared bound density_sup")
-        accept = rng.uniform(0.0, habitat.density_sup, size=batch) < dens
-        hits = props[accept]
+        accept = habitat.density_sup * rng.random(batch) < dens
+        hits = np.compress(accept, props, axis=0)
         take = min(want, hits.shape[0])
         out[filled : filled + take] = hits[:take]
         filled += take

@@ -150,11 +150,19 @@ class MarkSet:
         return MarkSet(np.concatenate([self.ages, other.ages]))
 
 
-def mark_sums(ages, k_max, n_max, ladder=DEFAULT_LADDER):
-    """Matrix of sums S[k-1, n-1] = sum_alpha w_{k,n}(alpha) for k <= k_max, n <= n_max."""
-    ks = np.arange(1, k_max + 1)[:, None, None]
-    ns = np.arange(1, n_max + 1)[None, :, None]
-    return w_basis(ks, ns, np.asarray(ages, dtype=float)[None, None, :], ladder).sum(axis=2)
+def mark_sums(ages, k_max, n_max, ladder=DEFAULT_LADDER, budget=None):
+    """Matrix of sums S[k-1, n-1] = sum_alpha w_{k,n}(alpha) for k <= k_max, n <= n_max.
+
+    Only the pairs with k + n <= budget (default: every pair), those a series
+    truncated there reads, are evaluated, in one broadcast; the others are 0.
+    """
+    if budget is None:
+        budget = k_max + n_max
+    k, n = np.nonzero(series_weights(budget, k_max, n_max))
+    out = np.zeros((k_max, n_max))
+    ages = np.asarray(ages, dtype=float)
+    out[k, n] = w_basis(k[:, None] + 1, n[:, None] + 1, ages, ladder).sum(axis=1)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +202,6 @@ def rho_distance(a, b, budget=40, ladder=DEFAULT_LADDER):
     tail = rho_tail_bound(budget)
     k_max = budget - 1
     weights = series_weights(budget, k_max, k_max)
-    sa = mark_sums(a.ages, k_max, k_max, ladder)
-    sb = mark_sums(b.ages, k_max, k_max, ladder)
+    sa = mark_sums(a.ages, k_max, k_max, ladder, budget)
+    sb = mark_sums(b.ages, k_max, k_max, ladder, budget)
     return series_distance(weights, sa, sb), tail

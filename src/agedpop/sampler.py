@@ -15,10 +15,13 @@ The newcomer intensity at horizon t is
 
     rho_t(dx, dalpha) = 1[0 <= alpha < t] exp(-M(x, alpha)) chi(dx) dalpha,
 
-sampled by stratifying the age window into strips of width <= 2/m_star and
-rejecting uniform proposals against the strip envelope exp(-m_zero * left
-edge).  For constant hazards every strip accepts with probability >= e^-2;
-the draw is exact for any hazard regardless of acceptance rate.
+sampled by stratifying the age window into strips, the panels of the age
+rule (no wider than age_panel_width and 1/m_star), and rejecting uniform
+proposals against the strip envelope exp(-m_zero * left edge).  For constant
+hazards every strip accepts with probability >= 1/e; the draw is exact for
+any hazard regardless of acceptance rate.  Each rejection round proposes for
+every strip still short at once, so the number of strips costs no Python
+loop.
 
 The samplers rely on the declared bounds m_zero <= m <= m_star and
 density <= density_sup; a draw that sees one broken raises ValueError
@@ -35,6 +38,8 @@ import numpy as np
 
 from .config_space import MarkedConfiguration
 from .habitat import (
+    _BLOCK,
+    age_panel_width,
     age_panels,
     chi_sample,
     gauss_profile_nodes,
@@ -86,8 +91,8 @@ class IntensityMeasure:
 
 
 def _strip_quadrature(habitat, model, edges):
-    """Masses int_strip int_window exp(-M) dchi dalpha, one 16-point age
-    panel per strip, all strips in one survival_slice call."""
+    """Masses int_strip int_window exp(-M) dchi dalpha, each strip one panel
+    of the age rule, all strips in one survival_slice call."""
     nodes, weights = gauss_profile_nodes(habitat)
     ages, age_weights = age_panels(edges)
     values = survival_slice(model, nodes, weights, lambda x, u: 1.0, ages)
@@ -102,7 +107,11 @@ def _make_intensity(habitat, model, age_upper, kind, truncation_error=0.0):
         return IntensityMeasure(
             habitat, model, kind, 0.0, edges, np.zeros(1), truncation_error
         )
-    width = age_upper if model.m_star == 0 else min(2.0 / model.m_star, age_upper)
+    # each strip is one panel of the age rule, so its mass is that rule's
+    # value; exp(-M) falls by at most 1/e across it
+    width = age_panel_width(model)
+    if model.m_star > 0:
+        width = min(width, 1.0 / model.m_star)
     n_strips = max(1, int(math.ceil(age_upper / width - 1e-12)))
     edges = np.linspace(0.0, age_upper, n_strips + 1)
     masses = _strip_quadrature(habitat, model, edges)
@@ -129,7 +138,18 @@ def stationary_intensity(habitat, model, a_max=None):
 
 
 def _sample_points(intensity, count, rng):
-    """Exact iid draws from the normalized intensity; returns (positions, ages)."""
+    """Exact iid draws from the normalized intensity; returns (positions, ages).
+
+    A multinomial draw on the strip masses says how many points each strip
+    needs.  Each rejection round then proposes for every strip still short
+    at once: about need / acceptance plus three standard deviations of
+    points uniform in chi x strip, at most _BLOCK per round, and accepts a
+    proposal at age alpha in the strip [a, b) with chance
+    exp(-M(x, alpha)) / exp(-m_zero a).  The first `need` accepted proposals
+    of each strip are kept.  The points come back in a uniformly random
+    order, so every block of them is an iid sample (PathBundle.add_poisson
+    hands consecutive blocks to its paths).
+    """
     habitat = intensity.habitat
     model = intensity.model
     d = habitat.dim
@@ -138,33 +158,47 @@ def _sample_points(intensity, count, rng):
     total = intensity.total_mass
     if total <= 0:
         raise ValueError("intensity has zero mass")
-    strat = rng.multinomial(count, intensity.strip_masses / total)
-    pos_out = np.empty((count, d))
-    age_out = np.empty(count)
-    filled = 0
-    for i, n_i in enumerate(strat):
-        if n_i == 0:
-            continue
-        a, b = intensity.strip_edges[i], intensity.strip_edges[i + 1]
-        envelope = math.exp(-model.m_zero * a)
-        accept_rate = intensity.strip_masses[i] / (habitat.chi_mass * (b - a) * envelope)
-        need = int(n_i)
-        while need > 0:
-            batch = max(32, int(1.2 * need / max(accept_rate, 1e-3)))
-            xs = chi_sample(habitat, rng, size=batch)
-            ages = rng.uniform(a, b, size=batch)
-            survival = np.exp(-model.cumulative(xs, ages))
-            if np.any(survival > envelope):
-                raise ValueError("exp(-M) exceeds its strip envelope: hazard below m_zero")
-            keep = rng.uniform(0.0, envelope, size=batch) < survival
-            xs, ages = xs[keep], ages[keep]
-            take = min(need, xs.shape[0])
-            start = filled + int(n_i) - need
-            pos_out[start : start + take] = xs[:take]
-            age_out[start : start + take] = ages[:take]
-            need -= take
-        filled += int(n_i)
-    return pos_out, age_out
+    lower = intensity.strip_edges[:-1]
+    width = np.diff(intensity.strip_edges)
+    envelope = np.exp(-model.m_zero * lower)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a strip whose envelope underflows has no mass and gets no point
+        accept = intensity.strip_masses / (habitat.chi_mass * width * envelope)
+    accept = np.clip(np.nan_to_num(accept, nan=1.0), 1e-3, 1.0)
+    need = rng.multinomial(count, intensity.strip_masses / total)
+    pos_parts, age_parts = [], []
+    while True:
+        short = np.flatnonzero(need)
+        if short.size == 0:
+            break
+        mean = need[short] / accept[short]
+        plan = np.ceil(mean + 3.0 * np.sqrt(mean * (1.0 - accept[short]) / accept[short]))
+        plan = plan.astype(np.int64)
+        # strips past the first _BLOCK proposals wait for a later round
+        plan = np.clip(_BLOCK - (np.cumsum(plan) - plan), 0, plan)
+        strip = np.repeat(short, plan)
+        n = strip.size
+        xs = chi_sample(habitat, rng, size=n)
+        ages = lower[strip] + width[strip] * rng.random(n)
+        survival = np.exp(-model.cumulative(xs, ages))
+        bound = envelope[strip]
+        if np.any(survival > bound):
+            raise ValueError("exp(-M) exceeds its strip envelope: hazard below m_zero")
+        hit = np.flatnonzero(bound * rng.random(n) < survival)
+        hit_strip = strip[hit]
+        # the hits come grouped by strip; keep the first `need` of each group
+        got = np.bincount(hit_strip, minlength=need.size)
+        rank = np.arange(hit.size) - (np.cumsum(got) - got)[hit_strip]
+        hit = hit[rank < need[hit_strip]]
+        pos_parts.append(np.take(xs, hit, axis=0))
+        age_parts.append(np.take(ages, hit))
+        need -= np.minimum(got, need)
+    # the parts are grouped by strip: shuffle them into a random order
+    order = rng.permutation(count)
+    return (
+        np.take(np.concatenate(pos_parts), order, axis=0),
+        np.take(np.concatenate(age_parts), order),
+    )
 
 
 def sample_poisson(intensity, rng):
@@ -212,9 +246,9 @@ class PathBundle:
             return
         q = survival_factor(model, self.positions, self.ages, dt)
         keep = rng.random(self.ages.size) < q
-        self.path_ids = self.path_ids[keep]
-        self.positions = self.positions[keep]
-        self.ages = self.ages[keep] + dt
+        self.path_ids = np.compress(keep, self.path_ids)
+        self.positions = np.compress(keep, self.positions, axis=0)
+        self.ages = np.compress(keep, self.ages) + dt
 
     def add_poisson(self, intensity, rng):
         counts = rng.poisson(intensity.total_mass, self.n_paths)

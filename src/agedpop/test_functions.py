@@ -102,7 +102,9 @@ class Theta:
         lead = (-1,) + (1,) * len(shape)
         v = self._plateaus(x).reshape((-1,) + (1,) * (len(shape) + 1 - x.ndim) + x.shape[:-1])
         terms = v * mark(self._ks.reshape(lead), self._ns.reshape(lead), alpha)
-        out = np.add.accumulate(terms, axis=0)[-1]
+        out = terms[0].copy()
+        for term in terms[1:]:
+            out += term
         return out if out.ndim else float(out)
 
     def g(self, x, alpha):

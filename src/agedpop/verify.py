@@ -24,13 +24,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
+# scipy is imported inside the checks that use it, so that `import agedpop`
+# does not load it
 from .config_space import MarkedConfiguration
 from .generator import ArrivalExponent, FlowedTheta, resolvent
 # survival_weighted_integral is re-exported here for callers (and the
 # benchmark's tracer) that reach it through this module
-from .habitat import SurvivalCumulative, chi_integral, survival_weighted_integral
+from .habitat import SurvivalCumulative, chi_integral, log_survival, survival_weighted_integral
 from .sampler import (
     PathBundle,
     _sample_points,
@@ -136,7 +137,7 @@ class DiracLaw(_InitialLaw):
         ages = cfg.ages[:, None]
         shifted = ages + tau
         # log of the survival chance q over the shift
-        log_q = 0.0 if model is None else model.cumulative(pos, ages) - model.cumulative(pos, shifted)
+        log_q = 0.0 if model is None else log_survival(model, pos, ages, tau)
         g = vtheta.g(pos, shifted)
         # -log(1 + q theta) = g - log1p((1 - q)(e^g - 1)), exactly g where q = 1
         g_aged = g - np.log1p(-np.expm1(log_q) * np.expm1(g))
@@ -287,6 +288,8 @@ def fokker_planck_check(theta, initial, t, habitat, model, n_grid=64, name="fokk
     mu_s(L F) is evaluated on the whole grid in one vectorized call.  For an
     even n_grid the note gives the Simpson error estimate |S_n - S_{n/2}|/15.
     """
+    from scipy import integrate
+
     law = ExplicitLaw(initial, theta, habitat, model)
     grid = np.linspace(0.0, t, n_grid + 1)
     lf = law.expect_LF(grid)
@@ -310,6 +313,8 @@ def fokker_planck_check(theta, initial, t, habitat, model, n_grid=64, name="fokk
 
 def laplace_uniqueness_check(theta, config, lam, habitat, model, name="laplace-uniqueness"):
     """Resolvent at a configuration vs the Laplace transform of the explicit law."""
+    from scipy import integrate
+
     law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
     lhs = resolvent(theta, 0.0, lam, config, habitat, model, exponent=law.exponent)
     horizon = 40.0 / lam
@@ -483,6 +488,8 @@ def chapman_kolmogorov_check(theta, config, s, t, habitat, model, name="chapman-
 
 def _poisson_bins(counts, mean, min_expected=5.0):
     """Pool Poisson(mean) pmf bins so each expected cell count is >= 5."""
+    from scipy import stats
+
     n = counts.size
     kmax = int(max(counts.max(initial=0), math.ceil(mean + 10 * math.sqrt(mean + 1.0))))
     ks = np.arange(kmax + 1)
@@ -518,6 +525,8 @@ def count_law_oracle(
     on event-driven trajectories; the stationary draws exercise the rejection
     sampler.
     """
+    from scipy import stats
+
     m = model.m_star
     if model.m_zero != m:
         raise ValueError("the count oracle applies to constant hazards")
@@ -591,6 +600,8 @@ def cross_sampler_check(theta, t, habitat, model, n_paths, rng, seed=None, name=
     Compares the mean of F_theta (4 SE band on the difference) and the count
     histograms (two-sample chi-squared at the 1% level).
     """
+    from scipy import stats
+
     bundle = PathBundle(n_paths, habitat.dim)
     bundle.add_poisson(transient_intensity(habitat, model, t), rng)
     f_one = bundle.f_theta(theta)

@@ -329,3 +329,30 @@ def test_console_script_help():
     assert out.returncode == 0
     for sub in ("simulate", "verify", "distance", "stationary-sample"):
         assert sub in out.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["verify", "--suite", "metrics"],
+        ["distance", "a.json", "b.json"],
+        ["stationary-sample"],
+    ],
+)
+def test_missing_config_file_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "nowhere.json")
+    code = main(argv + ["--config", missing])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and missing in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import agedpop, agedpop.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

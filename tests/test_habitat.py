@@ -22,6 +22,7 @@ from agedpop import (
     explicit_solution,
     gauss_profile_nodes,
     linear_habitat,
+    log_survival,
     separable_rate,
     survival_factor,
     transient_intensity,
@@ -142,6 +143,49 @@ def test_survival_factor_band(habitat_1d, separable_model):
     assert np.all(q <= math.exp(-separable_model.m_zero * t) + 1e-12)
     assert np.all(q >= math.exp(-separable_model.m_star * t) - 1e-12)
     np.testing.assert_allclose(survival_factor(separable_model, x, a, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["constant", "separable"])
+def test_survival_factor_one_cumulative_call_same_bits(dim, family):
+    # one stacked cumulative call gives the bits of two separate calls
+    hab = uniform_habitat([(0.0, 1.0), (0.0, 2.0)][:dim], 3.0)
+    model = constant_rate(0.7) if family == "constant" else separable_rate(hab, 0.5, 1.0, 2.0)
+    rng = np.random.default_rng(8)
+    x = hab.lower + rng.random((4001, dim)) * (hab.upper - hab.lower)
+    a = rng.exponential(2.0, 4001)
+    for t in (0.0, 0.37, 5.0):
+        two_calls = model.cumulative(x, a) - model.cumulative(x, a + t)
+        np.testing.assert_array_equal(log_survival(model, x, a, t), two_calls)
+        np.testing.assert_array_equal(survival_factor(model, x, a, t), np.exp(two_calls))
+    # an array of shifts broadcast against one row per point, as the laws use it
+    ts = np.linspace(0.0, 3.0, 7)
+    two_calls = model.cumulative(x[:9, None, :], a[:9, None]) - model.cumulative(
+        x[:9, None, :], a[:9, None] + ts
+    )
+    np.testing.assert_array_equal(log_survival(model, x[:9, None, :], a[:9, None], ts), two_calls)
+    calls = []
+    counted = habitat.DepartureModel(
+        model.m_star, model.m_zero, model.rate,
+        lambda x, a: calls.append(1) or model.cumulative(x, a),
+    )
+    survival_factor(counted, x, a, 0.5)
+    assert len(calls) == 1
+
+
+def test_separable_profile_is_the_axis_product():
+    # the column-by-column profile has the bits of np.prod over the last axis
+    hab = uniform_habitat([(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)], 1.0)
+    base, amp, freq = 0.5, 1.5, 3.0
+    model = separable_rate(hab, base, amp, freq)
+    rng = np.random.default_rng(4)
+    x = hab.lower + rng.random((3001, 3)) * (hab.upper - hab.lower)
+    a = rng.exponential(2.0, 3001)
+    z = (x - hab.lower) / (hab.upper - hab.lower)
+    profile = np.prod((1.0 - np.cos(2.0 * np.pi * z)) / 2.0, axis=-1)
+    age_part = a / 2.0 + (1.0 - np.cos(freq * a)) / (2.0 * freq)
+    np.testing.assert_array_equal(model.cumulative(x, a), base * a + amp * profile * age_part)
+    assert model.cumulative(x[0], a[0]) == model.cumulative(x, a)[0]
 
 
 def test_chi_sample_distribution():

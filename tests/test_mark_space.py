@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from agedpop import mark_space
 from agedpop import (
     DEFAULT_LADDER,
     MarkSet,
@@ -123,6 +124,30 @@ def test_mark_sums_brute_force(rng):
                 math.exp(-DEFAULT_LADDER.value(k) * _u_raw(n, a)) for a in ages
             )
             assert S[k - 1, n - 1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
+    # with a budget only the pairs k + n <= budget are evaluated, with the
+    # bits of the full grid there, and rho_distance reads no other pair
+    ages = rng.exponential(1.0, 300)
+    k, n = np.indices((39, 39)) + 1
+    full = w_basis(k[..., None], n[..., None], ages).sum(axis=-1)
+    np.testing.assert_array_equal(mark_sums(ages, 39, 39), full)
+    tri = mark_sums(ages, 39, 39, budget=40)
+    inside = k + n <= 40
+    np.testing.assert_array_equal(tri[inside], full[inside])
+    assert not tri[~inside].any()
+    evaluated = []
+    real = mark_space.w_basis
+
+    def counted(k, n, alpha, ladder=DEFAULT_LADDER):
+        out = real(k, n, alpha, ladder)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(mark_space, "w_basis", counted)
+    rho_distance(MarkSet(ages), MarkSet(ages[:200]), budget=40)
+    assert sum(evaluated) == int(inside.sum()) * (300 + 200)
 
 
 def test_rho_tail_closed_form():

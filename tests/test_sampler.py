@@ -6,19 +6,26 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from agedpop import sampler
+from agedpop.habitat import _BLOCK, age_panel_width
+from agedpop.mark_space import SigmaLadder
+from agedpop.verify import survival_weighted_integral
 from agedpop import (
     DepartureModel,
     MarkedConfiguration,
     PathBundle,
     PoissonLaw,
+    Theta,
     constant_rate,
     event_driven_simulate,
     linear_habitat,
     sample_poisson,
     sample_trajectory_marginals,
+    separable_rate,
     stationary_intensity,
     survival_factor,
     transient_intensity,
+    uniform_habitat,
 )
 
 
@@ -138,6 +145,76 @@ def test_strip_sampler_rejects_hazard_below_m_zero(habitat_1d):
     intensity = transient_intensity(habitat_1d, bad, 5.0)
     with pytest.raises(ValueError, match="envelope"):
         PathBundle(1000, 1).add_poisson(intensity, np.random.default_rng(6))
+
+
+def test_strip_sampler_checks_the_envelope_in_a_late_strip(habitat_1d):
+    # the hazard keeps its declared floor 1 up to age 2 and drops to 0.1
+    # after it, so exp(-M) rises above the envelope exp(-m_zero a) only in
+    # the strips [a, b) with a >= 3
+    def cumulative(x, alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        return np.where(alpha < 2.0, alpha, 2.0 + 0.1 * (alpha - 2.0)) + 0.0 * np.asarray(x)[..., 0]
+
+    def rate(x, alpha):
+        return np.where(np.asarray(alpha) < 2.0, 1.0, 0.1) + 0.0 * np.asarray(x)[..., 0]
+
+    bad = DepartureModel(m_star=1.0, m_zero=1.0, rate=rate, cumulative=cumulative)
+    intensity = stationary_intensity(habitat_1d, bad, a_max=10.0)
+    late = intensity.strip_edges[:-1] >= 3.0
+    assert intensity.strip_masses[late].sum() > 0.3 * intensity.total_mass
+    with pytest.raises(ValueError, match="envelope"):
+        sampler._sample_points(intensity, 2000, np.random.default_rng(3))
+
+
+def test_strip_masses_on_the_age_rule():
+    # each strip is one panel of the age rule, so at age frequency 50 its
+    # mass is the rule's value over the strip (1e-3 off with 4/3-wide strips)
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    model = separable_rate(hab, 0.5, 1.0, 50.0)
+    intensity = stationary_intensity(hab, model)
+    edges = intensity.strip_edges
+    assert np.diff(edges).max() <= min(1.0 / model.m_star, age_panel_width(model)) * (1 + 1e-12)
+    one = lambda x, u: 1.0  # noqa: E731
+    want = [survival_weighted_integral(hab, model, one, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(intensity.strip_masses, want, rtol=1e-12, atol=0.0)
+
+
+def test_strip_sampler_rounds_cover_every_strip(habitat_1d, separable_model, monkeypatch):
+    # one chi_sample per rejection round, none per strip, and no round
+    # proposes more than _BLOCK points
+    intensity = stationary_intensity(habitat_1d, separable_model)
+    assert intensity.strip_masses.size >= 100
+    sizes = []
+    real = sampler.chi_sample
+
+    def counted(habitat, rng, size=None):
+        sizes.append(size)
+        return real(habitat, rng, size=size)
+
+    monkeypatch.setattr(sampler, "chi_sample", counted)
+    pos, ages = sampler._sample_points(intensity, 5000, np.random.default_rng(1))
+    assert pos.shape == (5000, 1) and ages.shape == (5000,)
+    assert len(sizes) <= 2
+    sizes.clear()
+    sampler._sample_points(intensity, 3 * _BLOCK, np.random.default_rng(2))
+    assert max(sizes) <= _BLOCK and len(sizes) <= 6
+
+
+def test_bundle_paths_get_iid_points(habitat_1d, const_model):
+    # add_poisson hands consecutive blocks of the sample to consecutive
+    # paths, so the sample must come out in random order: with the strips in
+    # age order each path's ages cluster and the mean of F_theta over paths
+    # moves about 10 standard errors for a steeply age-dependent theta
+    intensity = stationary_intensity(habitat_1d, const_model)
+    theta = Theta([(1, 5, 10), (1, 5, 10)], habitat_1d, SigmaLadder(100.0))
+    bundle = PathBundle(20_000, 1)
+    bundle.add_poisson(intensity, np.random.default_rng(12))
+    f = bundle.f_theta(theta)
+    want = PoissonLaw(intensity).expect_F(theta)
+    assert abs(f.mean() - want) < 4.0 * f.std(ddof=1) / math.sqrt(f.size)
+    has = bundle.counts() > 0
+    mean_age = bundle.sum_by_path(bundle.ages)[has] / bundle.counts()[has]
+    assert abs(np.corrcoef(np.flatnonzero(has), mean_age)[0, 1]) < 0.05
 
 
 # -------------------------------------------------------------- path bundle

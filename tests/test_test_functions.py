@@ -18,6 +18,7 @@ from agedpop import (
     transient_intensity,
     u_prime_max_constant,
     uniform_habitat,
+    w_basis,
 )
 from conftest import random_configuration
 
@@ -138,3 +139,18 @@ def test_broadcasting(theta_two, rng):
     assert out.shape == (4, 5)
     single = theta_two.g(x[2, 0][None, :], a[0, 3:4])
     assert out[2, 3] == pytest.approx(single[0], rel=1e-14)
+
+
+def test_g_sums_terms_in_term_order(habitat_2d, rng):
+    # g adds v_j w_j term by term in term order, with the same bits alone or
+    # inside an array
+    theta = Theta([(1, 1, 1), (3, 2, 1), (2, 3, 4), (5, 2, 2)] * 3, habitat_2d)
+    x = habitat_2d.lower + rng.random((500, 2)) * (habitat_2d.upper - habitat_2d.lower)
+    a = rng.exponential(1.0, 500)
+    v = theta._plateaus(x)
+    want = np.zeros(500)
+    for j, (_, k, n) in enumerate(theta.terms):
+        want = want + v[j] * w_basis(k, n, a, theta.ladder)
+    got = theta.g(x, a)
+    np.testing.assert_array_equal(got, want)
+    assert theta.g(x[7], a[7]) == got[7]
