@@ -114,23 +114,12 @@ class MarkedConfiguration:
             np.concatenate([self.ages, other.ages]),
         )
 
-    def without_index(self, i):
-        keep = np.ones(len(self), dtype=bool)
-        keep[i] = False
-        return MarkedConfiguration(self.positions[keep], self.ages[keep])
-
     def restrict(self, lower, upper):
         """Particles whose location lies in the box [lower, upper]."""
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         inside = np.all((self.positions >= lower) & (self.positions <= upper), axis=1)
         return MarkedConfiguration(self.positions[inside], self.ages[inside])
-
-    def marks_at(self, x, tol=0.0):
-        """Sorted ages of particles located at x (within tol per coordinate)."""
-        x = np.asarray(x, dtype=float)
-        hit = np.all(np.abs(self.positions - x) <= tol, axis=1)
-        return np.sort(self.ages[hit])
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from .habitat import (
     survival_factor,
 )
 from .mark_space import u_prime_max_constant
-from .test_functions import F_theta, Theta
 
 __all__ = [
     "FlowedTheta",
@@ -56,7 +55,9 @@ __all__ = [
     "flow_pde_residual",
     "ArrivalExponent",
     "apply_generator",
+    "particle_terms",
     "explicit_solution",
+    "flowed_exponent",
     "flowed_log_F",
     "kolmogorov_residual",
     "resolvent",
@@ -66,13 +67,24 @@ __all__ = [
 ]
 
 
+def flowed_exponent(g, log_q):
+    """-log(1 + q theta) from the exponent g = -log(1 + theta) and log q.
+
+    Written g - log1p((1 - q)(e^g - 1)): exactly g where q = 1, and no loss
+    of precision when theta is near -1.  The one spelling of the exponent of
+    a survival-thinned test function (FlowedTheta.g, the aged point mass).
+    """
+    return g - np.log1p(-np.expm1(log_q) * np.expm1(g))
+
+
 class FlowedTheta:
     """theta flowed through age t >= 0 under a departure model.
 
     Evaluates theta_t(x, alpha) = theta(x, alpha + t) q_t(x, alpha) with
     q_t = exp(M(x, alpha) - M(x, alpha + t)); stays in (-1, 0], and its
-    exponent g_t = -log(1 + theta_t) never exceeds g(x, alpha + t).  t may be
-    an array of flow times, which broadcasts against the age argument.
+    exponent g_t = -log(1 + theta_t) never exceeds g(x, alpha + t) and is
+    exactly g at t = 0.  t may be an array of flow times, which broadcasts
+    against the age argument.
     """
 
     __slots__ = ("base", "t", "model")
@@ -115,7 +127,9 @@ class FlowedTheta:
     __call__ = theta
 
     def g(self, x, alpha):
-        return -np.log1p(self.theta(x, alpha))
+        alpha = np.asarray(alpha, dtype=float)
+        g = self.base.g(x, alpha + self.t)
+        return flowed_exponent(g, log_survival(self.model, x, alpha, self.t))
 
     def theta_age_derivative(self, x, alpha):
         """d/dalpha theta_t, analytic via the base derivative and the hazard."""
@@ -204,32 +218,34 @@ class ArrivalExponent:
         return self.H(horizon), bound
 
 
-def apply_generator(theta_like, config, habitat, model, chi_theta0=None):
+def particle_terms(theta_like, model, x, alpha):
+    """(g, phi) at particles (x, alpha), phi = -g' + m (e^g - 1).
+
+    phi is the particle term of L F_theta = F_theta (sum phi + arrival
+    constant); every reduction of it, per configuration or per path, reads
+    it here.
+    """
+    g = theta_like.g(x, alpha)
+    return g, -theta_like.g_age_derivative(x, alpha) + model.rate(x, alpha) * np.expm1(g)
+
+
+def apply_generator(theta_like, config, habitat, model):
     """(L F_theta)(config) for a plain or flowed test function.
 
-    chi_theta0 short-circuits the arrival integral int theta(x, 0) chi(dx)
-    when the caller has it precomputed (it does not depend on the
-    configuration).  A FlowedTheta with an array of flow times gives an
-    array, one value per time, with chi_theta0 an array of the same length.
+    The arrival constant int theta_t(x, 0) chi(dx) is psi(t) of the base
+    function's ArrivalExponent at the flow time t (0 for a plain theta).  A
+    FlowedTheta with an array of flow times gives an array, one value per
+    time.
     """
-    if chi_theta0 is None:
-        chi_theta0 = chi_integral(
-            habitat,
-            lambda x: theta_like.theta(x, np.zeros(x.shape[:-1])),
-            points=theta_like.x_breakpoints,
-        )
-    scalar = np.ndim(getattr(theta_like, "t", 0.0)) == 0
-    if not len(config):
-        return float(chi_theta0) if scalar else np.asarray(chi_theta0, dtype=float)
+    if isinstance(theta_like, FlowedTheta):
+        base, t = theta_like.base, theta_like.t
+    else:
+        base, t = theta_like, 0.0
+    arrival = ArrivalExponent(base, habitat, model).psi(t)
     # one row per particle, one column per flow time
-    pos = config.positions[:, None, :]
-    ages = config.ages[:, None]
-    g = theta_like.g(pos, ages)
-    gprime = theta_like.g_age_derivative(pos, ages)
-    rates = model.rate(pos, ages)
-    F = np.exp(-np.sum(g, axis=0))
-    out = F * (-np.sum(gprime, axis=0) + np.sum(rates * np.expm1(g), axis=0) + chi_theta0)
-    return float(out[0]) if scalar else out
+    g, phi = particle_terms(theta_like, model, config.positions[:, None, :], config.ages[:, None])
+    out = np.exp(-np.sum(g, axis=0)) * (np.sum(phi, axis=0) + arrival)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def flowed_log_F(theta, config, model, times):
@@ -239,14 +255,8 @@ def flowed_log_F(theta, config, model, times):
     configuration is re-evaluated along a whole time grid.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not len(config):
-        return np.zeros(times.shape)
-    pos = config.positions[:, None, :]  # (P, 1, d)
-    ages = config.ages[:, None]  # (P, 1)
-    shifted = ages + times[None, :]
-    logq = log_survival(model, pos, ages, times)
-    theta_t = np.expm1(-theta.g(pos, shifted)) * np.exp(logq)
-    return np.sum(np.log1p(theta_t), axis=0)
+    g = FlowedTheta(theta, times, model).g(config.positions[:, None, :], config.ages[:, None])
+    return np.sum(-g, axis=0)
 
 
 def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
@@ -277,8 +287,7 @@ def kolmogorov_residual(theta, t, config, habitat, model, h=1e-3, exponent=None)
         deriv = (value(t + h) - value(t - h)) / (2.0 * h)
     else:
         deriv = (value(t + h) - value(t)) / h
-    flowed = FlowedTheta(theta, t, model)
-    lf = apply_generator(flowed, config, habitat, model, chi_theta0=exponent.psi(t))
+    lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
     lf *= math.exp(exponent.H(t))
     return abs(deriv - lf)
 
@@ -317,8 +326,7 @@ def resolvent_identity_residual(theta, s, lam, config, habitat, model, exponent=
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
     t, weights, factor = _laplace_rule(s, lam, model, exponent)
-    flowed = FlowedTheta(theta, s + t, model)
-    lf = apply_generator(flowed, config, habitat, model, chi_theta0=exponent.psi(s + t))
+    lf = apply_generator(FlowedTheta(theta, s + t, model), config, habitat, model)
     lf_lam = float(weights @ (factor * lf))
     f_lam = resolvent(theta, s, lam, config, habitat, model, exponent=exponent)
     f_s = math.exp(flowed_log_F(theta, config, model, float(s))[0])

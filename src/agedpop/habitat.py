@@ -101,10 +101,6 @@ class Habitat:
     def midpoint(self):
         return (self.lower + self.upper) / 2.0
 
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
-
 
 def uniform_habitat(window, level):
     """Constant arrival density on the box `window` = [(lo, hi), ...]."""
@@ -458,11 +454,16 @@ def chi_sample(habitat, rng, size=None):
     lo, span = habitat.lower, habitat.upper - habitat.lower
     out = np.empty((n, d))
     filled = 0
-    # uniform-box proposals accepted with density / density_sup, drawn as
-    # lo + span * U: the bits of rng.uniform(lo, hi) without its broadcast
+    box = habitat.density_sup * habitat.volume
+    rate = min(1.0, habitat.chi_mass / box) if box > 0 else 1.0
+    # uniform-box proposals accepted with density / density_sup (chance
+    # rate), drawn as lo + span * U: the bits of rng.uniform(lo, hi) without
+    # its broadcast; a round proposes want / rate plus three standard
+    # deviations, so a uniform density proposes exactly want
     while filled < n:
         want = n - filled
-        batch = max(32, int(1.2 * want * habitat.density_sup * habitat.volume / habitat.chi_mass))
+        mean = want / rate
+        batch = math.ceil(mean + 3.0 * math.sqrt(mean * (1.0 - rate) / rate))
         props = lo + span * rng.random((batch, d))
         dens = habitat.density(props)
         if np.any(dens > habitat.density_sup):

@@ -60,17 +60,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IntensityMeasure:
-    """Arrival intensity density(x) * exp(-M(x, alpha)) on a finite age window.
+    """Arrival intensity density(x) * exp(-M(x, alpha)) on the age window [0, age_upper).
 
-    kind is "transient" (age window [0, t): the law of newcomers since an
-    empty start t ago) or "stationary" (window [0, a_max] truncating the
-    invariant intensity; truncation_error bounds the discarded mass).
-    strip_edges/strip_masses stratify the window for rejection sampling.
+    The window is [0, t) for the law of newcomers since an empty start t
+    ago, or [0, a_max] truncating the invariant intensity, with
+    truncation_error bounding the discarded mass.  strip_edges/strip_masses
+    stratify the window for rejection sampling.
     """
 
     habitat: object
     model: object
-    kind: str
     age_upper: float
     strip_edges: np.ndarray
     strip_masses: np.ndarray
@@ -79,15 +78,6 @@ class IntensityMeasure:
     @property
     def total_mass(self):
         return float(self.strip_masses.sum())
-
-    def density(self, x, alpha):
-        """Pointwise intensity density; zero outside the window and age range."""
-        x = np.asarray(x, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        in_age = (alpha >= 0) & (alpha < self.age_upper)
-        in_box = np.all((x >= self.habitat.lower) & (x <= self.habitat.upper), axis=-1)
-        M = self.model.cumulative(x, alpha)
-        return np.where(in_age & in_box, self.habitat.density(x) * np.exp(-M), 0.0)
 
 
 def _strip_quadrature(habitat, model, edges):
@@ -99,14 +89,12 @@ def _strip_quadrature(habitat, model, edges):
     return np.sum(values * age_weights, axis=1)
 
 
-def _make_intensity(habitat, model, age_upper, kind, truncation_error=0.0):
+def _make_intensity(habitat, model, age_upper, truncation_error=0.0):
     if age_upper < 0:
         raise ValueError("age window must be nonnegative")
     if age_upper == 0.0:
         edges = np.array([0.0, 0.0])
-        return IntensityMeasure(
-            habitat, model, kind, 0.0, edges, np.zeros(1), truncation_error
-        )
+        return IntensityMeasure(habitat, model, 0.0, edges, np.zeros(1), truncation_error)
     # each strip is one panel of the age rule, so its mass is that rule's
     # value; exp(-M) falls by at most 1/e across it
     width = age_panel_width(model)
@@ -115,12 +103,12 @@ def _make_intensity(habitat, model, age_upper, kind, truncation_error=0.0):
     n_strips = max(1, int(math.ceil(age_upper / width - 1e-12)))
     edges = np.linspace(0.0, age_upper, n_strips + 1)
     masses = _strip_quadrature(habitat, model, edges)
-    return IntensityMeasure(habitat, model, kind, float(age_upper), edges, masses, truncation_error)
+    return IntensityMeasure(habitat, model, float(age_upper), edges, masses, truncation_error)
 
 
 def transient_intensity(habitat, model, t):
     """Newcomer intensity rho_t: ages in [0, t), weighted by survival."""
-    return _make_intensity(habitat, model, float(t), "transient")
+    return _make_intensity(habitat, model, float(t))
 
 
 def stationary_intensity(habitat, model, a_max=None):
@@ -134,7 +122,7 @@ def stationary_intensity(habitat, model, a_max=None):
     if a_max is None:
         a_max = 40.0 / model.m_zero
     err = habitat.chi_mass * math.exp(-model.m_zero * a_max) / model.m_zero
-    return _make_intensity(habitat, model, float(a_max), "stationary", truncation_error=err)
+    return _make_intensity(habitat, model, float(a_max), truncation_error=err)
 
 
 def _sample_points(intensity, count, rng):
@@ -271,14 +259,9 @@ class PathBundle:
     def counts(self):
         return np.bincount(self.path_ids, minlength=self.n_paths)
 
-    def log_f_theta(self, theta):
-        if self.path_ids.size == 0:
-            return np.zeros(self.n_paths)
-        g = theta.g(self.positions, self.ages)
-        return -self.sum_by_path(g)
-
     def f_theta(self, theta):
-        return np.exp(self.log_f_theta(theta))
+        """F_theta of every path: exp(-sum of g over its particles)."""
+        return np.exp(self.sum_by_path(-theta.g(self.positions, self.ages)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -100,7 +100,9 @@ class Theta:
         alpha = np.asarray(alpha, dtype=float)
         shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
         lead = (-1,) + (1,) * len(shape)
-        v = self._plateaus(x).reshape((-1,) + (1,) * (len(shape) + 1 - x.ndim) + x.shape[:-1])
+        # the term count, not -1: x may hold no point
+        lead_v = (self._ks.size,) + (1,) * (len(shape) + 1 - x.ndim)
+        v = self._plateaus(x).reshape(lead_v + x.shape[:-1])
         terms = v * mark(self._ks.reshape(lead), self._ns.reshape(lead), alpha)
         out = terms[0].copy()
         for term in terms[1:]:
@@ -124,9 +126,6 @@ class Theta:
         return np.expm1(-self.g(x, alpha))
 
     __call__ = theta
-
-    def star(self, other):
-        return star_product(self, other)
 
 
 def star_product(theta_a, theta_b):

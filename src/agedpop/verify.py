@@ -28,9 +28,9 @@ import numpy as np
 # scipy is imported inside the checks that use it, so that `import agedpop`
 # does not load it
 from .config_space import MarkedConfiguration
-from .generator import ArrivalExponent, FlowedTheta, resolvent
-# survival_weighted_integral is re-exported here for callers (and the
-# benchmark's tracer) that reach it through this module
+from .generator import ArrivalExponent, FlowedTheta, flowed_exponent, particle_terms, resolvent
+# chi_integral and survival_weighted_integral are re-exported here for
+# callers (and the benchmark's tracer) that reach them through this module
 from .habitat import SurvivalCumulative, chi_integral, log_survival, survival_weighted_integral
 from .sampler import (
     PathBundle,
@@ -98,19 +98,18 @@ def format_reports(reports):
 
 
 class _InitialLaw:
-    """Single-law expectations, read off aged_expectations at age shift 0.
+    """expect_F, read off aged_expectations at age shift 0.
 
     aged_expectations(ts, model, vtheta, phi=None) returns, for the law aged
     by each time of ts under model (None keeps the law's own),
     (E F_theta, E[F_theta * sum_particles phi]) as two arrays; the second is
     None when phi is None.  Each is computed once per call, for all ts.
+    sample_paths(n_paths, rng) draws n_paths iid configurations from the law
+    as a PathBundle.
     """
 
     def expect_F(self, vtheta):
         return float(self.aged_expectations(0.0, None, vtheta)[0][0])
-
-    def expect_weighted(self, vtheta, phi):
-        return float(self.aged_expectations(0.0, None, vtheta, phi)[1][0])
 
 
 class DiracLaw(_InitialLaw):
@@ -130,8 +129,6 @@ class DiracLaw(_InitialLaw):
         if model is None and np.any(tau):
             raise ValueError("aging a point mass needs a departure model")
         cfg = self.config
-        if not len(cfg):
-            return np.ones(tau.shape), None if phi is None else np.zeros(tau.shape)
         # one row per particle, one column per age shift
         pos = cfg.positions[:, None, :]
         ages = cfg.ages[:, None]
@@ -139,8 +136,7 @@ class DiracLaw(_InitialLaw):
         # log of the survival chance q over the shift
         log_q = 0.0 if model is None else log_survival(model, pos, ages, tau)
         g = vtheta.g(pos, shifted)
-        # -log(1 + q theta) = g - log1p((1 - q)(e^g - 1)), exactly g where q = 1
-        g_aged = g - np.log1p(-np.expm1(log_q) * np.expm1(g))
+        g_aged = flowed_exponent(g, log_q)
         f = np.exp(-np.sum(g_aged, axis=0))
         if phi is None:
             return f, None
@@ -151,11 +147,11 @@ class DiracLaw(_InitialLaw):
     def aged(self, s, model):
         return DiracLaw(self.config, self.t + s, model)
 
-    def sample_points(self, n_paths, rng):
+    def sample_paths(self, n_paths, rng):
         bundle = PathBundle.from_configuration(self.config, n_paths)
         if self.t:
             bundle.thin_and_age(self.t, self.model, rng)
-        return bundle.path_ids, bundle.positions, bundle.ages
+        return bundle
 
 
 class PoissonLaw(_InitialLaw):
@@ -195,11 +191,11 @@ class PoissonLaw(_InitialLaw):
     def aged(self, s, model):
         return PoissonLaw(self.intensity, self.age_offset + s)
 
-    def sample_points(self, n_paths, rng):
+    def sample_paths(self, n_paths, rng):
         bundle = PathBundle(n_paths, self.intensity.habitat.dim)
         bundle.add_poisson(self.intensity, rng)
         bundle.thin_and_age(self.age_offset, self.intensity.model, rng)
-        return bundle.path_ids, bundle.positions, bundle.ages
+        return bundle
 
 
 class ConvolutionLaw(_InitialLaw):
@@ -221,19 +217,12 @@ class ConvolutionLaw(_InitialLaw):
     def aged(self, s, model):
         return ConvolutionLaw([p.aged(s, model) for p in self.parts])
 
-    def sample_points(self, n_paths, rng):
-        ids_all, pos_all, ages_all = [], [], []
-        dim = None
-        for p in self.parts:
-            ids, pos, ages = p.sample_points(n_paths, rng)
-            ids_all.append(ids)
-            pos_all.append(pos)
-            ages_all.append(ages)
-            dim = pos.shape[1]
-        return (
-            np.concatenate(ids_all),
-            np.vstack(pos_all) if pos_all else np.empty((0, dim or 1)),
-            np.concatenate(ages_all),
+    def sample_paths(self, n_paths, rng):
+        parts = [p.sample_paths(n_paths, rng) for p in self.parts]
+        return PathBundle(
+            n_paths,
+            parts[0].dim,
+            *(np.concatenate([getattr(b, k) for b in parts]) for k in ("path_ids", "positions", "ages")),
         )
 
 
@@ -253,21 +242,18 @@ class ExplicitLaw:
         self.habitat = habitat
         self.model = model
         self.exponent = ArrivalExponent(theta, habitat, model)
-        self._c3 = chi_integral(
-            habitat, lambda x: theta.theta(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
-        )
+        # the arrival constant int theta(x, 0) chi(dx)
+        self._c3 = self.exponent.psi(0.0)
         self._arrivals_weighted = SurvivalCumulative(
             habitat, model, self._phi_weighted, theta.x_breakpoints, age_scale=theta.age_scale
         )
 
     def _phi(self, pos, ages):
-        g = self.theta.g(pos, ages)
-        gp = self.theta.g_age_derivative(pos, ages)
-        m = self.model.rate(pos, ages)
-        return -gp + m * np.expm1(g)
+        return particle_terms(self.theta, self.model, pos, ages)[1]
 
     def _phi_weighted(self, pos, ages):
-        return self._phi(pos, ages) * (1.0 + self.theta.theta(pos, ages))
+        g, phi = particle_terms(self.theta, self.model, pos, ages)
+        return phi * np.exp(-g)
 
     def expect_F(self, t):
         f, _ = self.initial.aged_expectations(t, self.model, self.theta)
@@ -354,27 +340,16 @@ def martingale_residual(
     """
     if not (0.0 <= t1 < t2):
         raise ValueError("need 0 <= t1 < t2")
-    c3 = chi_integral(
-        habitat, lambda x: theta.theta(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
-    )
-    bundle = PathBundle(n_paths, habitat.dim)
-    ids, pos, ages = initial.sample_points(n_paths, rng)
-    bundle.path_ids, bundle.positions, bundle.ages = ids, pos, ages
+    c3 = ArrivalExponent(theta, habitat, model).psi(0.0)
+    bundle = initial.sample_paths(n_paths, rng)
     if t1 > 0:
         bundle.transition(t1, transient_intensity(habitat, model, t1), model, rng)
     w_vals = bundle.f_theta(witness) if witness is not None else np.ones(n_paths)
     f1 = bundle.f_theta(theta)
 
     def lf_by_path():
-        if bundle.path_ids.size == 0:
-            return np.full(n_paths, c3)
-        g = theta.g(bundle.positions, bundle.ages)
-        gp = theta.g_age_derivative(bundle.positions, bundle.ages)
-        m = model.rate(bundle.positions, bundle.ages)
-        sums = bundle.sum_by_path(g)
-        aging = bundle.sum_by_path(gp)
-        dep = bundle.sum_by_path(m * np.expm1(g))
-        return np.exp(-sums) * (-aging + dep + c3)
+        g, phi = particle_terms(theta, model, bundle.positions, bundle.ages)
+        return np.exp(-bundle.sum_by_path(g)) * (bundle.sum_by_path(phi) + c3)
 
     delta = (t2 - t1) / n_grid
     half_int = transient_intensity(habitat, model, delta / 2.0)
@@ -486,6 +461,20 @@ def chapman_kolmogorov_check(theta, config, s, t, habitat, model, name="chapman-
     )
 
 
+def _pool_columns(table, weight, minimum):
+    """Merge adjacent columns of table, from the left, until each merged
+    column's weight reaches minimum; a short remainder on the right joins
+    the last merged column (all of table is one column if none reaches it).
+    """
+    ends, acc = [], 0.0
+    for c, w in enumerate(weight):
+        acc += w
+        if acc >= minimum:
+            ends.append(c + 1)
+            acc = 0.0
+    return np.add.reduceat(table, [0] + ends[:-1], axis=1)
+
+
 def _poisson_bins(counts, mean, min_expected=5.0):
     """Pool Poisson(mean) pmf bins so each expected cell count is >= 5."""
     from scipy import stats
@@ -496,21 +485,9 @@ def _poisson_bins(counts, mean, min_expected=5.0):
     pmf = stats.poisson.pmf(ks, mean)
     pmf = np.append(pmf, max(1.0 - pmf.sum(), 0.0))  # right tail
     observed = np.bincount(counts, minlength=kmax + 2)[: kmax + 2]
-    # pool from the right and the left until expected >= min_expected
-    exp_counts = pmf * n
-    obs_pool, exp_pool = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, exp_counts):
-        acc_o += o
-        acc_e += e
-        if acc_e >= min_expected:
-            obs_pool.append(acc_o)
-            exp_pool.append(acc_e)
-            acc_o = acc_e = 0.0
-    if exp_pool:
-        obs_pool[-1] += acc_o
-        exp_pool[-1] += acc_e
-    return np.asarray(obs_pool), np.asarray(exp_pool)
+    expected = pmf * n
+    # rows: the observed and the expected counts of each pooled cell
+    return _pool_columns(np.vstack([observed, expected]), expected, min_expected)
 
 
 def count_law_oracle(
@@ -628,19 +605,8 @@ def cross_sampler_check(theta, t, habitat, model, n_paths, rng, seed=None, name=
     table = np.vstack(
         [np.bincount(counts_one, minlength=kmax + 1), np.bincount(counts_evt, minlength=kmax + 1)]
     )
-    keep = table.sum(axis=0) > 0
-    table = table[:, keep]
     # pool sparse cells so expected counts stay reasonable
-    col_tot = table.sum(axis=0)
-    pooled = [np.zeros(2)]
-    acc = np.zeros(2)
-    for c in range(table.shape[1]):
-        acc = acc + table[:, c]
-        if acc.sum() >= 10:
-            pooled.append(acc.copy())
-            acc[:] = 0
-    pooled[0] += acc
-    table = np.stack([p for p in pooled if p.sum() > 0], axis=1)
+    table = _pool_columns(table, table.sum(axis=0), 10)
     if table.shape[1] > 1:
         _, p_value, _, _ = stats.chi2_contingency(table)
     else:

@@ -445,7 +445,7 @@ def test_criterion_06_uniform_generator_bounds():
         keep = mask[i] > 0
         config = MarkedConfiguration(pos[i][keep], ages[i][keep])
         assert lf[i] == pytest.approx(
-            apply_generator(theta, config, HAB, model, chi_theta0=chi0), rel=1e-10, abs=1e-12
+            apply_generator(theta, config, HAB, model), rel=1e-10, abs=1e-12
         )
     static_worst = float(np.abs(lf).max())
     static_ok = static_worst <= bounds.est_bound
@@ -455,9 +455,7 @@ def test_criterion_06_uniform_generator_bounds():
         lf_t = _lf_flowed_batch(theta, model, float(t), pos, ages, mask, exponent.psi(float(t)))
         keep = mask[0] > 0
         config = MarkedConfiguration(pos[0][keep], ages[0][keep])
-        direct = apply_generator(
-            FlowedTheta(theta, float(t), model), config, HAB, model, chi_theta0=exponent.psi(float(t))
-        )
+        direct = apply_generator(FlowedTheta(theta, float(t), model), config, HAB, model)
         assert lf_t[0] == pytest.approx(direct, rel=1e-9, abs=1e-12)
         flow_worst = max(flow_worst, float(np.abs(lf_t).max()))
     flow_ok = flow_worst <= bounds.ell_theta

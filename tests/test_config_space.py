@@ -105,16 +105,9 @@ def test_union_restrict_without():
     b = MarkedConfiguration(np.array([[0.5]]), np.array([3.0]))
     u = a.union(b)
     assert len(u) == 3
-    assert len(u.without_index(1)) == 2
     r = u.restrict([0.4], [0.9])
     assert len(r) == 2
     assert set(np.round(r.positions[:, 0], 3)) == {0.8, 0.5}
-
-
-def test_marks_at():
-    cfg = MarkedConfiguration(np.array([[0.3], [0.3], [0.7]]), np.array([1.0, 4.0, 9.0]))
-    marks = cfg.marks_at(np.array([0.3]))
-    assert sorted(marks) == [1.0, 4.0]
 
 
 def test_empty():

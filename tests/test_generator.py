@@ -15,11 +15,13 @@ from agedpop import (
     Theta,
     apply_generator,
     compute_bounds,
+    constant_rate,
     explicit_solution,
     flow,
     flow_pde_residual,
     flowed_log_F,
     kolmogorov_residual,
+    log_F_theta,
     resolvent,
     resolvent_identity_residual,
     separable_rate,
@@ -67,6 +69,30 @@ def test_flow_time_derivative(theta_two, separable_model, rng):
     np.testing.assert_allclose(flowed.time_derivative(x, a), (up - dn) / (2 * h), atol=1e-8)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flowed_g_is_g_at_time_zero(dim, rng):
+    # the flowed exponent at t = 0 is the base exponent, bit for bit
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 2.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1), (2, 1, 2)], hab)
+    x = rng.random((400, dim))
+    a = rng.exponential(1.0, 400)
+    for model in (separable_rate(hab, 0.5, 1.0, 2.0), constant_rate(1.3)):
+        assert np.array_equal(FlowedTheta(theta, 0.0, model).g(x, a), theta.g(x, a))
+
+
+def test_flowed_g_keeps_precision_near_minus_one(habitat_1d):
+    # theta within 1e-13 of -1 and a survival chance within 1e-12 of 1:
+    # 1 + q theta = (1 - q) + q e^-g is about 1e-12, which the form
+    # -log1p(q theta) resolves only to about 1e-4 relative
+    theta = Theta([(1, 1, 1)] * 60, habitat_1d)
+    x, a, t = np.array([[0.5]]), np.array([0.0]), 1e-12
+    g = float(theta.g(x, np.array([t]))[0])
+    assert g > 29.0
+    want = -math.log(-math.expm1(-t) + math.exp(-t - g))
+    got = float(FlowedTheta(theta, t, constant_rate(1.0)).g(x, a)[0])
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_flow_pde_richardson(theta_two, separable_model):
     x = np.linspace(0.05, 0.95, 7)[:, None]
     a = np.linspace(0.1, 2.0, 7)
@@ -92,6 +118,11 @@ def _chi_quad(habitat, f, points):
     return val
 
 
+def _without_index(config, i):
+    keep = np.arange(len(config)) != i
+    return MarkedConfiguration(config.positions[keep], config.ages[keep])
+
+
 def _definitional_generator(theta, config, habitat, model, h=1e-6):
     """L F from the raw definition: age drift + departure jumps + arrival jumps."""
     f0 = F_theta(theta, config)
@@ -101,7 +132,7 @@ def _definitional_generator(theta, config, habitat, model, h=1e-6):
     departure = 0.0
     for i in range(len(config)):
         rate = model.rate(config.positions[i], config.ages[i])
-        departure += float(rate) * (F_theta(theta, config.without_index(i)) - f0)
+        departure += float(rate) * (F_theta(theta, _without_index(config, i)) - f0)
     arrival = _chi_quad(
         habitat, lambda x: f0 * theta.theta(x, np.zeros(x.shape[:-1])), theta.x_breakpoints
     )
@@ -190,6 +221,27 @@ def test_explicit_solution_vs_monte_carlo(theta_two, habitat_1d, const_model, rn
     f = bundle.f_theta(theta_two)
     se = f.std(ddof=1) / math.sqrt(n)
     assert abs(f.mean() - want) < 4 * se
+
+
+def test_flowed_log_F_at_zero_is_log_F(theta_two, separable_model, habitat_1d):
+    config = MarkedConfiguration(np.linspace(0.05, 0.95, 23)[:, None], np.linspace(0.0, 3.0, 23))
+    assert flowed_log_F(theta_two, config, separable_model, 0.0)[0] == log_F_theta(theta_two, config)
+
+
+def test_apply_generator_over_flow_times(theta_two, habitat_1d, separable_model):
+    config = MarkedConfiguration(np.array([[0.3], [0.65], [0.8]]), np.array([0.5, 1.4, 0.1]))
+    times = np.array([0.0, 0.2, 0.9, 2.5])
+    many = apply_generator(FlowedTheta(theta_two, times, separable_model), config, habitat_1d, separable_model)
+    for t, value in zip(times, many):
+        one = apply_generator(FlowedTheta(theta_two, t, separable_model), config, habitat_1d, separable_model)
+        assert value == pytest.approx(one, rel=1e-14, abs=1e-15)
+    # on the empty configuration only the arrival constant psi(t) is left
+    empty = MarkedConfiguration.empty(1)
+    psi = ArrivalExponent(theta_two, habitat_1d, separable_model).psi(times)
+    flowed = FlowedTheta(theta_two, times, separable_model)
+    assert np.array_equal(apply_generator(flowed, empty, habitat_1d, separable_model), psi)
+    plain = apply_generator(theta_two, empty, habitat_1d, separable_model)
+    assert plain == ArrivalExponent(theta_two, habitat_1d, separable_model).psi(0.0)
 
 
 def test_flowed_log_F_vectorized(theta_two, const_model, rng, habitat_1d):

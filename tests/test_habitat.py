@@ -37,8 +37,6 @@ def test_uniform_habitat_geometry():
     assert hab.diameter == pytest.approx(math.sqrt(5.0))
     assert hab.chi_mass == pytest.approx(3.0)
     np.testing.assert_allclose(hab.midpoint, [1.0, 1.5])
-    assert hab.contains(np.array([0.5, 1.5]))
-    assert not hab.contains(np.array([0.5, 0.5]))
 
 
 def test_uniform_density_constant():
@@ -204,6 +202,41 @@ def test_chi_sample_uniform_2d(habitat_2d):
     for j, (lo, hi) in enumerate([(0, 1), (0, 2)]):
         stat = stats.kstest(xs[:, j], lambda x: (x - lo) / (hi - lo)).statistic
         assert stat < 1.63 / math.sqrt(20_000)
+
+
+def _counting(hab):
+    """hab with a density that records the size of every proposal batch."""
+    batches = []
+
+    def density(x):
+        batches.append(len(x))
+        return hab.density(x)
+
+    return Habitat(hab.lower, hab.upper, density, chi_mass=hab.chi_mass, density_sup=hab.density_sup), batches
+
+
+def test_chi_sample_proposes_need_over_acceptance():
+    # a uniform density accepts every proposal: exactly `size` are drawn
+    hab, batches = _counting(uniform_habitat([(0.0, 1.0), (0.0, 2.0)], 3.0))
+    assert chi_sample(hab, np.random.default_rng(6), size=10_000).shape == (10_000, 2)
+    assert batches == [10_000]
+    assert chi_sample(hab, np.random.default_rng(6)).shape == (2,)
+    assert batches[1:] == [1]
+
+
+def test_chi_sample_tops_up_a_short_round():
+    # acceptance 5/8: a round of need/acceptance plus 3 SD proposals falls
+    # short now and then, and the next round draws the rest
+    hab, batches = _counting(linear_habitat([(0.0, 1.0)], 2.0, 6.0))
+    rng = np.random.default_rng(7)
+    rounds = []
+    for _ in range(2000):
+        before = len(batches)
+        xs = chi_sample(hab, rng, size=5)
+        assert xs.shape == (5, 1) and np.all((xs >= 0.0) & (xs <= 1.0))
+        rounds.append(len(batches) - before)
+    assert max(rounds) >= 2
+    assert sum(r > 1 for r in rounds) < 40
 
 
 def test_chi_sample_rejects_density_above_sup():

@@ -66,14 +66,6 @@ def test_stationary_requires_floor(habitat_1d):
         stationary_intensity(habitat_1d, constant_rate(0.0))
 
 
-def test_intensity_density_support(habitat_1d, const_model):
-    intensity = transient_intensity(habitat_1d, const_model, 1.0)
-    inside = intensity.density(np.array([[0.5]]), np.array([0.5]))[0]
-    assert inside == pytest.approx(2.0 * math.exp(-0.5), rel=1e-12)
-    assert intensity.density(np.array([[1.5]]), np.array([0.5]))[0] == 0.0
-    assert intensity.density(np.array([[0.5]]), np.array([1.5]))[0] == 0.0
-
-
 def test_theta_integral_against_quadrature(habitat_1d, const_model, theta_two):
     intensity = transient_intensity(habitat_1d, const_model, 2.0)
 

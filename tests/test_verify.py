@@ -36,7 +36,12 @@ from agedpop import (
     write_reports_csv,
 )
 from agedpop import verify
-from agedpop.verify import _poisson_bins
+from agedpop.verify import _pool_columns, _poisson_bins
+
+
+def expect_weighted(law, vtheta, phi):
+    """E[F_theta * sum_particles phi] under the law itself (age shift 0)."""
+    return float(law.aged_expectations(0.0, None, vtheta, phi)[1][0])
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +54,7 @@ def test_dirac_law(theta_two, dirac_config):
     law = DiracLaw(dirac_config)
     assert law.expect_F(theta_two) == F_theta(theta_two, dirac_config)
     phi = lambda x, a: np.ones(a.shape)
-    assert law.expect_weighted(theta_two, phi) == pytest.approx(
+    assert expect_weighted(law, theta_two, phi) == pytest.approx(
         2.0 * F_theta(theta_two, dirac_config)
     )
 
@@ -69,7 +74,7 @@ def test_thinned_dirac_vs_monte_carlo(theta_two, dirac_config, const_model, rng)
     law = DiracLaw(dirac_config).aged(t, const_model)
     want_f = law.expect_F(theta_two)
     phi = lambda x, a: x[..., 0] + a
-    want_w = law.expect_weighted(theta_two, phi)
+    want_w = expect_weighted(law, theta_two, phi)
     n = 30_000
     bundle = PathBundle.from_configuration(dirac_config, n)
     bundle.thin_and_age(t, const_model, rng)
@@ -96,9 +101,10 @@ def test_poisson_weighted_vs_monte_carlo(theta_two, habitat_1d, const_model, rng
     intensity = transient_intensity(habitat_1d, const_model, 1.0)
     law = PoissonLaw(intensity)
     phi = lambda x, a: np.exp(-a) * x[..., 0]
-    want = law.expect_weighted(theta_two, phi)
+    want = expect_weighted(law, theta_two, phi)
     n = 30_000
-    ids, pos, ages = law.sample_points(n, rng)
+    bundle = law.sample_paths(n, rng)
+    ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
     th = theta_two.theta(pos, ages)
     logf = np.zeros(n)
     np.add.at(logf, ids, np.log1p(th))
@@ -118,7 +124,8 @@ def test_aged_poisson_pushforward(theta_two, habitat_1d, const_model, rng):
     # MC check of the aged expectation
     want = aged.expect_F(theta_two)
     n = 20_000
-    ids, pos, ages = aged.sample_points(n, rng)
+    bundle = aged.sample_paths(n, rng)
+    ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
     assert ages.min() >= 0.7
     logf = np.zeros(n)
     np.add.at(logf, ids, np.log1p(theta_two.theta(pos, ages)))
@@ -135,11 +142,12 @@ def test_convolution_law(theta_two, habitat_1d, const_model, dirac_config, rng):
     )
     phi = lambda x, a: np.ones(a.shape)
     want = (
-        pois.expect_weighted(theta_two, phi) * dirac.expect_F(theta_two)
-        + pois.expect_F(theta_two) * dirac.expect_weighted(theta_two, phi)
+        expect_weighted(pois, theta_two, phi) * dirac.expect_F(theta_two)
+        + pois.expect_F(theta_two) * expect_weighted(dirac, theta_two, phi)
     )
-    assert conv.expect_weighted(theta_two, phi) == pytest.approx(want, rel=1e-10)
-    ids, pos, ages = conv.sample_points(50, rng)
+    assert expect_weighted(conv, theta_two, phi) == pytest.approx(want, rel=1e-10)
+    bundle = conv.sample_paths(50, rng)
+    ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
     assert pos.shape[1] == 1
     assert ids.size == pos.shape[0] == ages.size
 
@@ -231,7 +239,7 @@ def test_expect_LF_poisson_start_integrates_each_window_once(theta_two, habitat_
     # the single-law route gives the same mu_t(LF)
     aged = initial.aged(0.6, const_model)
     f = aged.expect_F(theta_two)
-    w = aged.expect_weighted(theta_two, law._phi)
+    w = expect_weighted(aged, theta_two, law._phi)
     pre = math.exp(law.exponent.H(0.6))
     p_w = survival_weighted_integral(
         habitat_1d, const_model, law._phi_weighted, 0.0, 0.6, breakpoints=theta_two.x_breakpoints
@@ -360,3 +368,34 @@ def test_poisson_bins_pooling(rng):
     assert np.all(exp >= 5.0)
     assert obs.sum() == 2000
     assert exp.sum() == pytest.approx(2000, abs=1e-6)
+
+
+def test_pool_columns_merges_the_tail_into_the_last_cell():
+    # the counts 3, 4 and 5 hold 9 observations: they join the cell of count 2
+    table = np.array([[50, 45, 20, 3, 2, 0], [48, 47, 25, 1, 2, 1]])
+    pooled = _pool_columns(table, table.sum(axis=0), 10)
+    np.testing.assert_array_equal(pooled, [[50, 45, 25], [48, 47, 29]])
+    # nothing reaches the minimum: one cell holds everything
+    np.testing.assert_array_equal(_pool_columns(table[:, 3:], table[:, 3:].sum(axis=0), 10), [[5], [4]])
+
+
+def test_cross_sampler_pools_cells_in_count_order(theta_two, habitat_1d, separable_model, monkeypatch):
+    from scipy import stats
+
+    seen = []
+    contingency = stats.chi2_contingency
+
+    def recorded(table, *args, **kwargs):
+        seen.append(np.array(table))
+        return contingency(table, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "chi2_contingency", recorded)
+    rng = np.random.default_rng(5)
+    reports = cross_sampler_check(theta_two, 0.8, habitat_1d, separable_model, 1500, rng)
+    (table,) = seen
+    assert table.sum() == 3000 and np.all(table.sum(axis=1) == 1500)
+    # every pooled cell holds at least 10 observations, and the cells keep
+    # count order: the cell of count 0 first, the sparse tail last
+    assert np.all(table.sum(axis=0) >= 10)
+    assert table[:, 0].sum() > table[:, -1].sum()
+    assert all(r.passed for r in reports), format_reports(reports)
