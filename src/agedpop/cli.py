@@ -26,6 +26,7 @@ import numpy as np
 
 from .config_space import (
     MarkedConfiguration,
+    configuration_to_json,
     ground_distance,
     kappa_distance,
     load_configuration,
@@ -370,28 +371,19 @@ def _suite_generator(cfg):
     return reports
 
 
-# Simpson cells of the Fokker-Planck checks: at 128 the Simpson error of
-# ordinary 1-d and 2-d configs is near 1e-9, well below the 1e-8 threshold
-_FPE_GRID = 128
-
-
 def _suite_laws(cfg, rng):
     habitat, model, theta = cfg.habitat, cfg.model, cfg.theta
     mid = habitat.midpoint[None, :]
     config = MarkedConfiguration(np.vstack([mid, 0.9 * mid + 0.1 * habitat.lower]), np.array([0.4, 1.3]))
     reports = [
-        fokker_planck_check(
-            theta, DiracLaw(config), 1.0, habitat, model, n_grid=_FPE_GRID, name="laws-fpe-dirac"
-        ),
+        fokker_planck_check(theta, DiracLaw(config), 1.0, habitat, model, name="laws-fpe-dirac"),
         laplace_uniqueness_check(theta, config, 1.5, habitat, model, name="laws-laplace"),
         chapman_kolmogorov_check(theta, config, 0.4, 0.7, habitat, model, name="laws-chapman"),
     ]
     if model.m_zero > 0:
         poisson = PoissonLaw(stationary_intensity(habitat, model))
         reports.append(
-            fokker_planck_check(
-                theta, poisson, 1.0, habitat, model, n_grid=_FPE_GRID, name="laws-fpe-stationary"
-            )
+            fokker_planck_check(theta, poisson, 1.0, habitat, model, name="laws-fpe-stationary")
         )
     n = min(cfg.n_paths, 4000)
     reports.append(
@@ -508,12 +500,7 @@ def cmd_stationary_sample(args):
     path = out_dir / "stationary.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for _ in range(args.count):
-            draw = sample_poisson(intensity, rng)
-            record = [
-                {"x": list(map(float, x)), "alpha": float(a)}
-                for x, a in zip(draw.positions, draw.ages)
-            ]
-            fh.write(json.dumps(record) + "\n")
+            fh.write(configuration_to_json(sample_poisson(intensity, rng)) + "\n")
     print(
         f"wrote {args.count} draws to {path} "
         f"(age window truncation error <= {intensity.truncation_error:.3e})"

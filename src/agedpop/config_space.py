@@ -275,11 +275,11 @@ def window_truncation_error(config_a, config_b, habitat, sub_lower, sub_upper, s
 
 
 def configuration_to_json(config):
-    """JSON text: a list of {"x": [coords], "alpha": age} objects."""
+    """JSON text on one line: a list of {"x": [coords], "alpha": age} objects."""
     records = [
         {"x": [float(c) for c in p.x], "alpha": float(p.alpha)} for p in config
     ]
-    return json.dumps(records, indent=2)
+    return json.dumps(records)
 
 
 def configuration_from_json(text, dim=None):

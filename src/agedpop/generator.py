@@ -131,24 +131,25 @@ class FlowedTheta:
         g = self.base.g(x, alpha + self.t)
         return flowed_exponent(g, log_survival(self.model, x, alpha, self.t))
 
-    def theta_age_derivative(self, x, alpha):
-        """d/dalpha theta_t, analytic via the base derivative and the hazard."""
-        alpha = np.asarray(alpha, dtype=float)
-        q = survival_factor(self.model, x, alpha, self.t)
-        shifted = alpha + self.t
-        g_shift = self.base.g(x, shifted)
-        dtheta_shift = -self.base.g_age_derivative(x, shifted) * np.exp(-g_shift)
-        rate_gap = self.model.rate(x, alpha) - self.model.rate(x, shifted)
-        return dtheta_shift * q + self.base.theta(x, shifted) * q * rate_gap
-
     def g_age_derivative(self, x, alpha):
-        return -self.theta_age_derivative(x, alpha) / (1.0 + self.theta(x, alpha))
+        """d/dalpha g_t = q e^{g_t} (g'(a) e^{-g(a)} + theta(a) (m(a) - m(alpha))),
+        a = alpha + t, from one base g, one base g' and one log_survival.
+        """
+        alpha = np.asarray(alpha, dtype=float)
+        shifted = alpha + self.t
+        g = self.base.g(x, shifted)
+        log_q = log_survival(self.model, x, alpha, self.t)
+        rate_gap = self.model.rate(x, shifted) - self.model.rate(x, alpha)
+        inner = self.base.g_age_derivative(x, shifted) * np.exp(-g) + np.expm1(-g) * rate_gap
+        return np.exp(log_q + flowed_exponent(g, log_q)) * inner
 
     def time_derivative(self, x, alpha):
-        """d/dt theta_t = d/dalpha theta_t - m(x, alpha) theta_t."""
-        return self.theta_age_derivative(x, alpha) - self.model.rate(x, alpha) * self.theta(
-            x, alpha
-        )
+        """d/dt theta_t = d/dalpha theta_t - m(x, alpha) theta_t, with
+        d/dalpha theta_t = -g_t' e^{-g_t}.
+        """
+        g_t = self.g(x, alpha)
+        d_alpha = -self.g_age_derivative(x, alpha) * np.exp(-g_t)
+        return d_alpha - self.model.rate(x, alpha) * np.expm1(-g_t)
 
 
 def flow(theta, t, model=None):

@@ -378,23 +378,22 @@ def _partial_panel_weights(X):
 
 
 class SurvivalCumulative:
-    """C(T) = int_origin^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any T >= origin.
+    """C(T) = int_0^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any T >= 0.
 
-    The ages are cut into the panels [origin + k w, origin + (k+1) w] with
-    w = age_panel_width(model, age_scale), age_scale being the age scale of
-    h (Theta.age_scale when h is built on a test function).  Whole panels
+    The ages are cut into the panels [k w, (k+1) w] with w =
+    age_panel_width(model, age_scale), age_scale being the age scale of h
+    (Theta.age_scale when h is built on a test function).  Whole panels
     carry the 16-point Gauss-Legendre rule; their node values and running
     totals are cached and extended on demand, so a call costs 16 slice
-    evaluations per new panel and none per query.  The piece [origin + k w, T] of the panel
-    holding T integrates the degree-15 interpolant through that panel's node
-    values, so C is the composite Gauss sum at every panel edge.  Vectorized
-    over T; a scalar T gives a float.
+    evaluations per new panel and none per query.  The piece [k w, T] of the
+    panel holding T integrates the degree-15 interpolant through that
+    panel's node values, so C is the composite Gauss sum at every panel
+    edge.  Vectorized over T; a scalar T gives a float.
     """
 
-    def __init__(self, habitat, model, h, breakpoints=(), origin=0.0, age_scale=1.0):
+    def __init__(self, habitat, model, h, breakpoints=(), age_scale=1.0):
         self.model = model
         self.h = h
-        self.origin = float(origin)
         self.width = age_panel_width(model, age_scale)
         self._nodes, self._weights = gauss_profile_nodes(habitat, breakpoints=breakpoints)
         self._values = np.empty((0, _AGE_ORDER))  # slice values at panel nodes
@@ -409,7 +408,7 @@ class SurvivalCumulative:
         if n_panels <= have:
             return
         n_panels = max(n_panels, 2 * have)
-        ages, weights = age_panels(self.origin + self.width * np.arange(have, n_panels + 1))
+        ages, weights = age_panels(self.width * np.arange(have, n_panels + 1))
         values = self.slice(ages)
         self._values = np.concatenate([self._values, values])
         sums = np.cumsum(np.sum(values * weights, axis=1))
@@ -417,9 +416,9 @@ class SurvivalCumulative:
 
     def __call__(self, T):
         T = np.asarray(T, dtype=float)
-        pos = (T - self.origin) / self.width
+        pos = T / self.width
         if np.any(pos < 0):
-            raise ValueError("the cumulative integral starts at its origin")
+            raise ValueError("the cumulative integral starts at age 0")
         # the panel holding T; a T on an edge closes the panel below it
         k = np.maximum(np.ceil(pos) - 1, 0).astype(int)
         self._extend(int(k.max()) + 1 if k.size else 0)
@@ -494,7 +493,7 @@ def gauss_profile_nodes(habitat, breakpoints=(), order=24):
     """Fixed Gauss-Legendre nodes/weights for chi-weighted window integrals.
 
     For dim 1 the window is split at the supplied breakpoints (kinks of the
-    integrand) so each panel is smooth; for dim >= 2 a tensor rule is used
+    integrand) and at the density's, so each panel is smooth; for dim >= 2 a tensor rule is used
     without splitting, so on plateau integrands, whose kinks are circular, it
     is of order 1e-4 away from the exact chi-integral at order 24.  Returns
     (nodes, weights) with nodes of shape (N, dim) and weights already
@@ -503,39 +502,28 @@ def gauss_profile_nodes(habitat, breakpoints=(), order=24):
     per (habitat, breakpoints, order) and returned as read-only arrays.
     """
     if habitat.dim == 1:
-        breakpoints = tuple(sorted({float(b) for b in breakpoints}))
+        cuts = (*breakpoints, *habitat.density_breakpoints)
+        breakpoints = tuple(sorted({float(b) for b in cuts}))
     else:
         breakpoints = ()
     return _profile_rule(habitat, breakpoints, order)
 
 
 @functools.lru_cache(maxsize=64)
-def _profile_rule(habitat, breakpoints, order):
+def _profile_rule(habitat, cuts, order):
+    """Order-point Gauss-Legendre panels on each axis, between the axis ends
+    and the cuts inside them, and the tensor product of the axis rules.
+    """
     base_x, base_w = leggauss(order)
-    d = habitat.dim
-    lo, hi = habitat.lower, habitat.upper
-    if d == 1:
-        interior = {float(b) for b in breakpoints if lo[0] < b < hi[0]}
-        interior |= {float(b) for b in habitat.density_breakpoints if lo[0] < b < hi[0]}
-        cuts = np.array(sorted({float(lo[0]), float(hi[0])} | interior))
-        nodes_list, weights_list = [], []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            half = (b - a) / 2.0
-            nodes_list.append((a + b) / 2.0 + half * base_x)
-            weights_list.append(half * base_w)
-        nodes = np.concatenate(nodes_list)[:, None]
-        weights = np.concatenate(weights_list)
-    else:
-        axes = []
-        wts = []
-        for i in range(d):
-            half = (hi[i] - lo[i]) / 2.0
-            axes.append((hi[i] + lo[i]) / 2.0 + half * base_x)
-            wts.append(half * base_w)
-        grids = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*wts, indexing="ij")
-        weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    axes, wts = [], []
+    for lo, hi in zip(habitat.lower.tolist(), habitat.upper.tolist()):
+        edges = np.array(sorted({lo, hi} | {b for b in cuts if lo < b < hi}))
+        half = ((edges[1:] - edges[:-1]) / 2.0)[:, None]
+        axes.append((((edges[1:] + edges[:-1]) / 2.0)[:, None] + half * base_x).ravel())
+        wts.append((half * base_w).ravel())
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    wgrids = np.meshgrid(*wts, indexing="ij")
+    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
     weights = weights * habitat.density(nodes)
     nodes.flags.writeable = False
     weights.flags.writeable = False

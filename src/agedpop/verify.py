@@ -31,7 +31,14 @@ from .config_space import MarkedConfiguration
 from .generator import ArrivalExponent, FlowedTheta, flowed_exponent, particle_terms, resolvent
 # chi_integral and survival_weighted_integral are re-exported here for
 # callers (and the benchmark's tracer) that reach them through this module
-from .habitat import SurvivalCumulative, chi_integral, log_survival, survival_weighted_integral
+from .habitat import (
+    SurvivalCumulative,
+    age_panel_width,
+    age_rule,
+    chi_integral,
+    log_survival,
+    survival_weighted_integral,
+)
 from .sampler import (
     PathBundle,
     _sample_points,
@@ -85,9 +92,9 @@ def write_reports_csv(reports, path):
         writer = csv.writer(fh)
         writer.writerow(["name", "statistic", "value", "threshold", "passed", "seed", "n_samples", "note"])
         for r in reports:
-            writer.writerow(
-                [r.name, r.statistic, repr(r.value), repr(r.threshold), r.passed, r.seed, r.n_samples, r.note]
-            )
+            # repr of a float, not of a numpy scalar, so every value parses
+            value, threshold = repr(float(r.value)), repr(float(r.threshold))
+            writer.writerow([r.name, r.statistic, value, threshold, r.passed, r.seed, r.n_samples, r.note])
 
 
 def format_reports(reports):
@@ -100,12 +107,13 @@ def format_reports(reports):
 class _InitialLaw:
     """expect_F, read off aged_expectations at age shift 0.
 
-    aged_expectations(ts, model, vtheta, phi=None) returns, for the law aged
-    by each time of ts under model (None keeps the law's own),
+    aged_expectations(ts, model, vtheta, phi=None) returns, for the law
+    pushed through each time of ts of survival and aging under model,
     (E F_theta, E[F_theta * sum_particles phi]) as two arrays; the second is
-    None when phi is None.  Each is computed once per call, for all ts.
-    sample_paths(n_paths, rng) draws n_paths iid configurations from the law
-    as a PathBundle.
+    None when phi is None.  Each is computed once per call, for all ts; time
+    enters a law only there.  sample_paths(n_paths, rng) draws n_paths iid
+    configurations from the law itself as a PathBundle (PathBundle.thin_and_age
+    ages them).
     """
 
     def expect_F(self, vtheta):
@@ -113,19 +121,17 @@ class _InitialLaw:
 
 
 class DiracLaw(_InitialLaw):
-    """A point mass at a configuration pushed through t of independent
-    survival and aging; t = 0 is the point mass itself, whose expect_F is
-    F_theta at the configuration.
+    """A point mass at a configuration; its expect_F is F_theta there.
+
+    Aged by t, each particle survives with chance q_t independently, so the
+    product form of F_theta telescopes particle by particle.
     """
 
-    def __init__(self, config, t=0.0, model=None):
+    def __init__(self, config):
         self.config = config
-        self.t = float(t)
-        self.model = model
 
     def aged_expectations(self, ts, model, vtheta, phi=None):
-        tau = self.t + np.atleast_1d(np.asarray(ts, dtype=float))
-        model = self.model if model is None else model
+        tau = np.atleast_1d(np.asarray(ts, dtype=float))
         if model is None and np.any(tau):
             raise ValueError("aging a point mass needs a departure model")
         cfg = self.config
@@ -144,57 +150,43 @@ class DiracLaw(_InitialLaw):
         contrib = phi(pos, shifted) * np.exp(log_q + g_aged - g)
         return f, f * np.sum(contrib, axis=0)
 
-    def aged(self, s, model):
-        return DiracLaw(self.config, self.t + s, model)
-
     def sample_paths(self, n_paths, rng):
-        bundle = PathBundle.from_configuration(self.config, n_paths)
-        if self.t:
-            bundle.thin_and_age(self.t, self.model, rng)
-        return bundle
+        return PathBundle.from_configuration(self.config, n_paths)
 
 
 class PoissonLaw(_InitialLaw):
-    """Poisson field over an intensity, optionally pushed through age_offset.
+    """Poisson field over an intensity.
 
     Pushing a Poisson field through survival-and-aging yields the Poisson
     field of the pushed intensity, which for the survival-weighted densities
-    used here is just the same integrand over a shifted age window.  The
-    window integrals for every shift come from one SurvivalCumulative per
-    integrand, started at age_offset.
+    used here is just the same integrand over the age window shifted by t.
+    The window integrals for every shift come from one SurvivalCumulative
+    per integrand.
     """
 
-    def __init__(self, intensity, age_offset=0.0):
+    def __init__(self, intensity):
         self.intensity = intensity
-        self.age_offset = float(age_offset)
 
-    def _window_integrals(self, h, breaks, age_scale, lo):
+    def _window_integrals(self, h, vtheta, lo):
         """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
-        cumulative = SurvivalCumulative(
-            self.intensity.habitat, self.intensity.model, h, breaks, self.age_offset, age_scale
-        )
+        habitat, model = self.intensity.habitat, self.intensity.model
+        cumulative = SurvivalCumulative(habitat, model, h, vtheta.x_breakpoints, age_scale=vtheta.age_scale)
         return cumulative(lo + self.intensity.age_upper) - cumulative(lo)
 
     def aged_expectations(self, ts, model, vtheta, phi=None):
-        lo = self.age_offset + np.atleast_1d(np.asarray(ts, dtype=float))
-        breaks = getattr(vtheta, "x_breakpoints", ())
-        scale = getattr(vtheta, "age_scale", 1.0)
-        f = np.exp(self._window_integrals(vtheta.theta, breaks, scale, lo))
+        lo = np.atleast_1d(np.asarray(ts, dtype=float))
+        f = np.exp(self._window_integrals(vtheta.theta, vtheta, lo))
         if phi is None:
             return f, None
 
         def h(x, a):
             return phi(x, a) * (1.0 + vtheta.theta(x, a))
 
-        return f, f * self._window_integrals(h, breaks, scale, lo)
-
-    def aged(self, s, model):
-        return PoissonLaw(self.intensity, self.age_offset + s)
+        return f, f * self._window_integrals(h, vtheta, lo)
 
     def sample_paths(self, n_paths, rng):
         bundle = PathBundle(n_paths, self.intensity.habitat.dim)
         bundle.add_poisson(self.intensity, rng)
-        bundle.thin_and_age(self.age_offset, self.intensity.model, rng)
         return bundle
 
 
@@ -213,9 +205,6 @@ class ConvolutionLaw(_InitialLaw):
         # E[F sum phi] = sum_i E_i[F sum phi] prod_{j != i} E_j[F]
         w = sum(w_i * np.prod(fs[:i] + fs[i + 1 :], axis=0) for i, (_, w_i) in enumerate(pairs))
         return f, w
-
-    def aged(self, s, model):
-        return ConvolutionLaw([p.aged(s, model) for p in self.parts])
 
     def sample_paths(self, n_paths, rng):
         parts = [p.sample_paths(n_paths, rng) for p in self.parts]
@@ -268,32 +257,30 @@ class ExplicitLaw:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def fokker_planck_check(theta, initial, t, habitat, model, n_grid=64, name="fokker-planck"):
-    """Residual of mu_t(F) = mu_0(F) + int_0^t mu_s(L F) ds, Simpson in s.
+def fokker_planck_check(theta, initial, t, habitat, model, name="fokker-planck"):
+    """Residual of mu_t(F) = mu_0(F) + int_0^t mu_s(L F) ds on the age rule.
 
-    mu_s(L F) is evaluated on the whole grid in one vectorized call.  For an
-    even n_grid the note gives the Simpson error estimate |S_n - S_{n/2}|/15.
+    The s-integral runs on age_rule(0, t, age_panel_width(model,
+    theta.age_scale)); mu_s(L F) is evaluated at its nodes and at those of
+    the rule of half that width in one vectorized call, and the note gives
+    the difference of the two sums.
     """
-    from scipy import integrate
-
     law = ExplicitLaw(initial, theta, habitat, model)
-    grid = np.linspace(0.0, t, n_grid + 1)
-    lf = law.expect_LF(grid)
-    integral = integrate.simpson(lf, x=grid)
-    note = f"n_grid={n_grid}, t={t}"
-    if n_grid % 2 == 0:
-        # the halved rule needs every other grid point to reach t
-        simpson_err = abs(integral - integrate.simpson(lf[::2], x=grid[::2])) / 15.0
-        note += f", simpson error ~{simpson_err:.1e}"
+    width = age_panel_width(model, theta.age_scale)
+    s, weights = age_rule(0.0, t, width)
+    s_half, weights_half = age_rule(0.0, t, width / 2.0)
+    lf = law.expect_LF(np.concatenate([s, s_half]))
+    integral = weights @ lf[: s.size]
+    halving = abs(weights_half @ lf[s.size :] - integral)
     f_t, f_0 = law.expect_F(np.array([t, 0.0]))
-    residual = abs(f_t - f_0 - integral)
+    residual = float(abs(f_t - f_0 - integral))
     return VerificationReport(
         name=name,
-        statistic="|mu_t(F) - mu_0(F) - simpson(mu_s(LF))|",
+        statistic="|mu_t(F) - mu_0(F) - int_0^t mu_s(LF) ds|",
         value=residual,
-        threshold=1e-8,
-        passed=residual < 1e-8,
-        note=note,
+        threshold=1e-10,
+        passed=residual < 1e-10,
+        note=f"t={t}, {s.size} nodes, halving difference {halving:.1e}",
     )
 
 
@@ -441,16 +428,17 @@ def stationarity_check(theta, habitat, model, times, name="stationarity"):
 
 def chapman_kolmogorov_check(theta, config, s, t, habitat, model, name="chapman-kolmogorov"):
     """Two-leg vs one-leg closed forms of the transition expectation."""
+    point = DiracLaw(config)
     one = ArrivalExponent(theta, habitat, model)
-    lhs = math.exp(one.H(s + t)) * DiracLaw(config).aged(s + t, model).expect_F(theta)
+    lhs = math.exp(one.H(s + t)) * point.aged_expectations(s + t, model, theta)[0][0]
     flowed = FlowedTheta(theta, s, model)
     two_stage = ArrivalExponent(flowed, habitat, model)
     rhs = (
         math.exp(one.H(s))
         * math.exp(two_stage.H(t))
-        * DiracLaw(config).aged(t, model).expect_F(flowed)
+        * point.aged_expectations(t, model, flowed)[0][0]
     )
-    residual = abs(lhs - rhs)
+    residual = float(abs(lhs - rhs))
     return VerificationReport(
         name=name,
         statistic="|one-leg - two-leg|",

@@ -545,20 +545,18 @@ def test_criterion_10_immigration_death_oracle():
 # ------------------------------------------------------------ criterion 11
 def test_criterion_11_fokker_planck_and_laplace():
     config = MarkedConfiguration(np.array([[0.35], [0.75]]), np.array([0.4, 1.3]))
-    r64 = fokker_planck_check(THETAS[1], DiracLaw(config), 1.0, HAB, CONST, n_grid=64)
-    r32 = fokker_planck_check(THETAS[1], DiracLaw(config), 1.0, HAB, CONST, n_grid=32)
-    ratio = r32.value / r64.value
+    dirac = fokker_planck_check(THETAS[1], DiracLaw(config), 1.0, HAB, CONST)
     stationary = fokker_planck_check(
-        THETAS[1], PoissonLaw(stationary_intensity(HAB, CONST)), 1.0, HAB, CONST, n_grid=64
+        THETAS[1], PoissonLaw(stationary_intensity(HAB, CONST)), 1.0, HAB, CONST
     )
     lap = laplace_uniqueness_check(THETAS[1], config, 1.5, HAB, CONST)
-    ok = r64.passed and stationary.passed and lap.passed and 10.0 <= ratio <= 22.0
+    ok = dirac.passed and stationary.passed and lap.passed and max(dirac.value, stationary.value) < 1e-12
     _criterion(
         11,
         "Fokker-Planck and Laplace uniqueness",
         ok,
-        f"FPE residual {r64.value:.2e} < 1e-8 (Simpson n=64), halving ratio {ratio:.1f} ~ 16; "
-        f"stationary FPE {stationary.value:.2e}; Laplace residual {lap.value:.2e} < 1e-6",
+        f"FPE residual {dirac.value:.2e} < 1e-12 (age rule, {dirac.note}); "
+        f"stationary FPE {stationary.value:.2e} < 1e-12; Laplace residual {lap.value:.2e} < 1e-6",
     )
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from agedpop import MarkedConfiguration, save_configuration
+from agedpop import MarkedConfiguration, configuration_from_json, save_configuration
 from agedpop import cli
 from agedpop.cli import ConfigError, load_config, main
 
@@ -200,6 +200,9 @@ def test_stationary_sample_command(tmp_path, config_path, capsys):
         draws = json.loads(line)
         for rec in draws:
             assert set(rec) == {"x", "alpha"} and rec["alpha"] >= 0
+        # one configuration per line, in the configuration file format
+        draw = configuration_from_json(line, dim=1)
+        assert len(draw) == len(draws) and np.all(draw.ages >= 0)
     header = json.loads((out_dir / "header.json").read_text())
     assert header["command"] == "stationary-sample"
     assert json.loads(header["config"]) == GOOD  # verbatim round trip
@@ -306,8 +309,8 @@ def test_verify_generator_suite_2d(tmp_path, capsys):
 
 
 def test_verify_all_suites_2d(tmp_path, capsys):
-    # the Fokker-Planck checks run at the fixed Simpson grid cli._FPE_GRID,
-    # fine enough for laws-fpe-dirac here (1.24e-8 at 64 cells)
+    # the Fokker-Planck checks run on the age rule and report its halving
+    # difference
     data = {
         "habitat": {"window": [[0.0, 1.0], [0.0, 1.0]], "density": {"family": "constant", "level": 3.0}},
         "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
@@ -319,7 +322,45 @@ def test_verify_all_suites_2d(tmp_path, capsys):
     assert code == 0, out
     assert "FAIL" not in out
     assert "15/15 checks passed" in out
-    assert out.count("n_grid=128") == 2
+    assert out.count("halving difference") == 2
+
+
+# Fokker-Planck checks that failed against 1e-8 on a fixed Simpson grid of
+# 128 cells (2.09e-8 and 1.66e-8): a fast constant hazard, and a separable
+# hazard of frequency 50 under a steep age profile
+@pytest.mark.parametrize(
+    "model, theta, passed",
+    [
+        ({"family": "constant", "rate": 3.0}, [[1, 1, 1], [2, 1, 2]], "18/18"),
+        (
+            {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 50.0},
+            [[1, 2, 1], [2, 3, 40]],
+            "15/15",
+        ),
+    ],
+)
+def test_verify_all_suites_fast_hazards(tmp_path, capsys, model, theta, passed):
+    data = {
+        "habitat": {"window": [[0.0, 1.0]], "density": {"family": "constant", "level": 2.0}},
+        "model": model,
+        "theta": theta,
+        "run": {"seed": 11},
+    }
+    code = main(["verify", "--config", _write(tmp_path, data), "--suite", "all"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert f"{passed} checks passed" in out
+
+
+def test_verify_reports_csv_values_are_numbers(tmp_path, config_path, capsys):
+    out_dir = tmp_path / "ver"
+    main(["verify", "--config", config_path, "--suite", "all", "--out-dir", str(out_dir)])
+    with open(out_dir / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 18
+    for row in rows:
+        float(row["value"])
+        float(row["threshold"])
 
 
 def test_console_script_help():

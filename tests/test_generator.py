@@ -8,6 +8,7 @@ from scipy import integrate
 
 from agedpop import (
     ArrivalExponent,
+    DepartureModel,
     F_theta,
     FlowedTheta,
     MarkedConfiguration,
@@ -28,6 +29,7 @@ from agedpop import (
     transient_intensity,
     uniform_habitat,
 )
+from agedpop.generator import particle_terms
 from conftest import random_configuration
 
 
@@ -91,6 +93,41 @@ def test_flowed_g_keeps_precision_near_minus_one(habitat_1d):
     want = -math.log(-math.expm1(-t) + math.exp(-t - g))
     got = float(FlowedTheta(theta, t, constant_rate(1.0)).g(x, a)[0])
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_flowed_particle_terms_read_g_and_cumulative_twice(habitat_1d, separable_model, rng, monkeypatch):
+    calls = {"g": 0, "cumulative": 0}
+
+    def cumulative(x, alpha):
+        calls["cumulative"] += 1
+        return separable_model.cumulative(x, alpha)
+
+    model = DepartureModel(
+        separable_model.m_star, separable_model.m_zero, separable_model.rate, cumulative,
+        separable_model.modulus,
+    )
+    theta = Theta([(1, 2, 1), (2, 3, 40)], habitat_1d)
+    x, a, t = rng.random((9, 1)), rng.exponential(1.0, 9), 0.6
+    # the product rule on theta_t = theta(x, a + t) q_t, then g_t' = -theta_t'/(1 + theta_t)
+    shifted = a + t
+    q = np.exp(separable_model.cumulative(x, a) - separable_model.cumulative(x, shifted))
+    theta_t = theta.theta(x, shifted) * q
+    dtheta = q * (
+        -theta.g_age_derivative(x, shifted) * np.exp(-theta.g(x, shifted))
+        + theta.theta(x, shifted) * (model.rate(x, a) - model.rate(x, shifted))
+    )
+    want = dtheta / (1.0 + theta_t) + model.rate(x, a) * np.expm1(-np.log1p(theta_t))
+    original = Theta.g
+
+    def counted(self, x, alpha):
+        calls["g"] += 1
+        return original(self, x, alpha)
+
+    monkeypatch.setattr(Theta, "g", counted)
+    calls.update(g=0, cumulative=0)
+    _, phi = particle_terms(FlowedTheta(theta, t, model), model, x, a)
+    assert calls["g"] <= 2 and calls["cumulative"] <= 2, calls
+    np.testing.assert_allclose(phi, want, rtol=1e-13)
 
 
 def test_flow_pde_richardson(theta_two, separable_model):

@@ -23,7 +23,6 @@ from agedpop import (
     fokker_planck_check,
     format_reports,
     laplace_uniqueness_check,
-    PathBundle,
     Theta,
     linear_habitat,
     martingale_residual,
@@ -36,6 +35,7 @@ from agedpop import (
     write_reports_csv,
 )
 from agedpop import verify
+from agedpop.habitat import age_panel_width, age_rule
 from agedpop.verify import _pool_columns, _poisson_bins
 
 
@@ -61,22 +61,20 @@ def test_dirac_law(theta_two, dirac_config):
 
 def test_dirac_law_aging_needs_model(theta_two, dirac_config, const_model):
     with pytest.raises(ValueError):
-        DiracLaw(dirac_config, 0.5).expect_F(theta_two)
-    with pytest.raises(ValueError):
         DiracLaw(dirac_config).aged_expectations([0.0, 0.5], None, theta_two)
     f, _ = DiracLaw(dirac_config).aged_expectations([0.0, 0.5], const_model, theta_two)
     assert f[0] == F_theta(theta_two, dirac_config)
-    assert f[1] == pytest.approx(DiracLaw(dirac_config, 0.5, const_model).expect_F(theta_two), rel=1e-15)
+    one, _ = DiracLaw(dirac_config).aged_expectations(0.5, const_model, theta_two)
+    assert f[1] == pytest.approx(one[0], rel=1e-15)
 
 
 def test_thinned_dirac_vs_monte_carlo(theta_two, dirac_config, const_model, rng):
     t = 0.8
-    law = DiracLaw(dirac_config).aged(t, const_model)
-    want_f = law.expect_F(theta_two)
+    law = DiracLaw(dirac_config)
     phi = lambda x, a: x[..., 0] + a
-    want_w = expect_weighted(law, theta_two, phi)
+    (want_f,), (want_w,) = law.aged_expectations(t, const_model, theta_two, phi)
     n = 30_000
-    bundle = PathBundle.from_configuration(dirac_config, n)
+    bundle = law.sample_paths(n, rng)
     bundle.thin_and_age(t, const_model, rng)
     fs = bundle.f_theta(theta_two)
     ws = fs * bundle.sum_by_path(phi(bundle.positions, bundle.ages))
@@ -120,11 +118,11 @@ def test_aged_poisson_pushforward(theta_two, habitat_1d, const_model, rng):
     # constant hazard the expectation moves by the truncation edge only
     intensity = stationary_intensity(habitat_1d, const_model)
     law = PoissonLaw(intensity)
-    aged = law.aged(0.7, const_model)
-    # MC check of the aged expectation
-    want = aged.expect_F(theta_two)
+    # MC check of the aged expectation: sample the field, then age it
+    want = law.aged_expectations(0.7, const_model, theta_two)[0][0]
     n = 20_000
-    bundle = aged.sample_paths(n, rng)
+    bundle = law.sample_paths(n, rng)
+    bundle.thin_and_age(0.7, const_model, rng)
     ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
     assert ages.min() >= 0.7
     logf = np.zeros(n)
@@ -171,11 +169,9 @@ def test_explicit_law_consistency(theta_two, habitat_1d, const_model, dirac_conf
     assert law.expect_F(0.0) == pytest.approx(F_theta(theta_two, dirac_config), rel=1e-10)
     t = 0.9
     # the law at t as the union of the newcomers and the aged start
-    at_t = ConvolutionLaw(
-        [PoissonLaw(transient_intensity(habitat_1d, const_model, t)), DiracLaw(dirac_config).aged(t, const_model)]
-    )
-    via_conv = at_t.expect_F(theta_two)
-    assert law.expect_F(t) == pytest.approx(via_conv, abs=1e-8)
+    newcomers = PoissonLaw(transient_intensity(habitat_1d, const_model, t)).expect_F(theta_two)
+    aged = DiracLaw(dirac_config).aged_expectations(t, const_model, theta_two)[0][0]
+    assert law.expect_F(t) == pytest.approx(newcomers * aged, abs=1e-8)
 
 
 def test_explicit_law_stationary_generator_zero(theta_two, habitat_1d, const_model):
@@ -210,8 +206,9 @@ def test_explicit_law_c3_is_psi_at_zero_2d(setup_2d):
 
 def test_fokker_planck_dirac_2d(setup_2d):
     hab, model, theta, config = setup_2d
-    report = fokker_planck_check(theta, DiracLaw(config), 1.0, hab, model, n_grid=128)
+    report = fokker_planck_check(theta, DiracLaw(config), 1.0, hab, model)
     assert report.passed, report.line()
+    assert report.value < 1e-12
 
 
 def test_expect_LF_poisson_start_integrates_each_window_once(theta_two, habitat_1d, const_model, monkeypatch):
@@ -236,14 +233,18 @@ def test_expect_LF_poisson_start_integrates_each_window_once(theta_two, habitat_
     assert len(built) == 2
     for k in (0, 38, 64):
         assert batch[k] == pytest.approx(law.expect_LF(grid[k]), rel=1e-12, abs=1e-15)
-    # the single-law route gives the same mu_t(LF)
-    aged = initial.aged(0.6, const_model)
-    f = aged.expect_F(theta_two)
-    w = expect_weighted(aged, theta_two, law._phi)
+    # one window integral per term gives the same mu_t(LF): the stationary
+    # field aged by 0.6 is the same integrand over the ages [0.6, 0.6 + A]
+    def window(h, lo, hi):
+        return survival_weighted_integral(
+            habitat_1d, const_model, h, lo, hi, theta_two.x_breakpoints, theta_two.age_scale
+        )
+
+    top = 0.6 + initial.intensity.age_upper
+    f = math.exp(window(theta_two.theta, 0.6, top))
+    w = f * window(lambda x, a: law._phi(x, a) * (1.0 + theta_two.theta(x, a)), 0.6, top)
     pre = math.exp(law.exponent.H(0.6))
-    p_w = survival_weighted_integral(
-        habitat_1d, const_model, law._phi_weighted, 0.0, 0.6, breakpoints=theta_two.x_breakpoints
-    )
+    p_w = window(law._phi_weighted, 0.0, 0.6)
     assert one == pytest.approx(pre * (f * law._c3 + p_w * f + w), abs=1e-12)
 
 
@@ -262,16 +263,34 @@ def test_fokker_planck_poisson_start_batches_theta(theta_two, habitat_1d, const_
     assert len(calls) <= 40, len(calls)
 
 
-def test_fokker_planck_note_has_simpson_error(theta_two, habitat_1d, separable_model, dirac_config):
-    fine = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model, n_grid=128)
-    coarse = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model, n_grid=64)
-    err = float(fine.note.split("simpson error ~")[1])
-    # |S_n - S_{n/2}|/15 tracks the Simpson error that the residual measures
-    assert 0.5 * fine.value <= err <= 2.0 * fine.value
-    assert coarse.value / fine.value == pytest.approx(16.0, rel=0.2)
-    # on an odd grid every other point stops short of t: no estimate
-    odd = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model, n_grid=65)
-    assert odd.note == "n_grid=65, t=1.0"
+def test_fokker_planck_note_has_halving_difference(theta_two, habitat_1d, separable_model, dirac_config):
+    report = fokker_planck_check(theta_two, DiracLaw(dirac_config), 1.0, habitat_1d, separable_model)
+    # the s-rule is the age rule at the test function's panel width
+    width = age_panel_width(separable_model, theta_two.age_scale)
+    nodes = age_rule(0.0, 1.0, width)[0].size
+    assert report.note.startswith(f"t=1.0, {nodes} nodes, halving difference ")
+    halving = float(report.note.split("halving difference ")[1])
+    assert halving < 1e-12 and report.value < 1e-12
+
+
+@pytest.mark.parametrize("initial", ["dirac", "stationary"])
+def test_fokker_planck_fails_on_a_planted_arrival_constant_defect(
+    initial, theta_two, habitat_1d, const_model, dirac_config, monkeypatch
+):
+    law = {
+        "dirac": DiracLaw(dirac_config),
+        "stationary": PoissonLaw(stationary_intensity(habitat_1d, const_model)),
+    }[initial]
+    assert fokker_planck_check(theta_two, law, 1.0, habitat_1d, const_model).passed
+
+    class Defective(ExplicitLaw):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._c3 *= 1.0 + 1e-8
+
+    monkeypatch.setattr(verify, "ExplicitLaw", Defective)
+    report = fokker_planck_check(theta_two, law, 1.0, habitat_1d, const_model)
+    assert not report.passed, report.line()
 
 
 # ----------------------------------------------------------------- checks
