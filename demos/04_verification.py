@@ -1,9 +1,10 @@
 """The verification suite: analytic laws checked against the implementation.
 
 Each check produces a VerificationReport with a statistic, a threshold, and a
-pass flag.  This demo exercises the main oracles: the Fokker-Planck balance,
-the martingale property of the compensated evolution, convergence to the
-invariant law, and invariance of the stationary start.
+comparison sense, from which it derives PASS, FAIL or SKIP.  This demo
+exercises the main oracles: the Fokker-Planck balance, the martingale
+property of the compensated evolution, convergence to the invariant law, and
+invariance of the stationary start.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,26 +31,11 @@ from .config_space import (
     kappa_distance,
     load_configuration,
 )
-from .generator import compute_bounds, flow, flow_pde_residual, kolmogorov_residual
 from .habitat import constant_rate, linear_habitat, separable_rate, uniform_habitat
 from .mark_space import MarkSet, rho_distance
 from .sampler import event_driven_simulate, sample_poisson, stationary_intensity
 from .test_functions import Theta
-from .verify import (
-    DiracLaw,
-    PoissonLaw,
-    VerificationReport,
-    chapman_kolmogorov_check,
-    count_law_oracle,
-    cross_sampler_check,
-    ergodicity_check,
-    fokker_planck_check,
-    format_reports,
-    laplace_uniqueness_check,
-    martingale_residual,
-    stationarity_check,
-    write_reports_csv,
-)
+from .verify import SUITES, format_reports, write_reports_csv
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
@@ -284,181 +269,20 @@ def cmd_simulate(args):
     return 0
 
 
-def _suite_metrics(cfg, rng):
-    habitat, theta = cfg.habitat, cfg.theta
-    reports = []
-    worst = -math.inf
-    for _ in range(200):
-        cfgs = []
-        for _ in range(3):
-            k = int(rng.integers(0, 5))
-            pos = habitat.lower + rng.random((k, habitat.dim)) * (habitat.upper - habitat.lower)
-            ages = rng.exponential(1.0, k)
-            cfgs.append(MarkedConfiguration(pos, ages))
-        a, b, c = cfgs
-        dab, _ = kappa_distance(a, b, habitat, budget=12)
-        dbc, _ = kappa_distance(b, c, habitat, budget=12)
-        dac, _ = kappa_distance(a, c, habitat, budget=12)
-        worst = max(worst, dac - dab - dbc)
-    reports.append(
-        VerificationReport(
-            name="metrics-triangle",
-            statistic="max triangle excess (kappa, budget 12)",
-            value=worst,
-            threshold=1e-12,
-            passed=worst <= 1e-12,
-            n_samples=200,
-        )
-    )
-    a = MarkedConfiguration(
-        habitat.lower[None, :] + 0.3 * (habitat.upper - habitat.lower)[None, :], np.array([1.0])
-    )
-    b = MarkedConfiguration(
-        habitat.lower[None, :] + 0.7 * (habitat.upper - habitat.lower)[None, :], np.array([2.0])
-    )
-    dist, tail = kappa_distance(a, b, habitat)
-    reports.append(
-        VerificationReport(
-            name="metrics-separation",
-            statistic="kappa distance of distinct configurations",
-            value=dist,
-            threshold=tail,
-            passed=dist > tail,
-            note="pass requires distance above the truncation tail",
-        )
-    )
-    return reports
-
-
-def _suite_generator(cfg):
-    habitat, model, theta = cfg.habitat, cfg.model, cfg.theta
-    reports = []
-    bounds = compute_bounds(theta, habitat, model)
-    reports.append(
-        VerificationReport(
-            name="generator-bounds",
-            statistic="uniform generator bound (grid check inside)",
-            value=bounds.est_bound,
-            threshold=math.inf,
-            passed=True,
-            note=f"ell_theta={bounds.ell_theta:.4f}, tau_star={bounds.tau_star:.4f}",
-        )
-    )
-    mid = habitat.midpoint[None, :]
-    res = flow_pde_residual(theta, 0.5, mid, np.array([0.8]), model)
-    val = float(np.max(np.abs(res)))
-    reports.append(
-        VerificationReport(
-            name="generator-flow-pde",
-            statistic="flow transport equation residual",
-            value=val,
-            threshold=1e-4,
-            passed=val < 1e-4,
-            note="central differences, h=1e-3",
-        )
-    )
-    config = MarkedConfiguration(mid, np.array([0.5]))
-    kres = kolmogorov_residual(theta, 0.6, config, habitat, model)
-    reports.append(
-        VerificationReport(
-            name="generator-kolmogorov",
-            statistic="backward equation residual",
-            value=abs(kres),
-            threshold=1e-4,
-            passed=abs(kres) < 1e-4,
-        )
-    )
-    return reports
-
-
-def _suite_laws(cfg, rng):
-    habitat, model, theta = cfg.habitat, cfg.model, cfg.theta
-    mid = habitat.midpoint[None, :]
-    config = MarkedConfiguration(np.vstack([mid, 0.9 * mid + 0.1 * habitat.lower]), np.array([0.4, 1.3]))
-    reports = [
-        fokker_planck_check(theta, DiracLaw(config), 1.0, habitat, model, name="laws-fpe-dirac"),
-        laplace_uniqueness_check(theta, config, 1.5, habitat, model, name="laws-laplace"),
-        chapman_kolmogorov_check(theta, config, 0.4, 0.7, habitat, model, name="laws-chapman"),
-    ]
-    if model.m_zero > 0:
-        poisson = PoissonLaw(stationary_intensity(habitat, model))
-        reports.append(
-            fokker_planck_check(theta, poisson, 1.0, habitat, model, name="laws-fpe-stationary")
-        )
-    n = min(cfg.n_paths, 4000)
-    reports.append(
-        martingale_residual(
-            theta, DiracLaw(config), 0.25, 0.75, theta, habitat, model, n, rng,
-            n_grid=32, seed=cfg.seed, name="laws-martingale",
-        )
-    )
-    return reports
-
-
-def _suite_sampler(cfg, rng):
-    habitat, model, theta = cfg.habitat, cfg.model, cfg.theta
-    n = min(cfg.n_paths, 2000)
-    reports = list(cross_sampler_check(theta, 1.0, habitat, model, n, rng, seed=cfg.seed, name="sampler-cross"))
-    if model.m_zero == model.m_star and model.m_star > 0:
-        reports.extend(
-            count_law_oracle(
-                habitat, model, [0.5, 2.0], n, rng, seed=cfg.seed,
-                ks_samples=20_000, name="sampler-count",
-            )
-        )
-    else:
-        reports.append(
-            VerificationReport(
-                name="sampler-count",
-                statistic="skipped (hazard not constant)",
-                value=0.0,
-                threshold=0.0,
-                passed=True,
-            )
-        )
-    return reports
-
-
-def _suite_ergodicity(cfg):
-    habitat, model, theta = cfg.habitat, cfg.model, cfg.theta
-    if model.m_zero <= 0:
-        return [
-            VerificationReport(
-                name="ergodicity",
-                statistic="skipped (hazard floor is zero)",
-                value=0.0,
-                threshold=0.0,
-                passed=True,
-            )
-        ]
-    return [
-        ergodicity_check(theta, habitat, model),
-        stationarity_check(theta, habitat, model, [0.5, 1.0, 2.0]),
-    ]
-
-
 def cmd_verify(args):
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
-    suites = {
-        "metrics": lambda: _suite_metrics(cfg, rng),
-        "generator": lambda: _suite_generator(cfg),
-        "laws": lambda: _suite_laws(cfg, rng),
-        "sampler": lambda: _suite_sampler(cfg, rng),
-        "ergodicity": lambda: _suite_ergodicity(cfg),
-    }
-    picked = list(suites) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in picked:
-        reports.extend(suites[name]())
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    rng = np.random.default_rng(cfg.seed)
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = [r for suite in suites for check in SUITES[suite] for r in check(cfg, rng)]
     print(format_reports(reports))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_header(out_dir, cfg, "verify", seed)
+        _write_header(out_dir, cfg, "verify", cfg.seed)
         write_reports_csv(reports, out_dir / "reports.csv")
-    return 0 if all(r.passed for r in reports) else 1
+    return 1 if any(r.outcome == "FAIL" for r in reports) else 0
 
 
 def cmd_distance(args):
@@ -523,7 +347,7 @@ def build_parser():
     ver.add_argument("--config", required=True)
     ver.add_argument(
         "--suite",
-        choices=["metrics", "generator", "laws", "sampler", "ergodicity", "all"],
+        choices=[*SUITES, "all"],
         default="all",
     )
     ver.add_argument("--seed", type=int, default=None)

@@ -161,17 +161,22 @@ def flow(theta, t, model=None):
     return FlowedTheta(theta, t, model)
 
 
-def flow_pde_residual(theta, t, x, alpha, model, h=1e-3):
-    """|central difference of t -> theta_t - analytic right side| at (x, alpha).
+def flow_pde_residual(theta, t1, t2, x, alpha, model):
+    """|theta_{t2} - theta_{t1} - int_{t1}^{t2} d/ds theta_s ds| at (x, alpha).
 
-    Second-order accurate for smooth hazards; requires t >= h.
+    The transport equation in integral form: the s-integral of
+    FlowedTheta.time_derivative runs on age_rule(t1, t2,
+    age_panel_width(model, theta.age_scale)), every node in one call.
     """
-    if t < h:
-        raise ValueError("central difference needs t >= h")
-    f_plus = FlowedTheta(theta, t + h, model).theta(x, alpha)
-    f_minus = FlowedTheta(theta, t - h, model).theta(x, alpha)
-    analytic = FlowedTheta(theta, t, model).time_derivative(x, alpha)
-    return np.abs((f_plus - f_minus) / (2.0 * h) - analytic)
+    if not 0.0 <= t1 <= t2:
+        raise ValueError("need 0 <= t1 <= t2")
+    s, weights = age_rule(t1, t2, age_panel_width(model, theta.age_scale))
+    # one trailing column per flow time
+    x = np.asarray(x, dtype=float)[..., None, :]
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    ends = FlowedTheta(theta, np.array([t1, t2]), model).theta(x, alpha)
+    rates = FlowedTheta(theta, s, model).time_derivative(x, alpha)
+    return np.abs(ends[..., 1] - ends[..., 0] - rates @ weights)
 
 
 class ArrivalExponent:
@@ -272,25 +277,23 @@ def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
     return float(np.exp(expo + flowed_log_F(theta, config, model, np.array(s + t)))[0])
 
 
-def kolmogorov_residual(theta, t, config, habitat, model, h=1e-3, exponent=None):
-    """|d/dt E F_theta(X_t) - L acting on the flowed functional| at time t.
+def kolmogorov_residual(theta, t1, t2, config, habitat, model, exponent=None):
+    """|P_{t2} F - P_{t1} F - int_{t1}^{t2} e^{H(s)} L F_{theta_s} ds| at config.
 
-    The derivative is a central difference (forward at t < h, first order);
-    the generator side is exact up to quadrature.
+    The backward equation d/dt P_t F = e^{H(t)} L F_{theta_t} in integral
+    form: both ends are explicit_solution, and the s-integral runs on
+    age_rule(t1, t2, age_panel_width(model, theta.age_scale)) through one
+    broadcasting apply_generator call.
     """
+    if not 0.0 <= t1 <= t2:
+        raise ValueError("need 0 <= t1 <= t2")
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-
-    def value(tt):
-        return explicit_solution(theta, 0.0, tt, config, habitat, model, exponent=exponent)
-
-    if t >= h:
-        deriv = (value(t + h) - value(t - h)) / (2.0 * h)
-    else:
-        deriv = (value(t + h) - value(t)) / h
-    lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
-    lf *= math.exp(exponent.H(t))
-    return abs(deriv - lf)
+    s, weights = age_rule(t1, t2, age_panel_width(model, theta.age_scale))
+    lf = apply_generator(FlowedTheta(theta, s, model), config, habitat, model)
+    integral = weights @ (np.exp(exponent.H(s)) * lf)
+    ends = [explicit_solution(theta, 0.0, t, config, habitat, model, exponent=exponent) for t in (t1, t2)]
+    return abs(ends[1] - ends[0] - integral)
 
 
 def _laplace_rule(s, lam, model, exponent):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from agedpop import (
+    FlowedTheta,
     MarkedConfiguration,
     Theta,
+    apply_generator,
     constant_rate,
+    explicit_solution,
     linear_habitat,
     separable_rate,
     uniform_habitat,
@@ -58,3 +63,24 @@ def random_configuration(rng, habitat, max_particles=5, age_scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+# Central-difference oracles of the two transport identities, second order
+# in h: the library checks them in integral form on the age rule.
+def central_flow_residual(theta, t, x, alpha, model, h):
+    """|central difference of t -> theta_t - time_derivative| at (x, alpha)."""
+    f_plus = FlowedTheta(theta, t + h, model).theta(x, alpha)
+    f_minus = FlowedTheta(theta, t - h, model).theta(x, alpha)
+    analytic = FlowedTheta(theta, t, model).time_derivative(x, alpha)
+    return np.abs((f_plus - f_minus) / (2.0 * h) - analytic)
+
+
+def central_kolmogorov_residual(theta, t, config, habitat, model, h, exponent):
+    """|central difference of t -> P_t F - e^{H(t)} L F_{theta_t}| at config."""
+
+    def value(tt):
+        return explicit_solution(theta, 0.0, tt, config, habitat, model, exponent=exponent)
+
+    deriv = (value(t + h) - value(t - h)) / (2.0 * h)
+    lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
+    return abs(deriv - lf * math.exp(exponent.H(t)))

@@ -34,11 +34,9 @@ from agedpop import (
     cross_sampler_check,
     ergodicity_check,
     flow,
-    flow_pde_residual,
     fokker_planck_check,
     kappa_distance,
     kappa_tail_bound,
-    kolmogorov_residual,
     laplace_uniqueness_check,
     martingale_residual,
     resolvent,
@@ -52,6 +50,7 @@ from agedpop import (
     uniform_habitat,
     v_enumerate,
 )
+from conftest import central_flow_residual, central_kolmogorov_residual
 
 SEED = 20260817
 
@@ -316,7 +315,7 @@ def test_criterion_03_flow_and_pde():
     grid_x = np.linspace(0.05, 0.95, 7)[:, None]
     grid_a = np.linspace(0.1, 2.0, 7)
     res = [
-        float(np.abs(flow_pde_residual(THETAS[1], 0.6, grid_x, grid_a, SEPARABLE, h=h)).max())
+        float(central_flow_residual(THETAS[1], 0.6, grid_x, grid_a, SEPARABLE, h).max())
         for h in (1e-2, 5e-3, 2.5e-3)
     ]
     r1, r2 = res[0] / res[1], res[1] / res[2]
@@ -347,11 +346,11 @@ def test_criterion_04_kolmogorov_equation():
         config = _random_config(rng, int(rng.integers(0, 31)))
         combos.append((theta, model, t, config, exponents[key]))
         residuals.append(
-            kolmogorov_residual(theta, t, config, HAB, model, h=1e-3, exponent=exponents[key])
+            central_kolmogorov_residual(theta, t, config, HAB, model, 1e-3, exponents[key])
         )
     for theta, model, t, config, exponent in combos[:10]:
-        r_2h = kolmogorov_residual(theta, t, config, HAB, model, h=2e-3, exponent=exponent)
-        r_h = kolmogorov_residual(theta, t, config, HAB, model, h=1e-3, exponent=exponent)
+        r_2h = central_kolmogorov_residual(theta, t, config, HAB, model, 2e-3, exponent)
+        r_h = central_kolmogorov_residual(theta, t, config, HAB, model, 1e-3, exponent)
         if r_h > 1e-11:  # skip ratios at the quadrature noise floor
             ratios.append(r_2h / r_h)
     worst = max(residuals)

@@ -30,7 +30,7 @@ from agedpop import (
     uniform_habitat,
 )
 from agedpop.generator import particle_terms
-from conftest import random_configuration
+from conftest import central_flow_residual, central_kolmogorov_residual, random_configuration
 
 
 # ---------------------------------------------------------------- age flow
@@ -130,15 +130,23 @@ def test_flowed_particle_terms_read_g_and_cumulative_twice(habitat_1d, separable
     np.testing.assert_allclose(phi, want, rtol=1e-13)
 
 
-def test_flow_pde_richardson(theta_two, separable_model):
+def test_flow_pde_richardson(theta_two, separable_model, monkeypatch):
     x = np.linspace(0.05, 0.95, 7)[:, None]
     a = np.linspace(0.1, 2.0, 7)
     res = [
-        np.max(np.abs(flow_pde_residual(theta_two, 0.6, x, a, separable_model, h=h)))
+        np.max(central_flow_residual(theta_two, 0.6, x, a, separable_model, h=h))
         for h in (1e-2, 5e-3, 2.5e-3)
     ]
     assert res[0] / res[1] == pytest.approx(4.0, abs=0.6)
     assert res[1] / res[2] == pytest.approx(4.0, abs=0.6)
+    # the integral form holds to rounding, and a time derivative 1e-8 off
+    # breaks it
+    assert np.max(flow_pde_residual(theta_two, 0.4, 0.8, x, a, separable_model)) < 1e-14
+    original = FlowedTheta.time_derivative
+    monkeypatch.setattr(
+        FlowedTheta, "time_derivative", lambda self, x, a: original(self, x, a) * (1.0 + 1e-8)
+    )
+    assert np.max(flow_pde_residual(theta_two, 0.4, 0.8, x, a, separable_model)) > 1e-10
 
 
 # ------------------------------------------------------------ the generator
@@ -294,15 +302,15 @@ def test_flowed_log_F_vectorized(theta_two, const_model, rng, habitat_1d):
 def test_kolmogorov_residual_small(theta_two, habitat_1d, separable_model, rng):
     for t in (0.3, 1.0):
         config = random_configuration(rng, habitat_1d, max_particles=4)
-        res = kolmogorov_residual(theta_two, t, config, habitat_1d, separable_model)
-        assert res < 1e-5
+        res = kolmogorov_residual(theta_two, t, t + 0.5, config, habitat_1d, separable_model)
+        assert res < 1e-12
 
 
 def test_kolmogorov_richardson(theta_two, habitat_1d, const_model):
     config = MarkedConfiguration(np.array([[0.45]]), np.array([0.7]))
     exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
-    r1 = kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, h=2e-3, exponent=exponent)
-    r2 = kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, h=1e-3, exponent=exponent)
+    r1 = central_kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, 2e-3, exponent)
+    r2 = central_kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, 1e-3, exponent)
     assert r1 / r2 == pytest.approx(4.0, abs=1.0)
 
 

@@ -36,7 +36,7 @@ from agedpop import (
 )
 from agedpop import verify
 from agedpop.habitat import age_panel_width, age_rule
-from agedpop.verify import _pool_columns, _poisson_bins
+from agedpop.verify import _pool_columns
 
 
 def expect_weighted(law, vtheta, phi):
@@ -342,6 +342,18 @@ def test_ergodicity_band_for_varying_hazard():
     assert report.passed, report.line()
 
 
+def test_ergodicity_fails_when_the_slope_leaves_its_band(theta_two, habitat_1d, const_model, monkeypatch):
+    # flat gaps far below the envelope: the final gap passes, the slope of 0
+    # is outside [-1.1, -0.9]
+    def flat(theta, habitat, model, times):
+        return np.full(len(times), 1e-12), 0.5, 0.0
+
+    monkeypatch.setattr(verify, "ergodicity_gap_curve", flat)
+    report = ergodicity_check(theta_two, habitat_1d, const_model)
+    assert report.outcome == "FAIL", report.line()
+    assert "log-slope 0.0000" in report.note
+
+
 def test_ergodicity_requires_floor(theta_two, habitat_1d):
     from agedpop import constant_rate
 
@@ -354,6 +366,24 @@ def test_count_law_small(habitat_1d, const_model, rng):
         habitat_1d, const_model, [0.5, 2.0], 500, rng, ks_samples=5000
     )
     assert all(r.passed for r in reports), format_reports(reports)
+
+
+def test_stationary_count_fails_on_scaled_strip_masses(habitat_1d, const_model, monkeypatch):
+    from agedpop import sampler
+
+    def count_report():
+        reports = count_law_oracle(
+            habitat_1d, const_model, [0.5], 10, np.random.default_rng(1), ks_samples=100
+        )
+        (report,) = [r for r in reports if r.name == "count-law-stationary-count"]
+        return report
+
+    report = count_report()
+    assert report.passed and report.value <= 1e-14, report.line()
+    strips = sampler._strip_quadrature
+    monkeypatch.setattr(sampler, "_strip_quadrature", lambda *a: strips(*a) * (1.0 + 1e-9))
+    report = count_report()
+    assert report.outcome == "FAIL", report.line()
 
 
 def test_count_law_rejects_varying_hazard(habitat_1d, separable_model, rng):
@@ -369,24 +399,25 @@ def test_cross_sampler_small(theta_two, habitat_1d, separable_model, rng):
 # ---------------------------------------------------------------- reports
 def test_report_output(tmp_path):
     reports = [
-        VerificationReport("a", "stat", 0.5, 1.0, True, seed=3, n_samples=10),
-        VerificationReport("b", "stat", 2.0, 1.0, False, note="why"),
+        VerificationReport("a", "stat", 0.5, 1.0, seed=3, n_samples=10),
+        VerificationReport("b", "stat", 2.0, 1.0, note="why"),
+        VerificationReport("c", "p-value", 0.5, 0.01, sense=">"),
+        VerificationReport.skip("d", "does not apply"),
     ]
+    assert [r.outcome for r in reports] == ["PASS", "FAIL", "PASS", "SKIP"]
     text = format_reports(reports)
-    assert "PASS  a" in text and "FAIL  b" in text and "1/2 checks passed" in text
+    assert "PASS  a" in text and "FAIL  b" in text and "2/3 checks passed, 1 skipped" in text
+    # a skip is neither a pass nor a fail
+    (skip_line,) = [line for line in text.splitlines() if " d:" in line]
+    assert skip_line.startswith("SKIP  ") and "PASS" not in skip_line and "FAIL" not in skip_line
     path = tmp_path / "reports.csv"
     write_reports_csv(reports, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["name"] == "a" and rows[1]["passed"] == "False"
-
-
-def test_poisson_bins_pooling(rng):
-    counts = rng.poisson(5.0, 2000)
-    obs, exp = _poisson_bins(counts, 5.0)
-    assert np.all(exp >= 5.0)
-    assert obs.sum() == 2000
-    assert exp.sum() == pytest.approx(2000, abs=1e-6)
+    assert [r["passed"] for r in rows] == ["True", "False", "True", "skipped"]
+    # the skipped row's value and threshold still parse as floats: nan
+    assert math.isnan(float(rows[3]["value"])) and math.isnan(float(rows[3]["threshold"]))
 
 
 def test_pool_columns_merges_the_tail_into_the_last_cell():
