@@ -61,7 +61,7 @@ print(f"  flow-uniform bound ell = {bounds.ell_theta:.4f}, "
 
 print("\n=== resolvent ===")
 for lam in (0.5, 2.0):
-    val = resolvent(theta, 0.0, lam, config, hab, model)
-    res = resolvent_identity_residual(theta, 0.0, lam, config, hab, model)
+    val = resolvent(theta, lam, config, hab, model)
+    res = resolvent_identity_residual(theta, lam, config, hab, model)
     print(f"  lambda={lam}: F_lambda = {val:.6f}, "
           f"|(lambda - L) F_lambda - F| = {res:.2e}")

@@ -34,14 +34,17 @@ from .config_space import (
 )
 from .generator import (
     ArrivalExponent,
+    ConvolutionLaw,
+    DiracLaw,
+    ExplicitLaw,
     FlowedTheta,
     GeneratorBounds,
+    PoissonLaw,
     apply_generator,
     compute_bounds,
     explicit_solution,
     flow,
     flow_pde_residual,
-    flowed_log_F,
     kolmogorov_residual,
     resolvent,
     resolvent_identity_residual,
@@ -90,14 +93,8 @@ from .test_functions import (
     Theta,
     log_F_theta,
     star_product,
-    theta_from_json,
-    theta_to_json,
 )
 from .verify import (
-    ConvolutionLaw,
-    DiracLaw,
-    ExplicitLaw,
-    PoissonLaw,
     VerificationReport,
     chapman_kolmogorov_check,
     count_law_oracle,

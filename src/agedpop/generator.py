@@ -1,4 +1,4 @@
-"""Markov generator, age flow, explicit semigroup action, and resolvent.
+"""Markov generator, age flow, the explicit transient law, and resolvent.
 
 The process generator acts on configuration functionals F by
 
@@ -17,12 +17,20 @@ The age flow transports a test function along aging and survival:
     theta_t(x, alpha) = theta(x, alpha + t) * exp(M(x, alpha) - M(x, alpha+t)),
 
 satisfies the composition law (theta_t)_s = theta_{t+s} exactly, and solves
-d/dt theta_t = d/dalpha theta_t - m theta_t.  The semigroup action on F_theta
-is then explicit:
+d/dt theta_t = d/dalpha theta_t - m theta_t.  The law at time t started
+from mu is the independent superposition of a Poisson field of newcomers
+and the survived-and-aged initial law, so the transient law is explicit:
 
-    E_config F_theta(X_t) = exp( int_0^t int theta(x, u) e^{-M(x,u)} chi(dx) du )
-                            * F_{theta_t}(config),
+    E_mu F_theta(X_t) = exp(H(t)) mu(F_{theta_t}),
+    H(t) = int_0^t int theta(x, u) e^{-M(x,u)} chi(dx) du.
 
+The law objects carry it.  DiracLaw (a point mass), PoissonLaw and
+ConvolutionLaw give mu(F_{theta_t}) and mu(F_{theta_t} sum phi) for every t
+at once; ExplicitLaw multiplies in exp(H(t)) to give mu_t(F_theta) and
+mu_t(L F_theta), the second from the factorization of expectations of
+F_theta times an additive particle sum (for a Poisson field E[F * sum phi]
+= E[F] * int phi (1+theta) d rho; for an independently thinned point mass
+the product form telescopes).  explicit_solution is the point-mass case,
 and the resolvent is its Laplace transform in t.
 
 Every integral here runs on the two fixed rules of agedpop.habitat: the
@@ -47,7 +55,8 @@ from .habitat import (
     log_survival,
     survival_factor,
 )
-from .mark_space import u_prime_max_constant
+from .mark_space import u_basis_max, u_prime_max_constant
+from .sampler import PathBundle
 
 __all__ = [
     "FlowedTheta",
@@ -56,9 +65,12 @@ __all__ = [
     "ArrivalExponent",
     "apply_generator",
     "particle_terms",
+    "DiracLaw",
+    "PoissonLaw",
+    "ConvolutionLaw",
+    "ExplicitLaw",
     "explicit_solution",
     "flowed_exponent",
-    "flowed_log_F",
     "kolmogorov_residual",
     "resolvent",
     "resolvent_identity_residual",
@@ -209,20 +221,6 @@ class ArrivalExponent:
 
     H_quad = H  # former name, still traced by perfbench
 
-    def H_limit(self):
-        """(H(infinity) approximation, truncation bound); needs m_zero > 0.
-
-        Integrates to A = 40/m_zero where the remaining tail is below
-        chi_mass * exp(-m_zero A)/m_zero (since |theta| <= 1 and the survival
-        factor is at most exp(-m_zero u)).
-        """
-        m0 = self.model.m_zero
-        if m0 <= 0:
-            raise ValueError("H has a finite limit only when m_zero > 0")
-        horizon = 40.0 / m0
-        bound = self.habitat.chi_mass * math.exp(-m0 * horizon) / m0
-        return self.H(horizon), bound
-
 
 def particle_terms(theta_like, model, x, alpha):
     """(g, phi) at particles (x, alpha), phi = -g' + m (e^g - 1).
@@ -254,51 +252,195 @@ def apply_generator(theta_like, config, habitat, model):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def flowed_log_F(theta, config, model, times):
-    """log F_{theta_t}(config) for an array of flow times t; vectorized.
+class _InitialLaw:
+    """expect_F, read off aged_expectations at age shift 0.
 
-    Used by the semigroup and resolvent integrands, where the same
-    configuration is re-evaluated along a whole time grid.
+    aged_expectations(ts, model, vtheta, phi=None) returns, for the law
+    pushed through each time of ts of survival and aging under model,
+    (E F_theta, E[F_theta * sum_particles phi]) as two arrays; the second is
+    None when phi is None.  Each is computed once per call, for all ts; time
+    enters a law only there.  sample_paths(n_paths, rng) draws n_paths iid
+    configurations from the law itself as a PathBundle (PathBundle.thin_and_age
+    ages them).
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    g = FlowedTheta(theta, times, model).g(config.positions[:, None, :], config.ages[:, None])
-    return np.sum(-g, axis=0)
+
+    def expect_F(self, vtheta):
+        return float(self.aged_expectations(0.0, None, vtheta)[0][0])
+
+
+class DiracLaw(_InitialLaw):
+    """A point mass at a configuration; its expect_F is F_theta there.
+
+    Aged by t, each particle survives with chance q_t independently, so the
+    product form of F_theta telescopes particle by particle: the aged mass
+    gives F_{theta_t}(config), the one spelling of it.
+    """
+
+    def __init__(self, config):
+        self.config = config
+
+    def aged_expectations(self, ts, model, vtheta, phi=None):
+        tau = np.atleast_1d(np.asarray(ts, dtype=float))
+        if model is None and np.any(tau):
+            raise ValueError("aging a point mass needs a departure model")
+        cfg = self.config
+        # one row per particle, one column per age shift
+        pos = cfg.positions[:, None, :]
+        ages = cfg.ages[:, None]
+        shifted = ages + tau
+        # log of the survival chance q over the shift
+        log_q = 0.0 if model is None else log_survival(model, pos, ages, tau)
+        g = vtheta.g(pos, shifted)
+        g_aged = flowed_exponent(g, log_q)
+        f = np.exp(-np.sum(g_aged, axis=0))
+        if phi is None:
+            return f, None
+        # each particle contributes q phi (1 + theta) / (1 + q theta)
+        contrib = phi(pos, shifted) * np.exp(log_q + g_aged - g)
+        return f, f * np.sum(contrib, axis=0)
+
+    def sample_paths(self, n_paths, rng):
+        return PathBundle.from_configuration(self.config, n_paths)
+
+
+class PoissonLaw(_InitialLaw):
+    """Poisson field over an intensity.
+
+    Pushing a Poisson field through survival-and-aging yields the Poisson
+    field of the pushed intensity, which for the survival-weighted densities
+    used here is just the same integrand over the age window shifted by t.
+    The window integrals for every shift come from one SurvivalCumulative
+    per integrand.  Over the stationary intensity, expect_F is the invariant
+    value pi(F_theta), short of it by the intensity's truncation_error.
+    """
+
+    def __init__(self, intensity):
+        self.intensity = intensity
+
+    def _window_integrals(self, h, vtheta, lo):
+        """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
+        habitat, model = self.intensity.habitat, self.intensity.model
+        cumulative = SurvivalCumulative(habitat, model, h, vtheta.x_breakpoints, age_scale=vtheta.age_scale)
+        return cumulative(lo + self.intensity.age_upper) - cumulative(lo)
+
+    def aged_expectations(self, ts, model, vtheta, phi=None):
+        lo = np.atleast_1d(np.asarray(ts, dtype=float))
+        f = np.exp(self._window_integrals(vtheta.theta, vtheta, lo))
+        if phi is None:
+            return f, None
+
+        def h(x, a):
+            return phi(x, a) * (1.0 + vtheta.theta(x, a))
+
+        return f, f * self._window_integrals(h, vtheta, lo)
+
+    def sample_paths(self, n_paths, rng):
+        bundle = PathBundle(n_paths, self.intensity.habitat.dim)
+        bundle.add_poisson(self.intensity, rng)
+        return bundle
+
+
+class ConvolutionLaw(_InitialLaw):
+    """Law of the union of independent draws from the component laws."""
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+
+    def aged_expectations(self, ts, model, vtheta, phi=None):
+        pairs = [p.aged_expectations(ts, model, vtheta, phi) for p in self.parts]
+        fs = [f for f, _ in pairs]
+        f = np.prod(fs, axis=0)
+        if phi is None:
+            return f, None
+        # E[F sum phi] = sum_i E_i[F sum phi] prod_{j != i} E_j[F]
+        w = sum(w_i * np.prod(fs[:i] + fs[i + 1 :], axis=0) for i, (_, w_i) in enumerate(pairs))
+        return f, w
+
+    def sample_paths(self, n_paths, rng):
+        parts = [p.sample_paths(n_paths, rng) for p in self.parts]
+        return PathBundle(
+            n_paths,
+            parts[0].dim,
+            *(np.concatenate([getattr(b, k) for b in parts]) for k in ("path_ids", "positions", "ages")),
+        )
+
+
+class ExplicitLaw:
+    """Closed-form transient law from an initial law under a test function.
+
+    expect_F(t) evaluates mu_t(F_theta) = exp(H(t)) mu(F_{theta_t}) exactly
+    (up to quadrature); expect_LF(t) evaluates mu_t(L F_theta) through the
+    factorized particle sums, an independent route from differentiating
+    expect_F.  Both are vectorized over t (a scalar t gives a float), and
+    the age integrals of the arrivals are running SurvivalCumulatives built
+    once per law.
+    """
+
+    def __init__(self, initial, theta, habitat, model):
+        self.initial = initial
+        self.theta = theta
+        self.habitat = habitat
+        self.model = model
+        self.exponent = ArrivalExponent(theta, habitat, model)
+        # the arrival constant int theta(x, 0) chi(dx)
+        self._c3 = self.exponent.psi(0.0)
+        self._arrivals_weighted = SurvivalCumulative(
+            habitat, model, self._phi_weighted, theta.x_breakpoints, age_scale=theta.age_scale
+        )
+
+    def _phi(self, pos, ages):
+        return particle_terms(self.theta, self.model, pos, ages)[1]
+
+    def _phi_weighted(self, pos, ages):
+        g, phi = particle_terms(self.theta, self.model, pos, ages)
+        return phi * np.exp(-g)
+
+    def expect_F(self, t):
+        f, _ = self.initial.aged_expectations(t, self.model, self.theta)
+        out = np.exp(self.exponent.H(t)) * f
+        return float(out[0]) if np.ndim(t) == 0 else out
+
+    def expect_LF(self, t):
+        f, w = self.initial.aged_expectations(t, self.model, self.theta, self._phi)
+        pre = np.exp(self.exponent.H(t))
+        p_w = self._arrivals_weighted(t)
+        out = pre * (f * (self._c3 + p_w) + w)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
     """E_config F_{theta_s}(X_t): the closed-form semigroup action.
 
     Equals exp(H(s+t) - H(s)) * F_{theta_{s+t}}(config) with H the arrival
-    exponent.
+    exponent; at s = 0 it is ExplicitLaw(DiracLaw(config), ...).expect_F(t).
     """
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    expo = exponent.H(s + t) - exponent.H(s)
-    return float(np.exp(expo + flowed_log_F(theta, config, model, np.array(s + t)))[0])
+    f, _ = DiracLaw(config).aged_expectations(s + t, model, theta)
+    return float(np.exp(exponent.H(s + t) - exponent.H(s)) * f[0])
 
 
-def kolmogorov_residual(theta, t1, t2, config, habitat, model, exponent=None):
+def kolmogorov_residual(theta, t1, t2, config, habitat, model):
     """|P_{t2} F - P_{t1} F - int_{t1}^{t2} e^{H(s)} L F_{theta_s} ds| at config.
 
     The backward equation d/dt P_t F = e^{H(t)} L F_{theta_t} in integral
-    form: both ends are explicit_solution, and the s-integral runs on
-    age_rule(t1, t2, age_panel_width(model, theta.age_scale)) through one
-    broadcasting apply_generator call.
+    form: both ends are the point mass's ExplicitLaw, and the s-integral
+    runs on age_rule(t1, t2, age_panel_width(model, theta.age_scale))
+    through one broadcasting apply_generator call.
     """
     if not 0.0 <= t1 <= t2:
         raise ValueError("need 0 <= t1 <= t2")
-    if exponent is None:
-        exponent = ArrivalExponent(theta, habitat, model)
+    law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
     s, weights = age_rule(t1, t2, age_panel_width(model, theta.age_scale))
     lf = apply_generator(FlowedTheta(theta, s, model), config, habitat, model)
-    integral = weights @ (np.exp(exponent.H(s)) * lf)
-    ends = [explicit_solution(theta, 0.0, t, config, habitat, model, exponent=exponent) for t in (t1, t2)]
-    return abs(ends[1] - ends[0] - integral)
+    integral = weights @ (np.exp(law.exponent.H(s)) * lf)
+    f1, f2 = law.expect_F(np.array([t1, t2]))
+    return abs(f2 - f1 - integral)
 
 
-def _laplace_rule(s, lam, model, exponent):
+def _laplace_rule(lam, model, exponent):
     """Nodes t and weights of the t-rule on [0, 40/lam], and the factor
-    exp(-lam t + H(s+t) - H(s)) that every resolvent integrand carries.
+    exp(-lam t + H(t)) that every resolvent integrand carries.
 
     Panels have width at most min(1/lam, age_panel_width(model,
     theta.age_scale)); past T = 40/lam the integrand is below e^{-40}/lam.
@@ -307,34 +449,33 @@ def _laplace_rule(s, lam, model, exponent):
         raise ValueError("resolvent parameter must be positive")
     width = min(1.0 / lam, age_panel_width(model, exponent.theta.age_scale))
     t, weights = age_rule(0.0, 40.0 / lam, width)
-    factor = np.exp(-lam * t + exponent.H(s + t) - exponent.H(s))
-    return t, weights, factor
+    return t, weights, np.exp(-lam * t + exponent.H(t))
 
 
-def resolvent(theta, s, lam, config, habitat, model, exponent=None):
-    """int_0^inf e^{-lam t} E_config F_{theta_s}(X_t) dt, in (0, 1/lam).
+def resolvent(theta, lam, config, habitat, model, exponent=None):
+    """int_0^inf e^{-lam t} E_config F_theta(X_t) dt, in (0, 1/lam).
 
     Truncated at T = 40/lam where the integrand is below e^{-40}/lam.
     """
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    t, weights, factor = _laplace_rule(s, lam, model, exponent)
-    return float(weights @ (factor * np.exp(flowed_log_F(theta, config, model, s + t))))
+    t, weights, factor = _laplace_rule(lam, model, exponent)
+    f, _ = DiracLaw(config).aged_expectations(t, model, theta)
+    return float(weights @ (factor * f))
 
 
-def resolvent_identity_residual(theta, s, lam, config, habitat, model, exponent=None):
-    """|L F_lam - lam F_lam + F_{theta_s}| with L applied under the integral.
+def resolvent_identity_residual(theta, lam, config, habitat, model, exponent=None):
+    """|L F_lam - lam F_lam + F_theta| with L applied under the integral.
 
     Zero analytically; the returned value is pure quadrature error.
     """
     if exponent is None:
         exponent = ArrivalExponent(theta, habitat, model)
-    t, weights, factor = _laplace_rule(s, lam, model, exponent)
-    lf = apply_generator(FlowedTheta(theta, s + t, model), config, habitat, model)
+    t, weights, factor = _laplace_rule(lam, model, exponent)
+    lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
     lf_lam = float(weights @ (factor * lf))
-    f_lam = resolvent(theta, s, lam, config, habitat, model, exponent=exponent)
-    f_s = math.exp(flowed_log_F(theta, config, model, float(s))[0])
-    return abs(lf_lam - lam * f_lam + f_s)
+    f_lam = resolvent(theta, lam, config, habitat, model, exponent=exponent)
+    return abs(lf_lam - lam * f_lam + DiracLaw(config).expect_F(theta))
 
 
 @dataclass(frozen=True)
@@ -355,13 +496,13 @@ def compute_bounds(theta, habitat, model):
 
     ell_theta dominates |L F_{theta_t}| uniformly in t; est_bound dominates
     |L F_theta|; tau_star is the contraction horizon 1/(m_star e^J).  The age
-    sandwich exp(-sigma_bar 2^(2/3)/3) g(x,0) <= g(x,alpha) <= g(x,0) and the
+    sandwich exp(-sigma_bar sup u_1) g(x,0) <= g(x,alpha) <= g(x,0) and the
     derivative domination |g'| <= sigma_bar c g are asserted on a grid.
     """
     j = theta.j_count
     sigma_bar = theta.ladder.sigma_bar
     c = u_prime_max_constant()
-    cbar = math.exp(-sigma_bar * 2.0 ** (2.0 / 3.0) / 3.0)
+    cbar = math.exp(-sigma_bar * u_basis_max(1))
     chi_g0 = chi_integral(
         habitat, lambda x: theta.g(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
     )

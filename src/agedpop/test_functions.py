@@ -11,7 +11,7 @@ The associated configuration functional
 
 lies in (0, 1], is multiplicative over disjoint unions, and the family over
 all finite triple multisets separates laws: Poisson expectations are
-exp(int theta d rho) (verify.PoissonLaw.expect_F) and expectations of
+exp(int theta d rho) (generator.PoissonLaw.expect_F) and expectations of
 independent superpositions multiply.
 
 The star product theta * theta' = theta + theta' + theta theta' corresponds to
@@ -19,8 +19,6 @@ concatenating term lists, since 1 + (theta * theta') = (1+theta)(1+theta').
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -32,8 +30,6 @@ __all__ = [
     "star_product",
     "F_theta",
     "log_F_theta",
-    "theta_to_json",
-    "theta_from_json",
 ]
 
 
@@ -150,17 +146,3 @@ def log_F_theta(theta, config):
 def F_theta(theta, config):
     """prod (1 + theta(x, alpha)) = exp(-sum g) in (0, 1]."""
     return float(np.exp(log_F_theta(theta, config)))
-
-
-def theta_to_json(theta):
-    """JSON text: list of [s, k, n] triples."""
-    return json.dumps([list(t) for t in theta.terms])
-
-
-def theta_from_json(text, habitat, ladder=DEFAULT_LADDER):
-    data = json.loads(text)
-    if not isinstance(data, list) or not all(
-        isinstance(t, list) and len(t) == 3 for t in data
-    ):
-        raise ValueError("theta file must hold a JSON list of [s, k, n] triples")
-    return Theta([tuple(t) for t in data], habitat, ladder)

@@ -1,22 +1,14 @@
 """Verification gates: closed-form laws against simulation and quadrature.
 
-The transient law started from mu_0 is the independent superposition of a
-Poisson field of newcomers and the survived-and-aged initial law.  For the
-initial laws shipped here (point mass, Poisson, convolutions of those) both
-
-    mu_t(F_theta)        and        mu_t(L F_theta)
-
-have closed forms: the first from the explicit semigroup action, the second
-from the factorization of expectations of F_theta times an additive particle
-sum (for a Poisson field E[F * sum phi] = E[F] * int phi (1+theta) d rho;
-for an independently thinned point mass the product form telescopes).
-
-Each check returns a VerificationReport holding the measured statistic, the
-threshold it was held to and the comparison between them, from which the
-report derives PASS, FAIL or SKIP; report lists can be rendered to CSV or
-text.  Statistical gates use a 4-standard-error band unless the criterion
-states otherwise.  SUITES is the table of check calls that `agedpop verify`
-runs.
+Each check compares a closed form of agedpop.generator (the transient law
+E_mu F_theta(X_t) = exp(H(t)) mu(F_{theta_t}) of its law objects, the
+generator, the resolvent) with an independent route: quadrature, the
+generator's integral identities, or simulation.  It returns a
+VerificationReport holding the measured statistic, the threshold it was
+held to and the comparison between them, from which the report derives
+PASS, FAIL or SKIP; report lists can be rendered to CSV or text.
+Statistical gates use a 4-standard-error band unless the criterion states
+otherwise.  SUITES is the table of check calls that `agedpop verify` runs.
 """
 
 from __future__ import annotations
@@ -33,24 +25,20 @@ import numpy as np
 from .config_space import MarkedConfiguration, kappa_distance
 from .generator import (
     ArrivalExponent,
+    DiracLaw,
+    ExplicitLaw,
     FlowedTheta,
+    PoissonLaw,
+    apply_generator,
     compute_bounds,
     flow_pde_residual,
-    flowed_exponent,
     kolmogorov_residual,
     particle_terms,
     resolvent,
 )
 # chi_integral and survival_weighted_integral are re-exported here for
 # callers (and the benchmark's tracer) that reach them through this module
-from .habitat import (
-    SurvivalCumulative,
-    age_panel_width,
-    age_rule,
-    chi_integral,
-    log_survival,
-    survival_weighted_integral,
-)
+from .habitat import age_panel_width, age_rule, chi_integral, survival_weighted_integral
 from .sampler import (
     PathBundle,
     _sample_points,
@@ -63,10 +51,6 @@ __all__ = [
     "VerificationReport",
     "write_reports_csv",
     "format_reports",
-    "DiracLaw",
-    "PoissonLaw",
-    "ConvolutionLaw",
-    "ExplicitLaw",
     "survival_weighted_integral",
     "fokker_planck_check",
     "laplace_uniqueness_check",
@@ -152,159 +136,6 @@ def format_reports(reports):
     return "\n".join([r.line() for r in reports] + [summary])
 
 
-class _InitialLaw:
-    """expect_F, read off aged_expectations at age shift 0.
-
-    aged_expectations(ts, model, vtheta, phi=None) returns, for the law
-    pushed through each time of ts of survival and aging under model,
-    (E F_theta, E[F_theta * sum_particles phi]) as two arrays; the second is
-    None when phi is None.  Each is computed once per call, for all ts; time
-    enters a law only there.  sample_paths(n_paths, rng) draws n_paths iid
-    configurations from the law itself as a PathBundle (PathBundle.thin_and_age
-    ages them).
-    """
-
-    def expect_F(self, vtheta):
-        return float(self.aged_expectations(0.0, None, vtheta)[0][0])
-
-
-class DiracLaw(_InitialLaw):
-    """A point mass at a configuration; its expect_F is F_theta there.
-
-    Aged by t, each particle survives with chance q_t independently, so the
-    product form of F_theta telescopes particle by particle.
-    """
-
-    def __init__(self, config):
-        self.config = config
-
-    def aged_expectations(self, ts, model, vtheta, phi=None):
-        tau = np.atleast_1d(np.asarray(ts, dtype=float))
-        if model is None and np.any(tau):
-            raise ValueError("aging a point mass needs a departure model")
-        cfg = self.config
-        # one row per particle, one column per age shift
-        pos = cfg.positions[:, None, :]
-        ages = cfg.ages[:, None]
-        shifted = ages + tau
-        # log of the survival chance q over the shift
-        log_q = 0.0 if model is None else log_survival(model, pos, ages, tau)
-        g = vtheta.g(pos, shifted)
-        g_aged = flowed_exponent(g, log_q)
-        f = np.exp(-np.sum(g_aged, axis=0))
-        if phi is None:
-            return f, None
-        # each particle contributes q phi (1 + theta) / (1 + q theta)
-        contrib = phi(pos, shifted) * np.exp(log_q + g_aged - g)
-        return f, f * np.sum(contrib, axis=0)
-
-    def sample_paths(self, n_paths, rng):
-        return PathBundle.from_configuration(self.config, n_paths)
-
-
-class PoissonLaw(_InitialLaw):
-    """Poisson field over an intensity.
-
-    Pushing a Poisson field through survival-and-aging yields the Poisson
-    field of the pushed intensity, which for the survival-weighted densities
-    used here is just the same integrand over the age window shifted by t.
-    The window integrals for every shift come from one SurvivalCumulative
-    per integrand.
-    """
-
-    def __init__(self, intensity):
-        self.intensity = intensity
-
-    def _window_integrals(self, h, vtheta, lo):
-        """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
-        habitat, model = self.intensity.habitat, self.intensity.model
-        cumulative = SurvivalCumulative(habitat, model, h, vtheta.x_breakpoints, age_scale=vtheta.age_scale)
-        return cumulative(lo + self.intensity.age_upper) - cumulative(lo)
-
-    def aged_expectations(self, ts, model, vtheta, phi=None):
-        lo = np.atleast_1d(np.asarray(ts, dtype=float))
-        f = np.exp(self._window_integrals(vtheta.theta, vtheta, lo))
-        if phi is None:
-            return f, None
-
-        def h(x, a):
-            return phi(x, a) * (1.0 + vtheta.theta(x, a))
-
-        return f, f * self._window_integrals(h, vtheta, lo)
-
-    def sample_paths(self, n_paths, rng):
-        bundle = PathBundle(n_paths, self.intensity.habitat.dim)
-        bundle.add_poisson(self.intensity, rng)
-        return bundle
-
-
-class ConvolutionLaw(_InitialLaw):
-    """Law of the union of independent draws from the component laws."""
-
-    def __init__(self, parts):
-        self.parts = list(parts)
-
-    def aged_expectations(self, ts, model, vtheta, phi=None):
-        pairs = [p.aged_expectations(ts, model, vtheta, phi) for p in self.parts]
-        fs = [f for f, _ in pairs]
-        f = np.prod(fs, axis=0)
-        if phi is None:
-            return f, None
-        # E[F sum phi] = sum_i E_i[F sum phi] prod_{j != i} E_j[F]
-        w = sum(w_i * np.prod(fs[:i] + fs[i + 1 :], axis=0) for i, (_, w_i) in enumerate(pairs))
-        return f, w
-
-    def sample_paths(self, n_paths, rng):
-        parts = [p.sample_paths(n_paths, rng) for p in self.parts]
-        return PathBundle(
-            n_paths,
-            parts[0].dim,
-            *(np.concatenate([getattr(b, k) for b in parts]) for k in ("path_ids", "positions", "ages")),
-        )
-
-
-class ExplicitLaw:
-    """Closed-form transient law from an initial law under a test function.
-
-    expect_F(t) evaluates mu_t(F_theta) exactly (up to quadrature);
-    expect_LF(t) evaluates mu_t(L F_theta) through the factorized particle
-    sums, an independent route from differentiating expect_F.  Both are
-    vectorized over t (a scalar t gives a float), and the age integrals of
-    the arrivals are running SurvivalCumulatives built once per law.
-    """
-
-    def __init__(self, initial, theta, habitat, model):
-        self.initial = initial
-        self.theta = theta
-        self.habitat = habitat
-        self.model = model
-        self.exponent = ArrivalExponent(theta, habitat, model)
-        # the arrival constant int theta(x, 0) chi(dx)
-        self._c3 = self.exponent.psi(0.0)
-        self._arrivals_weighted = SurvivalCumulative(
-            habitat, model, self._phi_weighted, theta.x_breakpoints, age_scale=theta.age_scale
-        )
-
-    def _phi(self, pos, ages):
-        return particle_terms(self.theta, self.model, pos, ages)[1]
-
-    def _phi_weighted(self, pos, ages):
-        g, phi = particle_terms(self.theta, self.model, pos, ages)
-        return phi * np.exp(-g)
-
-    def expect_F(self, t):
-        f, _ = self.initial.aged_expectations(t, self.model, self.theta)
-        out = np.exp(self.exponent.H(t)) * f
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def expect_LF(self, t):
-        f, w = self.initial.aged_expectations(t, self.model, self.theta, self._phi)
-        pre = np.exp(self.exponent.H(t))
-        p_w = self._arrivals_weighted(t)
-        out = pre * (f * (self._c3 + p_w) + w)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def fokker_planck_check(theta, initial, t, habitat, model, name="fokker-planck"):
     """Residual of mu_t(F) = mu_0(F) + int_0^t mu_s(L F) ds on the age rule.
 
@@ -336,7 +167,7 @@ def laplace_uniqueness_check(theta, config, lam, habitat, model, name="laplace-u
     from scipy import integrate
 
     law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
-    lhs = resolvent(theta, 0.0, lam, config, habitat, model, exponent=law.exponent)
+    lhs = resolvent(theta, lam, config, habitat, model, exponent=law.exponent)
     horizon = 40.0 / lam
     rhs, _ = integrate.quad(
         lambda s: math.exp(-lam * s) * law.expect_F(s), 0.0, horizon, epsabs=1e-10, limit=400
@@ -412,15 +243,17 @@ def martingale_residual(
 def ergodicity_gap_curve(theta, habitat, model, times):
     """Gaps |mu_t(F_theta) - pi(F_theta)| from the empty start, plus metadata.
 
-    Returns (gaps, pi_value, tail_bound).  Requires m_zero > 0.
+    Returns (gaps, pi_value, tail_bound): pi is the stationary PoissonLaw,
+    whose age window leaves out at most tail_bound of intensity mass.
+    Requires m_zero > 0.
     """
     if model.m_zero <= 0:
         raise ValueError("ergodicity requires a positive hazard floor m_zero")
-    exponent = ArrivalExponent(theta, habitat, model)
-    h_inf, tail = exponent.H_limit()
-    pi_value = math.exp(h_inf)
-    gaps = np.abs(np.exp(exponent.H(np.asarray(times, dtype=float))) - pi_value)
-    return gaps, pi_value, tail
+    intensity = stationary_intensity(habitat, model)
+    pi_value = PoissonLaw(intensity).expect_F(theta)
+    empty = DiracLaw(MarkedConfiguration.empty(habitat.dim))
+    mu_t = ExplicitLaw(empty, theta, habitat, model).expect_F(np.asarray(times, dtype=float))
+    return np.abs(mu_t - pi_value), pi_value, intensity.truncation_error
 
 
 def ergodicity_check(theta, habitat, model, times=None, name="ergodicity"):
@@ -472,18 +305,15 @@ def stationarity_check(theta, habitat, model, times, name="stationarity"):
 
 
 def chapman_kolmogorov_check(theta, config, s, t, habitat, model, name="chapman-kolmogorov"):
-    """Two-leg vs one-leg closed forms of the transition expectation."""
+    """Two-leg vs one-leg closed forms of the transition expectation:
+    E_config F_theta(X_{s+t}) against e^{H(s)} E_config F_{theta_s}(X_t).
+    """
     point = DiracLaw(config)
-    one = ArrivalExponent(theta, habitat, model)
-    lhs = math.exp(one.H(s + t)) * point.aged_expectations(s + t, model, theta)[0][0]
-    flowed = FlowedTheta(theta, s, model)
-    two_stage = ArrivalExponent(flowed, habitat, model)
-    rhs = (
-        math.exp(one.H(s))
-        * math.exp(two_stage.H(t))
-        * point.aged_expectations(t, model, flowed)[0][0]
-    )
-    residual = float(abs(lhs - rhs))
+    one_leg = ExplicitLaw(point, theta, habitat, model)
+    second_leg = ExplicitLaw(point, FlowedTheta(theta, s, model), habitat, model)
+    lhs = one_leg.expect_F(s + t)
+    rhs = math.exp(one_leg.exponent.H(s)) * second_leg.expect_F(t)
+    residual = abs(lhs - rhs)
     return VerificationReport(
         name=name,
         statistic="|one-leg - two-leg|",
@@ -676,13 +506,21 @@ def kappa_separation_check(habitat, name="metrics-separation"):
 
 
 def generator_bounds_check(theta, habitat, model, name="generator-bounds"):
-    """The uniform generator bounds; compute_bounds asserts them on a grid."""
+    """max |L F_theta| on fixed configurations against est_bound.
+
+    The configurations are the empty one, _dirac_start and the particle of
+    _one_particle, so the check draws nothing.  compute_bounds also asserts
+    the age sandwich and the derivative domination on a grid.
+    """
     bounds = compute_bounds(theta, habitat, model)
+    configs = [MarkedConfiguration.empty(habitat.dim), _dirac_start(habitat), _one_particle(habitat)]
+    value = max(abs(apply_generator(theta, config, habitat, model)) for config in configs)
     return VerificationReport(
         name=name,
-        statistic="uniform generator bound (grid check inside)",
-        value=bounds.est_bound,
-        threshold=math.inf,
+        statistic="max |L F_theta| over 3 fixed configurations",
+        value=value,
+        threshold=bounds.est_bound,
+        sense="<=",
         note=f"ell_theta={bounds.ell_theta:.4f}, tau_star={bounds.tau_star:.4f}",
     )
 
@@ -701,15 +539,19 @@ def flow_pde_check(theta, habitat, model, t1, t2, name="generator-flow-pde"):
 
 
 def kolmogorov_check(theta, habitat, model, t1, t2, name="generator-kolmogorov"):
-    """kolmogorov_residual at one particle of age 0.5 at the window's midpoint."""
-    config = MarkedConfiguration(habitat.midpoint[None, :], np.array([0.5]))
+    """kolmogorov_residual at the particle of _one_particle."""
     return VerificationReport(
         name=name,
         statistic="backward equation residual",
-        value=kolmogorov_residual(theta, t1, t2, config, habitat, model),
+        value=kolmogorov_residual(theta, t1, t2, _one_particle(habitat), habitat, model),
         threshold=1e-10,
         note=f"t1={t1}, t2={t2}",
     )
+
+
+def _one_particle(habitat):
+    """One particle of age 0.5 at the window's midpoint."""
+    return MarkedConfiguration(habitat.midpoint[None, :], np.array([0.5]))
 
 
 def _dirac_start(habitat):

@@ -377,9 +377,7 @@ def test_criterion_05_resolvent():
     worst = 0.0
     for theta, config in cases:
         for lam in (0.5, 1.0, 2.0):
-            res = resolvent_identity_residual(
-                theta, 0.0, lam, config, HAB, CONST, exponent=exponents[id(theta)]
-            )
+            res = resolvent_identity_residual(theta, lam, config, HAB, CONST, exponent=exponents[id(theta)])
             worst = max(worst, res)
     ident_ok = worst < 1e-6
     bounds = {id(t): compute_bounds(t, HAB, CONST) for t in THETAS}
@@ -388,7 +386,7 @@ def test_criterion_05_resolvent():
     for theta, config in cases:
         f0 = F_theta(theta, config)
         for lam in (10.0, 100.0):
-            val = resolvent(theta, 0.0, lam, config, HAB, CONST, exponent=exponents[id(theta)])
+            val = resolvent(theta, lam, config, HAB, CONST, exponent=exponents[id(theta)])
             gap = abs(lam * val - f0)
             cap = bounds[id(theta)].ell_theta / lam
             worst_frac = max(worst_frac, gap / cap)

@@ -383,6 +383,7 @@ _SENSE_OF = {
     "sampler-cross-counts": ">",
     "sampler-count-stationary-count": "<=",
     "ergodicity": "<=",
+    "generator-bounds": "<=",
 }
 _SUITE_CONFIGS = {
     "1d": GOOD,

@@ -9,10 +9,13 @@ from scipy import integrate
 from agedpop import (
     ArrivalExponent,
     DepartureModel,
+    DiracLaw,
+    ExplicitLaw,
     F_theta,
     FlowedTheta,
     MarkedConfiguration,
     PathBundle,
+    PoissonLaw,
     Theta,
     apply_generator,
     compute_bounds,
@@ -20,12 +23,11 @@ from agedpop import (
     explicit_solution,
     flow,
     flow_pde_residual,
-    flowed_log_F,
     kolmogorov_residual,
-    log_F_theta,
     resolvent,
     resolvent_identity_residual,
     separable_rate,
+    stationary_intensity,
     transient_intensity,
     uniform_habitat,
 )
@@ -242,11 +244,14 @@ def test_H_routes_agree(theta_two, habitat_1d, separable_model):
     assert list(vals) == [exponent.H(T) for T in Ts]
 
 
-def test_H_limit(theta_two, habitat_1d, const_model):
+def test_stationary_law_is_the_limit_of_H(theta_two, habitat_1d, const_model):
+    # pi(F_theta) = exp(H(infinity)), short of it by the intensity's age window
     exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
-    h_inf, bound = exponent.H_limit()
+    intensity = stationary_intensity(habitat_1d, const_model)
+    bound = intensity.truncation_error
     assert bound == pytest.approx(habitat_1d.chi_mass * math.exp(-40.0), rel=1e-12)
-    assert abs(_H_oracle(exponent, 80.0) - h_inf) <= bound + 1e-12
+    log_pi = math.log(PoissonLaw(intensity).expect_F(theta_two))
+    assert abs(_H_oracle(exponent, 80.0) - log_pi) <= bound + 1e-12
 
 
 # ------------------------------------------------- explicit solution et al.
@@ -268,11 +273,6 @@ def test_explicit_solution_vs_monte_carlo(theta_two, habitat_1d, const_model, rn
     assert abs(f.mean() - want) < 4 * se
 
 
-def test_flowed_log_F_at_zero_is_log_F(theta_two, separable_model, habitat_1d):
-    config = MarkedConfiguration(np.linspace(0.05, 0.95, 23)[:, None], np.linspace(0.0, 3.0, 23))
-    assert flowed_log_F(theta_two, config, separable_model, 0.0)[0] == log_F_theta(theta_two, config)
-
-
 def test_apply_generator_over_flow_times(theta_two, habitat_1d, separable_model):
     config = MarkedConfiguration(np.array([[0.3], [0.65], [0.8]]), np.array([0.5, 1.4, 0.1]))
     times = np.array([0.0, 0.2, 0.9, 2.5])
@@ -289,14 +289,28 @@ def test_apply_generator_over_flow_times(theta_two, habitat_1d, separable_model)
     assert plain == ArrivalExponent(theta_two, habitat_1d, separable_model).psi(0.0)
 
 
-def test_flowed_log_F_vectorized(theta_two, const_model, rng, habitat_1d):
+def test_aged_dirac_law_is_F_of_the_flowed_theta(theta_two, const_model, rng, habitat_1d):
     config = random_configuration(rng, habitat_1d, max_particles=4)
     times = np.array([0.0, 0.3, 1.1])
-    vec = flowed_log_F(theta_two, config, const_model, times)
+    vec, _ = DiracLaw(config).aged_expectations(times, const_model, theta_two)
     for i, t in enumerate(times):
         flowed = flow(theta_two, t, const_model)
         direct = -float(np.sum(flowed.g(config.positions, config.ages))) if len(config) else 0.0
-        assert vec[i] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+        assert math.log(vec[i]) == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_explicit_solution_is_the_point_mass_law(dim, habitat_1d, habitat_2d, rng):
+    hab = habitat_1d if dim == 1 else habitat_2d
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1)], hab)
+    config = random_configuration(rng, hab, max_particles=4)
+    config = MarkedConfiguration(np.vstack([config.positions, hab.midpoint]), np.append(config.ages, 0.7))
+    times = np.linspace(0.0, 3.0, 13)
+    law = ExplicitLaw(DiracLaw(config), theta, hab, model)
+    want = law.expect_F(times)
+    got = [explicit_solution(theta, 0.0, t, config, hab, model) for t in times]
+    assert got == list(want)
 
 
 def test_kolmogorov_residual_small(theta_two, habitat_1d, separable_model, rng):
@@ -318,21 +332,19 @@ def test_resolvent_range_and_identity(theta_two, habitat_1d, const_model, rng):
     config = random_configuration(rng, habitat_1d, max_particles=3)
     exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
     for lam in (0.5, 2.0):
-        val = resolvent(theta_two, 0.0, lam, config, habitat_1d, const_model, exponent=exponent)
+        val = resolvent(theta_two, lam, config, habitat_1d, const_model, exponent=exponent)
         assert 0.0 < val < 1.0 / lam
-        res = resolvent_identity_residual(
-            theta_two, 0.0, lam, config, habitat_1d, const_model, exponent=exponent
-        )
+        res = resolvent_identity_residual(theta_two, lam, config, habitat_1d, const_model, exponent=exponent)
         assert res < 1e-6
     with pytest.raises(ValueError):
-        resolvent(theta_two, 0.0, -1.0, config, habitat_1d, const_model)
+        resolvent(theta_two, -1.0, config, habitat_1d, const_model)
 
 
 def test_resolvent_tail_bound(theta_two, habitat_1d, const_model, rng):
     config = random_configuration(rng, habitat_1d, max_particles=3)
     bounds = compute_bounds(theta_two, habitat_1d, const_model)
     for lam in (10.0, 100.0):
-        val = resolvent(theta_two, 0.0, lam, config, habitat_1d, const_model)
+        val = resolvent(theta_two, lam, config, habitat_1d, const_model)
         assert abs(lam * val - F_theta(theta_two, config)) <= bounds.ell_theta / lam
 
 

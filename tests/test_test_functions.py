@@ -13,8 +13,6 @@ from agedpop import (
     Theta,
     log_F_theta,
     star_product,
-    theta_from_json,
-    theta_to_json,
     transient_intensity,
     u_prime_max_constant,
     uniform_habitat,
@@ -121,15 +119,6 @@ def test_poisson_expectation_against_quadrature(theta_two, habitat_1d, const_mod
     expected = math.exp(inner)
     got = PoissonLaw(intensity).expect_F(theta_two)
     assert got == pytest.approx(expected, abs=1e-8)
-
-
-def test_json_round_trip(theta_two, habitat_1d):
-    text = theta_to_json(theta_two)
-    back = theta_from_json(text, habitat_1d)
-    assert back.j_count == theta_two.j_count
-    x = np.array([[0.3], [0.8]])
-    a = np.array([0.2, 2.5])
-    np.testing.assert_allclose(back.g(x, a), theta_two.g(x, a), rtol=1e-15)
 
 
 def test_broadcasting(theta_two, rng):

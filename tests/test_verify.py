@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ from agedpop import (
     uniform_habitat,
     write_reports_csv,
 )
-from agedpop import verify
+from agedpop import generator, verify
 from agedpop.habitat import age_panel_width, age_rule
 from agedpop.verify import _pool_columns
 
@@ -214,12 +215,12 @@ def test_fokker_planck_dirac_2d(setup_2d):
 def test_expect_LF_poisson_start_integrates_each_window_once(theta_two, habitat_1d, const_model, monkeypatch):
     built = []
 
-    class Counted(verify.SurvivalCumulative):
+    class Counted(generator.SurvivalCumulative):
         def __init__(self, habitat, model, h, *args, **kwargs):
             built.append(h)
             super().__init__(habitat, model, h, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "SurvivalCumulative", Counted)
+    monkeypatch.setattr(generator, "SurvivalCumulative", Counted)
     initial = PoissonLaw(stationary_intensity(habitat_1d, const_model))
     law = ExplicitLaw(initial, theta_two, habitat_1d, const_model)
     built.clear()
@@ -331,6 +332,13 @@ def test_ergodicity(theta_two, habitat_1d, const_model):
     assert report.passed, report.line()
     report = stationarity_check(theta_two, habitat_1d, const_model, [0.5, 1.5])
     assert report.passed, report.line()
+
+
+def test_ergodicity_gap_curve_reads_the_stationary_law(theta_two, habitat_1d, separable_model):
+    _, pi_value, tail = ergodicity_gap_curve(theta_two, habitat_1d, separable_model, [1.0, 2.0])
+    intensity = stationary_intensity(habitat_1d, separable_model)
+    assert pi_value == PoissonLaw(intensity).expect_F(theta_two)
+    assert tail == intensity.truncation_error
 
 
 def test_ergodicity_band_for_varying_hazard():
@@ -449,3 +457,16 @@ def test_cross_sampler_pools_cells_in_count_order(theta_two, habitat_1d, separab
     assert np.all(table.sum(axis=0) >= 10)
     assert table[:, 0].sum() > table[:, -1].sum()
     assert all(r.passed for r in reports), format_reports(reports)
+
+
+def test_generator_bounds_fails_on_a_planted_bound_defect(theta_two, habitat_1d, const_model, monkeypatch):
+    assert verify.generator_bounds_check(theta_two, habitat_1d, const_model).passed
+    original = verify.compute_bounds
+
+    def shrunk(theta, habitat, model):
+        bounds = original(theta, habitat, model)
+        return dataclasses.replace(bounds, est_bound=0.25 * bounds.est_bound)
+
+    monkeypatch.setattr(verify, "compute_bounds", shrunk)
+    report = verify.generator_bounds_check(theta_two, habitat_1d, const_model)
+    assert report.outcome == "FAIL", report.line()
