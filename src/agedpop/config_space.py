@@ -148,8 +148,18 @@ class Plateaus(NamedTuple):
         if x.shape[-1] != dim:
             raise ValueError(f"points have dimension {x.shape[-1]}, the plateaus {dim}")
         lead = (-1,) + (1,) * (x.ndim - 1)
-        r2 = sum((x[..., i] - self.centers[:, i].reshape(lead)) ** 2 for i in range(dim))
-        return self.heights.reshape(lead) * np.clip(2.0 - np.sqrt(r2) / self.radii.reshape(lead), 0.0, 1.0)
+        # |x - c_s|^2 axis by axis, then the clipped ramp, worked in place
+        out = np.subtract(x[..., 0], self.centers[:, 0].reshape(lead))
+        np.square(out, out=out)
+        for i in range(1, dim):
+            step = np.subtract(x[..., i], self.centers[:, i].reshape(lead))
+            out += np.square(step, out=step)
+        np.sqrt(out, out=out)
+        out /= self.radii.reshape(lead)
+        np.subtract(2.0, out, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+        out *= self.heights.reshape(lead)
+        return out
 
 
 def basis_count_below_scale(j, dim):

@@ -23,6 +23,11 @@ any hazard regardless of acceptance rate.  Each rejection round proposes for
 every strip still short at once, so the number of strips costs no Python
 loop.
 
+Survival thinning keeps a particle when its uniform u is below q_dt(x, alpha),
+squeezed (Marsaglia 1977; Devroye 1986, II.5): q lies in the band
+[exp(-m_star dt), exp(-m_zero dt)], so q is computed only where u falls
+inside it, and each computed q is checked against the band.
+
 The samplers rely on the declared bounds m_zero <= m <= m_star and
 density <= density_sup; a draw that sees one broken raises ValueError
 instead of quietly biasing the sample.
@@ -57,6 +62,10 @@ __all__ = [
     "event_driven_simulate",
     "sample_trajectory_marginals",
 ]
+
+# relative rounding allowance of the survival band of PathBundle.thin_and_age
+_SQUEEZE_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class IntensityMeasure:
@@ -228,12 +237,28 @@ class PathBundle:
 
         Averaging prod (1 + theta) over the survivals gives the flowed
         functional F_{theta_dt}: this is the exact kernel of the age flow.
+        A particle is kept when its uniform u < q; a u below the survival
+        band keeps and one above it drops without q, so every decision is
+        that of u < q on all particles.
         """
         if self.path_ids.size == 0 or dt == 0.0:
             self.ages = self.ages + dt
             return
-        q = survival_factor(model, self.positions, self.ages, dt)
-        keep = rng.random(self.ages.size) < q
+        u = rng.random(self.ages.size)
+        lo = math.exp(-model.m_star * dt) * (1.0 - _SQUEEZE_SLACK)
+        hi = math.exp(-model.m_zero * dt) * (1.0 + _SQUEEZE_SLACK)
+        keep = u < lo
+        band = np.flatnonzero(~keep & (u < hi))
+        if band.size:
+            q = survival_factor(
+                model, np.take(self.positions, band, axis=0), np.take(self.ages, band), dt
+            )
+            if not np.all((q >= lo) & (q <= hi)):
+                raise ValueError(
+                    "survival chance outside [exp(-m_star dt), exp(-m_zero dt)]: "
+                    "hazard outside [m_zero, m_star]"
+                )
+            keep[band] = np.take(u, band) < q
         self.path_ids = np.compress(keep, self.path_ids)
         self.positions = np.compress(keep, self.positions, axis=0)
         self.ages = np.compress(keep, self.ages) + dt

@@ -41,7 +41,7 @@ class Theta:
     age zero), and g(x, 0) recovers sum_j v_{s_j}(x) exactly.
     """
 
-    __slots__ = ("terms", "habitat", "ladder", "_plateaus", "_ks", "_ns", "_breaks")
+    __slots__ = ("terms", "habitat", "ladder", "_plateaus", "_ks", "_ns", "_breaks", "_u_ns", "_rungs")
 
     def __init__(self, terms, habitat, ladder=DEFAULT_LADDER):
         terms = tuple((int(s), int(k), int(n)) for (s, k, n) in terms)
@@ -62,6 +62,16 @@ class Theta:
             c, q = plateaus.centers[:, 0], plateaus.radii
             breaks = tuple(np.unique(np.concatenate([c - q, c + q, c - 2.0 * q, c + 2.0 * q])).tolist())
         object.__setattr__(self, "_breaks", breaks)
+        # per term: sigma_k and the index of its n among the distinct n of the
+        # terms with sigma > 0 (None at sigma = 0, where w = exp(-0 u) = 1)
+        sigmas = ladder.value(k)
+        u_ns = np.unique(n[sigmas > 0])
+        rungs = tuple(
+            (float(sig), int(np.searchsorted(u_ns, m)) if sig > 0 else None)
+            for sig, m in zip(sigmas, n)
+        )
+        object.__setattr__(self, "_u_ns", tuple(u_ns.astype(float).tolist()))
+        object.__setattr__(self, "_rungs", rungs)
 
     def __setattr__(self, *a):
         raise AttributeError("Theta is immutable")
@@ -106,8 +116,32 @@ class Theta:
         return out if out.ndim else float(out)
 
     def g(self, x, alpha):
-        """g(x, alpha); broadcasts x (..., dim) against alpha (...)."""
-        return self._term_sum(x, alpha, lambda k, n, a: w_basis(k, n, a, self.ladder))
+        """g(x, alpha); broadcasts x (..., dim) against alpha (...).
+
+        Adds v_j w_j in term order with the bits of w_basis; u_n is computed
+        once per distinct n, and a term with sigma = 0 adds v_j alone.
+        """
+        x = np.asarray(x, dtype=float)
+        alpha = np.asarray(alpha, dtype=float)
+        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
+        v = self._plateaus(x)
+        u = []
+        if self._u_ns:
+            a2, a3 = alpha**2, alpha**3
+            for n in self._u_ns:
+                # u_n = alpha^2 / (1 + n alpha^3), worked in one buffer
+                den = np.multiply(n, a3, out=np.empty(alpha.shape))
+                den += 1.0
+                u.append(np.divide(a2, den, out=den))
+        out = np.zeros(shape)
+        for vj, (sigma, i) in zip(v, self._rungs):
+            if i is None:
+                out += vj
+                continue
+            w = np.multiply(-sigma, u[i], out=np.empty(alpha.shape))
+            np.exp(w, out=w)
+            out += np.multiply(w, vj, out=w) if w.shape == shape else w * vj
+        return out if out.ndim else float(out)
 
     def g_age_derivative(self, x, alpha):
         """d/dalpha g = -sum_j v_j(x) sigma_j u'_{n_j}(alpha) w_j(alpha)."""

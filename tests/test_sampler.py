@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -115,6 +116,80 @@ def test_thin_and_age_exact(habitat_1d, const_model, rng):
     np.testing.assert_allclose(bundle.ages, 0.7 + t)
     p = math.exp(-t)
     assert abs(survived / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+def _squeeze_case(name):
+    """(model, bundle) of one thinning case: 20k particles, ages uniform up to a_max."""
+    hab1 = uniform_habitat([(0.0, 1.0)], 2.0)
+    hab2 = uniform_habitat([(0.0, 1.0), (0.0, 1.0)], 3.0)
+    sep2 = separable_rate(hab2, 0.5, 1.0, 2.0)
+    hab, model, a_max = {
+        "separable-1d": (hab1, separable_rate(hab1, 0.5, 1.0, 2.0), 10.0),
+        "separable-2d": (hab2, sep2, 10.0),
+        "numeric-2d": (hab2, DepartureModel(sep2.m_star, sep2.m_zero, sep2.rate, None, sep2.modulus), 10.0),
+        "constant": (hab1, constant_rate(0.8), 10.0),
+        "stationary-ages": (hab2, separable_rate(hab2, 0.05, 1.0, 2.0), 40.0 / 0.05),
+    }[name]
+    rng = np.random.default_rng(31)
+    n = 20_000
+    ages = rng.uniform(0.0, a_max, n)
+    ages[:2] = 0.0, a_max
+    bundle = PathBundle(
+        500, hab.dim, np.sort(rng.integers(0, 500, n)),
+        hab.lower + rng.random((n, hab.dim)) * (hab.upper - hab.lower), ages,
+    )
+    return model, bundle
+
+
+@pytest.mark.parametrize(
+    "case", ["separable-1d", "separable-2d", "numeric-2d", "constant", "stationary-ages"]
+)
+@pytest.mark.parametrize("dt", [0.25, 0.5])
+def test_squeezed_thinning_decides_as_the_full_rule(case, dt):
+    # the same uniforms, held against q for every particle, keep the same
+    # particles as the squeeze that computes q only inside its band
+    model, bundle = _squeeze_case(case)
+    rng = np.random.default_rng(5)
+    twin = copy.deepcopy(rng)
+    keep = twin.random(bundle.ages.size) < survival_factor(model, bundle.positions, bundle.ages, dt)
+    want = bundle.path_ids[keep], bundle.positions[keep], bundle.ages[keep] + dt
+    bundle.thin_and_age(dt, model, rng)
+    for got, expected in zip((bundle.path_ids, bundle.positions, bundle.ages), want):
+        np.testing.assert_array_equal(got, expected)
+    assert 0 < keep.sum() < keep.size
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("rate", [0.1, 2.0])
+def test_thinning_rejects_hazard_outside_its_bounds(rate):
+    # a hazard declared in [0.5, 1] that is the constant `rate` puts every
+    # survival chance outside [exp(-dt), exp(-dt/2)]
+    liar = constant_rate(rate)
+    bad = DepartureModel(m_star=1.0, m_zero=0.5, rate=liar.rate, cumulative=liar.cumulative)
+    config = MarkedConfiguration(np.array([[0.4]]), np.array([0.7]))
+    bundle = PathBundle.from_configuration(config, 1000)
+    with pytest.raises(ValueError, match="m_star"):
+        bundle.thin_and_age(0.25, bad, np.random.default_rng(6))
+
+
+def test_squeezed_thinning_evaluates_the_band_only():
+    # on the oneshot config (2-d, density 3, separable 0.5/1/2) at dt = 0.25
+    # the band [exp(-1.5 dt), exp(-0.5 dt)) holds about a fifth of the uniforms
+    hab = uniform_habitat([(0.0, 1.0), (0.0, 1.0)], 3.0)
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+    seen = []
+
+    def cumulative(x, alpha):
+        seen.append(np.shape(alpha)[0])
+        return model.cumulative(x, alpha)
+
+    counted = DepartureModel(model.m_star, model.m_zero, model.rate, cumulative, model.modulus)
+    bundle = PathBundle(2000, 2)
+    bundle.add_poisson(stationary_intensity(hab, model), np.random.default_rng(9))
+    n = bundle.ages.size
+    bundle.thin_and_age(0.25, counted, np.random.default_rng(10))
+    assert len(seen) == 1
+    assert 0 < seen[0] < 0.5 * n
 
 
 def test_transition_step_mean_count(habitat_1d, const_model, rng):
