@@ -15,7 +15,6 @@ position-dependent hazard.  The package provides:
 
 from .age_metric import age_distance, omega
 from .config_space import (
-    BasisFunction,
     MarkedConfiguration,
     MarkedParticle,
     Plateaus,
@@ -29,7 +28,6 @@ from .config_space import (
     load_configuration,
     plateau_table,
     save_configuration,
-    v_enumerate,
     window_truncation_error,
 )
 from .generator import (
@@ -91,7 +89,6 @@ from .sampler import (
 from .test_functions import (
     F_theta,
     Theta,
-    log_F_theta,
     star_product,
 )
 from .verify import (

@@ -311,6 +311,9 @@ def cmd_distance(args):
 
 
 def cmd_stationary_sample(args):
+    if args.count < 0:
+        print(f"error: --count {args.count}: expected a nonnegative number of draws", file=sys.stderr)
+        return 2
     cfg = load_config(args.config)
     if cfg.model.m_zero <= 0:
         print("error: the invariant law needs a positive hazard floor", file=sys.stderr)

@@ -24,7 +24,6 @@ height 1/2, whose support covers the whole window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,10 +34,8 @@ from .mark_space import DEFAULT_LADDER, series_distance, series_weights, w_basis
 __all__ = [
     "MarkedParticle",
     "MarkedConfiguration",
-    "BasisFunction",
     "Plateaus",
     "plateau_table",
-    "v_enumerate",
     "basis_count_below_scale",
     "ground_distance",
     "ground_tail_bound",
@@ -122,18 +119,6 @@ class MarkedConfiguration:
         return MarkedConfiguration(self.positions[inside], self.ages[inside])
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """Trapezoid plateau: height on ||x-c|| <= q, linear to 0 at ||x-c|| = 2q."""
-
-    center: tuple
-    inner_radius: float
-    height: float
-
-    def __call__(self, x):
-        return Plateaus(np.array([self.center]), np.array([self.inner_radius]), np.array([self.height]))(x)[0]
-
-
 class Plateaus(NamedTuple):
     """Plateaus v_s for an index set, as arrays: centers (S, dim), radii and heights (S,)."""
 
@@ -169,7 +154,14 @@ def basis_count_below_scale(j, dim):
 
 @lru_cache(maxsize=64)
 def plateau_table(indices, habitat):
-    """The plateaus v_s for a tuple of indices s, enumerated as in v_enumerate."""
+    """The plateaus v_s for a tuple of indices s.
+
+    The enumeration is a deterministic bijection s -> (scale, cell, height).
+    Scales are exhausted in order; within scale j the 2**(dim*(j-1)) lattice
+    cells run row-major, each contributing height 1/2 then height 3/4.  So
+    s = 1 is the window midpoint at scale 1 with height 1/2, s = 2 the same
+    plateau with height 3/4, and s = 3 starts scale 2.
+    """
     s = np.asarray(indices, dtype=np.int64) - 1
     if s.size and s.min() < 0:
         raise ValueError("enumeration starts at s = 1")
@@ -187,18 +179,6 @@ def plateau_table(indices, habitat):
     for a in table:
         a.flags.writeable = False
     return table
-
-
-def v_enumerate(s, habitat):
-    """Deterministic bijection s -> plateau function over (scale, cell, height).
-
-    Scales are exhausted in order; within scale j the 2**(dim*(j-1)) lattice
-    cells run row-major, each contributing height 1/2 then height 3/4.  So
-    s = 1 is the window midpoint at scale 1 with height 1/2, s = 2 the same
-    plateau with height 3/4, and s = 3 starts scale 2.
-    """
-    table = plateau_table((int(s),), habitat)
-    return BasisFunction(tuple(table.centers[0]), float(table.radii[0]), float(table.heights[0]))
 
 
 def ground_tail_bound(budget):

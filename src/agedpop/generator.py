@@ -117,14 +117,6 @@ class FlowedTheta:
         raise AttributeError("FlowedTheta is immutable")
 
     @property
-    def habitat(self):
-        return self.base.habitat
-
-    @property
-    def j_count(self):
-        return self.base.j_count
-
-    @property
     def x_breakpoints(self):
         return self.base.x_breakpoints
 
@@ -515,8 +507,12 @@ def compute_bounds(theta, habitat, model):
     ell = chi_g0 + m_star * math.exp(j - 1.0) + (sigma_bar * c + 2.0 * m_star) * math.exp(float(j))
     est = chi_abs_theta0 + m_star * math.exp(j - 1.0) + sigma_bar * c / math.e
     tau = math.inf if m_star == 0 else 1.0 / (m_star * math.exp(float(j)))
-    # grid check of the age sandwich and the derivative domination
-    xs = np.linspace(habitat.lower, habitat.upper, 41)
+    # grid check of the age sandwich and the derivative domination, on the
+    # window's diagonal and on a 9-per-axis tensor grid (in d >= 2 the
+    # diagonal alone never leaves x_0 = x_1 = ...)
+    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(habitat.lower, habitat.upper)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, habitat.dim)
+    xs = np.concatenate([np.linspace(habitat.lower, habitat.upper, 41), mesh])
     ages = np.concatenate([np.linspace(0.0, 5.0, 101), np.geomspace(5.0, 200.0, 40)])
     g0 = theta.g(xs[:, None, :], np.zeros((1,)))
     g = theta.g(xs[:, None, :], ages[None, :])

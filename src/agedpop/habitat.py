@@ -60,8 +60,7 @@ class Habitat:
 
     density is vectorized: it accepts positions of shape (..., dim) and
     returns values of shape (...).  density_sup must dominate the density on
-    the window (rejection envelope); density_breakpoints lists interior points
-    where a 1-d density is not smooth, so quadrature can split there.
+    the window (rejection envelope).
     """
 
     lower: np.ndarray
@@ -69,7 +68,6 @@ class Habitat:
     density: Callable[[np.ndarray], np.ndarray]
     chi_mass: float
     density_sup: float
-    density_breakpoints: tuple = ()
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -262,6 +260,7 @@ def survival_factor(model, x, alpha, t):
     return np.exp(log_survival(model, x, alpha, t))
 
 
+_SPACE_ORDER = 24  # Gauss-Legendre points per axis panel of gauss_profile_nodes
 _AGE_ORDER = 16
 _AGE_X, _AGE_W = leggauss(_AGE_ORDER)
 # c_k = sum_i values_i _LEGENDRE[i, k] are the Legendre coefficients of the
@@ -441,14 +440,14 @@ def survival_weighted_integral(habitat, model, h, a_lo, a_hi, breakpoints=(), ag
     return float(age_weights @ survival_slice(model, nodes, weights, h, ages))
 
 
-def chi_sample(habitat, rng, size=None):
-    """Draw locations from chi / chi_mass by rejection under density_sup.
+def chi_sample(habitat, rng, size):
+    """Draw size locations from chi / chi_mass by rejection under density_sup.
 
-    Returns shape (dim,) for size None, else (size, dim).
+    Returns shape (size, dim).
     """
     if habitat.chi_mass <= 0:
         raise ValueError("cannot sample from a zero arrival measure")
-    n = 1 if size is None else int(size)
+    n = int(size)
     d = habitat.dim
     lo, span = habitat.lower, habitat.upper - habitat.lower
     out = np.empty((n, d))
@@ -472,7 +471,7 @@ def chi_sample(habitat, rng, size=None):
         take = min(want, hits.shape[0])
         out[filled : filled + take] = hits[:take]
         filled += take
-    return out[0] if size is None else out
+    return out
 
 
 def chi_integral(habitat, f, points=()):
@@ -481,40 +480,41 @@ def chi_integral(habitat, f, points=()):
     One weighted sum sum_i w_i f(x_i), with `f` mapping the (N, dim) node
     array to N values in a single call.  psi, H and every survival integral
     run on the same rule, so both sides of an identity integrate against the
-    same discrete measure.  In dim 1 the rule is split at `points` and at the
-    density breakpoints; in dim >= 2 it is the unsplit tensor rule, about
-    1e-4 away from the exact chi-integral of plateau integrands.
+    same discrete measure.  In dim 1 the rule is split at `points`; in
+    dim >= 2 it is the unsplit tensor rule, about 1e-4 away from the exact
+    chi-integral of plateau integrands.
     """
     nodes, weights = gauss_profile_nodes(habitat, breakpoints=points)
     return float(weights @ np.asarray(f(nodes), dtype=float))
 
 
-def gauss_profile_nodes(habitat, breakpoints=(), order=24):
+def gauss_profile_nodes(habitat, breakpoints=()):
     """Fixed Gauss-Legendre nodes/weights for chi-weighted window integrals.
 
     For dim 1 the window is split at the supplied breakpoints (kinks of the
-    integrand) and at the density's, so each panel is smooth; for dim >= 2 a tensor rule is used
+    integrand), so each panel is smooth; for dim >= 2 a tensor rule is used
     without splitting, so on plateau integrands, whose kinks are circular, it
-    is of order 1e-4 away from the exact chi-integral at order 24.  Returns
-    (nodes, weights) with nodes of shape (N, dim) and weights already
-    multiplied by the arrival density, so that sum_i weights[i] * f(nodes[i])
-    ~= int f dchi for f smooth between breakpoints.  The rule is built once
-    per (habitat, breakpoints, order) and returned as read-only arrays.
+    is of order 1e-4 away from the exact chi-integral.  Each panel carries
+    _SPACE_ORDER = 24 points per axis.  Returns (nodes, weights) with nodes
+    of shape (N, dim) and weights already multiplied by the arrival density,
+    so that sum_i weights[i] * f(nodes[i]) ~= int f dchi for f smooth
+    between breakpoints.  The rule is built once per (habitat, breakpoints)
+    and returned as read-only arrays.
     """
     if habitat.dim == 1:
-        cuts = (*breakpoints, *habitat.density_breakpoints)
-        breakpoints = tuple(sorted({float(b) for b in cuts}))
+        breakpoints = tuple(sorted({float(b) for b in breakpoints}))
     else:
         breakpoints = ()
-    return _profile_rule(habitat, breakpoints, order)
+    return _profile_rule(habitat, breakpoints)
 
 
 @functools.lru_cache(maxsize=64)
-def _profile_rule(habitat, cuts, order):
-    """Order-point Gauss-Legendre panels on each axis, between the axis ends
-    and the cuts inside them, and the tensor product of the axis rules.
+def _profile_rule(habitat, cuts):
+    """_SPACE_ORDER-point Gauss-Legendre panels on each axis, between the
+    axis ends and the cuts inside them, and the tensor product of the axis
+    rules.
     """
-    base_x, base_w = leggauss(order)
+    base_x, base_w = leggauss(_SPACE_ORDER)
     axes, wts = [], []
     for lo, hi in zip(habitat.lower.tolist(), habitat.upper.tolist()):
         edges = np.array(sorted({lo, hi} | {b for b in cuts if lo < b < hi}))

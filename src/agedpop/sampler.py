@@ -401,14 +401,12 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
     )
 
 
-def sample_trajectory_marginals(
-    initial, times, thetas, habitat, model, n_paths, rng, collect_counts=True
-):
-    """Monte Carlo marginals of F_theta (and counts) along a time grid.
+def sample_trajectory_marginals(initial, times, thetas, habitat, model, n_paths, rng):
+    """Monte Carlo marginals of F_theta and counts along a time grid.
 
     initial: MarkedConfiguration (all paths start there), IntensityMeasure
     (Poisson start), or None (empty start).  Returns a dict with keys
-    ("f", time_index, theta_index) -> per-path array and, when requested,
+    ("f", time_index, theta_index) -> per-path array and
     ("count", time_index) -> per-path integer array.
     """
     times = list(times)
@@ -430,7 +428,6 @@ def sample_trajectory_marginals(
             t_now = t
         for hi, theta in enumerate(thetas):
             out[("f", ti, hi)] = bundle.f_theta(theta)
-        if collect_counts:
-            out[("count", ti)] = bundle.counts()
+        out[("count", ti)] = bundle.counts()
     return out
 

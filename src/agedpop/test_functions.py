@@ -23,13 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from .config_space import plateau_table
-from .mark_space import DEFAULT_LADDER, u_basis_derivative, w_basis
+from .mark_space import DEFAULT_LADDER, u_basis_derivative
 
 __all__ = [
     "Theta",
     "star_product",
     "F_theta",
-    "log_F_theta",
 ]
 
 
@@ -100,32 +99,19 @@ class Theta:
         scales = np.minimum(self._ns ** (-1.0 / 3.0), np.maximum(sigmas, 1.0) ** -0.5)
         return float(scales.min())
 
-    def _term_sum(self, x, alpha, mark):
-        """sum_j v_{s_j}(x) mark(k_j, n_j, alpha), all terms at once, added in term order."""
-        x = np.asarray(x, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
-        lead = (-1,) + (1,) * len(shape)
-        # the term count, not -1: x may hold no point
-        lead_v = (self._ks.size,) + (1,) * (len(shape) + 1 - x.ndim)
-        v = self._plateaus(x).reshape(lead_v + x.shape[:-1])
-        terms = v * mark(self._ks.reshape(lead), self._ns.reshape(lead), alpha)
-        out = terms[0].copy()
-        for term in terms[1:]:
-            out += term
-        return out if out.ndim else float(out)
+    def _rung_sum(self, x, alpha, slope):
+        """g (slope False) or g' = d/dalpha g (slope True) at x (..., dim), alpha (...).
 
-    def g(self, x, alpha):
-        """g(x, alpha); broadcasts x (..., dim) against alpha (...).
-
-        Adds v_j w_j in term order with the bits of w_basis; u_n is computed
-        once per distinct n, and a term with sigma = 0 adds v_j alone.
+        Broadcasts x against alpha.  Adds v_j w_j, or v_j ((-sigma_j
+        u'_{n_j}) w_j), in term order with the bits of w_basis and
+        u_basis_derivative; u_n (and u'_n) are computed once per distinct n,
+        and a term with sigma = 0 adds v_j to g and nothing to g'.
         """
         x = np.asarray(x, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
         shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
         v = self._plateaus(x)
-        u = []
+        u, du = [], []
         if self._u_ns:
             a2, a3 = alpha**2, alpha**3
             for n in self._u_ns:
@@ -133,23 +119,28 @@ class Theta:
                 den = np.multiply(n, a3, out=np.empty(alpha.shape))
                 den += 1.0
                 u.append(np.divide(a2, den, out=den))
+                if slope:
+                    du.append(u_basis_derivative(n, alpha))
         out = np.zeros(shape)
         for vj, (sigma, i) in zip(v, self._rungs):
             if i is None:
-                out += vj
+                if not slope:
+                    out += vj
                 continue
             w = np.multiply(-sigma, u[i], out=np.empty(alpha.shape))
             np.exp(w, out=w)
+            if slope:
+                w *= np.multiply(-sigma, du[i])
             out += np.multiply(w, vj, out=w) if w.shape == shape else w * vj
         return out if out.ndim else float(out)
 
+    def g(self, x, alpha):
+        """g(x, alpha); broadcasts x (..., dim) against alpha (...)."""
+        return self._rung_sum(x, alpha, False)
+
     def g_age_derivative(self, x, alpha):
         """d/dalpha g = -sum_j v_j(x) sigma_j u'_{n_j}(alpha) w_j(alpha)."""
-
-        def w_prime(k, n, a):
-            return -self.ladder.value(k) * u_basis_derivative(n, a) * w_basis(k, n, a, self.ladder)
-
-        return self._term_sum(x, alpha, w_prime)
+        return self._rung_sum(x, alpha, True)
 
     def theta(self, x, alpha):
         """theta = exp(-g) - 1 in (-1, 0]."""
@@ -170,13 +161,6 @@ def star_product(theta_a, theta_b):
     return Theta(theta_a.terms + theta_b.terms, theta_a.habitat, theta_a.ladder)
 
 
-def log_F_theta(theta, config):
-    """-sum over particles of g(x, alpha); 0 on the empty configuration."""
-    if not len(config):
-        return 0.0
-    return -float(np.sum(theta.g(config.positions, config.ages)))
-
-
 def F_theta(theta, config):
     """prod (1 + theta(x, alpha)) = exp(-sum g) in (0, 1]."""
-    return float(np.exp(log_F_theta(theta, config)))
+    return float(np.exp(-np.sum(theta.g(config.positions, config.ages))))

@@ -256,18 +256,17 @@ def ergodicity_gap_curve(theta, habitat, model, times):
     return np.abs(mu_t - pi_value), pi_value, intensity.truncation_error
 
 
-def ergodicity_check(theta, habitat, model, times=None, name="ergodicity"):
+def ergodicity_check(theta, habitat, model, name="ergodicity"):
     """Exponential convergence to the invariant value from the empty start.
 
-    Fits the log-gap slope and checks the final gap against the closed-form
-    envelope chi_mass/m_zero * exp(-m_zero t) carried through the exponential.
-    The gap decays at least at the floor rate m_zero, and no faster than
-    m_star because the age sandwich keeps |theta| above zero, so the slope
-    must lie in [-m_star - tol, -m_zero + tol] with tol = 0.1 max(1, m_zero).
+    Fits the log-gap slope over t = 1, 2, ..., 10 and checks the final gap
+    against the closed-form envelope chi_mass/m_zero * exp(-m_zero t) carried
+    through the exponential.  The gap decays at least at the floor rate
+    m_zero, and no faster than m_star because the age sandwich keeps |theta|
+    above zero, so the slope must lie in [-m_star - tol, -m_zero + tol] with
+    tol = 0.1 max(1, m_zero).
     """
-    if times is None:
-        times = np.linspace(1.0, 10.0, 10)
-    times = np.asarray(times, dtype=float)
+    times = np.linspace(1.0, 10.0, 10)
     gaps, pi_value, _ = ergodicity_gap_curve(theta, habitat, model, times)
     m0, m_star = model.m_zero, model.m_star
     t_max = float(times[-1])

@@ -211,6 +211,19 @@ def test_stationary_sample_command(tmp_path, config_path, capsys):
     assert json.loads(header["config"]) == GOOD  # verbatim round trip
 
 
+def test_stationary_sample_rejects_a_negative_count(tmp_path, config_path, capsys):
+    out_dir = tmp_path / "stat"
+    argv = ["stationary-sample", "--config", config_path, "--out-dir", str(out_dir), "--count"]
+    assert main(argv + ["-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--count -3" in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+    # no draws is a valid request
+    assert main(argv + ["0"]) == 0
+    assert (out_dir / "stationary.jsonl").read_text() == ""
+    assert "wrote 0 draws" in capsys.readouterr().out
+
+
 def test_simulate_command(tmp_path, config_path, capsys):
     out_dir = tmp_path / "sim"
     code = main(["simulate", "--config", config_path, "--out-dir", str(out_dir)])

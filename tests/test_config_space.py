@@ -8,9 +8,9 @@ import pytest
 
 from agedpop import (
     DEFAULT_LADDER,
-    BasisFunction,
     MarkedConfiguration,
     MarkSet,
+    Plateaus,
     Theta,
     basis_count_below_scale,
     configuration_from_json,
@@ -20,16 +20,22 @@ from agedpop import (
     kappa_distance,
     kappa_tail_bound,
     load_configuration,
+    plateau_table,
     rho_distance,
     save_configuration,
     uniform_habitat,
-    v_enumerate,
     window_truncation_error,
 )
 from conftest import random_configuration
 
 
 # ---------------------------------------------------------------- oracles
+def plateau(s, habitat):
+    """(center, inner radius, height) of the plateau v_s."""
+    table = plateau_table((s,), habitat)
+    return tuple(table.centers[0]), float(table.radii[0]), float(table.heights[0])
+
+
 def kappa_component(config_a, config_b, s, k, n, habitat, ladder=DEFAULT_LADDER):
     """kappa_{s,k,n} = |sum_a v_s(x) w_{k,n}(alpha) - sum_b ...|.
 
@@ -37,14 +43,14 @@ def kappa_component(config_a, config_b, s, k, n, habitat, ladder=DEFAULT_LADDER)
     per-component route the library's batched kernel is checked against.
     With k = 1 (sigma_1 = 0, so w = 1) it is the ground component of s.
     """
-    v = v_enumerate(s, habitat)
+    center, q, height = plateau(s, habitat)
     sigma = ladder.value(k)
 
     def total(cfg):
-        r = np.sqrt(np.sum((cfg.positions - np.asarray(v.center)) ** 2, axis=1))
-        plateau = v.height * np.clip(2.0 - r / v.inner_radius, 0.0, 1.0)
+        r = np.sqrt(np.sum((cfg.positions - np.asarray(center)) ** 2, axis=1))
+        plateau_values = height * np.clip(2.0 - r / q, 0.0, 1.0)
         u = cfg.ages**2 / (1.0 + n * cfg.ages**3)
-        return float(np.sum(plateau * np.exp(-sigma * u)))
+        return float(np.sum(plateau_values * np.exp(-sigma * u)))
 
     return abs(total(config_a) - total(config_b))
 
@@ -119,32 +125,32 @@ def test_empty():
 
 # ------------------------------------------------------------- enumeration
 def test_enumeration_scale_one(habitat_1d):
-    v1 = v_enumerate(1, habitat_1d)
-    v2 = v_enumerate(2, habitat_1d)
-    assert v1.center == (0.5,)
-    assert v1.height == 0.5
-    assert v1.inner_radius == pytest.approx(0.5)  # diameter/2
-    assert v2.center == (0.5,)
-    assert v2.height == 0.75
+    c1, q1, h1 = plateau(1, habitat_1d)
+    c2, _, h2 = plateau(2, habitat_1d)
+    assert c1 == (0.5,)
+    assert h1 == 0.5
+    assert q1 == pytest.approx(0.5)  # diameter/2
+    assert c2 == (0.5,)
+    assert h2 == 0.75
 
 
 def test_enumeration_scale_two_1d(habitat_1d):
     # scale 2 splits [0,1] into two cells, row-major, heights 1/2 then 3/4
     expect = [((0.25,), 0.5), ((0.25,), 0.75), ((0.75,), 0.5), ((0.75,), 0.75)]
     for s, (center, height) in zip(range(3, 7), expect):
-        v = v_enumerate(s, habitat_1d)
-        assert v.center == pytest.approx(center)
-        assert v.height == height
-        assert v.inner_radius == pytest.approx(0.25)
+        c, q, h = plateau(s, habitat_1d)
+        assert c == pytest.approx(center)
+        assert h == height
+        assert q == pytest.approx(0.25)
 
 
 def test_enumeration_scale_two_2d(habitat_2d):
     # window [0,1]x[0,2]: scale-2 cells row-major with the first axis slowest
     centers = [(0.25, 0.5), (0.25, 1.5), (0.75, 0.5), (0.75, 1.5)]
     for i, c in enumerate(centers):
-        v = v_enumerate(3 + 2 * i, habitat_2d)
-        assert v.center == pytest.approx(c)
-        assert v.height == 0.5
+        center, _, h = plateau(3 + 2 * i, habitat_2d)
+        assert center == pytest.approx(c)
+        assert h == 0.5
 
 
 def test_block_counts(habitat_2d):
@@ -153,21 +159,21 @@ def test_block_counts(habitat_2d):
     assert basis_count_below_scale(3, 2) == 10  # 2 + 2*4
     diam = habitat_2d.diameter
     first_scale3 = basis_count_below_scale(3, 2) + 1
-    assert v_enumerate(first_scale3, habitat_2d).inner_radius == pytest.approx(diam / 8)
+    assert plateau(first_scale3, habitat_2d)[1] == pytest.approx(diam / 8)
 
 
 def test_basis_function_shape(habitat_1d):
-    v = v_enumerate(3, habitat_1d)  # center 0.25, q = 0.25, height 0.5
-    assert v(np.array([0.25])) == pytest.approx(0.5)  # plateau
-    assert v(np.array([0.45])) == pytest.approx(0.5)  # still within q... r=0.2<q
-    assert v(np.array([0.625])) == pytest.approx(0.25)  # r = 1.5q
-    assert v(np.array([0.75])) == pytest.approx(0.0)  # r = 2q
-    assert v(np.array([0.9])) == 0.0
+    v = plateau_table((3,), habitat_1d)  # center 0.25, q = 0.25, height 0.5
+    assert v(np.array([0.25]))[0] == pytest.approx(0.5)  # plateau
+    assert v(np.array([0.45]))[0] == pytest.approx(0.5)  # still within q... r=0.2<q
+    assert v(np.array([0.625]))[0] == pytest.approx(0.25)  # r = 1.5q
+    assert v(np.array([0.75]))[0] == pytest.approx(0.0)  # r = 2q
+    assert v(np.array([0.9]))[0] == 0.0
 
 
 def test_enumeration_rejects_zero(habitat_1d):
     with pytest.raises(ValueError):
-        v_enumerate(0, habitat_1d)
+        plateau_table((0,), habitat_1d)
 
 
 # ---------------------------------------------------------------- distances
@@ -234,21 +240,23 @@ def test_distances_symmetric_and_zero_on_diagonal(habitat_2d, configs_2d):
 
 def test_kernels_make_no_per_index_basis_calls(configs_2d, monkeypatch):
     """The metrics and Theta evaluate every plateau in one call, never one
-    BasisFunction at a time; a fresh window forces fresh plateau tables."""
+    index at a time; a fresh window forces fresh plateau tables."""
+    rows = []
+    real = Plateaus.__call__
 
-    def refuse(self, x):
-        raise AssertionError("per-index BasisFunction call")
+    def counted(self, x):
+        rows.append(self.radii.size)
+        return real(self, x)
 
-    monkeypatch.setattr(BasisFunction, "__call__", refuse)
+    monkeypatch.setattr(Plateaus, "__call__", counted)
     window = uniform_habitat([(0.0, 1.1), (0.0, 2.1)], 1.0)
-    with pytest.raises(AssertionError):
-        v_enumerate(1, window)(np.zeros(2))
     a, b = configs_2d[1], configs_2d[2]
     assert kappa_distance(a, b, window)[0] > 0.0
     assert ground_distance(a, b, window)[0] > 0.0
     theta = Theta([(1, 1, 1), (3, 2, 1), (9, 1, 3)], window)
     assert np.all(theta.g(b.positions, b.ages) >= 0.0)
     assert np.all(np.isfinite(theta.g_age_derivative(b.positions, b.ages)))
+    assert rows and min(rows) == 3
 
 
 def test_kappa_tail_closed_form():

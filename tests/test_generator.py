@@ -155,7 +155,7 @@ def test_flow_pde_richardson(theta_two, separable_model, monkeypatch):
 def _chi_quad(habitat, f, points):
     """int f dchi on a 1-d window by adaptive quadrature split at the kinks."""
     lo, hi = float(habitat.lower[0]), float(habitat.upper[0])
-    cuts = sorted({float(p) for p in (*points, *habitat.density_breakpoints) if lo < p < hi})
+    cuts = sorted({float(p) for p in points if lo < p < hi})
 
     def integrand(x):
         pos = np.array([[x]])
@@ -375,6 +375,26 @@ def test_compute_bounds_2d_evaluates_g_on_arrays(monkeypatch):
     b = compute_bounds(theta, hab, separable_rate(hab, 0.5, 1.0, 2.0))
     assert len(calls) <= 10
     assert b.chi_g_zero > 0.0 and b.est_bound > 0.0
+
+
+def test_compute_bounds_checks_off_the_diagonal():
+    # a g that rises with age only away from x_0 = x_1 breaks the age bound
+    # g(x, alpha) <= g(x, 0) at no point of the window's diagonal
+    hab = uniform_habitat([(0.0, 1.0), (0.0, 1.0)], 3.0)
+    base = Theta([(1, 1, 1), (3, 2, 1)], hab)
+    model = constant_rate(1.0)
+
+    class OffDiagonal:
+        def __getattr__(self, name):
+            return getattr(base, name)
+
+        def g(self, x, alpha):
+            off = np.abs(x[..., 0] - x[..., 1]) > 0.1
+            return base.g(x, alpha) + 0.01 * (off & (np.asarray(alpha) > 0))
+
+    compute_bounds(base, hab, model)
+    with pytest.raises(AssertionError, match="age bound"):
+        compute_bounds(OffDiagonal(), hab, model)
 
 
 def test_bounds_cover_sampled_generator(theta_two, habitat_1d, const_model, rng):

@@ -221,8 +221,6 @@ def test_chi_sample_proposes_need_over_acceptance():
     hab, batches = _counting(uniform_habitat([(0.0, 1.0), (0.0, 2.0)], 3.0))
     assert chi_sample(hab, np.random.default_rng(6), size=10_000).shape == (10_000, 2)
     assert batches == [10_000]
-    assert chi_sample(hab, np.random.default_rng(6)).shape == (2,)
-    assert batches[1:] == [1]
 
 
 def test_chi_sample_tops_up_a_short_round():

@@ -11,9 +11,9 @@ from agedpop import (
     MarkedConfiguration,
     PoissonLaw,
     Theta,
-    log_F_theta,
     star_product,
     transient_intensity,
+    u_basis_derivative,
     u_prime_max_constant,
     uniform_habitat,
     w_basis,
@@ -79,7 +79,6 @@ def test_f_theta_product_structure(theta_two, habitat_1d, rng):
     fa, fb = F_theta(theta_two, a), F_theta(theta_two, b)
     assert 0.0 < fa <= 1.0
     assert F_theta(theta_two, a.union(b)) == pytest.approx(fa * fb, rel=1e-12)
-    assert log_F_theta(theta_two, MarkedConfiguration.empty(1)) == 0.0
     assert F_theta(theta_two, MarkedConfiguration.empty(1)) == 1.0
 
 
@@ -130,16 +129,29 @@ def test_broadcasting(theta_two, rng):
     assert out[2, 3] == pytest.approx(single[0], rel=1e-14)
 
 
-def test_g_sums_terms_in_term_order(habitat_2d, rng):
-    # g adds v_j w_j term by term in term order, with the same bits alone or
-    # inside an array
-    theta = Theta([(1, 1, 1), (3, 2, 1), (2, 3, 4), (5, 2, 2)] * 3, habitat_2d)
-    x = habitat_2d.lower + rng.random((500, 2)) * (habitat_2d.upper - habitat_2d.lower)
-    a = rng.exponential(1.0, 500)
-    v = theta._plateaus(x)
-    want = np.zeros(500)
-    for j, (_, k, n) in enumerate(theta.terms):
-        want = want + v[j] * w_basis(k, n, a, theta.ladder)
-    got = theta.g(x, a)
-    np.testing.assert_array_equal(got, want)
-    assert theta.g(x[7], a[7]) == got[7]
+def test_g_sums_terms_in_term_order(rng):
+    # g and g' add v_j w_j and v_j ((-sigma_j u'_{n_j}) w_j) term by term in
+    # term order, with the same bits alone, inside an array or broadcast
+    sides = [(0.0, 1.0), (0.0, 2.0), (-0.5, 1.0)]
+    for dim in (1, 2, 3):
+        habitat = uniform_habitat(sides[:dim], 2.0)
+        span = habitat.upper - habitat.lower
+        flat = (habitat.lower + rng.random((500, dim)) * span, rng.exponential(1.0, 500))
+        broadcast = (habitat.lower + rng.random((40, 1, dim)) * span, rng.exponential(1.0, 30))
+        for terms in ([(1, 1, 1), (3, 2, 1), (2, 3, 4), (5, 2, 2)] * 3, [(1, 1, 1), (4, 1, 3), (2, 1, 1)]):
+            theta = Theta(terms, habitat)
+            for x, a in (flat, broadcast):
+                v = theta._plateaus(x)
+                want_g = want_gp = np.zeros(np.broadcast_shapes(x.shape[:-1], a.shape))
+                for j, (_, k, n) in enumerate(theta.terms):
+                    w = w_basis(k, n, a, theta.ladder)
+                    want_g = want_g + v[j] * w
+                    want_gp = want_gp + v[j] * ((-theta.ladder.value(k) * u_basis_derivative(n, a)) * w)
+                got_g, got_gp = theta.g(x, a), theta.g_age_derivative(x, a)
+                np.testing.assert_array_equal(got_g, want_g)
+                np.testing.assert_array_equal(got_gp, want_gp)
+                if all(k == 1 for _, k, _ in terms):
+                    assert not np.any(got_gp)
+            x, a = flat
+            assert theta.g(x[7], a[7]) == theta.g(x, a)[7]
+            assert theta.g_age_derivative(x[7], a[7]) == theta.g_age_derivative(x, a)[7]
