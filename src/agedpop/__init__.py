@@ -24,6 +24,7 @@ from .config_space import (
     ground_distance,
     ground_tail_bound,
     kappa_distance,
+    kappa_features,
     kappa_tail_bound,
     load_configuration,
     plateau_table,
@@ -72,7 +73,6 @@ from .mark_space import (
     u_basis,
     u_basis_derivative,
     u_basis_max,
-    u_basis_second_derivative,
     u_prime_max_constant,
     w_basis,
 )

@@ -139,6 +139,9 @@ def load_config(path):
     run = _require(
         data["run"], "run", ["seed"], ["n_paths", "times", "horizon"]
     )
+    seed = int(run["seed"])
+    if seed < 0:
+        raise ConfigError(f"run.seed: {seed}: expected a nonnegative integer")
     times = [float(t) for t in run.get("times", [1.0])]
     if times != sorted(times) or any(t < 0 for t in times):
         raise ConfigError("run.times: expected a sorted list of nonnegative times")
@@ -156,7 +159,7 @@ def load_config(path):
         habitat=habitat,
         model=model,
         theta=theta,
-        seed=int(run["seed"]),
+        seed=seed,
         n_paths=n_paths,
         times=times,
         horizon=horizon,
@@ -378,6 +381,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed {args.seed}: expected a nonnegative integer")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ Each component |sum_g f - sum_g' f| is a seminorm, so the weighted series
 only reduces separating power, and every truncated distance reports its tail
 bound.  Both are mark_space.series_distance of per-configuration features:
 plateau sums (ground), and the plateau matrix times the mark-weight matrix
-(kappa).
+(kappa), which kappa_features computes for many configurations in one call.
 
 The plateau family v_s is enumerated deterministically from the habitat
 window: scale j contributes one trapezoid profile per dyadic lattice cell and
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mark_space import DEFAULT_LADDER, series_distance, series_weights, w_basis
+from .mark_space import DEFAULT_LADDER, series_distance, series_weights, u_basis
 
 __all__ = [
     "MarkedParticle",
@@ -39,6 +39,7 @@ __all__ = [
     "basis_count_below_scale",
     "ground_distance",
     "ground_tail_bound",
+    "kappa_features",
     "kappa_distance",
     "kappa_tail_bound",
     "window_truncation_error",
@@ -209,13 +210,43 @@ def kappa_tail_bound(budget):
 
 
 @lru_cache(maxsize=None)
-def _kappa_pairs(budget):
-    """The (k, n) pairs with k + n <= budget - 1 and the series weights on (s, pair)."""
+def _kappa_pairs(budget, ladder=DEFAULT_LADDER):
+    """For the (k, n) pairs with k + n < budget: the distinct n (as floats), each
+    pair's index into them, -sigma_k, the weights on (s, pair) and the tail."""
     ks, ns = (i + 1 for i in np.nonzero(series_weights(budget - 1, budget - 2, budget - 2)))
+    n_distinct, n_of_pair = np.unique(ns, return_inverse=True)
     weights = series_weights(budget, budget - 2, budget - 1)[:, ks + ns - 1]
-    for a in (ks, ns, weights):
+    tables = (n_distinct * 1.0, n_of_pair, -ladder.value(ks), weights)
+    for a in tables:
         a.flags.writeable = False
-    return ks, ns, weights
+    return (*tables, kappa_tail_bound(budget))
+
+
+def kappa_features(positions, ages, sizes, habitat, budget=30, ladder=DEFAULT_LADDER):
+    """kappa features F[c, s-1, q] = sum_particles v_s(x) w_{(k,n)_q}(alpha).
+
+    Configuration c is the block of sizes[c] consecutive rows of positions
+    (P, dim) and ages (P,), as in PathBundle.  A block's features are its
+    plateau matrix times its mark-weight matrix, one stacked product per
+    size: zero padding to one size would change the order of BLAS's sums.
+    """
+    n_distinct, n_of_pair, neg_sigma, _, _ = _kappa_pairs(budget, ladder)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if np.any(sizes < 0) or sizes.sum() != np.size(ages):
+        raise ValueError("sizes must be nonnegative and sum to the number of particles")
+    plateaus = plateau_table(tuple(range(1, budget - 1)), habitat)
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((sizes.size, budget - 2, n_of_pair.size))
+    for n in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == n)
+        rows = starts[group, None] + np.arange(n)
+        # v and w come out (index, block, particle) in C order, so each block's
+        # product is the one a lone block would get, to the bit
+        v = plateaus(np.take(positions, rows, axis=0))
+        w = u_basis(n_distinct[:, None, None], np.take(ages, rows))[n_of_pair]
+        np.exp(np.multiply(w, neg_sigma[:, None, None], out=w), out=w)
+        out[group] = v.transpose(1, 0, 2) @ w.transpose(1, 2, 0)
+    return out
 
 
 def kappa_distance(config_a, config_b, habitat, budget=30, ladder=DEFAULT_LADDER):
@@ -223,17 +254,12 @@ def kappa_distance(config_a, config_b, habitat, budget=30, ladder=DEFAULT_LADDER
 
     Truncated at s + k + n <= budget; returns (distance, tail_bound).  Always
     below 1: the weights sum to less than 1 and each term is below its weight.
-    The features of a configuration, F[s-1, q] = sum_particles v_s(x)
-    w_{(k,n)_q}(alpha), are one matrix product.
     """
-    tail = kappa_tail_bound(budget)
-    ks, ns, weights = _kappa_pairs(budget)
-    plateaus = plateau_table(tuple(range(1, budget - 1)), habitat)
-
-    def features(cfg):
-        return plateaus(cfg.positions) @ w_basis(ks[:, None], ns[:, None], cfg.ages, ladder).T
-
-    return series_distance(weights, features(config_a), features(config_b)), tail
+    *_, weights, tail = _kappa_pairs(budget, ladder)
+    pos = np.concatenate([config_a.positions, config_b.positions])
+    ages = np.concatenate([config_a.ages, config_b.ages])
+    fa, fb = kappa_features(pos, ages, (len(config_a), len(config_b)), habitat, budget, ladder)
+    return series_distance(weights, fa, fb), tail
 
 
 def window_truncation_error(config_a, config_b, habitat, sub_lower, sub_upper, s_star, budget=30):

@@ -455,14 +455,17 @@ def chi_sample(habitat, rng, size):
     box = habitat.density_sup * habitat.volume
     rate = min(1.0, habitat.chi_mass / box) if box > 0 else 1.0
     # uniform-box proposals accepted with density / density_sup (chance
-    # rate), drawn as lo + span * U: the bits of rng.uniform(lo, hi) without
-    # its broadcast; a round proposes want / rate plus three standard
-    # deviations, so a uniform density proposes exactly want
+    # rate), drawn as lo + span * U column by column, in place: the bits of
+    # rng.uniform(lo, hi) without its broadcast; a round proposes want / rate
+    # plus three standard deviations, so a uniform density proposes exactly want
     while filled < n:
         want = n - filled
         mean = want / rate
         batch = math.ceil(mean + 3.0 * math.sqrt(mean * (1.0 - rate) / rate))
-        props = lo + span * rng.random((batch, d))
+        props = rng.random((batch, d))
+        for i in range(d):
+            props[:, i] *= span[i]
+            props[:, i] += lo[i]
         dens = habitat.density(props)
         if np.any(dens > habitat.density_sup):
             raise ValueError("arrival density exceeds its declared bound density_sup")

@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_LADDER",
     "u_basis",
     "u_basis_derivative",
-    "u_basis_second_derivative",
     "u_basis_max",
     "u_prime_max_constant",
     "w_basis",
@@ -88,17 +87,6 @@ def u_basis_derivative(n, alpha):
     alpha = np.asarray(alpha, dtype=float)
     n = np.asarray(n, dtype=float)
     return (2.0 * alpha - n * alpha**4) / (1.0 + n * alpha**3) ** 2
-
-
-def u_basis_second_derivative(n, alpha):
-    """d^2/dalpha^2 u_n = 2 (beta^2 - 7 beta + 1) / (1 + beta)^3, beta = n alpha^3.
-
-    Uniformly bounded: |u_n''| <= 2 (1 + 7 beta + beta^2)/(1+beta)^3 <= 2.9066.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    n = np.asarray(n, dtype=float)
-    beta = n * alpha**3
-    return 2.0 * (beta**2 - 7.0 * beta + 1.0) / (1.0 + beta) ** 3
 
 
 def u_basis_max(n):
@@ -179,9 +167,15 @@ def series_weights(budget, *sizes):
 
 
 def series_distance(weights, features_a, features_b):
-    """sum weights * d / (1 + d) with d = |features_a - features_b|."""
+    """sum over the weights' axes of weights * d / (1 + d), d = |features_a - features_b|.
+
+    A float for one pair of features, an array over leading batch axes.
+    """
     d = np.abs(features_a - features_b)
-    return float(np.sum(weights * d / (1.0 + d)))
+    terms = weights * d
+    terms /= np.add(d, 1.0, out=d)
+    out = terms.reshape(terms.shape[: terms.ndim - weights.ndim] + (-1,)).sum(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def rho_tail_bound(budget):

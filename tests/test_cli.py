@@ -452,6 +452,24 @@ def test_missing_config_file_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "stationary-sample"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command, where):
+    if where == "config":
+        argv = ["--config", _write(tmp_path, _with(lambda d: d["run"].update(seed=-4)))]
+        named = "run.seed: -4"
+    else:
+        argv = ["--config", _write(tmp_path, GOOD, "good.json"), "--seed", "-1"]
+        named = "--seed -1"
+    out_dir = tmp_path / "out"
+    extra = ["--suite", "metrics"] if command == "verify" else []
+    assert main([command, *argv, *extra, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_import_loads_no_scipy():
     code = (
         "import agedpop, agedpop.cli, sys; "

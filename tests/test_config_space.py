@@ -18,12 +18,15 @@ from agedpop import (
     ground_distance,
     ground_tail_bound,
     kappa_distance,
+    kappa_features,
     kappa_tail_bound,
     load_configuration,
     plateau_table,
     rho_distance,
     save_configuration,
+    series_weights,
     uniform_habitat,
+    w_basis,
     window_truncation_error,
 )
 from conftest import random_configuration
@@ -257,6 +260,36 @@ def test_kernels_make_no_per_index_basis_calls(configs_2d, monkeypatch):
     assert np.all(theta.g(b.positions, b.ages) >= 0.0)
     assert np.all(np.isfinite(theta.g_age_derivative(b.positions, b.ages)))
     assert rows and min(rows) == 3
+
+
+def features_one_by_one(config, habitat, budget):
+    """kappa features of one configuration: its plateau matrix times its mark-weight matrix."""
+    ks, ns = (i + 1 for i in np.nonzero(series_weights(budget - 1, budget - 2, budget - 2)))
+    plateaus = plateau_table(tuple(range(1, budget - 1)), habitat)
+    return plateaus(config.positions) @ w_basis(ks[:, None], ns[:, None], config.ages).T
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kappa_features_match_the_per_configuration_product(dim):
+    habitat = uniform_habitat([(0.0, 1.0)] * dim, 2.0)
+    gen = np.random.default_rng(dim)
+    sizes = [3, 0, 1, 40, 3, 0, 7, 2]  # repeated and empty sizes, out of order
+    configs = [
+        MarkedConfiguration(gen.random((k, dim)), gen.exponential(1.0, k)) for k in sizes
+    ]
+    positions = np.concatenate([c.positions for c in configs])
+    ages = np.concatenate([c.ages for c in configs])
+    for budget in (3, 12, 30):
+        feats = kappa_features(positions, ages, sizes, habitat, budget=budget)
+        assert feats.shape == (len(sizes), budget - 2, (budget - 2) * (budget - 1) // 2)
+        for got, config in zip(feats, configs):
+            assert np.array_equal(got, features_one_by_one(config, habitat, budget))
+    empty = kappa_features(np.empty((0, dim)), np.empty(0), [0, 0, 0], habitat, budget=12)
+    assert empty.shape == (3, 10, 55) and not empty.any()
+    assert kappa_features(np.empty((0, dim)), np.empty(0), [], habitat, budget=12).shape == (0, 10, 55)
+    for bad in (sizes[:-1], [-1, 4] + sizes[2:]):  # a short list; a negative size
+        with pytest.raises(ValueError, match="sizes"):
+            kappa_features(positions, ages, bad, habitat)
 
 
 def test_kappa_tail_closed_form():

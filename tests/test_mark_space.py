@@ -16,10 +16,11 @@ from agedpop import (
     mark_sums,
     rho_distance,
     rho_tail_bound,
+    series_distance,
+    series_weights,
     u_basis,
     u_basis_derivative,
     u_basis_max,
-    u_basis_second_derivative,
     u_prime_max_constant,
     w_basis,
 )
@@ -32,6 +33,17 @@ from agedpop import (
 
 def _u_raw(n, a):
     return a**2 / (1.0 + n * a**3)
+
+
+def u_basis_second_derivative(n, alpha):
+    """d^2/dalpha^2 u_n = 2 (beta^2 - 7 beta + 1) / (1 + beta)^3, beta = n alpha^3.
+
+    Uniformly bounded: |u_n''| <= 2 (1 + 7 beta + beta^2)/(1+beta)^3 <= 2.9066.
+    Nothing in the package evaluates u_n''; the tests check the closed form
+    and its bound.
+    """
+    beta = n * np.asarray(alpha, dtype=float) ** 3
+    return 2.0 * (beta**2 - 7.0 * beta + 1.0) / (1.0 + beta) ** 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
@@ -148,6 +160,23 @@ def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
     monkeypatch.setattr(mark_space, "w_basis", counted)
     rho_distance(MarkSet(ages), MarkSet(ages[:200]), budget=40)
     assert sum(evaluated) == int(inside.sum()) * (300 + 200)
+
+
+@pytest.mark.parametrize("sizes", [(30,), (10, 11), (5, 4, 3)])
+def test_series_distance_batches_over_leading_axes(rng, sizes):
+    # one pair gives a float; leading axes give an array of the same floats
+    weights = series_weights(sum(sizes), *sizes)
+    fa = rng.random((4, 3, *sizes))
+    fb = rng.random((4, 3, *sizes))
+    batch = series_distance(weights, fa, fb)
+    assert batch.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            one = series_distance(weights, fa[i, j], fb[i, j])
+            assert isinstance(one, float) and batch[i, j] == one
+    # the features broadcast against each other
+    against_one = [series_distance(weights, fa[0, j], fb[0, 0]) for j in range(3)]
+    assert np.array_equal(series_distance(weights, fa[0], fb[0, 0]), against_one)
 
 
 def test_rho_tail_closed_form():

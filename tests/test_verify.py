@@ -22,6 +22,7 @@ from agedpop import (
     ergodicity_check,
     ergodicity_gap_curve,
     fokker_planck_check,
+    kappa_distance,
     format_reports,
     laplace_uniqueness_check,
     Theta,
@@ -470,3 +471,26 @@ def test_generator_bounds_fails_on_a_planted_bound_defect(theta_two, habitat_1d,
     monkeypatch.setattr(verify, "compute_bounds", shrunk)
     report = verify.generator_bounds_check(theta_two, habitat_1d, const_model)
     assert report.outcome == "FAIL", report.line()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kappa_triangle_check_keeps_the_random_stream(dim):
+    # the per-triple loop of kappa_distance calls the batched check replaced:
+    # the same draws in the same order, and the same worst excess bit for bit
+    habitat = uniform_habitat([(0.0, 1.0), (0.0, 2.0)][:dim], 3.0)
+    ours, loop = np.random.default_rng(dim), np.random.default_rng(dim)
+    report = verify.kappa_triangle_check(habitat, ours)
+    worst = -math.inf
+    for _ in range(200):
+        cfgs = []
+        for _ in range(3):
+            k = int(loop.integers(0, 5))
+            pos = habitat.lower + loop.random((k, habitat.dim)) * (habitat.upper - habitat.lower)
+            cfgs.append(MarkedConfiguration(pos, loop.exponential(1.0, k)))
+        a, b, c = cfgs
+        dab, dbc, dac = (
+            kappa_distance(x, y, habitat, budget=12)[0] for x, y in ((a, b), (b, c), (a, c))
+        )
+        worst = max(worst, dac - dab - dbc)
+    assert ours.bit_generator.state == loop.bit_generator.state
+    assert report.value == worst and report.n_samples == 200
