@@ -16,7 +16,6 @@ position-dependent hazard.  The package provides:
 from .age_metric import age_distance, omega
 from .config_space import (
     MarkedConfiguration,
-    MarkedParticle,
     Plateaus,
     basis_count_below_scale,
     configuration_from_json,
@@ -28,8 +27,6 @@ from .config_space import (
     kappa_tail_bound,
     load_configuration,
     plateau_table,
-    save_configuration,
-    window_truncation_error,
 )
 from .generator import (
     ArrivalExponent,
@@ -62,14 +59,14 @@ from .habitat import (
     uniform_habitat,
 )
 from .mark_space import (
-    DEFAULT_LADDER,
+    SIGMA_BAR,
     MarkSet,
-    SigmaLadder,
     mark_sums,
     rho_distance,
     rho_tail_bound,
     series_distance,
     series_weights,
+    sigma,
     u_basis,
     u_basis_derivative,
     u_basis_max,

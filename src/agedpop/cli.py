@@ -57,6 +57,16 @@ def _require(mapping, path, required, optional=()):
     return mapping
 
 
+def _in_section(section, build, *args):
+    """build(*args), with a ValueError or TypeError it raises named by section."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _build_habitat(section):
     _require(section, "habitat", ["window", "density"])
     window = section["window"]
@@ -133,9 +143,9 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     _require(data, "config", ["habitat", "model", "theta", "run"], ["output"])
-    habitat = _build_habitat(data["habitat"])
-    model = _build_model(data["model"], habitat)
-    theta = _build_theta(data["theta"], habitat)
+    habitat = _in_section("habitat", _build_habitat, data["habitat"])
+    model = _in_section("model", _build_model, data["model"], habitat)
+    theta = _in_section("theta", _build_theta, data["theta"], habitat)
     run = _require(
         data["run"], "run", ["seed"], ["n_paths", "times", "horizon"]
     )

@@ -19,6 +19,10 @@ window: scale j contributes one trapezoid profile per dyadic lattice cell and
 per plateau height (1/2 then 3/4), with inner radius q = diameter * 2**-j and
 support radius 2q.  Index s = 1 is the midpoint plateau at scale 1 with
 height 1/2, whose support covers the whole window.
+
+Configurations are stored as one-line JSON text, a list of
+{"x": [coords], "alpha": age} objects (configuration_to_json,
+configuration_from_json, load_configuration).
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mark_space import DEFAULT_LADDER, series_distance, series_weights, u_basis
+from .mark_space import series_distance, series_weights, sigma, u_basis
 
 __all__ = [
-    "MarkedParticle",
     "MarkedConfiguration",
     "Plateaus",
     "plateau_table",
@@ -42,17 +45,10 @@ __all__ = [
     "kappa_features",
     "kappa_distance",
     "kappa_tail_bound",
-    "window_truncation_error",
     "configuration_to_json",
     "configuration_from_json",
-    "save_configuration",
     "load_configuration",
 ]
-
-
-class MarkedParticle(NamedTuple):
-    x: np.ndarray
-    alpha: float
 
 
 class MarkedConfiguration:
@@ -97,27 +93,8 @@ class MarkedConfiguration:
     def __len__(self):
         return int(self.ages.size)
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield MarkedParticle(self.positions[i], float(self.ages[i]))
-
     def __repr__(self):
         return f"MarkedConfiguration(n={len(self)}, dim={self.dim})"
-
-    def union(self, other):
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return MarkedConfiguration(
-            np.vstack([self.positions, other.positions]),
-            np.concatenate([self.ages, other.ages]),
-        )
-
-    def restrict(self, lower, upper):
-        """Particles whose location lies in the box [lower, upper]."""
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        inside = np.all((self.positions >= lower) & (self.positions <= upper), axis=1)
-        return MarkedConfiguration(self.positions[inside], self.ages[inside])
 
 
 class Plateaus(NamedTuple):
@@ -210,19 +187,19 @@ def kappa_tail_bound(budget):
 
 
 @lru_cache(maxsize=None)
-def _kappa_pairs(budget, ladder=DEFAULT_LADDER):
+def _kappa_pairs(budget):
     """For the (k, n) pairs with k + n < budget: the distinct n (as floats), each
     pair's index into them, -sigma_k, the weights on (s, pair) and the tail."""
     ks, ns = (i + 1 for i in np.nonzero(series_weights(budget - 1, budget - 2, budget - 2)))
     n_distinct, n_of_pair = np.unique(ns, return_inverse=True)
     weights = series_weights(budget, budget - 2, budget - 1)[:, ks + ns - 1]
-    tables = (n_distinct * 1.0, n_of_pair, -ladder.value(ks), weights)
+    tables = (n_distinct * 1.0, n_of_pair, -sigma(ks), weights)
     for a in tables:
         a.flags.writeable = False
     return (*tables, kappa_tail_bound(budget))
 
 
-def kappa_features(positions, ages, sizes, habitat, budget=30, ladder=DEFAULT_LADDER):
+def kappa_features(positions, ages, sizes, habitat, budget=30):
     """kappa features F[c, s-1, q] = sum_particles v_s(x) w_{(k,n)_q}(alpha).
 
     Configuration c is the block of sizes[c] consecutive rows of positions
@@ -230,7 +207,7 @@ def kappa_features(positions, ages, sizes, habitat, budget=30, ladder=DEFAULT_LA
     plateau matrix times its mark-weight matrix, one stacked product per
     size: zero padding to one size would change the order of BLAS's sums.
     """
-    n_distinct, n_of_pair, neg_sigma, _, _ = _kappa_pairs(budget, ladder)
+    n_distinct, n_of_pair, neg_sigma, _, _ = _kappa_pairs(budget)
     sizes = np.asarray(sizes, dtype=np.int64)
     if np.any(sizes < 0) or sizes.sum() != np.size(ages):
         raise ValueError("sizes must be nonnegative and sum to the number of particles")
@@ -249,53 +226,23 @@ def kappa_features(positions, ages, sizes, habitat, budget=30, ladder=DEFAULT_LA
     return out
 
 
-def kappa_distance(config_a, config_b, habitat, budget=30, ladder=DEFAULT_LADDER):
+def kappa_distance(config_a, config_b, habitat, budget=30):
     """Marked-configuration distance: series over v_s * w_{k,n} sums.
 
     Truncated at s + k + n <= budget; returns (distance, tail_bound).  Always
     below 1: the weights sum to less than 1 and each term is below its weight.
     """
-    *_, weights, tail = _kappa_pairs(budget, ladder)
+    *_, weights, tail = _kappa_pairs(budget)
     pos = np.concatenate([config_a.positions, config_b.positions])
     ages = np.concatenate([config_a.ages, config_b.ages])
-    fa, fb = kappa_features(pos, ages, (len(config_a), len(config_b)), habitat, budget, ladder)
+    fa, fb = kappa_features(pos, ages, (len(config_a), len(config_b)), habitat, budget)
     return series_distance(weights, fa, fb), tail
-
-
-def window_truncation_error(config_a, config_b, habitat, sub_lower, sub_upper, s_star, budget=30):
-    """Error bound for restricting configurations to a sub-window.
-
-    Checks that the box [sub_lower, sub_upper] covers the supports of every
-    v_s with s <= s_star (raising with the offending s otherwise), restricts
-    both configurations to it, and verifies that the kappa distance moves by
-    less than the retained-weight bound eps = 2**-s_star, which is returned.
-    """
-    sub_lower = np.asarray(sub_lower, dtype=float)
-    sub_upper = np.asarray(sub_upper, dtype=float)
-    plateaus = plateau_table(tuple(range(1, s_star + 1)), habitat)
-    reach = 2.0 * plateaus.radii[:, None]
-    outside = (plateaus.centers - reach < sub_lower) | (plateaus.centers + reach > sub_upper)
-    if outside.any():
-        s = int(np.argmax(outside.any(axis=1))) + 1
-        raise ValueError(f"sub-window does not cover the support of basis s={s}")
-    eps = 2.0 ** (-s_star)
-    full, _ = kappa_distance(config_a, config_b, habitat, budget=budget)
-    ra = config_a.restrict(sub_lower, sub_upper)
-    rb = config_b.restrict(sub_lower, sub_upper)
-    restricted, _ = kappa_distance(ra, rb, habitat, budget=budget)
-    if abs(full - restricted) >= eps:
-        raise AssertionError(
-            f"truncation moved kappa by {abs(full - restricted):.3e} >= eps = {eps:.3e}"
-        )
-    return eps
 
 
 def configuration_to_json(config):
     """JSON text on one line: a list of {"x": [coords], "alpha": age} objects."""
-    records = [
-        {"x": [float(c) for c in p.x], "alpha": float(p.alpha)} for p in config
-    ]
-    return json.dumps(records)
+    pairs = zip(config.positions.tolist(), config.ages.tolist())
+    return json.dumps([{"x": x, "alpha": alpha} for x, alpha in pairs])
 
 
 def configuration_from_json(text, dim=None):
@@ -323,12 +270,6 @@ def configuration_from_json(text, dim=None):
     if dim is not None and width != dim:
         raise ValueError(f"expected dimension {dim}, file has {width}")
     return MarkedConfiguration(np.asarray(positions), np.asarray(ages))
-
-
-def save_configuration(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(configuration_to_json(config))
-        fh.write("\n")
 
 
 def load_configuration(path, dim=None):

@@ -55,7 +55,7 @@ from .habitat import (
     log_survival,
     survival_factor,
 )
-from .mark_space import u_basis_max, u_prime_max_constant
+from .mark_space import SIGMA_BAR, u_basis_max, u_prime_max_constant
 from .sampler import PathBundle
 
 __all__ = [
@@ -488,13 +488,12 @@ def compute_bounds(theta, habitat, model):
 
     ell_theta dominates |L F_{theta_t}| uniformly in t; est_bound dominates
     |L F_theta|; tau_star is the contraction horizon 1/(m_star e^J).  The age
-    sandwich exp(-sigma_bar sup u_1) g(x,0) <= g(x,alpha) <= g(x,0) and the
-    derivative domination |g'| <= sigma_bar c g are asserted on a grid.
+    sandwich exp(-SIGMA_BAR sup u_1) g(x,0) <= g(x,alpha) <= g(x,0) and the
+    derivative domination |g'| <= SIGMA_BAR c g are asserted on a grid.
     """
     j = theta.j_count
-    sigma_bar = theta.ladder.sigma_bar
     c = u_prime_max_constant()
-    cbar = math.exp(-sigma_bar * u_basis_max(1))
+    cbar = math.exp(-SIGMA_BAR * u_basis_max(1))
     chi_g0 = chi_integral(
         habitat, lambda x: theta.g(x, np.zeros(x.shape[:-1])), points=theta.x_breakpoints
     )
@@ -504,8 +503,8 @@ def compute_bounds(theta, habitat, model):
         points=theta.x_breakpoints,
     )
     m_star = model.m_star
-    ell = chi_g0 + m_star * math.exp(j - 1.0) + (sigma_bar * c + 2.0 * m_star) * math.exp(float(j))
-    est = chi_abs_theta0 + m_star * math.exp(j - 1.0) + sigma_bar * c / math.e
+    ell = chi_g0 + m_star * math.exp(j - 1.0) + (SIGMA_BAR * c + 2.0 * m_star) * math.exp(float(j))
+    est = chi_abs_theta0 + m_star * math.exp(j - 1.0) + SIGMA_BAR * c / math.e
     tau = math.inf if m_star == 0 else 1.0 / (m_star * math.exp(float(j)))
     # grid check of the age sandwich and the derivative domination, on the
     # window's diagonal and on a 9-per-axis tensor grid (in d >= 2 the
@@ -522,8 +521,8 @@ def compute_bounds(theta, habitat, model):
         raise AssertionError("age bound g(x, alpha) <= g(x, 0) failed on the grid")
     if np.any(cbar * g0 > g + slack):
         raise AssertionError("lower sandwich cbar g(x,0) <= g(x,alpha) failed on the grid")
-    if np.any(np.abs(gp) > sigma_bar * c * g + slack):
-        raise AssertionError("derivative domination |g'| <= sigma_bar c g failed on the grid")
+    if np.any(np.abs(gp) > SIGMA_BAR * c * g + slack):
+        raise AssertionError("derivative domination |g'| <= SIGMA_BAR c g failed on the grid")
     return GeneratorBounds(
         j_count=j,
         chi_g_zero=chi_g0,

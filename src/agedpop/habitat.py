@@ -3,7 +3,7 @@
 The habitat is a closed axis-aligned box in R^d carrying the arrival measure
 chi(dx) = density(x) dx with a bounded density.  Departure models supply the
 age-dependent hazard m(x, alpha) together with its bounds m_zero <= m <= m_star,
-a closed-form cumulative hazard when available, and a continuity modulus.
+its closed-form cumulative hazard, and a continuity modulus.
 The survival integral int int h(x, u) exp(-M(x, u)) chi(dx) du, to which every
 law agedpop checks reduces, is computed here and nowhere else.  Every
 chi-integral, that one and chi_integral alike, uses the one deterministic
@@ -140,9 +140,8 @@ class DepartureModel:
     """Age-dependent departure hazard with stated bounds.
 
     rate(x, alpha) broadcasts: x of shape (..., dim) against alpha of shape
-    (...).  cumulative is M(x, alpha) = int_0^alpha m(x, .) and broadcasts
-    like rate; when None is given, a numeric one is installed that integrates
-    the rate on the age panels of age_rule, all broadcast elements at once.
+    (...).  cumulative is the closed form of M(x, alpha) = int_0^alpha
+    m(x, .) and broadcasts like rate.
     modulus(eps) bounds the variation of m over age displacements <= eps,
     uniformly in x; the age rule reads it as a Lipschitz bound to size its
     panels (see age_panel_width).
@@ -151,14 +150,12 @@ class DepartureModel:
     m_star: float
     m_zero: float
     rate: Callable
-    cumulative: Callable | None = None
+    cumulative: Callable
     modulus: Callable[[float], float] = field(default=lambda eps: 0.0)
 
     def __post_init__(self):
         if not (0.0 <= self.m_zero <= self.m_star) or not math.isfinite(self.m_star):
             raise ValueError("need 0 <= m_zero <= m_star < inf")
-        if self.cumulative is None:
-            object.__setattr__(self, "cumulative", _numeric_cumulative(self.rate, age_panel_width(self)))
 
 
 def constant_rate(m):
@@ -311,33 +308,6 @@ def age_rule(a_lo, a_hi, width):
     n = max(1, math.ceil((a_hi - a_lo) / width - 1e-12))
     ages, weights = age_panels(np.linspace(a_lo, a_hi, n + 1))
     return ages.ravel(), weights.ravel()
-
-
-def _numeric_cumulative(rate, width):
-    """M(x, alpha) = int_0^alpha rate(x, b) db on the age rule, vectorized.
-
-    Each [0, alpha] is cut into as many equal panels as the largest alpha of
-    the call needs; elements are processed in blocks of bounded size.
-    """
-
-    def cumulative(x, alpha):
-        x = np.asarray(x, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], alpha.shape)
-        xs = np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1])
-        ages = np.broadcast_to(alpha, shape).ravel()
-        top = float(ages.max()) if ages.size else 0.0
-        # the rule on [0, 1], scaled by each alpha
-        frac, weights = age_rule(0.0, 1.0, width / top if top > width else 1.0)
-        out = np.empty(ages.size)
-        step = max(1, _BLOCK // frac.size)
-        for i in range(0, ages.size, step):
-            a = ages[i : i + step, None]
-            out[i : i + step] = a[:, 0] * (rate(xs[i : i + step, None, :], a * frac) @ weights)
-        out = out.reshape(shape)
-        return out if out.ndim else float(out)
-
-    return cumulative
 
 
 def survival_slice(model, nodes, weights, h, ages):

@@ -5,7 +5,8 @@ A mark is a finite multiset of ages.  Distances are built from the basis
     u_n(alpha) = alpha**2 / (1 + n*alpha**3),      n = 1, 2, ...
     w_{k,n}(alpha) = exp(-sigma_k * u_n(alpha)),
 
-where sigma_1 = 0 < sigma_2 < ... is a bounded strictly increasing ladder.
+on the one fixed ladder sigma_k = 1 - 2**(1-k), which climbs strictly from
+sigma_1 = 0 towards SIGMA_BAR = 1.
 Each w is continuous for the bounded age metric (w -> 1 both at age 0 and at
 age infinity), so mark sums of w's extend to the compactified half-line.  The
 metric is the weighted series
@@ -23,14 +24,13 @@ series_weights times d / (1 + d), summed over feature differences d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SigmaLadder",
-    "DEFAULT_LADDER",
+    "SIGMA_BAR",
+    "sigma",
     "u_basis",
     "u_basis_derivative",
     "u_basis_max",
@@ -50,29 +50,16 @@ _Z = (7.0 - 3.0 * math.sqrt(5.0)) / 2.0
 _U_PRIME_MAX = (math.sqrt(5.0) - 1.0) / (6.0 * _Z ** (2.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class SigmaLadder:
-    """Strictly increasing ladder sigma_1 = 0 < sigma_2 < ... < sigma_bar.
-
-    The default rungs are sigma_k = (1 - 2**(1-k)) * sigma_bar.
-    """
-
-    sigma_bar: float = 1.0
-
-    def __post_init__(self):
-        if not (self.sigma_bar > 0 and math.isfinite(self.sigma_bar)):
-            raise ValueError("sigma_bar must be positive and finite")
-
-    def value(self, k):
-        """sigma_k for integer rung(s) k >= 1 (vectorized)."""
-        k = np.asarray(k)
-        if np.any(k < 1):
-            raise ValueError("ladder rungs start at k = 1")
-        out = (1.0 - np.exp2(1.0 - k.astype(float))) * self.sigma_bar
-        return out if out.ndim else float(out)
+SIGMA_BAR = 1.0  # the bound sigma_k < SIGMA_BAR of the ladder
 
 
-DEFAULT_LADDER = SigmaLadder(sigma_bar=1.0)
+def sigma(k):
+    """sigma_k = 1 - 2**(1-k) for integer rung(s) k >= 1 (vectorized)."""
+    k = np.asarray(k)
+    if np.any(k < 1):
+        raise ValueError("ladder rungs start at k = 1")
+    out = 1.0 - np.exp2(1.0 - k.astype(float))
+    return out if out.ndim else float(out)
 
 
 def u_basis(n, alpha):
@@ -107,10 +94,9 @@ def u_prime_max_constant():
     return _U_PRIME_MAX
 
 
-def w_basis(k, n, alpha, ladder=DEFAULT_LADDER):
+def w_basis(k, n, alpha):
     """w_{k,n}(alpha) = exp(-sigma_k u_n(alpha)) in (0, 1]; broadcasts."""
-    sigma = ladder.value(k)
-    return np.exp(-np.asarray(sigma, dtype=float) * u_basis(n, alpha))
+    return np.exp(-sigma(k) * u_basis(n, alpha))
 
 
 class MarkSet:
@@ -134,22 +120,16 @@ class MarkSet:
     def __repr__(self):
         return f"MarkSet({list(self.ages)!r})"
 
-    def union(self, other):
-        return MarkSet(np.concatenate([self.ages, other.ages]))
 
+def mark_sums(ages, budget):
+    """Sums S[k-1, n-1] = sum_alpha w_{k,n}(alpha) for k, n < budget.
 
-def mark_sums(ages, k_max, n_max, ladder=DEFAULT_LADDER, budget=None):
-    """Matrix of sums S[k-1, n-1] = sum_alpha w_{k,n}(alpha) for k <= k_max, n <= n_max.
-
-    Only the pairs with k + n <= budget (default: every pair), those a series
-    truncated there reads, are evaluated, in one broadcast; the others are 0.
+    Only the pairs with k + n <= budget, those a series truncated there
+    reads, are evaluated, in one broadcast; the others are 0.
     """
-    if budget is None:
-        budget = k_max + n_max
-    k, n = np.nonzero(series_weights(budget, k_max, n_max))
-    out = np.zeros((k_max, n_max))
-    ages = np.asarray(ages, dtype=float)
-    out[k, n] = w_basis(k[:, None] + 1, n[:, None] + 1, ages, ladder).sum(axis=1)
+    k, n = np.nonzero(series_weights(budget, budget - 1, budget - 1))
+    out = np.zeros((budget - 1, budget - 1))
+    out[k, n] = w_basis(k[:, None] + 1, n[:, None] + 1, np.asarray(ages, dtype=float)).sum(axis=1)
     return out
 
 
@@ -186,7 +166,7 @@ def rho_tail_bound(budget):
     return float(np.sum((m - 1) * np.exp2(-m.astype(float))))
 
 
-def rho_distance(a, b, budget=40, ladder=DEFAULT_LADDER):
+def rho_distance(a, b, budget=40):
     """Truncated mark-space distance, plus its truncation tail bound.
 
     Returns (distance, tail_bound).  The truncated sum satisfies the metric
@@ -194,8 +174,5 @@ def rho_distance(a, b, budget=40, ladder=DEFAULT_LADDER):
     the tail bound quantifies the missing separation only.
     """
     tail = rho_tail_bound(budget)
-    k_max = budget - 1
-    weights = series_weights(budget, k_max, k_max)
-    sa = mark_sums(a.ages, k_max, k_max, ladder, budget)
-    sb = mark_sums(b.ages, k_max, k_max, ladder, budget)
-    return series_distance(weights, sa, sb), tail
+    weights = series_weights(budget, budget - 1, budget - 1)
+    return series_distance(weights, mark_sums(a.ages, budget), mark_sums(b.ages, budget)), tail

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config_space import plateau_table
-from .mark_space import DEFAULT_LADDER, u_basis_derivative
+from .mark_space import sigma, u_basis_derivative
 
 __all__ = [
     "Theta",
@@ -40,9 +40,9 @@ class Theta:
     age zero), and g(x, 0) recovers sum_j v_{s_j}(x) exactly.
     """
 
-    __slots__ = ("terms", "habitat", "ladder", "_plateaus", "_ks", "_ns", "_breaks", "_u_ns", "_rungs")
+    __slots__ = ("terms", "habitat", "_plateaus", "_ns", "_breaks", "_u_ns", "_rungs")
 
-    def __init__(self, terms, habitat, ladder=DEFAULT_LADDER):
+    def __init__(self, terms, habitat):
         terms = tuple((int(s), int(k), int(n)) for (s, k, n) in terms)
         if not terms:
             raise ValueError("a test function needs at least one index triple")
@@ -52,9 +52,7 @@ class Theta:
         plateaus = plateau_table(tuple(s.tolist()), habitat)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "habitat", habitat)
-        object.__setattr__(self, "ladder", ladder)
         object.__setattr__(self, "_plateaus", plateaus)
-        object.__setattr__(self, "_ks", k)
         object.__setattr__(self, "_ns", n)
         breaks = ()
         if habitat.dim == 1:
@@ -63,7 +61,7 @@ class Theta:
         object.__setattr__(self, "_breaks", breaks)
         # per term: sigma_k and the index of its n among the distinct n of the
         # terms with sigma > 0 (None at sigma = 0, where w = exp(-0 u) = 1)
-        sigmas = ladder.value(k)
+        sigmas = sigma(k)
         u_ns = np.unique(n[sigmas > 0])
         rungs = tuple(
             (float(sig), int(np.searchsorted(u_ns, m)) if sig > 0 else None)
@@ -87,17 +85,15 @@ class Theta:
 
     @property
     def age_scale(self):
-        """Age scale of alpha -> g(x, alpha): min_j min(n_j^(-1/3), sigma_j^(-1/2), 1).
+        """Age scale of alpha -> g(x, alpha): min_j n_j^(-1/3).
 
         u_n(alpha) = n^(-2/3) U(n^(1/3) alpha) with U(b) = b^2/(1 + b^3),
         whose complex poles lie at distance sqrt(3)/2 from the real axis, so
-        u_n varies on ages of order n^(-1/3); exp(-sigma u_n) moves by order
-        one over ages of order sigma^(-1/2) once sigma exceeds 1.  The age
-        rule sizes its panels by this (see habitat.age_panel_width).
+        u_n varies on ages of order n^(-1/3); with every sigma_k below 1,
+        exp(-sigma u_n) varies on no shorter scale.  The age rule sizes its
+        panels by this (see habitat.age_panel_width).
         """
-        sigmas = self.ladder.value(self._ks)
-        scales = np.minimum(self._ns ** (-1.0 / 3.0), np.maximum(sigmas, 1.0) ** -0.5)
-        return float(scales.min())
+        return float((self._ns ** (-1.0 / 3.0)).min())
 
     def _rung_sum(self, x, alpha, slope):
         """g (slope False) or g' = d/dalpha g (slope True) at x (..., dim), alpha (...).
@@ -152,13 +148,11 @@ class Theta:
 def star_product(theta_a, theta_b):
     """theta_a + theta_b + theta_a theta_b, realized by concatenating terms.
 
-    Both factors must share the habitat and ladder.
+    Both factors must share the habitat.
     """
     if theta_a.habitat is not theta_b.habitat:
         raise ValueError("star product requires a common habitat")
-    if theta_a.ladder != theta_b.ladder:
-        raise ValueError("star product requires a common sigma ladder")
-    return Theta(theta_a.terms + theta_b.terms, theta_a.habitat, theta_a.ladder)
+    return Theta(theta_a.terms + theta_b.terms, theta_a.habitat)
 
 
 def F_theta(theta, config):

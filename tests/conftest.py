@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from agedpop import (
+    DepartureModel,
     FlowedTheta,
     MarkedConfiguration,
     Theta,
@@ -58,6 +59,25 @@ def random_configuration(rng, habitat, max_particles=5, age_scale=1.0):
     pos = habitat.lower + rng.random((k, habitat.dim)) * (habitat.upper - habitat.lower)
     ages = rng.exponential(age_scale, k)
     return MarkedConfiguration(pos, ages)
+
+
+def quadrature_cumulative(model, order=32):
+    """model with M(x, alpha) replaced by an order-point Gauss-Legendre
+    integral of its rate over [0, alpha]: a cumulative that is not closed
+    form, to check that every consumer reads M through model.cumulative.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+
+    def cumulative(x, alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        return alpha * sum(w / 2.0 * model.rate(x, alpha * (z + 1.0) / 2.0) for z, w in zip(nodes, weights))
+
+    return DepartureModel(model.m_star, model.m_zero, model.rate, cumulative, model.modulus)
+
+
+def union(a, b):
+    """The configuration holding the particles of a and then those of b."""
+    return MarkedConfiguration(np.vstack([a.positions, b.positions]), np.concatenate([a.ages, b.ages]))
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ import pytest
 from scipy import stats
 
 from agedpop import (
-    DEFAULT_LADDER,
     ArrivalExponent,
     DiracLaw,
     F_theta,
@@ -50,6 +49,7 @@ from agedpop import (
     separable_rate,
     series_distance,
     series_weights,
+    sigma,
     stationarity_check,
     stationary_intensity,
     transient_intensity,
@@ -126,7 +126,7 @@ def _g_sum_batch(pos, ages, mask, budget, habitat=HAB):
         V[:, s - 1, :] = plateau_table((s,), habitat)(flat)[0].reshape(c, p)
     V *= mask[:, None, :]
     W = np.empty((c, len(pairs), p))
-    sig = DEFAULT_LADDER.value(np.arange(1, budget))
+    sig = sigma(np.arange(1, budget))
     for q, (k, n) in enumerate(pairs):
         u = ages**2 / (1.0 + n * ages**3)
         W[:, q, :] = np.exp(-sig[k - 1] * u)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from agedpop import MarkedConfiguration, configuration_from_json, save_configuration
+from agedpop import MarkedConfiguration, configuration_from_json, configuration_to_json
 from agedpop import cli
 from agedpop.cli import ConfigError, load_config, main
 from agedpop.verify import SUITES
@@ -130,8 +130,8 @@ def test_distance_command(tmp_path, config_path, capsys):
     a = MarkedConfiguration(np.array([[0.2]]), np.array([1.0]))
     b = MarkedConfiguration(np.array([[0.7]]), np.array([0.5]))
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    save_configuration(a, pa)
-    save_configuration(b, pb)
+    pa.write_text(configuration_to_json(a) + "\n", encoding="utf-8")
+    pb.write_text(configuration_to_json(b) + "\n", encoding="utf-8")
     for metric in ("kappa", "ground", "rho"):
         code = main(["distance", str(pa), str(pb), "--config", config_path, "--metric", metric])
         assert code == 0
@@ -466,6 +466,41 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, command, where):
     assert main([command, *argv, *extra, "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def _linear(base, slope, window=((0.0, 1.0),)):
+    def mutate(d):
+        d["habitat"] = {"window": [list(side) for side in window],
+                        "density": {"family": "linear", "base": base, "slope": slope}}
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "section, mutate",
+    [
+        pytest.param("habitat", _linear(1.0, 1.0, ((0.0, 1.0), (0.0, 1.0))), id="linear-2d"),
+        pytest.param("habitat", _linear(-1.0, 1.0), id="linear-negative"),
+        pytest.param("model", lambda d: d["model"].update(rate=-0.5), id="rate-negative"),
+        pytest.param("habitat", lambda d: d["habitat"].update(window=[[1.0, 0.0]]), id="window-reversed"),
+        pytest.param("habitat", lambda d: d["habitat"]["density"].update(level="abc"), id="level-text"),
+        pytest.param("habitat", lambda d: d["habitat"]["density"].update(level=None), id="level-null"),
+        pytest.param("theta", lambda d: d.update(theta=[[0, 1, 1]]), id="theta-s-zero"),
+        pytest.param(
+            "model", lambda d: d.update(model={"family": "separable", "base": -1, "amplitude": 1, "frequency": 2}),
+            id="separable-base-negative",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bad_config_value_exits_2_naming_its_section(tmp_path, capsys, section, mutate, command):
+    out_dir = tmp_path / "out"
+    extra = ["--suite", "metrics"] if command == "verify" else []
+    argv = [command, "--config", _write(tmp_path, _with(mutate)), *extra, "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: ")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out_dir.exists()
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from agedpop import (
-    DEFAULT_LADDER,
     MarkedConfiguration,
     MarkSet,
     Plateaus,
@@ -23,13 +22,12 @@ from agedpop import (
     load_configuration,
     plateau_table,
     rho_distance,
-    save_configuration,
     series_weights,
+    sigma,
     uniform_habitat,
     w_basis,
-    window_truncation_error,
 )
-from conftest import random_configuration
+from conftest import random_configuration, union
 
 
 # ---------------------------------------------------------------- oracles
@@ -39,7 +37,7 @@ def plateau(s, habitat):
     return tuple(table.centers[0]), float(table.radii[0]), float(table.heights[0])
 
 
-def kappa_component(config_a, config_b, s, k, n, habitat, ladder=DEFAULT_LADDER):
+def kappa_component(config_a, config_b, s, k, n, habitat):
     """kappa_{s,k,n} = |sum_a v_s(x) w_{k,n}(alpha) - sum_b ...|.
 
     One index at a time, from the raw plateau and mark-weight formulas: the
@@ -47,13 +45,13 @@ def kappa_component(config_a, config_b, s, k, n, habitat, ladder=DEFAULT_LADDER)
     With k = 1 (sigma_1 = 0, so w = 1) it is the ground component of s.
     """
     center, q, height = plateau(s, habitat)
-    sigma = ladder.value(k)
+    sig = sigma(k)
 
     def total(cfg):
         r = np.sqrt(np.sum((cfg.positions - np.asarray(center)) ** 2, axis=1))
         plateau_values = height * np.clip(2.0 - r / q, 0.0, 1.0)
         u = cfg.ages**2 / (1.0 + n * cfg.ages**3)
-        return float(np.sum(plateau_values * np.exp(-sigma * u)))
+        return float(np.sum(plateau_values * np.exp(-sig * u)))
 
     return abs(total(config_a) - total(config_b))
 
@@ -94,8 +92,7 @@ def test_configuration_basics():
     cfg = MarkedConfiguration(np.array([[0.1], [0.9]]), np.array([1.0, 2.0]))
     assert len(cfg) == 2
     assert cfg.dim == 1
-    particles = list(cfg)
-    assert particles[0].alpha == 1.0
+    assert cfg.ages[0] == 1.0
     with pytest.raises(AttributeError):
         cfg.positions = np.zeros((1, 1))
 
@@ -109,14 +106,15 @@ def test_configuration_validation():
         MarkedConfiguration(np.zeros((2, 1)), np.zeros(3))
 
 
-def test_union_restrict_without():
+def test_union_restrict_without(habitat_1d):
+    # a union is the stacked rows; multiplicity counts, so a configuration
+    # joined with itself is another configuration
     a = MarkedConfiguration(np.array([[0.2], [0.8]]), np.array([1.0, 2.0]))
     b = MarkedConfiguration(np.array([[0.5]]), np.array([3.0]))
-    u = a.union(b)
+    u = union(a, b)
     assert len(u) == 3
-    r = u.restrict([0.4], [0.9])
-    assert len(r) == 2
-    assert set(np.round(r.positions[:, 0], 3)) == {0.8, 0.5}
+    assert union(a, a).ages.tolist() == [1.0, 2.0, 1.0, 2.0]
+    assert kappa_distance(union(a, a), a, habitat_1d)[0] > 0.0
 
 
 def test_empty():
@@ -331,31 +329,14 @@ def test_kappa_below_one(habitat_2d, rng):
     assert 0.0 <= dist < 1.0
 
 
-# ------------------------------------------------------- window truncation
-def test_window_truncation_cover_violation(habitat_1d):
-    a = MarkedConfiguration(np.array([[0.5]]), np.array([1.0]))
-    with pytest.raises(ValueError, match="s=1"):
-        window_truncation_error(a, a, habitat_1d, [0.1], [0.9], s_star=1)
-
-
-def test_window_truncation_trivial_cover(habitat_1d):
-    # the scale-1 support spans the diameter around the midpoint, so a valid
-    # sub-window must already contain the whole window; restriction is then
-    # the identity for in-window configurations and the bound holds trivially
-    a = MarkedConfiguration(np.array([[0.2], [0.7]]), np.array([1.0, 0.5]))
-    b = MarkedConfiguration(np.array([[0.4]]), np.array([2.0]))
-    eps = window_truncation_error(a, b, habitat_1d, [-1.0], [2.0], s_star=6)
-    assert eps == 2.0**-6
-
-
+# ------------------------------------------------------- far particles
 def test_window_truncation_drops_far_particles(habitat_1d):
-    # a particle far outside every basis support is dropped with zero effect
+    # a particle far outside every basis support adds exactly 0 to kappa
     a = MarkedConfiguration(np.array([[0.3], [11.0]]), np.array([1.0, 1.0]))
     b = MarkedConfiguration(np.array([[0.3]]), np.array([1.0]))
-    eps = window_truncation_error(a, b, habitat_1d, [-1.5, ], [2.5], s_star=4)
-    assert eps == 2.0**-4
-    dist_full, _ = kappa_distance(a, b, habitat_1d)
-    assert dist_full == 0.0  # the far particle carries no basis weight at all
+    assert kappa_distance(a, b, habitat_1d)[0] == 0.0
+    far = MarkedConfiguration(np.array([[11.0]]), np.array([1.0]))
+    assert kappa_distance(far, MarkedConfiguration.empty(1), habitat_1d)[0] == 0.0
 
 
 # ------------------------------------------------------------------- JSON
@@ -369,7 +350,7 @@ def test_json_round_trip(tmp_path, rng, habitat_2d):
     np.testing.assert_allclose(back.positions, cfg.positions)
     np.testing.assert_allclose(back.ages, cfg.ages)
     path = tmp_path / "cfg.json"
-    save_configuration(cfg, path)
+    path.write_text(configuration_to_json(cfg) + "\n", encoding="utf-8")
     loaded = load_configuration(path)
     np.testing.assert_allclose(loaded.ages, cfg.ages)
 

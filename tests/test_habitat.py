@@ -11,7 +11,6 @@ from scipy import integrate, special, stats
 
 from agedpop import generator, habitat, verify
 from agedpop.habitat import SurvivalCumulative, age_panel_width, survival_weighted_integral
-from agedpop.mark_space import SigmaLadder
 from agedpop import (
     ArrivalExponent,
     Habitat,
@@ -29,6 +28,7 @@ from agedpop import (
     transient_intensity,
     uniform_habitat,
 )
+from conftest import quadrature_cumulative
 
 
 def test_uniform_habitat_geometry():
@@ -90,27 +90,9 @@ def test_separable_rate_bounds_and_cumulative(habitat_1d):
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def _without_cumulative(model):
-    return type(model)(
-        m_star=model.m_star,
-        m_zero=model.m_zero,
-        rate=model.rate,
-        cumulative=None,
-        modulus=model.modulus,
-    )
-
-
-def test_cumulative_hazard_numeric_fallback(habitat_1d):
-    base = separable_rate(habitat_1d, 0.4, 0.8, 3.0)
-    stripped = _without_cumulative(base)
-    x = np.array([[0.3], [0.8]])
-    a = np.array([0.7, 2.1])
-    np.testing.assert_allclose(stripped.cumulative(x, a), base.cumulative(x, a), atol=1e-8)
-
-
 def test_numeric_cumulative_matches_closed_form_downstream(habitat_1d, separable_model, theta_two):
-    # every consumer of M sees the numeric fallback as it sees the closed form
-    stripped = _without_cumulative(separable_model)
+    # every consumer of M sees a numeric cumulative as it sees the closed form
+    stripped = quadrature_cumulative(separable_model)
     theta = theta_two
     ages = np.array([0.0, 0.4, 1.7])
     np.testing.assert_allclose(
@@ -374,16 +356,15 @@ def test_survival_weighted_integral_high_frequency_hazard(monkeypatch):
     assert abs(got - survival_weighted_integral(hab, model, model.rate, 0.0, T)) <= 1e-13
 
 
-@pytest.mark.parametrize("n, sigma_bar", [(1000, 1.0), (1, 100.0)])
-def test_age_rule_follows_theta_age_scale(n, sigma_bar, monkeypatch):
-    # u_n turns at (2/n)^(1/3) and exp(-sigma u_n) moves over sigma^(-1/2):
-    # unit panels are 3e-8 (n = 1000) and 1.5e-6 (sigma_bar = 100) off
+def test_age_rule_follows_theta_age_scale(monkeypatch):
+    # u_n turns at (2/n)^(1/3): unit panels are 3e-8 off for n = 1000
+    n = 1000
     hab = uniform_habitat([(0.0, 1.0)], 2.0)
     model = separable_rate(hab, 0.5, 1.0, 2.0)
-    theta = Theta([(1, 2, n), (2, 3, n)], hab, SigmaLadder(sigma_bar))
-    assert theta.age_scale == pytest.approx(min(n ** (-1.0 / 3.0), theta.ladder.value(3) ** -0.5))
+    theta = Theta([(1, 2, n), (2, 3, n)], hab)
+    assert theta.age_scale == pytest.approx(n ** (-1.0 / 3.0))
     exponent = ArrivalExponent(theta, hab, model)
-    kinks = [(2.0 / n) ** (1.0 / 3.0), theta.ladder.value(3) ** -0.5]
+    kinks = [(2.0 / n) ** (1.0 / 3.0)]
     for T in (0.5, 3.0):
         want, _ = integrate.quad(exponent.psi, 0.0, T, epsabs=1e-14, limit=400, points=kinks)
         assert exponent.H(T) == pytest.approx(want, abs=1e-11)

@@ -10,14 +10,14 @@ from scipy import optimize
 
 from agedpop import mark_space
 from agedpop import (
-    DEFAULT_LADDER,
+    SIGMA_BAR,
     MarkSet,
-    SigmaLadder,
     mark_sums,
     rho_distance,
     rho_tail_bound,
     series_distance,
     series_weights,
+    sigma,
     u_basis,
     u_basis_derivative,
     u_basis_max,
@@ -103,18 +103,15 @@ def test_u_second_derivative_uniform_bound():
 
 
 def test_sigma_ladder():
-    lad = SigmaLadder(sigma_bar=1.0)
-    assert lad.value(1) == 0.0
-    assert lad.value(2) == 0.5
-    assert lad.value(3) == 0.75
+    assert sigma(1) == 0.0
+    assert sigma(2) == 0.5
+    assert sigma(3) == 0.75
     ks = np.arange(1, 30)
-    vals = lad.value(ks)
+    vals = sigma(ks)
     assert np.all(np.diff(vals) > 0)
-    assert np.all(vals < 1.0)
+    assert np.all(vals < SIGMA_BAR)
     with pytest.raises(ValueError):
-        lad.value(0)
-    with pytest.raises(ValueError):
-        SigmaLadder(sigma_bar=-1.0)
+        sigma(0)
 
 
 def test_w_basis_range_and_limits():
@@ -129,31 +126,29 @@ def test_w_basis_range_and_limits():
 
 def test_mark_sums_brute_force(rng):
     ages = rng.exponential(1.0, 6)
-    S = mark_sums(ages, 5, 4)
+    S = mark_sums(ages, 6)
+    assert S.shape == (5, 5)
     for k in range(1, 6):
-        for n in range(1, 5):
-            expected = sum(
-                math.exp(-DEFAULT_LADDER.value(k) * _u_raw(n, a)) for a in ages
-            )
+        for n in range(1, 6):
+            expected = sum(math.exp(-sigma(k) * _u_raw(n, a)) for a in ages) if k + n <= 6 else 0.0
             assert S[k - 1, n - 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
-    # with a budget only the pairs k + n <= budget are evaluated, with the
-    # bits of the full grid there, and rho_distance reads no other pair
+    # only the pairs k + n <= budget are evaluated, with the bits of the
+    # full grid there, and rho_distance reads no other pair
     ages = rng.exponential(1.0, 300)
     k, n = np.indices((39, 39)) + 1
     full = w_basis(k[..., None], n[..., None], ages).sum(axis=-1)
-    np.testing.assert_array_equal(mark_sums(ages, 39, 39), full)
-    tri = mark_sums(ages, 39, 39, budget=40)
+    tri = mark_sums(ages, 40)
     inside = k + n <= 40
     np.testing.assert_array_equal(tri[inside], full[inside])
     assert not tri[~inside].any()
     evaluated = []
     real = mark_space.w_basis
 
-    def counted(k, n, alpha, ladder=DEFAULT_LADDER):
-        out = real(k, n, alpha, ladder)
+    def counted(k, n, alpha):
+        out = real(k, n, alpha)
         evaluated.append(out.size)
         return out
 
@@ -204,7 +199,7 @@ def test_rho_cardinality_band():
     # same ages plus one extra particle: the sigma_1 = 0 band alone
     # contributes sum_{n <= B-1} 2^-(1+n) * 1/2 to the distance
     base = MarkSet([0.3, 1.7])
-    bigger = base.union(MarkSet([50.0]))
+    bigger = MarkSet([0.3, 1.7, 50.0])
     dist, _ = rho_distance(base, bigger, budget=40)
     k1_floor = sum(2.0 ** -(1 + n) * 0.5 for n in range(1, 40))
     assert dist >= k1_floor
@@ -238,12 +233,12 @@ def test_rho_triangle(xs, ys, zs):
     assert dac <= dab + dbc + 1e-12
 
 
-def rho_component(a, b, k, n, ladder=DEFAULT_LADDER):
+def rho_component(a, b, k, n):
     """rho_{k,n}(a,b) = |sum_a w_{k,n} - sum_b w_{k,n}|, one (k, n) at a time from
     the raw formula: the per-component route rho_distance is checked against."""
-    sigma = ladder.value(k)
-    sa = float(np.sum(np.exp(-sigma * _u_raw(n, a.ages))))
-    sb = float(np.sum(np.exp(-sigma * _u_raw(n, b.ages))))
+    sig = sigma(k)
+    sa = float(np.sum(np.exp(-sig * _u_raw(n, a.ages))))
+    sb = float(np.sum(np.exp(-sig * _u_raw(n, b.ages))))
     return abs(sa - sb)
 
 

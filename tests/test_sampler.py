@@ -9,7 +9,7 @@ from scipy import integrate, stats
 
 from agedpop import sampler
 from agedpop.habitat import _BLOCK, age_panel_width
-from agedpop.mark_space import SigmaLadder
+from agedpop.mark_space import u_basis
 from agedpop.verify import survival_weighted_integral
 from agedpop import (
     DepartureModel,
@@ -28,6 +28,7 @@ from agedpop import (
     transient_intensity,
     uniform_habitat,
 )
+from conftest import quadrature_cumulative
 
 
 # -------------------------------------------------------------- intensities
@@ -126,7 +127,7 @@ def _squeeze_case(name):
     hab, model, a_max = {
         "separable-1d": (hab1, separable_rate(hab1, 0.5, 1.0, 2.0), 10.0),
         "separable-2d": (hab2, sep2, 10.0),
-        "numeric-2d": (hab2, DepartureModel(sep2.m_star, sep2.m_zero, sep2.rate, None, sep2.modulus), 10.0),
+        "numeric-2d": (hab2, quadrature_cumulative(sep2), 10.0),
         "constant": (hab1, constant_rate(0.8), 10.0),
         "stationary-ages": (hab2, separable_rate(hab2, 0.05, 1.0, 2.0), 40.0 / 0.05),
     }[name]
@@ -267,13 +268,32 @@ def test_strip_sampler_rounds_cover_every_strip(habitat_1d, separable_model, mon
     assert max(sizes) <= _BLOCK and len(sizes) <= 6
 
 
+class _SteepTheta:
+    """g = 2 v_1(x) exp(-93.75 u_10(alpha)): the terms (1, 5, 10) twice on a
+    ladder 100 (1 - 2**(1-k)), so steeper in age than any rung of the
+    package's ladder, which stays below 1.
+    """
+
+    age_scale = 93.75**-0.5
+
+    def __init__(self, habitat):
+        self._flat = Theta([(1, 1, 1)], habitat)  # g = v_1(x), since sigma_1 = 0
+        self.x_breakpoints = self._flat.x_breakpoints
+
+    def g(self, x, alpha):
+        return 2.0 * self._flat.g(x, alpha) * np.exp(-93.75 * u_basis(10, alpha))
+
+    def theta(self, x, alpha):
+        return np.expm1(-self.g(x, alpha))
+
+
 def test_bundle_paths_get_iid_points(habitat_1d, const_model):
     # add_poisson hands consecutive blocks of the sample to consecutive
     # paths, so the sample must come out in random order: with the strips in
     # age order each path's ages cluster and the mean of F_theta over paths
     # moves about 10 standard errors for a steeply age-dependent theta
     intensity = stationary_intensity(habitat_1d, const_model)
-    theta = Theta([(1, 5, 10), (1, 5, 10)], habitat_1d, SigmaLadder(100.0))
+    theta = _SteepTheta(habitat_1d)
     bundle = PathBundle(20_000, 1)
     bundle.add_poisson(intensity, np.random.default_rng(12))
     f = bundle.f_theta(theta)

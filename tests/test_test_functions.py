@@ -11,6 +11,7 @@ from agedpop import (
     MarkedConfiguration,
     PoissonLaw,
     Theta,
+    sigma,
     star_product,
     transient_intensity,
     u_basis_derivative,
@@ -18,7 +19,7 @@ from agedpop import (
     uniform_habitat,
     w_basis,
 )
-from conftest import random_configuration
+from conftest import random_configuration, union
 
 
 def test_theta_range(theta_two, habitat_1d, rng):
@@ -59,7 +60,7 @@ def test_g_age_derivative(theta_two, rng):
     h = 1e-6
     fd = (theta_two.g(x, a + h) - theta_two.g(x, a - h)) / (2 * h)
     np.testing.assert_allclose(theta_two.g_age_derivative(x, a), fd, atol=1e-8)
-    # uniform slope bound |g'| <= sigma_bar * c * g
+    # uniform slope bound |g'| <= SIGMA_BAR * c * g with SIGMA_BAR = 1
     bound = u_prime_max_constant() * theta_two.g(x, a)
     assert np.all(np.abs(theta_two.g_age_derivative(x, a)) <= bound + 1e-12)
 
@@ -78,7 +79,7 @@ def test_f_theta_product_structure(theta_two, habitat_1d, rng):
     b = random_configuration(rng, habitat_1d, max_particles=4)
     fa, fb = F_theta(theta_two, a), F_theta(theta_two, b)
     assert 0.0 < fa <= 1.0
-    assert F_theta(theta_two, a.union(b)) == pytest.approx(fa * fb, rel=1e-12)
+    assert F_theta(theta_two, union(a, b)) == pytest.approx(fa * fb, rel=1e-12)
     assert F_theta(theta_two, MarkedConfiguration.empty(1)) == 1.0
 
 
@@ -144,9 +145,9 @@ def test_g_sums_terms_in_term_order(rng):
                 v = theta._plateaus(x)
                 want_g = want_gp = np.zeros(np.broadcast_shapes(x.shape[:-1], a.shape))
                 for j, (_, k, n) in enumerate(theta.terms):
-                    w = w_basis(k, n, a, theta.ladder)
+                    w = w_basis(k, n, a)
                     want_g = want_g + v[j] * w
-                    want_gp = want_gp + v[j] * ((-theta.ladder.value(k) * u_basis_derivative(n, a)) * w)
+                    want_gp = want_gp + v[j] * ((-sigma(k) * u_basis_derivative(n, a)) * w)
                 got_g, got_gp = theta.g(x, a), theta.g_age_derivative(x, a)
                 np.testing.assert_array_equal(got_g, want_g)
                 np.testing.assert_array_equal(got_gp, want_gp)

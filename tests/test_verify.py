@@ -17,6 +17,7 @@ from agedpop import (
     PoissonLaw,
     VerificationReport,
     chapman_kolmogorov_check,
+    constant_rate,
     count_law_oracle,
     cross_sampler_check,
     ergodicity_check,
@@ -324,11 +325,13 @@ def test_martingale(theta_two, theta_one, habitat_1d, const_model, dirac_config,
 
 
 def test_ergodicity(theta_two, habitat_1d, const_model):
-    gaps, pi_value, tail = ergodicity_gap_curve(
+    gaps, log_gaps, pi_value, tail = ergodicity_gap_curve(
         theta_two, habitat_1d, const_model, [1.0, 2.0, 4.0]
     )
     assert pi_value > 0
     assert np.all(np.diff(gaps) < 0)
+    # from the empty start mu_t(F) falls to pi(F) from above
+    np.testing.assert_allclose(log_gaps, np.log1p(gaps / pi_value), rtol=1e-10)
     report = ergodicity_check(theta_two, habitat_1d, const_model)
     assert report.passed, report.line()
     report = stationarity_check(theta_two, habitat_1d, const_model, [0.5, 1.5])
@@ -336,7 +339,7 @@ def test_ergodicity(theta_two, habitat_1d, const_model):
 
 
 def test_ergodicity_gap_curve_reads_the_stationary_law(theta_two, habitat_1d, separable_model):
-    _, pi_value, tail = ergodicity_gap_curve(theta_two, habitat_1d, separable_model, [1.0, 2.0])
+    _, _, pi_value, tail = ergodicity_gap_curve(theta_two, habitat_1d, separable_model, [1.0, 2.0])
     intensity = stationary_intensity(habitat_1d, separable_model)
     assert pi_value == PoissonLaw(intensity).expect_F(theta_two)
     assert tail == intensity.truncation_error
@@ -351,11 +354,21 @@ def test_ergodicity_band_for_varying_hazard():
     assert report.passed, report.line()
 
 
+def test_ergodicity_slope_reads_the_log_gap():
+    # chi_mass / m = 19: mu_t(F) is many times pi(F) at t = 1, so the log of
+    # the gap itself falls at about 1.06 here, outside [-0.77, -0.57]
+    hab = uniform_habitat([(0.0, 2.0), (0.0, 2.0)], 3.143275518314949)
+    model = constant_rate(0.6653744636603192)
+    theta = Theta([(2, 2, 16), (3, 3, 24), (3, 2, 13)], hab)
+    report = ergodicity_check(theta, hab, model)
+    assert report.passed, report.line()
+
+
 def test_ergodicity_fails_when_the_slope_leaves_its_band(theta_two, habitat_1d, const_model, monkeypatch):
     # flat gaps far below the envelope: the final gap passes, the slope of 0
     # is outside [-1.1, -0.9]
     def flat(theta, habitat, model, times):
-        return np.full(len(times), 1e-12), 0.5, 0.0
+        return np.full(len(times), 1e-12), np.full(len(times), 2e-12), 0.5, 0.0
 
     monkeypatch.setattr(verify, "ergodicity_gap_curve", flat)
     report = ergodicity_check(theta_two, habitat_1d, const_model)
@@ -487,6 +500,8 @@ def test_kappa_triangle_check_keeps_the_random_stream(dim):
             k = int(loop.integers(0, 5))
             pos = habitat.lower + loop.random((k, habitat.dim)) * (habitat.upper - habitat.lower)
             cfgs.append(MarkedConfiguration(pos, loop.exponential(1.0, k)))
+        if not all(len(cfg) for cfg in cfgs):
+            continue  # the check reads only triples with no empty configuration
         a, b, c = cfgs
         dab, dbc, dac = (
             kappa_distance(x, y, habitat, budget=12)[0] for x, y in ((a, b), (b, c), (a, c))
@@ -494,3 +509,17 @@ def test_kappa_triangle_check_keeps_the_random_stream(dim):
         worst = max(worst, dac - dab - dbc)
     assert ours.bit_generator.state == loop.bit_generator.state
     assert report.value == worst and report.n_samples == 200
+
+
+def test_kappa_triangle_check_reports_how_close_it_came(habitat_1d):
+    # below 0, not the exact 0 of a triple with two empty configurations
+    report = verify.kappa_triangle_check(habitat_1d, np.random.default_rng(7))
+    assert report.passed and report.value < 0.0, report.line()
+
+
+def test_kappa_triangle_check_fails_a_non_metric(habitat_1d, monkeypatch):
+    # the square of a metric breaks the triangle inequality
+    real = verify.series_distance
+    monkeypatch.setattr(verify, "series_distance", lambda w, fa, fb: real(w, fa, fb) ** 2)
+    report = verify.kappa_triangle_check(habitat_1d, np.random.default_rng(7))
+    assert report.outcome == "FAIL", report.line()
