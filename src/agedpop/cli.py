@@ -120,6 +120,26 @@ def _build_theta(entries, habitat):
     return Theta([tuple(int(v) for v in item) for item in entries], habitat)
 
 
+def _build_run(section):
+    """(seed, n_paths, times, horizon) of the run section."""
+    run = _require(section, "run", ["seed"], ["n_paths", "times", "horizon"])
+    seed = int(run["seed"])
+    if seed < 0:
+        raise ConfigError(f"run.seed: {seed}: expected a nonnegative integer")
+    times = [float(t) for t in run.get("times", [1.0])]
+    if times != sorted(times) or any(t < 0 for t in times):
+        raise ConfigError("run.times: expected a sorted list of nonnegative times")
+    n_paths = int(run.get("n_paths", 1000))
+    if n_paths < 2:
+        raise ConfigError("run.n_paths: need at least 2 paths for a standard error")
+    horizon = float(run.get("horizon", max(times) if times else 1.0))
+    if horizon < 0:
+        raise ConfigError("run.horizon: expected a nonnegative time")
+    if times and horizon < times[-1]:
+        raise ConfigError(f"run.horizon: {horizon} is before the last of run.times ({times[-1]})")
+    return seed, n_paths, times, horizon
+
+
 @dataclass
 class ExperimentConfig:
     habitat: object
@@ -146,23 +166,7 @@ def load_config(path):
     habitat = _in_section("habitat", _build_habitat, data["habitat"])
     model = _in_section("model", _build_model, data["model"], habitat)
     theta = _in_section("theta", _build_theta, data["theta"], habitat)
-    run = _require(
-        data["run"], "run", ["seed"], ["n_paths", "times", "horizon"]
-    )
-    seed = int(run["seed"])
-    if seed < 0:
-        raise ConfigError(f"run.seed: {seed}: expected a nonnegative integer")
-    times = [float(t) for t in run.get("times", [1.0])]
-    if times != sorted(times) or any(t < 0 for t in times):
-        raise ConfigError("run.times: expected a sorted list of nonnegative times")
-    n_paths = int(run.get("n_paths", 1000))
-    if n_paths < 2:
-        raise ConfigError("run.n_paths: need at least 2 paths for a standard error")
-    horizon = float(run.get("horizon", max(times) if times else 1.0))
-    if horizon < 0:
-        raise ConfigError("run.horizon: expected a nonnegative time")
-    if times and horizon < times[-1]:
-        raise ConfigError(f"run.horizon: {horizon} is before the last of run.times ({times[-1]})")
+    seed, n_paths, times, horizon = _in_section("run", _build_run, data["run"])
     out = data.get("output", {})
     _require(out, "output", [], ["dir"])
     return ExperimentConfig(

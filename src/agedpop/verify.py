@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the checks that use it, so that `import agedpop`
-# does not load it
 from .config_space import MarkedConfiguration, _kappa_pairs, kappa_distance, kappa_features
 from .generator import (
     ArrivalExponent,
@@ -164,22 +162,29 @@ def fokker_planck_check(theta, initial, t, habitat, model, name="fokker-planck")
 
 
 def laplace_uniqueness_check(theta, config, lam, habitat, model, name="laplace-uniqueness"):
-    """Resolvent at a configuration vs the Laplace transform of the explicit law."""
-    from scipy import integrate
+    """Resolvent at a configuration vs the Laplace transform of the explicit law.
 
+    The transform int_0^inf e^{-lam s} mu_s(F) ds runs on age_rule(0, 40/lam,
+    w/2), with w = min(1/lam, age_panel_width(model, theta.age_scale)) the
+    panel width of the resolvent's own rule: its nodes are not the
+    resolvent's, and mu_s(F) is evaluated at all of them in one call.  Since
+    mu_s(F) <= 1, the tail past 40/lam is below e^{-40}/lam.
+    """
     law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
     lhs = resolvent(theta, lam, config, habitat, model, exponent=law.exponent)
     horizon = 40.0 / lam
-    rhs, _ = integrate.quad(
-        lambda s: math.exp(-lam * s) * law.expect_F(s), 0.0, horizon, epsabs=1e-10, limit=400
-    )
-    residual = abs(lhs - rhs)
+    width = min(1.0 / lam, age_panel_width(model, theta.age_scale)) / 2.0
+    s, weights = age_rule(0.0, horizon, width)
+    rhs = float(weights @ (np.exp(-lam * s) * law.expect_F(s)))
     return VerificationReport(
         name=name,
         statistic="|mu_0(resolvent) - laplace(mu_s(F))|",
-        value=residual,
-        threshold=1e-6,
-        note=f"lambda={lam}",
+        value=abs(lhs - rhs),
+        threshold=1e-12,
+        note=(
+            f"lambda={lam}, {s.size} nodes on [0, {horizon:.4g}] at panel width {width:.3g}, "
+            f"tail below {math.exp(-40.0) / lam:.1e}"
+        ),
     )
 
 
@@ -341,6 +346,59 @@ def _pool_columns(table, weight, minimum):
     return np.add.reduceat(table, [0] + ends[:-1], axis=1)
 
 
+def _ks_statistic(draws, cdf):
+    """One-sample Kolmogorov-Smirnov statistic of draws against cdf.
+
+    D = max over the sorted draws a_(i) of i/n - F(a_(i)) and
+    F(a_(i)) - (i-1)/n, the two-sided statistic of scipy.stats.kstest.
+    """
+    f = cdf(np.sort(draws))
+    n = f.size
+    d_plus = np.max(np.arange(1.0, n + 1.0) / n - f)
+    d_minus = np.max(f - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
+
+
+def _chi2_sf(x, dof):
+    """P(chi^2_dof > x) for an integer dof >= 1, in closed form.
+
+    Abramowitz & Stegun 26.4.4-26.4.5: for even dof a Poisson(x/2) tail
+    sum, for odd dof erfc(sqrt(x/2)) plus a finite sum.
+    """
+    half = x / 2.0
+    if dof % 2 == 0:
+        term = total = math.exp(-half)
+        for j in range(1, dof // 2):
+            term *= half / j
+            total += term
+        return total
+    total = math.erfc(math.sqrt(half))
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-half)
+    for j in range(1, (dof - 1) // 2 + 1):
+        total += term
+        term *= x / (2 * j + 1)
+    return total
+
+
+def _chi2_independence_p(table):
+    """p-value of Pearson's chi-squared test of independence on a 2 x k table.
+
+    Expected counts come from the margins, and dof = k - 1; with one degree
+    of freedom Yates' correction moves each count half a unit (at most)
+    towards its expectation, as scipy.stats.chi2_contingency does.  A table
+    of one column has p-value 1.
+    """
+    observed = np.asarray(table, dtype=float)
+    dof = observed.shape[1] - 1
+    if dof == 0:
+        return 1.0
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    diff = observed - expected
+    if dof == 1:
+        diff = np.sign(diff) * np.maximum(np.abs(diff) - 0.5, 0.0)
+    return _chi2_sf(float(np.sum(diff**2 / expected)), dof)
+
+
 def count_law_oracle(
     habitat, model, times, n_paths, rng, seed=None, ks_samples=100_000, name="count-law"
 ):
@@ -354,8 +412,6 @@ def count_law_oracle(
     against chi_mass/m, and the stationary ages on draws of the rejection
     sampler.
     """
-    from scipy import stats
-
     m = model.m_star
     if model.m_zero != m:
         raise ValueError("the count oracle applies to constant hazards")
@@ -399,7 +455,7 @@ def count_law_oracle(
     def cdf(a):
         return -np.expm1(-m * np.asarray(a)) / -math.expm1(-m * a_max)
 
-    ks_stat = float(stats.kstest(ages, cdf).statistic)
+    ks_stat = _ks_statistic(ages, cdf)
     ks_threshold = 1.63 / math.sqrt(ks_samples)
     reports.append(
         VerificationReport(
@@ -420,8 +476,6 @@ def cross_sampler_check(theta, t, habitat, model, n_paths, rng, seed=None, name=
     Compares the mean of F_theta (4 SE band on the difference) and the count
     histograms (two-sample chi-squared at the 1% level).
     """
-    from scipy import stats
-
     bundle = PathBundle(n_paths, habitat.dim)
     bundle.add_poisson(transient_intensity(habitat, model, t), rng)
     f_one = bundle.f_theta(theta)
@@ -449,10 +503,7 @@ def cross_sampler_check(theta, t, habitat, model, n_paths, rng, seed=None, name=
     )
     # pool sparse cells so expected counts stay reasonable
     table = _pool_columns(table, table.sum(axis=0), 10)
-    if table.shape[1] > 1:
-        _, p_value, _, _ = stats.chi2_contingency(table)
-    else:
-        p_value = 1.0
+    p_value = _chi2_independence_p(table)
     reports.append(
         VerificationReport(
             name=f"{name}-counts",

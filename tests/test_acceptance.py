@@ -574,7 +574,7 @@ def test_criterion_11_fokker_planck_and_laplace():
         "Fokker-Planck and Laplace uniqueness",
         ok,
         f"FPE residual {dirac.value:.2e} < 1e-12 (age rule, {dirac.note}); "
-        f"stationary FPE {stationary.value:.2e} < 1e-12; Laplace residual {lap.value:.2e} < 1e-6",
+        f"stationary FPE {stationary.value:.2e} < 1e-12; Laplace residual {lap.value:.2e} < 1e-12",
     )
 
 

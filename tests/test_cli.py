@@ -505,6 +505,26 @@ def test_bad_config_value_exits_2_naming_its_section(tmp_path, capsys, section, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param({"seed": "abc"}, id="seed-text"),
+        pytest.param({"seed": 11, "times": 5}, id="times-number"),
+        pytest.param({"seed": 11, "n_paths": None}, id="n-paths-null"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_bad_run_value_exits_2(tmp_path, capsys, run, command):
+    out_dir = tmp_path / "out"
+    extra = ["--suite", "metrics"] if command == "verify" else []
+    argv = [command, "--config", _write(tmp_path, _with(lambda d: d.update(run=run))), *extra]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_import_loads_no_scipy():
     code = (
         "import agedpop, agedpop.cli, sys; "
@@ -512,3 +532,27 @@ def test_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_verify_all_suites_loads_no_scipy(tmp_path):
+    data = {
+        "habitat": {"window": [[0.0, 1.0]], "density": {"family": "constant", "level": 2.0}},
+        "model": {"family": "constant", "rate": 0.6},
+        "theta": [[1, 1, 1], [2, 1, 2]],
+        "run": {"seed": 7},
+    }
+    argv = ["agedpop", "verify", "--config", _write(tmp_path, data), "--suite", "all"]
+    code = (
+        "import runpy, sys; "
+        f"sys.argv = {argv!r}; "
+        "exit_code = None\n"
+        "try:\n"
+        "    runpy.run_module('agedpop.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    exit_code = exc.code\n"
+        "assert exit_code == 0, exit_code\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "18/18 checks passed"

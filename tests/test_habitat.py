@@ -400,12 +400,12 @@ def test_gauss_profile_nodes_cached(habitat_1d):
     assert not first[0].flags.writeable and not first[1].flags.writeable
 
 
-@pytest.mark.parametrize("module", [habitat, generator, verify.fokker_planck_check])
+@pytest.mark.parametrize("module", [habitat, generator, verify.fokker_planck_check, verify])
 def test_engine_modules_use_no_adaptive_quadrature(module):
     # the survival engine and the generator run on fixed rules only, and the
-    # Fokker-Planck check imports no scipy at all
+    # verification checks import no scipy at all
     banned = {"scipy.integrate", "scipy.interpolate"}
-    if inspect.isfunction(module):
+    if module is verify or inspect.isfunction(module):
         banned.add("scipy")
     for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(module)))):
         if isinstance(node, ast.Import):

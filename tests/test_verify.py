@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from agedpop import (
     ConvolutionLaw,
@@ -39,7 +39,8 @@ from agedpop import (
 )
 from agedpop import generator, verify
 from agedpop.habitat import age_panel_width, age_rule
-from agedpop.verify import _pool_columns
+from agedpop.sampler import _sample_points
+from agedpop.verify import _chi2_independence_p, _chi2_sf, _ks_statistic, _pool_columns
 
 
 def expect_weighted(law, vtheta, phi):
@@ -309,6 +310,114 @@ def test_laplace(theta_two, habitat_1d, const_model, dirac_config):
     assert report.passed, report.line()
 
 
+def _recorded(name):
+    """(habitat, model, theta, seed) of the recorded `verify --suite all` configs."""
+    h1 = uniform_habitat([(0.0, 1.0)], 2.0)
+    h2 = uniform_habitat([(0.0, 1.0)] * 2, 3.0)
+    h3 = uniform_habitat([(0.0, 1.0)] * 3, 2.0)
+    return {
+        "1d": (h1, constant_rate(0.6), Theta([(1, 1, 1), (2, 1, 2)], h1), 7),
+        "2d-separable": (h2, separable_rate(h2, 0.5, 1.0, 2.0), Theta([(1, 1, 1), (3, 2, 1)], h2), 11),
+        "3d": (h3, constant_rate(1.0), Theta([(1, 1, 1), (2, 1, 2)], h3), 7),
+        "1d-frequency-100": (
+            h1, separable_rate(h1, 0.5, 1.0, 100.0), Theta([(1, 2, 1), (2, 3, 40)], h1), 11
+        ),
+    }[name]
+
+
+RECORDED = ["1d", "2d-separable", "3d", "1d-frequency-100"]
+
+
+@pytest.mark.parametrize("config", RECORDED)
+def test_laplace_sum_matches_adaptive_quadrature(config, monkeypatch):
+    habitat, model, theta, _ = _recorded(config)
+    start = verify._dirac_start(habitat)
+    report = laplace_uniqueness_check(theta, start, 1.5, habitat, model)
+    assert report.passed, report.line()
+    # with a zero resolvent the report's value is the Laplace sum itself
+    monkeypatch.setattr(verify, "resolvent", lambda *args, **kwargs: 0.0)
+    laplace = laplace_uniqueness_check(theta, start, 1.5, habitat, model).value
+    law = ExplicitLaw(DiracLaw(start), theta, habitat, model)
+    want, _ = integrate.quad(
+        lambda s: math.exp(-1.5 * s) * law.expect_F(s), 0.0, 40.0 / 1.5, epsabs=1e-10, limit=400
+    )
+    assert abs(laplace - want) < 1e-10
+
+
+def test_laplace_fails_a_resolvent_cut_at_half_its_horizon(monkeypatch):
+    # the resolvent's t-rule keeps its first 20 of 40 panels, [0, 20/lam]: the
+    # lost tail, about pi(F) e^{-20}/lam = 1.3e-10, passes the old 1e-6
+    habitat, model, theta, _ = _recorded("1d")
+    start = verify._dirac_start(habitat)
+    full_rule = generator._laplace_rule
+
+    def cut(lam, model, exponent):
+        t, weights, factor = full_rule(lam, model, exponent)
+        keep = t <= 20.0 / lam
+        return t[keep], weights[keep], factor[keep]
+
+    monkeypatch.setattr(generator, "_laplace_rule", cut)
+    report = laplace_uniqueness_check(theta, start, 1.5, habitat, model)
+    assert report.outcome == "FAIL" and 1e-10 < report.value < 1e-6, report.line()
+
+
+@pytest.mark.parametrize("config", RECORDED)
+def test_ks_statistic_matches_scipy(config):
+    # the count-law oracle's draws: stationary ages of the rejection sampler
+    habitat, model, _, seed = _recorded(config)
+    intensity = stationary_intensity(habitat, model)
+    _, ages = _sample_points(intensity, 20_000, np.random.default_rng(seed))
+    m, a_max = model.m_star, intensity.age_upper
+
+    def cdf(a):
+        return -np.expm1(-m * np.asarray(a)) / -math.expm1(-m * a_max)
+
+    want = stats.kstest(ages, cdf).statistic
+    assert _ks_statistic(ages, cdf) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        pytest.param([[412, 588], [455, 545]], id="dof1-yates"),
+        pytest.param([[500, 500], [500, 501]], id="dof1-yates-clamped"),
+        pytest.param([[130, 400, 470], [160, 380, 460]], id="dof2"),
+        pytest.param([[90, 300, 400, 210], [60, 310, 420, 210]], id="dof3"),
+        pytest.param([[30, 120, 260, 330, 260], [45, 100, 250, 350, 255]], id="dof4"),
+        pytest.param([[20, 80, 200, 300, 250, 150], [35, 95, 180, 310, 240, 140]], id="dof5"),
+    ],
+)
+def test_chi2_p_value_matches_scipy(table):
+    want = stats.chi2_contingency(np.array(table))[1]
+    assert _chi2_independence_p(table) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_chi2_tail_matches_scipy():
+    for dof in range(1, 16):
+        for x in (1e-3, 0.7, 3.0, 11.0, 40.0):
+            assert _chi2_sf(x, dof) == pytest.approx(stats.chi2.sf(x, dof), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("config", RECORDED)
+def test_cross_sampler_p_value_matches_scipy(config, monkeypatch):
+    habitat, model, theta, seed = _recorded(config)
+    seen = []
+
+    def recorded(table):
+        seen.append(np.array(table))
+        return _chi2_independence_p(table)
+
+    monkeypatch.setattr(verify, "_chi2_independence_p", recorded)
+    (report,) = [
+        r for r in cross_sampler_check(theta, 1.0, habitat, model, 1000, np.random.default_rng(seed))
+        if r.name.endswith("counts")
+    ]
+    (table,) = seen
+    assert table.shape[1] > 1
+    want = stats.chi2_contingency(table)[1]
+    assert report.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_chapman(theta_two, habitat_1d, separable_model, dirac_config):
     report = chapman_kolmogorov_check(
         theta_two, dirac_config, 0.3, 0.9, habitat_1d, separable_model
@@ -452,16 +561,13 @@ def test_pool_columns_merges_the_tail_into_the_last_cell():
 
 
 def test_cross_sampler_pools_cells_in_count_order(theta_two, habitat_1d, separable_model, monkeypatch):
-    from scipy import stats
-
     seen = []
-    contingency = stats.chi2_contingency
 
-    def recorded(table, *args, **kwargs):
+    def recorded(table):
         seen.append(np.array(table))
-        return contingency(table, *args, **kwargs)
+        return _chi2_independence_p(table)
 
-    monkeypatch.setattr(stats, "chi2_contingency", recorded)
+    monkeypatch.setattr(verify, "_chi2_independence_p", recorded)
     rng = np.random.default_rng(5)
     reports = cross_sampler_check(theta_two, 0.8, habitat_1d, separable_model, 1500, rng)
     (table,) = seen
