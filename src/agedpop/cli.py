@@ -115,23 +115,23 @@ def _build_theta(entries, habitat):
     if not isinstance(entries, list) or not entries:
         raise ConfigError("theta: expected a non-empty list of [s, k, n] triples")
     for i, item in enumerate(entries):
-        if not isinstance(item, list) or len(item) != 3:
-            raise ConfigError(f"theta[{i}]: expected an [s, k, n] triple")
-    return Theta([tuple(int(v) for v in item) for item in entries], habitat)
+        if not isinstance(item, list) or len(item) != 3 or any(type(v) is not int for v in item):
+            raise ConfigError(f"theta[{i}]: {item!r}: expected an [s, k, n] triple of integers")
+    return Theta(entries, habitat)
 
 
 def _build_run(section):
     """(seed, n_paths, times, horizon) of the run section."""
     run = _require(section, "run", ["seed"], ["n_paths", "times", "horizon"])
-    seed = int(run["seed"])
-    if seed < 0:
-        raise ConfigError(f"run.seed: {seed}: expected a nonnegative integer")
+    seed = run["seed"]
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"run.seed: {seed!r}: expected a nonnegative integer")
     times = [float(t) for t in run.get("times", [1.0])]
     if times != sorted(times) or any(t < 0 for t in times):
         raise ConfigError("run.times: expected a sorted list of nonnegative times")
-    n_paths = int(run.get("n_paths", 1000))
-    if n_paths < 2:
-        raise ConfigError("run.n_paths: need at least 2 paths for a standard error")
+    n_paths = run.get("n_paths", 1000)
+    if type(n_paths) is not int or n_paths < 2:
+        raise ConfigError(f"run.n_paths: {n_paths!r}: expected an integer >= 2, for a standard error")
     horizon = float(run.get("horizon", max(times) if times else 1.0))
     if horizon < 0:
         raise ConfigError("run.horizon: expected a nonnegative time")

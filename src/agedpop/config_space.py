@@ -55,8 +55,9 @@ class MarkedConfiguration:
     """Immutable finite particle configuration with ages.
 
     positions has shape (n, dim), ages shape (n,).  Multiplicity counts:
-    identical rows are distinct particles.  Positions are not required to lie
-    in any particular window (the samplers enforce their own containment).
+    identical rows are distinct particles, and the row order carries no
+    meaning.  Positions are not required to lie in any particular window
+    (the samplers enforce their own containment).
     """
 
     __slots__ = ("positions", "ages")

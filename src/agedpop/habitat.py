@@ -439,7 +439,9 @@ def chi_sample(habitat, rng, size):
         dens = habitat.density(props)
         if np.any(dens > habitat.density_sup):
             raise ValueError("arrival density exceeds its declared bound density_sup")
-        accept = habitat.density_sup * rng.random(batch) < dens
+        accept = dens == habitat.density_sup  # accepted without a uniform
+        below = np.flatnonzero(~accept)
+        accept[below] = habitat.density_sup * rng.random(below.size) < dens[below]
         hits = np.compress(accept, props, axis=0)
         take = min(want, hits.shape[0])
         out[filled : filled + take] = hits[:take]

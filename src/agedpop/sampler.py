@@ -143,9 +143,8 @@ def _sample_points(intensity, count, rng):
     points uniform in chi x strip, at most _BLOCK per round, and accepts a
     proposal at age alpha in the strip [a, b) with chance
     exp(-M(x, alpha)) / exp(-m_zero a).  The first `need` accepted proposals
-    of each strip are kept.  The points come back in a uniformly random
-    order, so every block of them is an iid sample (PathBundle.add_poisson
-    hands consecutive blocks to its paths).
+    of each strip are kept.  The points come back grouped by round and
+    strip: an iid sample whose order carries no meaning.
     """
     habitat = intensity.habitat
     model = intensity.model
@@ -190,25 +189,17 @@ def _sample_points(intensity, count, rng):
         pos_parts.append(np.take(xs, hit, axis=0))
         age_parts.append(np.take(ages, hit))
         need -= np.minimum(got, need)
-    # the parts are grouped by strip: shuffle them into a random order
-    order = rng.permutation(count)
-    return (
-        np.take(np.concatenate(pos_parts), order, axis=0),
-        np.take(np.concatenate(age_parts), order),
-    )
+    return np.concatenate(pos_parts), np.concatenate(age_parts)
 
 
 def sample_poisson(intensity, rng):
     """One Poisson configuration: count ~ Poisson(mass), then iid points."""
     n = int(rng.poisson(intensity.total_mass)) if intensity.total_mass > 0 else 0
-    if n == 0:
-        return MarkedConfiguration.empty(intensity.habitat.dim)
-    pos, ages = _sample_points(intensity, n, rng)
-    return MarkedConfiguration(pos, ages)
+    return MarkedConfiguration(*_sample_points(intensity, n, rng))
 
 
 class PathBundle:
-    """n_paths configurations evolved in lockstep, stored as flat arrays."""
+    """n_paths configurations evolved in lockstep, stored as flat arrays in no particular order."""
 
     __slots__ = ("n_paths", "dim", "path_ids", "positions", "ages")
 
@@ -264,12 +255,12 @@ class PathBundle:
         self.ages = np.compress(keep, self.ages) + dt
 
     def add_poisson(self, intensity, rng):
-        counts = rng.poisson(intensity.total_mass, self.n_paths)
-        total = int(counts.sum())
-        if total == 0:
-            return
+        """An independent Poisson(intensity) configuration for every path: one
+        Poisson field of n_paths times the mass, each point labelled with a
+        uniform path (the colouring theorem; Kingman 1993, 5.1)."""
+        total = int(rng.poisson(intensity.total_mass * self.n_paths))
+        ids = rng.integers(self.n_paths, size=total)
         pos, ages = _sample_points(intensity, total, rng)
-        ids = np.repeat(np.arange(self.n_paths, dtype=np.int64), counts)
         self.path_ids = np.concatenate([self.path_ids, ids])
         self.positions = np.vstack([self.positions, pos])
         self.ages = np.concatenate([self.ages, ages])
@@ -285,8 +276,12 @@ class PathBundle:
         return np.bincount(self.path_ids, minlength=self.n_paths)
 
     def f_theta(self, theta):
-        """F_theta of every path: exp(-sum of g over its particles)."""
-        return np.exp(self.sum_by_path(-theta.g(self.positions, self.ages)))
+        """F_theta of every path: exp(-sum of g over its particles), g taken
+        _BLOCK particles at a time (it is elementwise: the bits of one call)."""
+        g = np.empty(self.ages.size)
+        for i in range(0, g.size, _BLOCK):
+            g[i : i + _BLOCK] = theta.g(self.positions[i : i + _BLOCK], self.ages[i : i + _BLOCK])
+        return np.exp(self.sum_by_path(np.negative(g, out=g)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -525,6 +525,27 @@ def test_bad_run_value_exits_2(tmp_path, capsys, run, command):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        pytest.param(lambda d: d["run"].update(seed=1.5), "run.seed: 1.5", id="seed-fraction"),
+        pytest.param(lambda d: d["run"].update(seed=True), "run.seed: True", id="seed-bool"),
+        pytest.param(lambda d: d["run"].update(n_paths=2.9), "run.n_paths: 2.9", id="n-paths-fraction"),
+        pytest.param(lambda d: d.update(theta=[[1.5, 1, 1]]), "theta[0]: [1.5, 1, 1]", id="theta-fraction"),
+    ],
+)
+def test_fractional_or_boolean_integer_exits_2(tmp_path, capsys, mutate, named):
+    # a seed, path count or index triple is an integer; int() would quietly
+    # truncate 1.5 to 1 and read true as 1
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--config", _write(tmp_path, _with(mutate)), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_import_loads_no_scipy():
     code = (
         "import agedpop, agedpop.cli, sys; "

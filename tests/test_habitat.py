@@ -228,6 +228,16 @@ def test_chi_sample_rejects_density_above_sup():
         chi_sample(bad, np.random.default_rng(5), size=100)
 
 
+def test_chi_sample_draws_no_acceptance_uniform_at_the_density_sup():
+    # a uniform density equals density_sup everywhere: every proposal is
+    # accepted without a uniform, so the draw is the proposals' uniforms alone
+    hab = uniform_habitat([(0.0, 1.0), (0.0, 2.0)], 3.0)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    xs = chi_sample(hab, rng, size=10_000)
+    np.testing.assert_array_equal(xs, hab.lower + twin.random((10_000, 2)) * (hab.upper - hab.lower))
+    assert rng.random() == twin.random()
+
+
 def test_chi_integral_closed_forms(habitat_2d):
     # integral of x0*x1 against level 3 dx over [0,1]x[0,2]
     val = chi_integral(habitat_2d, lambda x: x[..., 0] * x[..., 1])

@@ -288,10 +288,11 @@ class _SteepTheta:
 
 
 def test_bundle_paths_get_iid_points(habitat_1d, const_model):
-    # add_poisson hands consecutive blocks of the sample to consecutive
-    # paths, so the sample must come out in random order: with the strips in
-    # age order each path's ages cluster and the mean of F_theta over paths
-    # moves about 10 standard errors for a steeply age-dependent theta
+    # add_poisson gives the sample, which comes out grouped by age strip, to
+    # the paths by random labels: with consecutive blocks given to
+    # consecutive paths each path's ages would cluster and the mean of F_theta
+    # over paths would move about 10 standard errors for a steeply
+    # age-dependent theta
     intensity = stationary_intensity(habitat_1d, const_model)
     theta = _SteepTheta(habitat_1d)
     bundle = PathBundle(20_000, 1)
@@ -302,6 +303,40 @@ def test_bundle_paths_get_iid_points(habitat_1d, const_model):
     has = bundle.counts() > 0
     mean_age = bundle.sum_by_path(bundle.ages)[has] / bundle.counts()[has]
     assert abs(np.corrcoef(np.flatnonzero(has), mean_age)[0, 1]) < 0.05
+
+
+def test_bundle_path_counts_are_poisson(habitat_1d, const_model):
+    # one Poisson total with uniform path labels gives every path an
+    # independent Poisson(mass) count
+    intensity = stationary_intensity(habitat_1d, const_model)
+    lam = intensity.total_mass
+    bundle = PathBundle(20_000, 1)
+    bundle.add_poisson(intensity, np.random.default_rng(14))
+    counts = bundle.counts()
+    assert abs(counts.mean() - lam) < 4.0 * math.sqrt(lam / counts.size)
+    # chi-squared of the count histogram against the Poisson pmf, the upper
+    # tail pooled from the first count whose expected number is below 10
+    expected = counts.size * stats.poisson.pmf(np.arange(counts.max() + 1), lam)
+    top = int(np.argmax(expected < 10.0))
+    observed = np.bincount(counts, minlength=expected.size)
+    obs = np.append(observed[:top], observed[top:].sum())
+    exp = np.append(expected[:top], counts.size - expected[:top].sum())
+    p_value = stats.chi2.sf(np.sum((obs - exp) ** 2 / exp), obs.size - 1)
+    assert p_value > 1e-3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_f_theta_in_slices_has_the_bits_of_one_g_call(dim):
+    # f_theta evaluates g _BLOCK particles at a time; the bits are those of
+    # one g call on every particle, summed by path
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 3.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1), (2, 3, 40)], hab)
+    rng = np.random.default_rng(15)
+    n = 3 * _BLOCK + 1234
+    bundle = PathBundle(1000, dim, rng.integers(1000, size=n), rng.random((n, dim)), rng.exponential(2.0, n))
+    g = theta.g(bundle.positions, bundle.ages)
+    want = np.exp(np.bincount(bundle.path_ids, weights=-g, minlength=1000))
+    np.testing.assert_array_equal(bundle.f_theta(theta), want)
 
 
 # -------------------------------------------------------------- path bundle
