@@ -21,10 +21,8 @@ from .config_space import (
     configuration_from_json,
     configuration_to_json,
     ground_distance,
-    ground_tail_bound,
     kappa_distance,
     kappa_features,
-    kappa_tail_bound,
     load_configuration,
     plateau_table,
 )
@@ -63,8 +61,8 @@ from .mark_space import (
     MarkSet,
     mark_sums,
     rho_distance,
-    rho_tail_bound,
     series_distance,
+    series_tail,
     series_weights,
     sigma,
     u_basis,

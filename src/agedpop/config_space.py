@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mark_space import series_distance, series_weights, sigma, u_basis
+from .mark_space import series_distance, series_tail, series_weights, sigma, u_basis
 
 __all__ = [
     "MarkedConfiguration",
@@ -41,10 +41,8 @@ __all__ = [
     "plateau_table",
     "basis_count_below_scale",
     "ground_distance",
-    "ground_tail_bound",
     "kappa_features",
     "kappa_distance",
-    "kappa_tail_bound",
     "configuration_to_json",
     "configuration_from_json",
     "load_configuration",
@@ -160,31 +158,16 @@ def plateau_table(indices, habitat):
     return table
 
 
-def ground_tail_bound(budget):
-    """sum_{s > budget} 2**-s."""
-    if budget < 1:
-        raise ValueError("budget must allow s = 1")
-    return float(np.exp2(-budget))
-
-
 def ground_distance(config_a, config_b, habitat, budget=30):
     """Location-only distance: series over plateau sums, truncated at s <= budget.
 
     Returns (distance, tail_bound).
     """
-    tail = ground_tail_bound(budget)
+    tail = series_tail(budget, 1)
     plateaus = plateau_table(tuple(range(1, budget + 1)), habitat)
     fa = plateaus(config_a.positions).sum(axis=1)
     fb = plateaus(config_b.positions).sum(axis=1)
     return series_distance(series_weights(budget, budget), fa, fb), tail
-
-
-def kappa_tail_bound(budget):
-    """sum over s + k + n > budget of 2**-(s+k+n); (m-1)(m-2)/2 triples at sum m."""
-    if budget < 3:
-        raise ValueError("budget must allow s = k = n = 1")
-    m = np.arange(budget + 1, budget + 260, dtype=float)
-    return float(np.sum((m - 1) * (m - 2) / 2.0 * np.exp2(-m)))
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +180,7 @@ def _kappa_pairs(budget):
     tables = (n_distinct * 1.0, n_of_pair, -sigma(ks), weights)
     for a in tables:
         a.flags.writeable = False
-    return (*tables, kappa_tail_bound(budget))
+    return (*tables, series_tail(budget, 3))
 
 
 def kappa_features(positions, ages, sizes, habitat, budget=30):

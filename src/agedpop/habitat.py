@@ -272,8 +272,7 @@ def age_panel_width(model, age_scale=1.0):
     """Widest age panel of the age rule for integrands built on model.
 
     The least of three widths, one per age scale of the integrand:
-      * min(1, 2/m_star): exp(-M) falls by at most e^-2 over a panel (the
-        sampler strips, panels of this rule, are capped at 1/m_star too);
+      * min(1, 2/m_star): exp(-M) falls by at most e^-2 over a panel;
       * spread / slope, with spread = m_star - m_zero and slope =
         modulus(w)/w the hazard's age slope at the width w so far: the time
         the hazard needs to sweep its whole range.  For separable_rate this

@@ -38,7 +38,7 @@ __all__ = [
     "w_basis",
     "MarkSet",
     "rho_distance",
-    "rho_tail_bound",
+    "series_tail",
     "mark_sums",
     "series_weights",
     "series_distance",
@@ -158,12 +158,17 @@ def series_distance(weights, features_a, features_b):
     return out if out.ndim else float(out)
 
 
-def rho_tail_bound(budget):
-    """sum over k + n > budget of 2**-(k+n); there are m-1 pairs at k+n = m."""
-    if budget < 2:
-        raise ValueError("budget must allow at least k = n = 1")
-    m = np.arange(budget + 1, budget + 260)
-    return float(np.sum((m - 1) * np.exp2(-m.astype(float))))
+def series_tail(budget, axes):
+    """sum of 2**-(i_1 + ... + i_axes) over index tuples (each i >= 1) with
+    sum above budget: the truncation tail of a series on `axes` index axes.
+
+    C(s-1, axes-1) tuples sum to s, and the tail is exactly 2**-budget
+    sum_{i < axes} C(budget, i), the chance that budget fair coin flips
+    show fewer than `axes` heads.
+    """
+    if budget < axes:
+        raise ValueError("budget must allow every index at 1")
+    return math.ldexp(float(sum(math.comb(budget, i) for i in range(axes))), -budget)
 
 
 def rho_distance(a, b, budget=40):
@@ -173,6 +178,6 @@ def rho_distance(a, b, budget=40):
     axioms exactly (each component is a seminorm composed with t -> t/(1+t));
     the tail bound quantifies the missing separation only.
     """
-    tail = rho_tail_bound(budget)
+    tail = series_tail(budget, 2)
     weights = series_weights(budget, budget - 1, budget - 1)
     return series_distance(weights, mark_sums(a.ages, budget), mark_sums(b.ages, budget)), tail

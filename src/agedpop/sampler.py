@@ -15,13 +15,11 @@ The newcomer intensity at horizon t is
 
     rho_t(dx, dalpha) = 1[0 <= alpha < t] exp(-M(x, alpha)) chi(dx) dalpha,
 
-sampled by stratifying the age window into strips, the panels of the age
-rule (no wider than age_panel_width and 1/m_star), and rejecting uniform
-proposals against the strip envelope exp(-m_zero * left edge).  For constant
-hazards every strip accepts with probability >= 1/e; the draw is exact for
-any hazard regardless of acceptance rate.  Each rejection round proposes for
-every strip still short at once, so the number of strips costs no Python
-loop.
+sampled by rejection under the envelope exp(-m_zero alpha) chi(dx) dalpha,
+which m >= m_zero puts above it (Devroye 1986, II.3): positions from chi,
+ages from the truncated exponential by inversion, and acceptance with chance
+exp(-(M - m_zero alpha)).  Under a constant hazard every proposal is
+accepted; the draw is exact for any hazard regardless of acceptance rate.
 
 Survival thinning keeps a particle when its uniform u is below q_dt(x, alpha),
 squeezed (Marsaglia 1977; Devroye 1986, II.5): q lies in the band
@@ -42,15 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .config_space import MarkedConfiguration
-from .habitat import (
-    _BLOCK,
-    age_panel_width,
-    age_panels,
-    chi_sample,
-    gauss_profile_nodes,
-    survival_factor,
-    survival_slice,
-)
+from .habitat import _BLOCK, chi_sample, survival_factor, survival_weighted_integral
 
 __all__ = [
     "IntensityMeasure",
@@ -64,6 +54,7 @@ __all__ = [
 ]
 
 # relative rounding allowance of the survival band of PathBundle.thin_and_age
+# and of the sampling envelope of _sample_points
 _SQUEEZE_SLACK = 1e-9
 
 
@@ -73,46 +64,22 @@ class IntensityMeasure:
 
     The window is [0, t) for the law of newcomers since an empty start t
     ago, or [0, a_max] truncating the invariant intensity, with
-    truncation_error bounding the discarded mass.  strip_edges/strip_masses
-    stratify the window for rejection sampling.
+    truncation_error bounding the discarded mass.  total_mass is the age
+    rule's value of the intensity over the window.
     """
 
     habitat: object
     model: object
     age_upper: float
-    strip_edges: np.ndarray
-    strip_masses: np.ndarray
+    total_mass: float
     truncation_error: float = 0.0
-
-    @property
-    def total_mass(self):
-        return float(self.strip_masses.sum())
-
-
-def _strip_quadrature(habitat, model, edges):
-    """Masses int_strip int_window exp(-M) dchi dalpha, each strip one panel
-    of the age rule, all strips in one survival_slice call."""
-    nodes, weights = gauss_profile_nodes(habitat)
-    ages, age_weights = age_panels(edges)
-    values = survival_slice(model, nodes, weights, lambda x, u: 1.0, ages)
-    return np.sum(values * age_weights, axis=1)
 
 
 def _make_intensity(habitat, model, age_upper, truncation_error=0.0):
     if age_upper < 0:
         raise ValueError("age window must be nonnegative")
-    if age_upper == 0.0:
-        edges = np.array([0.0, 0.0])
-        return IntensityMeasure(habitat, model, 0.0, edges, np.zeros(1), truncation_error)
-    # each strip is one panel of the age rule, so its mass is that rule's
-    # value; exp(-M) falls by at most 1/e across it
-    width = age_panel_width(model)
-    if model.m_star > 0:
-        width = min(width, 1.0 / model.m_star)
-    n_strips = max(1, int(math.ceil(age_upper / width - 1e-12)))
-    edges = np.linspace(0.0, age_upper, n_strips + 1)
-    masses = _strip_quadrature(habitat, model, edges)
-    return IntensityMeasure(habitat, model, float(age_upper), edges, masses, truncation_error)
+    mass = survival_weighted_integral(habitat, model, lambda x, u: 1.0, 0.0, age_upper)
+    return IntensityMeasure(habitat, model, float(age_upper), mass, truncation_error)
 
 
 def transient_intensity(habitat, model, t):
@@ -120,75 +87,58 @@ def transient_intensity(habitat, model, t):
     return _make_intensity(habitat, model, float(t))
 
 
-def stationary_intensity(habitat, model, a_max=None):
-    """Invariant intensity truncated to ages [0, a_max]; default a_max = 40/m_zero.
+def stationary_intensity(habitat, model):
+    """Invariant intensity truncated to ages [0, a_max], a_max = 40/m_zero.
 
     Requires m_zero > 0; reports the sharp discarded-mass bound
     chi_mass exp(-m_zero a_max)/m_zero.
     """
     if model.m_zero <= 0:
         raise ValueError("a stationary intensity requires m_zero > 0")
-    if a_max is None:
-        a_max = 40.0 / model.m_zero
+    a_max = 40.0 / model.m_zero
     err = habitat.chi_mass * math.exp(-model.m_zero * a_max) / model.m_zero
-    return _make_intensity(habitat, model, float(a_max), truncation_error=err)
+    return _make_intensity(habitat, model, a_max, truncation_error=err)
 
 
 def _sample_points(intensity, count, rng):
     """Exact iid draws from the normalized intensity; returns (positions, ages).
 
-    A multinomial draw on the strip masses says how many points each strip
-    needs.  Each rejection round then proposes for every strip still short
-    at once: about need / acceptance plus three standard deviations of
-    points uniform in chi x strip, at most _BLOCK per round, and accepts a
-    proposal at age alpha in the strip [a, b) with chance
-    exp(-M(x, alpha)) / exp(-m_zero a).  The first `need` accepted proposals
-    of each strip are kept.  The points come back grouped by round and
-    strip: an iid sample whose order carries no meaning.
+    Rejection under the envelope chi(dx) exp(-m_zero alpha) dalpha, which
+    m >= m_zero puts above the intensity.  Each round proposes about
+    need / acceptance plus three standard deviations of points, at most
+    _BLOCK, with chi-distributed positions and truncated-exponential ages
+    drawn by inversion, and accepts a proposal with chance
+    exp(-(M(x, alpha) - m_zero alpha)); the first `need` accepted are kept.
+    The acceptance is total_mass over the envelope's mass, 1 under a
+    constant hazard.  The points come back grouped by round: an iid sample
+    whose order carries no meaning.
     """
     habitat = intensity.habitat
-    model = intensity.model
-    d = habitat.dim
+    m_zero = intensity.model.m_zero
     if count == 0:
-        return np.empty((0, d)), np.empty(0)
-    total = intensity.total_mass
-    if total <= 0:
+        return np.empty((0, habitat.dim)), np.empty(0)
+    if intensity.total_mass <= 0:
         raise ValueError("intensity has zero mass")
-    lower = intensity.strip_edges[:-1]
-    width = np.diff(intensity.strip_edges)
-    envelope = np.exp(-model.m_zero * lower)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a strip whose envelope underflows has no mass and gets no point
-        accept = intensity.strip_masses / (habitat.chi_mass * width * envelope)
-    accept = np.clip(np.nan_to_num(accept, nan=1.0), 1e-3, 1.0)
-    need = rng.multinomial(count, intensity.strip_masses / total)
+    top = intensity.age_upper
+    drop = math.expm1(-m_zero * top)
+    # the envelope's mass is chi_mass times int_0^top exp(-m_zero a) da
+    span = -drop / m_zero if m_zero > 0 else top
+    accept = min(1.0, intensity.total_mass / (habitat.chi_mass * span))
     pos_parts, age_parts = [], []
-    while True:
-        short = np.flatnonzero(need)
-        if short.size == 0:
-            break
-        mean = need[short] / accept[short]
-        plan = np.ceil(mean + 3.0 * np.sqrt(mean * (1.0 - accept[short]) / accept[short]))
-        plan = plan.astype(np.int64)
-        # strips past the first _BLOCK proposals wait for a later round
-        plan = np.clip(_BLOCK - (np.cumsum(plan) - plan), 0, plan)
-        strip = np.repeat(short, plan)
-        n = strip.size
+    need = count
+    while need:
+        mean = need / accept
+        n = min(_BLOCK, math.ceil(mean + 3.0 * math.sqrt(mean * (1.0 - accept) / accept)))
         xs = chi_sample(habitat, rng, size=n)
-        ages = lower[strip] + width[strip] * rng.random(n)
-        survival = np.exp(-model.cumulative(xs, ages))
-        bound = envelope[strip]
-        if np.any(survival > bound):
-            raise ValueError("exp(-M) exceeds its strip envelope: hazard below m_zero")
-        hit = np.flatnonzero(bound * rng.random(n) < survival)
-        hit_strip = strip[hit]
-        # the hits come grouped by strip; keep the first `need` of each group
-        got = np.bincount(hit_strip, minlength=need.size)
-        rank = np.arange(hit.size) - (np.cumsum(got) - got)[hit_strip]
-        hit = hit[rank < need[hit_strip]]
+        u = rng.random(n)
+        ages = -np.log1p(u * drop) / m_zero if m_zero > 0 else top * u
+        excess = intensity.model.cumulative(xs, ages) - m_zero * ages
+        if np.any(excess < -_SQUEEZE_SLACK * m_zero * ages):
+            raise ValueError("exp(-M) exceeds its envelope exp(-m_zero alpha): hazard below m_zero")
+        hit = np.flatnonzero(rng.random(n) < np.exp(-excess))[:need]
         pos_parts.append(np.take(xs, hit, axis=0))
         age_parts.append(np.take(ages, hit))
-        need -= np.minimum(got, need)
+        need -= hit.size
     return np.concatenate(pos_parts), np.concatenate(age_parts)
 
 

@@ -435,7 +435,7 @@ def count_law_oracle(
                 n_samples=n_paths,
             )
         )
-    # the stationary count is Poisson(chi_mass/m): the mass of the strips
+    # the stationary count is Poisson(chi_mass/m): the intensity mass
     # must match it to the age window's truncation error
     intensity = stationary_intensity(habitat, model)
     lam_st = habitat.chi_mass / m

@@ -38,16 +38,15 @@ from agedpop import (
     fokker_planck_check,
     kappa_distance,
     kappa_features,
-    kappa_tail_bound,
     laplace_uniqueness_check,
     martingale_residual,
     plateau_table,
     resolvent,
     resolvent_identity_residual,
     rho_distance,
-    rho_tail_bound,
     separable_rate,
     series_distance,
+    series_tail,
     series_weights,
     sigma,
     stationarity_check,
@@ -267,9 +266,9 @@ def test_criterion_01_metric_axioms():
                     budget=budget_kappa,
                 )
                 assert oracle[i] == pytest.approx(lib, rel=1e-12)
-    rho_tail = rho_tail_bound(budget_rho)
+    rho_tail = series_tail(budget_rho, 2)
     rho_ok = rho_excess <= 2 * rho_tail
-    kap_tail = kappa_tail_bound(budget_kappa)
+    kap_tail = series_tail(budget_kappa, 3)
     kap_ok = kap_excess <= 2 * kap_tail
 
     _criterion(
@@ -297,7 +296,7 @@ def test_criterion_02_separation():
     Sa = _mark_sum_batch(ages_a, mask_a, budget_rho)
     Sb = _mark_sum_batch(ages_b, mask_b, budget_rho)
     rho_d = _rho_from_sums(Sa, Sb, budget_rho)
-    rho_margin = float(rho_d.min()) / rho_tail_bound(budget_rho)
+    rho_margin = float(rho_d.min()) / series_tail(budget_rho, 2)
 
     pos_a = rng.random((m, 4, 1))
     pos_b = rng.random((m, 4, 1))
@@ -308,7 +307,7 @@ def test_criterion_02_separation():
         Ga, _ = _g_sum_batch(pos_a[lo:hi], ages_a[lo:hi], mask_a[lo:hi], budget_kappa)
         Gb, _ = _g_sum_batch(pos_b[lo:hi], ages_b[lo:hi], mask_b[lo:hi], budget_kappa)
         kap_min = min(kap_min, float(_kappa_from_sums(Ga, Gb, pairs, budget_kappa).min()))
-    kap_margin = kap_min / kappa_tail_bound(budget_kappa)
+    kap_margin = kap_min / series_tail(budget_kappa, 3)
     ok = rho_margin > 1.0 and kap_margin > 1.0
     _criterion(
         2,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,12 @@ from agedpop import (
     configuration_from_json,
     configuration_to_json,
     ground_distance,
-    ground_tail_bound,
     kappa_distance,
     kappa_features,
-    kappa_tail_bound,
     load_configuration,
     plateau_table,
     rho_distance,
+    series_tail,
     series_weights,
     sigma,
     uniform_habitat,
@@ -187,7 +187,7 @@ def test_ground_distance_hand_oracle(habitat_1d):
     dist, tail = ground_distance(a, e, habitat_1d, budget=4)
     expected = 0.5 / 3 + 0.25 * 3 / 7 + 0.125 / 3 + 0.0625 * 3 / 7
     assert dist == pytest.approx(expected, rel=1e-12)
-    assert tail == ground_tail_bound(4) == pytest.approx(2.0**-4)
+    assert tail == series_tail(4, 1) == 2.0**-4
 
 
 def test_kappa_hand_oracle(habitat_1d):
@@ -291,11 +291,23 @@ def test_kappa_features_match_the_per_configuration_product(dim):
 
 
 def test_kappa_tail_closed_form():
-    # sum_{m > B} (m-1)(m-2)/2 * 2^-m = (B^2 + 3B + 4)/2 * 2^-B... check by series
-    for budget in (3, 10, 30):
-        m = np.arange(budget + 1, budget + 400, dtype=float)
-        series = float(np.sum((m - 1) * (m - 2) / 2 * 2.0**-m))
-        assert kappa_tail_bound(budget) == pytest.approx(series, rel=1e-12)
+    # sum_{m > B} (m-1)(m-2)/2 * 2^-m = (1 + B + B(B-1)/2) * 2^-B, the chance
+    # that B fair coin flips show fewer than 3 heads: the rounded rational,
+    # within an ulp of 259 terms of the series, and equal to that sum at the
+    # package's budgets
+    def series(budget):
+        m = np.arange(budget + 1, budget + 260, dtype=float)
+        return float(np.sum((m - 1) * (m - 2) / 2 * np.exp2(-m)))
+
+    for budget in range(3, 201):
+        tail = series_tail(budget, 3)
+        assert tail == float(Fraction(1 + budget + budget * (budget - 1) // 2, 2**budget))
+        assert abs(tail - series(budget)) <= math.ulp(tail)
+    for budget in (12, 30):
+        assert series_tail(budget, 3) == series(budget)
+    assert series_tail(30, 1) == 2.0**-30
+    with pytest.raises(ValueError, match="budget"):
+        series_tail(2, 3)
 
 
 def test_metric_axioms_sampled(habitat_1d, rng):

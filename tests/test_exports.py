@@ -33,7 +33,6 @@ UNUSED_EXPORTS = {
     "resolvent_identity_residual": "called by demos/02_semigroup.py",
     "explicit_solution": "called by the benchmark's workloads",
     "sample_trajectory_marginals": "called by the benchmark's workloads",
-    "survival_weighted_integral": "traced by the benchmark",
     "star_product": "the star product of the paper; ROADMAP item 5 gives it a caller",
 }
 

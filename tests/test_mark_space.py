@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from agedpop import (
     MarkSet,
     mark_sums,
     rho_distance,
-    rho_tail_bound,
     series_distance,
+    series_tail,
     series_weights,
     sigma,
     u_basis,
@@ -175,11 +176,20 @@ def test_series_distance_batches_over_leading_axes(rng, sizes):
 
 
 def test_rho_tail_closed_form():
-    # sum_{m > B} (m-1) 2^-m = (B+1) 2^-B exactly
-    for budget in (2, 5, 10, 40):
-        assert rho_tail_bound(budget) == pytest.approx(
-            (budget + 1) * 2.0**-budget, rel=1e-12
-        )
+    # sum_{m > B} (m-1) 2^-m = (B+1) 2^-B exactly: the rounded rational,
+    # within an ulp of 259 terms of the series, and equal to that sum at
+    # the default budget 40
+    def series(budget):
+        m = np.arange(budget + 1, budget + 260)
+        return float(np.sum((m - 1) * np.exp2(-m.astype(float))))
+
+    for budget in range(2, 201):
+        tail = series_tail(budget, 2)
+        assert tail == float(Fraction(budget + 1, 2**budget))
+        assert abs(tail - series(budget)) <= math.ulp(tail)
+    assert series_tail(40, 2) == series(40)
+    with pytest.raises(ValueError, match="budget"):
+        series_tail(1, 2)
 
 
 def test_rho_identity_and_symmetry(rng):

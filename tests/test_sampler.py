@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 from agedpop import sampler
-from agedpop.habitat import _BLOCK, age_panel_width
+from agedpop.habitat import _BLOCK, SurvivalCumulative
 from agedpop.mark_space import u_basis
 from agedpop.verify import survival_weighted_integral
 from agedpop import (
@@ -205,9 +206,9 @@ def test_transition_step_mean_count(habitat_1d, const_model, rng):
     assert abs(counts.mean() - want) < 4 * math.sqrt(var / n)
 
 
-def test_strip_sampler_rejects_hazard_below_m_zero(habitat_1d):
-    # hazard 0.5 declared with floor 1: exp(-M) rises above the envelopes
-    # exp(-m_zero * left edge) of the strips after the first
+def test_envelope_sampler_rejects_hazard_below_m_zero(habitat_1d):
+    # hazard 0.5 declared with floor 1: exp(-M) rises above the envelope
+    # exp(-m_zero alpha) at every age alpha > 0
     slow = constant_rate(0.5)
     bad = DepartureModel(m_star=1.0, m_zero=1.0, rate=slow.rate, cumulative=slow.cumulative)
     intensity = transient_intensity(habitat_1d, bad, 5.0)
@@ -215,10 +216,11 @@ def test_strip_sampler_rejects_hazard_below_m_zero(habitat_1d):
         PathBundle(1000, 1).add_poisson(intensity, np.random.default_rng(6))
 
 
-def test_strip_sampler_checks_the_envelope_in_a_late_strip(habitat_1d):
+def test_envelope_sampler_checks_the_envelope_at_late_ages(habitat_1d):
     # the hazard keeps its declared floor 1 up to age 2 and drops to 0.1
-    # after it, so exp(-M) rises above the envelope exp(-m_zero a) only in
-    # the strips [a, b) with a >= 3
+    # after it, so exp(-M) rises above the envelope exp(-m_zero a) only past
+    # age 2, where the envelope proposes few points; the ages past 3 still
+    # carry over 30 % of the mass
     def cumulative(x, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return np.where(alpha < 2.0, alpha, 2.0 + 0.1 * (alpha - 2.0)) + 0.0 * np.asarray(x)[..., 0]
@@ -227,31 +229,47 @@ def test_strip_sampler_checks_the_envelope_in_a_late_strip(habitat_1d):
         return np.where(np.asarray(alpha) < 2.0, 1.0, 0.1) + 0.0 * np.asarray(x)[..., 0]
 
     bad = DepartureModel(m_star=1.0, m_zero=1.0, rate=rate, cumulative=cumulative)
-    intensity = stationary_intensity(habitat_1d, bad, a_max=10.0)
-    late = intensity.strip_edges[:-1] >= 3.0
-    assert intensity.strip_masses[late].sum() > 0.3 * intensity.total_mass
+    intensity = stationary_intensity(habitat_1d, bad)
+    one = lambda x, u: 1.0  # noqa: E731
+    late = survival_weighted_integral(habitat_1d, bad, one, 3.0, intensity.age_upper)
+    assert late > 0.3 * intensity.total_mass
     with pytest.raises(ValueError, match="envelope"):
         sampler._sample_points(intensity, 2000, np.random.default_rng(3))
 
 
-def test_strip_masses_on_the_age_rule():
-    # each strip is one panel of the age rule, so at age frequency 50 its
-    # mass is the rule's value over the strip (1e-3 off with 4/3-wide strips)
+def test_total_mass_on_the_age_rule():
+    # the mass is the age rule's value over the whole window, to the bit at
+    # age frequency 50; for a constant hazard it is the closed form
+    # chi_mass (1 - e^{-mA}) / m
     hab = uniform_habitat([(0.0, 1.0)], 2.0)
     model = separable_rate(hab, 0.5, 1.0, 50.0)
     intensity = stationary_intensity(hab, model)
-    edges = intensity.strip_edges
-    assert np.diff(edges).max() <= min(1.0 / model.m_star, age_panel_width(model)) * (1 + 1e-12)
     one = lambda x, u: 1.0  # noqa: E731
-    want = [survival_weighted_integral(hab, model, one, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    np.testing.assert_allclose(intensity.strip_masses, want, rtol=1e-12, atol=0.0)
+    assert intensity.total_mass == survival_weighted_integral(hab, model, one, 0.0, intensity.age_upper)
+    for m in (0.6, 1.0, 2.0):
+        model = constant_rate(m)
+        for intensity in (stationary_intensity(hab, model), transient_intensity(hab, model, 0.7)):
+            want = hab.chi_mass * -math.expm1(-m * intensity.age_upper) / m
+            assert intensity.total_mass == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_strip_sampler_rounds_cover_every_strip(habitat_1d, separable_model, monkeypatch):
-    # one chi_sample per rejection round, none per strip, and no round
-    # proposes more than _BLOCK points
-    intensity = stationary_intensity(habitat_1d, separable_model)
-    assert intensity.strip_masses.size >= 100
+def _counting(model, seen):
+    """model whose cumulative records the acceptance chance exp(-(M - m_zero alpha))
+    of every proposal it is called on."""
+
+    def cumulative(x, alpha):
+        out = model.cumulative(x, alpha)
+        seen.append(np.exp(-(out - model.m_zero * np.asarray(alpha))))
+        return out
+
+    return DepartureModel(model.m_star, model.m_zero, model.rate, cumulative, model.modulus)
+
+
+def test_envelope_sampler_rounds_are_bounded(habitat_1d, separable_model, monkeypatch):
+    # one chi_sample call and one cumulative call per rejection round, and
+    # no round proposes more than _BLOCK points
+    seen = []
+    intensity = stationary_intensity(habitat_1d, _counting(separable_model, seen))
     sizes = []
     real = sampler.chi_sample
 
@@ -260,12 +278,83 @@ def test_strip_sampler_rounds_cover_every_strip(habitat_1d, separable_model, mon
         return real(habitat, rng, size=size)
 
     monkeypatch.setattr(sampler, "chi_sample", counted)
+    seen.clear()
     pos, ages = sampler._sample_points(intensity, 5000, np.random.default_rng(1))
     assert pos.shape == (5000, 1) and ages.shape == (5000,)
-    assert len(sizes) <= 2
+    assert len(sizes) <= 2 and [c.size for c in seen] == sizes
     sizes.clear()
+    seen.clear()
     sampler._sample_points(intensity, 3 * _BLOCK, np.random.default_rng(2))
-    assert max(sizes) <= _BLOCK and len(sizes) <= 6
+    assert max(sizes) <= _BLOCK and len(sizes) <= 6 and [c.size for c in seen] == sizes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_hazard_accepts_every_proposal_in_one_round(dim):
+    # under a constant hazard the envelope is the intensity itself: one round
+    # of `count` proposals, one more when the computed acceptance rounds a
+    # few ulp below 1, each accepted with chance 1; with no hazard at all the
+    # ages are uniform
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 3.0)
+    seen = []
+    model, still = _counting(constant_rate(0.6), seen), _counting(constant_rate(0.0), seen)
+    for intensity in (
+        stationary_intensity(hab, model), transient_intensity(hab, model, 0.7),
+        transient_intensity(hab, still, 0.7),
+    ):
+        seen.clear()
+        pos, ages = sampler._sample_points(intensity, 5000, np.random.default_rng(4))
+        assert ages.size == 5000 and ages.max() < intensity.age_upper
+        (chance,) = seen
+        assert chance.size <= 5001 and np.all(chance == 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "separable"])
+def test_envelope_sampler_takes_a_numeric_cumulative(dim, kind, monkeypatch):
+    # a cumulative computed by quadrature sits a few ulp off m_zero alpha
+    # under a constant hazard: the envelope check allows relative rounding
+    # of _SQUEEZE_SLACK, and with no allowance it would raise
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 3.0)
+    exact = constant_rate(0.6) if kind == "constant" else separable_rate(hab, 0.5, 1.0, 2.0)
+    model = quadrature_cumulative(exact)
+    intensities = (stationary_intensity(hab, model), transient_intensity(hab, model, 0.7))
+    for intensity in intensities:
+        pos, ages = sampler._sample_points(intensity, 20_000, np.random.default_rng(8))
+        assert pos.shape == (20_000, dim)
+    if kind == "constant":
+        monkeypatch.setattr(sampler, "_SQUEEZE_SLACK", 0.0)
+        for intensity in intensities:
+            with pytest.raises(ValueError, match="envelope"):
+                sampler._sample_points(intensity, 20_000, np.random.default_rng(8))
+
+
+def _age_ks(intensity, model, n, seed):
+    """KS statistic of n ages sampled from intensity against the age law
+    C(a) / C(age_upper) of model, C the SurvivalCumulative of h = 1."""
+    cumulative = SurvivalCumulative(intensity.habitat, model, lambda x, u: 1.0)
+    top = cumulative(intensity.age_upper)
+    _, ages = sampler._sample_points(intensity, n, np.random.default_rng(seed))
+    return stats.kstest(ages, lambda a: cumulative(a) / top).statistic
+
+
+@pytest.mark.parametrize("horizon", [None, 0.7])
+def test_sampled_ages_follow_the_survival_law(habitat_2d, horizon):
+    # the ages of a 2-d separable intensity, stationary and transient, follow
+    # its age marginal; acceptance with chance exp(-M) instead of
+    # exp(-(M - m_zero alpha)) samples exp(-m_zero alpha - M) and fails
+    model = separable_rate(habitat_2d, 0.5, 1.0, 2.0)
+    if horizon is None:
+        intensity = stationary_intensity(habitat_2d, model)
+    else:
+        intensity = transient_intensity(habitat_2d, model, horizon)
+    n = 50_000
+    assert _age_ks(intensity, model, n, 16) < 1.63 / math.sqrt(n)
+
+    def doubled(x, alpha):
+        return model.cumulative(x, alpha) + model.m_zero * np.asarray(alpha)
+
+    planted = DepartureModel(model.m_star, model.m_zero, model.rate, doubled, model.modulus)
+    assert _age_ks(dataclasses.replace(intensity, model=planted), model, n, 16) > 1.63 / math.sqrt(n)
 
 
 class _SteepTheta:
@@ -288,7 +377,7 @@ class _SteepTheta:
 
 
 def test_bundle_paths_get_iid_points(habitat_1d, const_model):
-    # add_poisson gives the sample, which comes out grouped by age strip, to
+    # add_poisson gives the sample, which comes out grouped by rejection round, to
     # the paths by random labels: with consecutive blocks given to
     # consecutive paths each path's ages would cluster and the mean of F_theta
     # over paths would move about 10 standard errors for a steeply

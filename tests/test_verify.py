@@ -499,7 +499,7 @@ def test_count_law_small(habitat_1d, const_model, rng):
     assert all(r.passed for r in reports), format_reports(reports)
 
 
-def test_stationary_count_fails_on_scaled_strip_masses(habitat_1d, const_model, monkeypatch):
+def test_stationary_count_fails_on_scaled_total_mass(habitat_1d, const_model, monkeypatch):
     from agedpop import sampler
 
     def count_report():
@@ -511,8 +511,8 @@ def test_stationary_count_fails_on_scaled_strip_masses(habitat_1d, const_model, 
 
     report = count_report()
     assert report.passed and report.value <= 1e-14, report.line()
-    strips = sampler._strip_quadrature
-    monkeypatch.setattr(sampler, "_strip_quadrature", lambda *a: strips(*a) * (1.0 + 1e-9))
+    mass = sampler.survival_weighted_integral
+    monkeypatch.setattr(sampler, "survival_weighted_integral", lambda *a: mass(*a) * (1.0 + 1e-9))
     report = count_report()
     assert report.outcome == "FAIL", report.line()
 
