@@ -69,7 +69,6 @@ from .mark_space import (
     u_basis_derivative,
     u_basis_max,
     u_prime_max_constant,
-    w_basis,
 )
 from .sampler import (
     EventTrajectory,

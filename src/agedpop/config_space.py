@@ -11,8 +11,8 @@ Each component |sum_g f - sum_g' f| is a seminorm, so the weighted series
 (and any truncation of it) satisfies the metric axioms exactly; truncation
 only reduces separating power, and every truncated distance reports its tail
 bound.  Both are mark_space.series_distance of per-configuration features:
-plateau sums (ground), and the plateau matrix times the mark-weight matrix
-(kappa), which kappa_features computes for many configurations in one call.
+plateau sums (ground), and the weighted cells of the plateau matrix times the
+mark-weight matrix (kappa), which kappa_features computes in one call for many.
 
 The plateau family v_s is enumerated deterministically from the habitat
 window: scale j contributes one trapezoid profile per dyadic lattice cell and
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mark_space import series_distance, series_tail, series_weights, sigma, u_basis
+from .mark_space import mark_weights, served_tail, series_distance, series_weights
 
 __all__ = [
     "MarkedConfiguration",
@@ -163,7 +163,7 @@ def ground_distance(config_a, config_b, habitat, budget=30):
 
     Returns (distance, tail_bound).
     """
-    tail = series_tail(budget, 1)
+    tail = served_tail(budget, 1)
     plateaus = plateau_table(tuple(range(1, budget + 1)), habitat)
     fa = plateaus(config_a.positions).sum(axis=1)
     fb = plateaus(config_b.positions).sum(axis=1)
@@ -171,41 +171,40 @@ def ground_distance(config_a, config_b, habitat, budget=30):
 
 
 @lru_cache(maxsize=None)
-def _kappa_pairs(budget):
-    """For the (k, n) pairs with k + n < budget: the distinct n (as floats), each
-    pair's index into them, -sigma_k, the weights on (s, pair) and the tail."""
-    ks, ns = (i + 1 for i in np.nonzero(series_weights(budget - 1, budget - 2, budget - 2)))
-    n_distinct, n_of_pair = np.unique(ns, return_inverse=True)
-    weights = series_weights(budget, budget - 2, budget - 1)[:, ks + ns - 1]
-    tables = (n_distinct * 1.0, n_of_pair, -sigma(ks), weights)
-    for a in tables:
-        a.flags.writeable = False
-    return (*tables, series_tail(budget, 3))
+def _kappa_cells(budget):
+    """The (s, pair) cells with s + k + n <= budget: their flat indices into a
+    kappa_features block, their weights 2**-(s+k+n), and the tail."""
+    tail = served_tail(budget, 3)
+    ks, ns = np.nonzero(series_weights(budget - 1, budget - 2, budget - 2))
+    grid = series_weights(budget, budget - 2, budget - 1)[:, ks + ns + 1]
+    cells = np.flatnonzero(grid)
+    weights = grid.ravel()[cells]
+    cells.flags.writeable = weights.flags.writeable = False
+    return cells, weights, tail
 
 
 def kappa_features(positions, ages, sizes, habitat, budget=30):
     """kappa features F[c, s-1, q] = sum_particles v_s(x) w_{(k,n)_q}(alpha).
 
     Configuration c is the block of sizes[c] consecutive rows of positions
-    (P, dim) and ages (P,), as in PathBundle.  A block's features are its
-    plateau matrix times its mark-weight matrix, one stacked product per
-    size: zero padding to one size would change the order of BLAS's sums.
+    (P, dim) and ages (P,), as in PathBundle; q runs over mark_weights(., budget - 1).
+    A block's features are its plateau matrix times its mark-weight matrix, one
+    stacked product per size: zero padding would change the order of BLAS's sums.
     """
-    n_distinct, n_of_pair, neg_sigma, _, _ = _kappa_pairs(budget)
+    served_tail(budget, 3)  # a budget past the last served raises before any allocation
     sizes = np.asarray(sizes, dtype=np.int64)
     if np.any(sizes < 0) or sizes.sum() != np.size(ages):
         raise ValueError("sizes must be nonnegative and sum to the number of particles")
     plateaus = plateau_table(tuple(range(1, budget - 1)), habitat)
     starts = np.cumsum(sizes) - sizes
-    out = np.empty((sizes.size, budget - 2, n_of_pair.size))
+    out = np.empty((sizes.size, budget - 2, (budget - 2) * (budget - 1) // 2))
     for n in sorted(set(sizes.tolist())):
         group = np.flatnonzero(sizes == n)
         rows = starts[group, None] + np.arange(n)
         # v and w come out (index, block, particle) in C order, so each block's
         # product is the one a lone block would get, to the bit
         v = plateaus(np.take(positions, rows, axis=0))
-        w = u_basis(n_distinct[:, None, None], np.take(ages, rows))[n_of_pair]
-        np.exp(np.multiply(w, neg_sigma[:, None, None], out=w), out=w)
+        w = mark_weights(np.take(ages, rows), budget - 1)
         out[group] = v.transpose(1, 0, 2) @ w.transpose(1, 2, 0)
     return out
 
@@ -213,14 +212,14 @@ def kappa_features(positions, ages, sizes, habitat, budget=30):
 def kappa_distance(config_a, config_b, habitat, budget=30):
     """Marked-configuration distance: series over v_s * w_{k,n} sums.
 
-    Truncated at s + k + n <= budget; returns (distance, tail_bound).  Always
-    below 1: the weights sum to less than 1 and each term is below its weight.
+    Summed over the cells s + k + n <= budget only; returns (distance, tail_bound).
+    Always below 1: the weights sum to less than 1 and each term is below its weight.
     """
-    *_, weights, tail = _kappa_pairs(budget)
+    cells, weights, tail = _kappa_cells(budget)
     pos = np.concatenate([config_a.positions, config_b.positions])
     ages = np.concatenate([config_a.ages, config_b.ages])
-    fa, fb = kappa_features(pos, ages, (len(config_a), len(config_b)), habitat, budget)
-    return series_distance(weights, fa, fb), tail
+    feats = kappa_features(pos, ages, (len(config_a), len(config_b)), habitat, budget)
+    return series_distance(weights, *np.take(feats.reshape(2, -1), cells, axis=1)), tail
 
 
 def configuration_to_json(config):

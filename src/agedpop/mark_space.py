@@ -17,8 +17,8 @@ metric is the weighted series
 truncated at k + n <= budget with an explicitly reported tail bound.  Because
 sigma_1 = 0, the k = 1 band measures the cardinality gap | |a| - |b| |.
 
-Every distance of the package (rho, ground, kappa) is series_distance: the
-series_weights times d / (1 + d), summed over feature differences d.
+Every distance of the package (rho, ground, kappa) is series_distance: weights
+2**-(index sum) times d / (1 + d), over the weighted cells only.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ __all__ = [
     "u_basis_derivative",
     "u_basis_max",
     "u_prime_max_constant",
-    "w_basis",
     "MarkSet",
     "rho_distance",
     "series_tail",
+    "served_tail",
+    "mark_weights",
     "mark_sums",
     "series_weights",
     "series_distance",
@@ -94,11 +95,6 @@ def u_prime_max_constant():
     return _U_PRIME_MAX
 
 
-def w_basis(k, n, alpha):
-    """w_{k,n}(alpha) = exp(-sigma_k u_n(alpha)) in (0, 1]; broadcasts."""
-    return np.exp(-sigma(k) * u_basis(n, alpha))
-
-
 class MarkSet:
     """Finite age multiset.  Stored as a sorted float array; multiplicity counts."""
 
@@ -121,16 +117,32 @@ class MarkSet:
         return f"MarkSet({list(self.ages)!r})"
 
 
-def mark_sums(ages, budget):
-    """Sums S[k-1, n-1] = sum_alpha w_{k,n}(alpha) for k, n < budget.
+@lru_cache(maxsize=None)
+def _mark_pairs(budget):
+    """For the pairs k + n <= budget, row-major: the distinct n (as floats), each
+    pair's index into them, -sigma_k and the weights 2**-(k+n)."""
+    grid = series_weights(budget, budget - 1, budget - 1)
+    ks, ns = np.nonzero(grid)
+    n_distinct, n_of_pair = np.unique(ns + 1, return_inverse=True)
+    tables = (n_distinct * 1.0, n_of_pair, -sigma(ks + 1), grid[ks, ns])
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
-    Only the pairs with k + n <= budget, those a series truncated there
-    reads, are evaluated, in one broadcast; the others are 0.
-    """
-    k, n = np.nonzero(series_weights(budget, budget - 1, budget - 1))
-    out = np.zeros((budget - 1, budget - 1))
-    out[k, n] = w_basis(k[:, None] + 1, n[:, None] + 1, np.asarray(ages, dtype=float)).sum(axis=1)
-    return out
+
+def mark_weights(ages, budget):
+    """w_{k,n}(alpha) = exp(-sigma_k u_n(alpha)), shape (pairs,) + ages.shape, for the
+    pairs k + n <= budget in row-major order; u_n is evaluated once per distinct n."""
+    n_distinct, n_of_pair, neg_sigma, _ = _mark_pairs(budget)
+    lead = (-1,) + (1,) * np.ndim(ages)
+    w = np.take(u_basis(n_distinct.reshape(lead), ages), n_of_pair, axis=0)
+    return np.exp(np.multiply(w, neg_sigma.reshape(lead), out=w), out=w)
+
+
+def mark_sums(ages, budget):
+    """sum_alpha w_{k,n}(alpha) over the last axis of ages for the pairs k + n <= budget,
+    those a series truncated there weights: shape ages.shape[:-1] + (pairs,)."""
+    return np.moveaxis(mark_weights(ages, budget).sum(axis=-1), 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +183,16 @@ def series_tail(budget, axes):
     return math.ldexp(float(sum(math.comb(budget, i) for i in range(axes))), -budget)
 
 
+@lru_cache(maxsize=None)
+def served_tail(budget, axes):
+    """series_tail(budget, axes), or ValueError, before anything is allocated, for a budget
+    past the first whose tail is below 2**-53: later cells add less than half an ulp of 1."""
+    top = next(b for b in range(axes, 1100) if series_tail(b, axes) < 2.0**-53)
+    if budget > top:
+        raise ValueError(f"budget {budget} is past {top}, the first whose tail is below 2**-53")
+    return series_tail(budget, axes)
+
+
 def rho_distance(a, b, budget=40):
     """Truncated mark-space distance, plus its truncation tail bound.
 
@@ -178,6 +200,6 @@ def rho_distance(a, b, budget=40):
     axioms exactly (each component is a seminorm composed with t -> t/(1+t));
     the tail bound quantifies the missing separation only.
     """
-    tail = series_tail(budget, 2)
-    weights = series_weights(budget, budget - 1, budget - 1)
-    return series_distance(weights, mark_sums(a.ages, budget), mark_sums(b.ages, budget)), tail
+    tail = served_tail(budget, 2)
+    sums = (mark_sums(m.ages, budget) for m in (a, b))
+    return series_distance(_mark_pairs(budget)[-1], *sums), tail

@@ -99,7 +99,7 @@ class Theta:
         """g (slope False) or g' = d/dalpha g (slope True) at x (..., dim), alpha (...).
 
         Broadcasts x against alpha.  Adds v_j w_j, or v_j ((-sigma_j
-        u'_{n_j}) w_j), in term order with the bits of w_basis and
+        u'_{n_j}) w_j), in term order with the bits of exp(-sigma_j u_{n_j}) and
         u_basis_derivative; u_n (and u'_n) are computed once per distinct n,
         and a term with sigma = 0 adds v_j to g and nothing to g'.
         """

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_space import MarkedConfiguration, _kappa_pairs, kappa_distance, kappa_features
+from .config_space import MarkedConfiguration, _kappa_cells, kappa_distance, kappa_features
 from .generator import (
     ArrivalExponent,
     DiracLaw,
@@ -303,12 +303,11 @@ def stationarity_check(theta, habitat, model, times, name="stationarity"):
     law = ExplicitLaw(PoissonLaw(intensity), theta, habitat, model)
     pi_value = law.expect_F(0.0)
     worst = float(np.max(np.abs(law.expect_F(np.asarray(times, dtype=float)) - pi_value)))
-    tol = 1e-6
     return VerificationReport(
         name=name,
         statistic="max_t |mu_t(F) - pi(F)|",
         value=worst,
-        threshold=tol,
+        threshold=1e-12,
         note=f"pi(F)={pi_value:.8f}, age window truncation error {intensity.truncation_error:.2e}",
     )
 
@@ -327,7 +326,7 @@ def chapman_kolmogorov_check(theta, config, s, t, habitat, model, name="chapman-
         name=name,
         statistic="|one-leg - two-leg|",
         value=residual,
-        threshold=1e-8,
+        threshold=1e-10,
         note=f"s={s}, t={t}",
     )
 
@@ -532,8 +531,9 @@ def kappa_triangle_check(habitat, rng, name="metrics-triangle"):
         sizes.append(int(rng.integers(0, 5)))
         pos.append(habitat.lower + rng.random((sizes[-1], habitat.dim)) * (habitat.upper - habitat.lower))
         ages.append(rng.exponential(1.0, sizes[-1]))
+    cells, weights, _ = _kappa_cells(budget)
     feats = kappa_features(np.concatenate(pos), np.concatenate(ages), sizes, habitat, budget=budget)
-    *_, weights, _ = _kappa_pairs(budget)
+    feats = np.take(feats.reshape(len(sizes), -1), cells, axis=1)
     pairs = ((0, 1), (1, 2), (0, 2))  # a-b, b-c, a-c
     dab, dbc, dac = (series_distance(weights, feats[i::3], feats[j::3]) for i, j in pairs)
     nonempty = np.all(np.reshape(sizes, (n_triples, 3)) > 0, axis=1)

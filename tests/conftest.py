@@ -15,8 +15,16 @@ from agedpop import (
     explicit_solution,
     linear_habitat,
     separable_rate,
+    sigma,
+    u_basis,
     uniform_habitat,
 )
+
+
+def w_basis(k, n, alpha):
+    """The mark weight w_{k,n}(alpha) = exp(-sigma_k u_n(alpha)), broadcasting
+    over all three arguments: the oracle for mark_weights and Theta's rungs."""
+    return np.exp(-sigma(k) * u_basis(n, alpha))
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,9 @@
 Batch evaluation helpers re-derive the truncated metric sums with independent
 array code (validated against the library routines inside each test) so the
 10^5-10^6 sample sweeps stay inside their runtime budgets.  Criterion 1 takes
-its kappa sweep from the library's batched kernel and keeps the helpers as
-its oracle.
+its kappa sweep, and criterion 2 its kappa and rho pairs, from the library's
+kernels (kappa_features, mark_sums) and its weighted-cell tables, and both
+keep the helpers as the oracle on a slice.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from agedpop import (
     kappa_distance,
     kappa_features,
     laplace_uniqueness_check,
+    mark_sums,
     martingale_residual,
     plateau_table,
     resolvent,
@@ -47,13 +49,14 @@ from agedpop import (
     separable_rate,
     series_distance,
     series_tail,
-    series_weights,
     sigma,
     stationarity_check,
     stationary_intensity,
     transient_intensity,
     uniform_habitat,
 )
+from agedpop.config_space import _kappa_cells
+from agedpop.mark_space import _mark_pairs
 from conftest import central_flow_residual, central_kolmogorov_residual
 
 SEED = 20260817
@@ -142,6 +145,15 @@ def _kappa_from_sums(ga, gb, pairs, budget):
     return np.einsum("csq,sq->c", d / (1.0 + d), wts)
 
 
+def _mark_sums_by_size(ages, sizes, budget):
+    """The library's mark_sums of each padded multiset's first sizes[c] ages."""
+    out = np.empty((sizes.size, budget * (budget - 1) // 2))
+    for size in np.unique(sizes):
+        rows = sizes == size
+        out[rows] = mark_sums(ages[rows, :size], budget)
+    return out
+
+
 def _padded_multisets(rng, count, max_p, age_scale=1.0, min_p=0):
     sizes = rng.integers(min_p, max_p + 1, count)
     ages = rng.exponential(age_scale, (count, max_p))
@@ -208,9 +220,7 @@ def test_criterion_01_metric_axioms():
     chunk = 10_000
     budget_rho, budget_kappa = 16, 16
     pairs = _kappa_pairs(budget_kappa)
-    kappa_weights = series_weights(budget_kappa, budget_kappa - 2, budget_kappa - 1)[
-        :, [k + n - 1 for k, n in pairs]
-    ]
+    cells, kappa_weights, _ = _kappa_cells(budget_kappa)
     rho_excess = -np.inf
     kap_excess = -np.inf
     oracle = np.empty(1000)
@@ -234,6 +244,7 @@ def test_criterion_01_metric_axioms():
             feats = kappa_features(
                 pos[rows][keep], ages[rows][keep], keep.sum(axis=1), HAB, budget=budget_kappa
             )
+            feats = np.take(feats.reshape(rows.size, -1), cells, axis=1)
             Fa, Fb, Fc = feats[:step], feats[step : 2 * step], feats[2 * step :]
             dab = series_distance(kappa_weights, Fa, Fb)
             excess = (
@@ -293,21 +304,38 @@ def test_criterion_02_separation():
     # resample exact coincidences (none expected for continuous draws)
     same = (sizes_a == sizes_b) & np.all(np.isclose(ages_a, ages_b), axis=1)
     assert not same.any()
-    Sa = _mark_sum_batch(ages_a, mask_a, budget_rho)
-    Sb = _mark_sum_batch(ages_b, mask_b, budget_rho)
-    rho_d = _rho_from_sums(Sa, Sb, budget_rho)
+    # rho from the library, one mark_sums call per multiset size
+    Sa = _mark_sums_by_size(ages_a, sizes_a, budget_rho)
+    Sb = _mark_sums_by_size(ages_b, sizes_b, budget_rho)
+    rho_d = series_distance(_mark_pairs(budget_rho)[-1], Sa, Sb)
     rho_margin = float(rho_d.min()) / series_tail(budget_rho, 2)
 
     pos_a = rng.random((m, 4, 1))
     pos_b = rng.random((m, 4, 1))
-    kap_min = np.inf
-    pairs = _kappa_pairs(budget_kappa)
-    for lo in range(0, m, 2500):
-        hi = lo + 2500
-        Ga, _ = _g_sum_batch(pos_a[lo:hi], ages_a[lo:hi], mask_a[lo:hi], budget_kappa)
-        Gb, _ = _g_sum_batch(pos_b[lo:hi], ages_b[lo:hi], mask_b[lo:hi], budget_kappa)
-        kap_min = min(kap_min, float(_kappa_from_sums(Ga, Gb, pairs, budget_kappa).min()))
-    kap_margin = kap_min / series_tail(budget_kappa, 3)
+    # kappa from the library kernel, 1000 pairs at a time
+    cells, kappa_weights, _ = _kappa_cells(budget_kappa)
+    kap_d = np.empty(m)
+    step = 1000
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        keep = np.concatenate([mask_a[rows], mask_b[rows]]) > 0
+        pos = np.concatenate([pos_a[rows], pos_b[rows]])[keep]
+        ages = np.concatenate([ages_a[rows], ages_b[rows]])[keep]
+        feats = kappa_features(pos, ages, keep.sum(axis=1), HAB, budget=budget_kappa)
+        feats = np.take(feats.reshape(2 * step, -1), cells, axis=1)
+        kap_d[rows] = series_distance(kappa_weights, feats[:step], feats[step:])
+    kap_margin = float(kap_d.min()) / series_tail(budget_kappa, 3)
+    # the test-local einsum kernels are the oracle on the first 1000 pairs
+    head = slice(0, 1000)
+    oracle = _rho_from_sums(
+        _mark_sum_batch(ages_a[head], mask_a[head], budget_rho),
+        _mark_sum_batch(ages_b[head], mask_b[head], budget_rho),
+        budget_rho,
+    )
+    np.testing.assert_allclose(rho_d[head], oracle, rtol=1e-12)
+    Ga, pairs = _g_sum_batch(pos_a[head], ages_a[head], mask_a[head], budget_kappa)
+    Gb, _ = _g_sum_batch(pos_b[head], ages_b[head], mask_b[head], budget_kappa)
+    np.testing.assert_allclose(kap_d[head], _kappa_from_sums(Ga, Gb, pairs, budget_kappa), rtol=1e-12)
     ok = rho_margin > 1.0 and kap_margin > 1.0
     _criterion(
         2,

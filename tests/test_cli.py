@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 import math
 import operator
 import subprocess
@@ -175,6 +176,29 @@ def test_distance_rejects_bad_input(tmp_path, capsys, first, second, extra):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("metric, top", [("ground", 54), ("rho", 59), ("kappa", 65)])
+def test_distance_rejects_a_budget_past_the_last_served(tmp_path, capsys, metric, top):
+    # kappa features grow as budget**3, so budget 1000 would fill the
+    # memory: it must fail with one error line before any feature exists
+    data = _with(lambda d: d["habitat"].__setitem__("window", [[0.0, 1.0], [0.0, 1.0]]))
+    config = _write(tmp_path, data, "exp2d.json")
+    pa, pb = _distance_files(tmp_path, TWO_D + [{"x": [0.7, 0.1], "alpha": 2.0}], TWO_D)
+    argv = ["distance", pa, pb, "--config", config, "--metric", metric]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--budget", "1000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and peak < 1 << 20
+    assert captured.err.splitlines() == [
+        f"error: --budget 1000: budget 1000 is past {top}, the first whose tail is below 2**-53"
+    ]
+    assert main([*argv, "--budget", str(top)]) == 0
+    assert f"budget {top})" in capsys.readouterr().out
 
 
 def test_distance_empty_file_is_the_empty_configuration(tmp_path, capsys):

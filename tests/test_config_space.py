@@ -21,13 +21,14 @@ from agedpop import (
     load_configuration,
     plateau_table,
     rho_distance,
+    series_distance,
     series_tail,
     series_weights,
     sigma,
     uniform_habitat,
-    w_basis,
 )
-from conftest import random_configuration, union
+from agedpop.mark_space import served_tail
+from conftest import random_configuration, union, w_basis
 
 
 # ---------------------------------------------------------------- oracles
@@ -288,6 +289,75 @@ def test_kappa_features_match_the_per_configuration_product(dim):
     for bad in (sizes[:-1], [-1, 4] + sizes[2:]):  # a short list; a negative size
         with pytest.raises(ValueError, match="sizes"):
             kappa_features(positions, ages, bad, habitat)
+
+
+def full_grid_kappa(a, b, habitat, budget):
+    """kappa on the whole (budget - 2, pairs) feature block, with zero
+    weights outside the truncation: the layout before the compact series."""
+    ks, ns = (i + 1 for i in np.nonzero(series_weights(budget - 1, budget - 2, budget - 2)))
+    weights = series_weights(budget, budget - 2, budget - 1)[:, ks + ns - 1]
+    return series_distance(weights, *(features_one_by_one(c, habitat, budget) for c in (a, b)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_compact_kappa_matches_the_full_grid(dim):
+    # summing the weighted cells only regroups the sum: 1e-15 relative
+    habitat = uniform_habitat([(0.0, 1.0)] * dim, 2.0)
+    gen = np.random.default_rng(30 + dim)
+    configs = [MarkedConfiguration(gen.random((k, dim)), gen.exponential(1.0, k)) for k in (0, 1, 5, 300)]
+    for budget in (3, 5, 12, 24, 30):
+        for i in range(len(configs)):
+            for j in range(i + 1, len(configs)):
+                dist, _ = kappa_distance(configs[i], configs[j], habitat, budget=budget)
+                want = full_grid_kappa(configs[i], configs[j], habitat, budget)
+                assert dist == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "dim, want",
+    [(1, (0.9313166511477954, 0.9930660605883433)), (2, (0.9310563026530765, 0.9928387434841087))],
+    ids=["1d", "2d"],
+)
+def test_ground_distance_keeps_its_bits(dim, want):
+    # every ground cell carries weight, so ground sums the same cells as
+    # before the compact series; the values are those of that layout
+    habitat = uniform_habitat([(0.0, 1.0)] * dim, 2.0)
+    gen = np.random.default_rng(50 + dim)
+    a = MarkedConfiguration(gen.random((7, dim)), gen.exponential(1.0, 7))
+    b = MarkedConfiguration(gen.random((300, dim)), gen.exponential(1.0, 300))
+    assert tuple(ground_distance(a, b, habitat, budget=budget)[0] for budget in (4, 30)) == want
+    for budget in (1, 4, 30, 54):
+        plateaus = plateau_table(tuple(range(1, budget + 1)), habitat)
+        sums = [plateaus(c.positions).sum(axis=1) for c in (a, b)]
+        assert ground_distance(a, b, habitat, budget=budget)[0] == series_distance(
+            series_weights(budget, budget), *sums
+        )
+
+
+def test_budgets_stop_where_the_tail_drops_below_a_double():
+    # the last budget served on j index axes is the first whose tail is
+    # below 2**-53; one past it raises before any feature is allocated
+    habitat = uniform_habitat([(0.0, 1.0)] * 2, 2.0)
+    a = MarkedConfiguration(np.array([[0.2, 0.4], [0.7, 0.1]]), np.array([1.0, 2.0]))
+    b = MarkedConfiguration(np.array([[0.2, 0.4]]), np.array([1.0]))
+    metrics = {
+        1: lambda budget: ground_distance(a, b, habitat, budget=budget),
+        2: lambda budget: rho_distance(MarkSet(a.ages), MarkSet(b.ages), budget=budget),
+        3: lambda budget: kappa_distance(a, b, habitat, budget=budget),
+    }
+    for (axes, distance), top in zip(metrics.items(), (54, 59, 65)):
+        assert series_tail(top, axes) < 2.0**-53 <= series_tail(top - 1, axes)
+        assert served_tail(top, axes) == series_tail(top, axes)
+        dist, tail = distance(top)
+        assert 0.0 < dist < 1.0 and tail == series_tail(top, axes)
+        for budget in (top + 1, 1000):
+            with pytest.raises(ValueError, match=f"budget {budget} is past {top}, the first"):
+                distance(budget)
+    with pytest.raises(ValueError, match="budget 66 is past 65"):
+        kappa_features(a.positions, a.ages, [2], habitat, budget=66)
+    # the package's budgets are all served
+    for budget, axes in ((30, 1), (40, 2), (28, 2), (30, 3), (24, 3), (16, 3), (12, 3)):
+        assert served_tail(budget, axes) == series_tail(budget, axes)
 
 
 def test_kappa_tail_closed_form():

@@ -23,8 +23,9 @@ from agedpop import (
     u_basis_derivative,
     u_basis_max,
     u_prime_max_constant,
-    w_basis,
 )
+from agedpop.mark_space import mark_weights
+from conftest import w_basis
 
 # ---------------------------------------------------------------- oracles
 # Each closed-form constant gets an independent numerical oracle that never
@@ -115,47 +116,77 @@ def test_sigma_ladder():
         sigma(0)
 
 
+def _weighted_pairs(budget):
+    """The (k, n) pairs with k + n <= budget, row-major: mark_sums' order."""
+    return [(k, n) for k in range(1, budget) for n in range(1, budget - k + 1)]
+
+
 def test_w_basis_range_and_limits():
+    # the library's mark weights lie in (0, 1], with the bits of the oracle,
+    # tend to 1 at both compactified ends, and are 1 at k = 1 (sigma_1 = 0)
     a = np.geomspace(1e-9, 1e9, 1001)
-    w = w_basis(3, 2, a)
-    assert np.all((0 < w) & (w <= 1))
-    # continuity at the compactified ends: w -> 1 as age -> 0 and age -> inf
-    assert w_basis(5, 1, 1e-12) == pytest.approx(1.0, abs=1e-9)
-    assert w_basis(5, 1, 1e12) == pytest.approx(1.0, abs=1e-9)
-    assert w_basis(1, 7, 2.0) == 1.0  # sigma_1 = 0
+    w = mark_weights(a, 6)
+    assert w.shape == (15, 1001) and np.all((0 < w) & (w <= 1))
+    k, n = np.array(_weighted_pairs(6)).T
+    np.testing.assert_array_equal(w, w_basis(k[:, None], n[:, None], a))
+    np.testing.assert_allclose(mark_weights([1e-12, 1e12], 6), 1.0, rtol=0, atol=1e-9)
+    assert np.all(w[k == 1] == 1.0)
 
 
 def test_mark_sums_brute_force(rng):
     ages = rng.exponential(1.0, 6)
     S = mark_sums(ages, 6)
-    assert S.shape == (5, 5)
-    for k in range(1, 6):
-        for n in range(1, 6):
-            expected = sum(math.exp(-sigma(k) * _u_raw(n, a)) for a in ages) if k + n <= 6 else 0.0
-            assert S[k - 1, n - 1] == pytest.approx(expected, rel=1e-12)
+    pairs = _weighted_pairs(6)
+    assert S.shape == (len(pairs),) == (15,)
+    for got, (k, n) in zip(S, pairs):
+        expected = sum(math.exp(-sigma(k) * _u_raw(n, a)) for a in ages)
+        assert got == pytest.approx(expected, rel=1e-12)
+    # leading axes of ages are batch axes, with the bits of one row alone
+    batch = rng.exponential(1.0, (3, 2, 6))
+    sums = mark_sums(batch, 6)
+    assert sums.shape == (3, 2, 15)
+    for i in range(3):
+        for j in range(2):
+            assert np.array_equal(sums[i, j], mark_sums(batch[i, j], 6))
+    assert np.array_equal(mark_sums([], 6), np.zeros(15))
 
 
 def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
-    # only the pairs k + n <= budget are evaluated, with the bits of the
-    # full grid there, and rho_distance reads no other pair
+    # the weighted pairs k + n <= budget only, with the bits of the full
+    # grid there, and u_n evaluated once per distinct n and age
     ages = rng.exponential(1.0, 300)
     k, n = np.indices((39, 39)) + 1
     full = w_basis(k[..., None], n[..., None], ages).sum(axis=-1)
-    tri = mark_sums(ages, 40)
-    inside = k + n <= 40
-    np.testing.assert_array_equal(tri[inside], full[inside])
-    assert not tri[~inside].any()
+    np.testing.assert_array_equal(mark_sums(ages, 40), full[k + n <= 40])
     evaluated = []
-    real = mark_space.w_basis
+    real = mark_space.u_basis
 
-    def counted(k, n, alpha):
-        out = real(k, n, alpha)
+    def counted(n, alpha):
+        out = real(n, alpha)
         evaluated.append(out.size)
         return out
 
-    monkeypatch.setattr(mark_space, "w_basis", counted)
+    monkeypatch.setattr(mark_space, "u_basis", counted)
     rho_distance(MarkSet(ages), MarkSet(ages[:200]), budget=40)
-    assert sum(evaluated) == int(inside.sum()) * (300 + 200)
+    assert sum(evaluated) == 39 * (300 + 200)
+
+
+def full_grid_rho(a, b, budget):
+    """rho on the whole (budget - 1) x (budget - 1) grid of mark sums, zero
+    weights outside the truncation: the layout before the compact series."""
+    k, n = np.indices((budget - 1, budget - 1)) + 1
+    sums = [w_basis(k[..., None], n[..., None], m.ages).sum(axis=-1) for m in (a, b)]
+    return series_distance(series_weights(budget, budget - 1, budget - 1), *sums)
+
+
+def test_rho_matches_the_full_grid():
+    gen = np.random.default_rng(20)
+    marks = [MarkSet(gen.exponential(1.0, size)) for size in (0, 1, 4, 5, 300)]
+    for budget in (2, 6, 16, 28, 40, 59):
+        for i in range(len(marks)):
+            for j in range(i + 1, len(marks)):
+                dist, _ = rho_distance(marks[i], marks[j], budget=budget)
+                assert dist == pytest.approx(full_grid_rho(marks[i], marks[j], budget), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("sizes", [(30,), (10, 11), (5, 4, 3)])

@@ -17,9 +17,8 @@ from agedpop import (
     u_basis_derivative,
     u_prime_max_constant,
     uniform_habitat,
-    w_basis,
 )
-from conftest import random_configuration, union
+from conftest import random_configuration, union, w_basis
 
 
 def test_theta_range(theta_two, habitat_1d, rng):

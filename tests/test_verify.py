@@ -39,7 +39,7 @@ from agedpop import (
 )
 from agedpop import generator, verify
 from agedpop.habitat import age_panel_width, age_rule
-from agedpop.sampler import _sample_points
+from agedpop.sampler import _make_intensity, _sample_points
 from agedpop.verify import _chi2_independence_p, _chi2_sf, _ks_statistic, _pool_columns
 
 
@@ -359,6 +359,33 @@ def test_laplace_fails_a_resolvent_cut_at_half_its_horizon(monkeypatch):
     monkeypatch.setattr(generator, "_laplace_rule", cut)
     report = laplace_uniqueness_check(theta, start, 1.5, habitat, model)
     assert report.outcome == "FAIL" and 1e-10 < report.value < 1e-6, report.line()
+
+
+def test_stationarity_fails_an_invariant_law_cut_at_half_its_window(monkeypatch):
+    # the invariant intensity cut at 20/m_zero instead of 40/m_zero: the
+    # aged law refills the lost ages, a gap of about 3e-10 that passes the
+    # old 1e-6
+    habitat, model, theta, _ = _recorded("1d")
+    assert stationarity_check(theta, habitat, model, [0.5, 1.0, 2.0]).value <= 1e-15
+    monkeypatch.setattr(
+        verify, "stationary_intensity", lambda h, m: _make_intensity(h, m, 20.0 / m.m_zero)
+    )
+    report = stationarity_check(theta, habitat, model, [0.5, 1.0, 2.0])
+    assert report.outcome == "FAIL" and 1e-12 < report.value < 1e-6, report.line()
+
+
+def test_chapman_fails_age_panels_twice_as_wide(monkeypatch):
+    # every age rule on panels twice the width the hazard allows: on the 2-d
+    # separable config the two legs then part by about 2.7e-10, which passes
+    # the old 1e-8
+    habitat, model, theta, _ = _recorded("2d-separable")
+    start = verify._dirac_start(habitat)
+    assert chapman_kolmogorov_check(theta, start, 0.4, 0.7, habitat, model).value < 1e-12
+    wide = lambda model, age_scale=1.0: 2.0 * age_panel_width(model, age_scale)
+    monkeypatch.setattr("agedpop.habitat.age_panel_width", wide)
+    monkeypatch.setattr(generator, "age_panel_width", wide)
+    report = chapman_kolmogorov_check(theta, start, 0.4, 0.7, habitat, model)
+    assert report.outcome == "FAIL" and 1e-10 < report.value < 1e-8, report.line()
 
 
 @pytest.mark.parametrize("config", RECORDED)
