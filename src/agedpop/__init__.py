@@ -91,7 +91,6 @@ from .verify import (
     count_law_oracle,
     cross_sampler_check,
     ergodicity_check,
-    ergodicity_gap_curve,
     fokker_planck_check,
     format_reports,
     laplace_uniqueness_check,

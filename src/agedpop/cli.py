@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,7 +32,7 @@ from .config_space import (
     kappa_distance,
     load_configuration,
 )
-from .habitat import constant_rate, linear_habitat, separable_rate, uniform_habitat
+from .habitat import constant_rate, linear_habitat, separable_rate, uniform_habitat, window_grid
 from .mark_space import MarkSet, rho_distance
 from .sampler import event_driven_simulate, sample_poisson, stationary_intensity
 from .test_functions import Theta
@@ -102,10 +103,8 @@ def _build_model(section, habitat):
     else:
         raise ConfigError(f"model.family: unknown family {family!r}")
     # probe the stated bounds on a grid; a violation means bad parameters
-    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(habitat.lower, habitat.upper)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, habitat.dim)
     ages = np.linspace(0.0, 25.0, 41)
-    rates = model.rate(mesh[:, None, :], ages[None, :])
+    rates = model.rate(window_grid(habitat)[:, None, :], ages[None, :])
     if rates.min() < model.m_zero - 1e-9 or rates.max() > model.m_star + 1e-9:
         raise ConfigError("model: hazard leaves the declared [m_zero, m_star] band")
     return model
@@ -127,14 +126,14 @@ def _build_run(section):
     if type(seed) is not int or seed < 0:
         raise ConfigError(f"run.seed: {seed!r}: expected a nonnegative integer")
     times = [float(t) for t in run.get("times", [1.0])]
-    if times != sorted(times) or any(t < 0 for t in times):
-        raise ConfigError("run.times: expected a sorted list of nonnegative times")
+    if times != sorted(times) or not all(0 <= t < math.inf for t in times):
+        raise ConfigError("run.times: expected a sorted list of finite nonnegative times")
     n_paths = run.get("n_paths", 1000)
     if type(n_paths) is not int or n_paths < 2:
         raise ConfigError(f"run.n_paths: {n_paths!r}: expected an integer >= 2, for a standard error")
     horizon = float(run.get("horizon", max(times) if times else 1.0))
-    if horizon < 0:
-        raise ConfigError("run.horizon: expected a nonnegative time")
+    if not 0 <= horizon < math.inf:
+        raise ConfigError(f"run.horizon: {horizon}: expected a finite nonnegative time")
     if times and horizon < times[-1]:
         raise ConfigError(f"run.horizon: {horizon} is before the last of run.times ({times[-1]})")
     return seed, n_paths, times, horizon
@@ -215,7 +214,8 @@ def _simulate_block(cfg, block, seed):
     """One seeded block of paths from the empty start.
 
     Returns (events.jsonl text, event count, counts and F_theta values of
-    shape (paths, times), thinning proposals, thinning accepts).
+    shape (paths, times), with no columns if there are no times, thinning
+    proposals, thinning accepts).
     """
     first = block * _BLOCK_PATHS
     empty = MarkedConfiguration.empty(cfg.habitat.dim)
@@ -223,9 +223,12 @@ def _simulate_block(cfg, block, seed):
         empty, cfg.horizon, cfg.habitat, cfg.model, _block_rng(seed, block),
         n_paths=min(_BLOCK_PATHS, cfg.n_paths - first),
     )
-    states = [traj.state_at(t) for t in cfg.times]
-    counts = np.stack([state.counts() for state in states], axis=1)
-    fvals = np.stack([state.f_theta(cfg.theta) for state in states], axis=1)
+    counts = np.empty((traj.n_paths, len(cfg.times)), dtype=np.int64)
+    fvals = np.empty((traj.n_paths, len(cfg.times)))
+    for j, t in enumerate(cfg.times):
+        state = traj.state_at(t)
+        counts[:, j] = state.counts()
+        fvals[:, j] = state.f_theta(cfg.theta)
     events = traj.events
     return _event_lines(events, first), len(events), counts, fvals, traj.proposals, traj.accepts
 
@@ -248,7 +251,10 @@ def _block_results(args, cfg, seed):
     work = [
         (args.config, range(b, min(b + size, n_blocks)), seed) for b in range(0, n_blocks, size)
     ]
-    with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # a forked pool starts all its workers at once: none without a chunk or a CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.threads, len(work), cpus)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_simulate_chunk, work):
             yield from chunk
 

@@ -54,6 +54,7 @@ from .habitat import (
     chi_integral,
     log_survival,
     survival_factor,
+    window_grid,
 )
 from .mark_space import SIGMA_BAR, u_basis_max, u_prime_max_constant
 from .sampler import PathBundle
@@ -184,16 +185,10 @@ def flow_pde_residual(theta, t1, t2, x, alpha, model):
 
 
 class ArrivalExponent:
-    """The arrival-side exponent H(T) = int_0^T psi(u) du with
-
-        psi(u) = int_window theta(x, u) exp(-M(x, u)) chi(dx).
-
-    psi is evaluated on fixed Gauss-Legendre nodes split at the plateau kinks
-    (exact for the smooth pieces).  H is a SurvivalCumulative: 16-point
-    Gauss-Legendre on age panels of width age_panel_width(model,
-    theta.age_scale), summed once and cached, so a vectorized call over many
-    T costs no new psi evaluations below the panels already built.
-    """
+    """The arrival-side exponent H(T) = int_0^T psi(u) du, psi(u) = int_window
+    theta(x, u) exp(-M(x, u)) chi(dx): one SurvivalCumulative of theta, on
+    the spatial rule split at the plateau kinks and age panels of width
+    age_panel_width(model, theta.age_scale)."""
 
     def __init__(self, theta, habitat, model):
         self.theta = theta
@@ -507,11 +502,9 @@ def compute_bounds(theta, habitat, model):
     est = chi_abs_theta0 + m_star * math.exp(j - 1.0) + SIGMA_BAR * c / math.e
     tau = math.inf if m_star == 0 else 1.0 / (m_star * math.exp(float(j)))
     # grid check of the age sandwich and the derivative domination, on the
-    # window's diagonal and on a 9-per-axis tensor grid (in d >= 2 the
-    # diagonal alone never leaves x_0 = x_1 = ...)
-    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(habitat.lower, habitat.upper)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, habitat.dim)
-    xs = np.concatenate([np.linspace(habitat.lower, habitat.upper, 41), mesh])
+    # window's diagonal and on window_grid (in d >= 2 the diagonal alone
+    # never leaves x_0 = x_1 = ...)
+    xs = np.concatenate([np.linspace(habitat.lower, habitat.upper, 41), window_grid(habitat)])
     ages = np.concatenate([np.linspace(0.0, 5.0, 101), np.geomspace(5.0, 200.0, 40)])
     g0 = theta.g(xs[:, None, :], np.zeros((1,)))
     g = theta.g(xs[:, None, :], ages[None, :])

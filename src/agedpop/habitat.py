@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import leggauss, legval, legvander
 
 __all__ = [
     "Habitat",
@@ -51,6 +51,7 @@ __all__ = [
     "chi_sample",
     "chi_integral",
     "gauss_profile_nodes",
+    "window_grid",
 ]
 
 
@@ -260,11 +261,9 @@ def survival_factor(model, x, alpha, t):
 _SPACE_ORDER = 24  # Gauss-Legendre points per axis panel of gauss_profile_nodes
 _AGE_ORDER = 16
 _AGE_X, _AGE_W = leggauss(_AGE_ORDER)
-# c_k = sum_i values_i _LEGENDRE[i, k] are the Legendre coefficients of the
-# degree-15 interpolant through the 16 node values of a panel
-_LEGENDRE = (_AGE_W[:, None] * legvander(_AGE_X, _AGE_ORDER - 1)) * (
-    np.arange(_AGE_ORDER) + 0.5
-)
+# s_k = sum_i _MOMENTS[k, i] values_i is c_k / (2k + 1), c_k the Legendre
+# coefficients of the degree-15 interpolant through the 16 node values of a panel
+_MOMENTS = _AGE_W * legvander(_AGE_X, _AGE_ORDER - 1).T / 2.0
 _BLOCK = 1 << 17  # elements in one (spatial node x age) temporary
 
 
@@ -329,34 +328,17 @@ def survival_slice(model, nodes, weights, h, ages):
     return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
-def _partial_panel_weights(X):
-    """Weights w_i(X) with int_{-1}^{X} p = sum_i w_i(X) p(x_i) for every
-    polynomial p of degree <= 15 (x_i the 16 Gauss nodes on [-1, 1]).
-
-    Uses int_{-1}^{X} P_k = (P_{k+1} - P_{k-1})(X) / (2k + 1), which is exactly
-    0 at X = -1; at X = 1 the weights are the Gauss weights.
-    """
-    V = legvander(X, _AGE_ORDER)
-    B = np.empty(X.shape + (_AGE_ORDER,))
-    B[..., 0] = V[..., 1] + V[..., 0]
-    B[..., 1:] = (V[..., 2:] - V[..., :-2]) / (2.0 * np.arange(1, _AGE_ORDER) + 1.0)
-    # an elementwise product summed row by row, not a matrix product, so a
-    # query gives the same bits alone or inside an array
-    return np.sum(B[..., None, :] * _LEGENDRE, axis=-1)
-
-
 class SurvivalCumulative:
     """C(T) = int_0^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any T >= 0.
 
     The ages are cut into the panels [k w, (k+1) w] with w =
     age_panel_width(model, age_scale), age_scale being the age scale of h
     (Theta.age_scale when h is built on a test function).  Whole panels
-    carry the 16-point Gauss-Legendre rule; their node values and running
-    totals are cached and extended on demand, so a call costs 16 slice
-    evaluations per new panel and none per query.  The piece [k w, T] of the
-    panel holding T integrates the degree-15 interpolant through that
-    panel's node values, so C is the composite Gauss sum at every panel
-    edge.  Vectorized over T; a scalar T gives a float.
+    carry the 16-point Gauss-Legendre rule; their running totals, and the
+    Legendre coefficients of the antiderivative of the degree-15 interpolant
+    through their node values, are cached and extended on demand.  A call
+    costs 16 slice evaluations per new panel and one Clenshaw sum per T.
+    Vectorized over T; a scalar T gives a float, and C(0) is exactly 0.
     """
 
     def __init__(self, habitat, model, h, breakpoints=(), age_scale=1.0):
@@ -364,7 +346,8 @@ class SurvivalCumulative:
         self.h = h
         self.width = age_panel_width(model, age_scale)
         self._nodes, self._weights = gauss_profile_nodes(habitat, breakpoints=breakpoints)
-        self._values = np.empty((0, _AGE_ORDER))  # slice values at panel nodes
+        # column k: antiderivative coefficients of panel k's interpolant
+        self._antiderivatives = np.empty((_AGE_ORDER + 1, 0))
         self._totals = np.zeros(1)  # C at each panel edge
 
     def slice(self, ages):
@@ -372,15 +355,22 @@ class SurvivalCumulative:
         return survival_slice(self.model, self._nodes, self._weights, self.h, ages)
 
     def _extend(self, n_panels):
-        have = len(self._values)
+        have = self._antiderivatives.shape[1]
         if n_panels <= have:
             return
         n_panels = max(n_panels, 2 * have)
         ages, weights = age_panels(self.width * np.arange(have, n_panels + 1))
         values = self.slice(ages)
-        self._values = np.concatenate([self._values, values])
-        sums = np.cumsum(np.sum(values * weights, axis=1))
-        self._totals = np.concatenate([self._totals, self._totals[-1] + sums])
+        # elementwise products summed row by row, not a matrix product: a
+        # panel's bits do not depend on how many panels one extension builds
+        s = np.sum(_MOMENTS[:, None, :] * values, axis=-1) * (self.width / 2.0)
+        # int_{-1}^X P_0 = P_0 + P_1 and int_{-1}^X P_k = (P_{k+1} - P_{k-1}) / (2k + 1)
+        anti = np.concatenate([s[:1], s]) - np.concatenate([s[1:], np.zeros((2, s.shape[1]))])
+        self._antiderivatives = np.concatenate([self._antiderivatives, anti], axis=1)
+        # one running sum from the last total on, the bits of a single cumsum
+        sums = np.sum(values * weights, axis=1)
+        sums[0] += self._totals[-1]
+        self._totals = np.concatenate([self._totals, np.cumsum(sums)])
 
     def __call__(self, T):
         T = np.asarray(T, dtype=float)
@@ -390,8 +380,9 @@ class SurvivalCumulative:
         # the panel holding T; a T on an edge closes the panel below it
         k = np.maximum(np.ceil(pos) - 1, 0).astype(int)
         self._extend(int(k.max()) + 1 if k.size else 0)
-        partial = np.sum(self._values[k] * _partial_panel_weights(2.0 * (pos - k) - 1.0), axis=-1)
-        out = self._totals[k] + partial * (self.width / 2.0)
+        partial = legval(2.0 * (pos - k) - 1.0, self._antiderivatives[:, k], tensor=False)
+        # legval at the left edge is only close to 0
+        out = self._totals[k] + np.where(pos > 0, partial, 0.0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -449,17 +440,20 @@ def chi_sample(habitat, rng, size):
 
 
 def chi_integral(habitat, f, points=()):
-    """int_window f(x) chi(dx) on the gauss_profile_nodes rule.
-
-    One weighted sum sum_i w_i f(x_i), with `f` mapping the (N, dim) node
-    array to N values in a single call.  psi, H and every survival integral
+    """int_window f(x) chi(dx) on the gauss_profile_nodes rule (split at
+    `points` in dim 1), as one weighted sum sum_i w_i f(x_i) with `f` mapping
+    the (N, dim) node array to N values.  psi, H and every survival integral
     run on the same rule, so both sides of an identity integrate against the
-    same discrete measure.  In dim 1 the rule is split at `points`; in
-    dim >= 2 it is the unsplit tensor rule, about 1e-4 away from the exact
-    chi-integral of plateau integrands.
-    """
+    same discrete measure."""
     nodes, weights = gauss_profile_nodes(habitat, breakpoints=points)
     return float(weights @ np.asarray(f(nodes), dtype=float))
+
+
+def window_grid(habitat):
+    """The tensor grid of 9 equally spaced points per axis of the window, shape
+    (9**dim, dim), on which the hazard band and the age sandwich are probed."""
+    axes = [np.linspace(lo, hi, 9) for lo, hi in zip(habitat.lower, habitat.upper)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, habitat.dim)
 
 
 def gauss_profile_nodes(habitat, breakpoints=()):

@@ -34,9 +34,9 @@ from .generator import (
     particle_terms,
     resolvent,
 )
-# chi_integral and survival_weighted_integral are re-exported here for
-# callers (and the benchmark's tracer) that reach them through this module
-from .habitat import age_panel_width, age_rule, chi_integral, survival_weighted_integral
+from .habitat import SurvivalCumulative, age_panel_width, age_rule, survival_factor
+# re-exported for callers (and the benchmark's tracer) that reach them through this module
+from .habitat import chi_integral, survival_weighted_integral
 from .mark_space import series_distance
 from .sampler import (
     PathBundle,
@@ -54,7 +54,6 @@ __all__ = [
     "fokker_planck_check",
     "laplace_uniqueness_check",
     "martingale_residual",
-    "ergodicity_gap_curve",
     "ergodicity_check",
     "stationarity_check",
     "chapman_kolmogorov_check",
@@ -246,54 +245,42 @@ def martingale_residual(
     )
 
 
-def ergodicity_gap_curve(theta, habitat, model, times):
-    """Gaps |mu_t(F_theta) - pi(F_theta)| from the empty start, plus metadata.
+def ergodicity_check(theta, habitat, model, name="ergodicity"):
+    """Largest gap |mu_t(F) - pi(F)| over its coupling bound P(tau > t).
 
-    Returns (gaps, log_gaps, pi_value, tail_bound), log_gaps being
-    |log mu_t(F_theta) - log pi(F_theta)|: pi is the stationary PoissonLaw,
-    whose age window leaves out at most tail_bound of intensity mass.
-    Requires m_zero > 0.
+    A copy started at gamma and one at pi that share their newcomers agree
+    after tau, the last departure of an initial particle of either (Lindvall
+    1992), so for F in (0, 1]
+
+        |mu_t(F) - pi(F)| <= P(tau > t) = 1 - prod_i (1 - S_i(t)) e^{-(|pi| - |rho_t|)},
+
+    S_i = survival_factor(model, x_i, a_i, t) over gamma's particles, and
+    |pi| - |rho_t| the mass of pi's particles alive at t (Kingman 1993): |pi|
+    is the invariant intensity's mass plus its truncation error, and all the
+    |rho_t| one SurvivalCumulative of h = 1.  gamma is empty and
+    _dirac_start, and t = k / max(1, m_zero), k = 1..10: under a fast hazard
+    the times shrink, so the bound stays far above the rounding of the gap.
     """
-    if model.m_zero <= 0:
-        raise ValueError("ergodicity requires a positive hazard floor m_zero")
+    times = np.linspace(1.0, 10.0, 10) / max(1.0, model.m_zero)
     intensity = stationary_intensity(habitat, model)
     pi_value = PoissonLaw(intensity).expect_F(theta)
-    empty = DiracLaw(MarkedConfiguration.empty(habitat.dim))
-    mu_t = ExplicitLaw(empty, theta, habitat, model).expect_F(np.asarray(times, dtype=float))
-    log_gaps = np.abs(np.log(mu_t) - math.log(pi_value))
-    return np.abs(mu_t - pi_value), log_gaps, pi_value, intensity.truncation_error
-
-
-def ergodicity_check(theta, habitat, model, name="ergodicity"):
-    """Exponential convergence to the invariant value from the empty start.
-
-    Fits the slope of log delta(t) over t = 1, 2, ..., 10, with delta(t) =
-    |log mu_t(F) - log pi(F)| = int_t^inf |psi|, and checks the final gap
-    against the closed-form envelope chi_mass/m_zero * exp(-m_zero t) carried
-    through the exponential.  delta decays at least at the floor rate
-    m_zero, and no faster than m_star because the age sandwich keeps |theta|
-    above zero, so the slope must lie in [-m_star - tol, -m_zero + tol] with
-    tol = 0.1 max(1, m_zero).  The gap itself is about pi(F) (e^delta - 1),
-    whose log is not linear in t while delta is of order one.
-    """
-    times = np.linspace(1.0, 10.0, 10)
-    gaps, log_gaps, pi_value, _ = ergodicity_gap_curve(theta, habitat, model, times)
-    m0, m_star = model.m_zero, model.m_star
-    t_max = float(times[-1])
-    delta = habitat.chi_mass / m0 * math.exp(-m0 * t_max)
-    envelope = pi_value * math.expm1(delta)
-    positive = log_gaps > 0
-    slope = float(np.polyfit(times[positive], np.log(log_gaps[positive]), 1)[0])
-    tol = 0.1 * max(1.0, m0)
-    # a slope outside its band fails the check whatever the final gap
-    in_band = -m_star - tol <= slope <= -m0 + tol
+    newcomers = SurvivalCumulative(habitat, model, lambda x, u: 1.0)
+    pi_alive = intensity.total_mass + intensity.truncation_error - newcomers(times)
+    arrivals = np.exp(ArrivalExponent(theta, habitat, model).H(times))
+    ratios, bounds = [], []
+    for start in (MarkedConfiguration.empty(habitat.dim), _dirac_start(habitat)):
+        f, _ = DiracLaw(start).aged_expectations(times, model, theta)
+        survival = survival_factor(model, start.positions[:, None, :], start.ages[:, None], times)
+        bound = -np.expm1(np.sum(np.log1p(-survival), axis=0) - pi_alive)
+        ratios.append(np.abs(arrivals * f - pi_value) / bound)
+        bounds.append(bound[-1])
     return VerificationReport(
         name=name,
-        statistic="final gap",
-        value=float(gaps[-1]) if in_band else math.inf,
-        threshold=envelope,
+        statistic="max_t |mu_t(F) - pi(F)| / P(tau > t)",
+        value=float(np.max(ratios)),
+        threshold=1.0,
         sense="<=",
-        note=f"log-slope {slope:.4f} vs band [{-m_star - tol:.4f}, {-m0 + tol:.4f}]",
+        note=f"P(tau > {times[-1]:.4g}) = {bounds[0]:.3e} from empty, {bounds[1]:.3e} from _dirac_start",
     )
 
 

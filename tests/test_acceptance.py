@@ -637,6 +637,6 @@ def test_criterion_13_ergodicity():
         13,
         "ergodicity",
         ok,
-        f"{report.note}; final gap {report.value:.2e} <= envelope {report.threshold:.2e}; "
-        f"stationary-start gap {stat.value:.2e} < 1e-6",
+        f"largest gap / coupling bound {report.value:.3f} <= 1 ({report.note}); "
+        f"stationary-start gap {stat.value:.2e} < 1e-12",
     )

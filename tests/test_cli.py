@@ -307,6 +307,75 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
+    # a forked pool starts all its workers at once: --threads 5000 on a
+    # two-block config asks for at most 2, checked with a stand-in pool that
+    # records max_workers and runs the work here, starting nothing
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=150)), "two.json")
+    outs = []
+    for threads in ("1", "5000"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
+        outs.append(out)
+    assert len(asked) == 1 and 1 <= asked[0] <= 2
+    for name in ("summary.csv", "events.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # nor more than the CPUs this process may use
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert main(["simulate", "--config", path, "--threads", "5000", "--out-dir", str(tmp_path / "one")]) == 0
+    assert asked[-1] == 1
+
+
+@pytest.mark.parametrize(
+    "run, named",
+    [
+        pytest.param('"times": [NaN]', "run.times", id="times-nan"),
+        pytest.param('"times": [Infinity]', "run.times", id="times-infinity"),
+        pytest.param('"times": [0.5, 1e400]', "run.times", id="times-overflow"),
+        pytest.param('"times": [0.5], "horizon": NaN', "run.horizon", id="horizon-nan"),
+        pytest.param('"times": [0.5], "horizon": Infinity', "run.horizon", id="horizon-infinity"),
+        pytest.param('"times": [0.5], "horizon": 1e400', "run.horizon", id="horizon-overflow"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_finite_run_times_exit_2(tmp_path, capsys, run, named, command):
+    text = json.dumps(GOOD).replace('"times": [0.25, 0.5], "horizon": 0.5', run)
+    assert run in text
+    config = tmp_path / "bad.json"
+    config.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    extra = ["--suite", "metrics"] if command == "verify" else []
+    assert main([command, "--config", str(config), *extra, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_simulate_with_no_times_writes_a_header_only_summary(tmp_path, capsys):
+    path = _write(tmp_path, _with(lambda d: d["run"].update(times=[], horizon=0.5)), "none.json")
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", path, "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "summary.csv").read_bytes() == b"time,statistic,value,stderr\r\n"
+    assert (out_dir / "events.jsonl").read_text().count("\n") > 0
+
+
 def test_block_seeds_deterministic():
     a = cli._block_rng(7, 2).random(3)
     b = cli._block_rng(7, 2).random(3)

@@ -403,6 +403,78 @@ def test_survival_cumulative_against_quad(habitat_1d, separable_model, theta_two
         cumulative(-0.5)
 
 
+def _old_partial_panel_weights(X):
+    """Weights w_i(X) with int_{-1}^X p = sum_i w_i(X) p(x_i) for p of degree
+    <= 15, x_i the 16 Gauss nodes, built per query from the Legendre
+    Vandermonde matrix: the oracle of SurvivalCumulative's per-panel
+    antiderivative coefficients."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    legendre = (weights[:, None] * np.polynomial.legendre.legvander(nodes, 15)) * (np.arange(16) + 0.5)
+    V = np.polynomial.legendre.legvander(X, 16)
+    B = np.empty(X.shape + (16,))
+    B[..., 0] = V[..., 1] + V[..., 0]
+    B[..., 1:] = (V[..., 2:] - V[..., :-2]) / (2.0 * np.arange(1, 16) + 1.0)
+    return np.sum(B[..., None, :] * legendre, axis=-1)
+
+
+def _cumulative_cases():
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    theta = Theta([(1, 1, 1), (2, 1, 2)], hab)
+    sep = separable_rate(hab, 0.5, 1.0, 50.0)
+    hab2 = uniform_habitat([(0.0, 1.0), (0.0, 2.0)], 3.0)
+    return [
+        (hab, constant_rate(0.6), lambda x, u: 1.0, ()),
+        (hab, sep, theta.theta, theta.x_breakpoints),
+        (hab2, separable_rate(hab2, 0.5, 1.0, 2.0), Theta([(1, 1, 1), (3, 2, 1)], hab2).theta, ()),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_survival_cumulative_matches_the_partial_panel_weights(case):
+    hab, model, h, cuts = _cumulative_cases()[case]
+    cumulative = SurvivalCumulative(hab, model, h, cuts)
+    T = np.concatenate([np.linspace(0.0, 12.0, 241), np.random.default_rng(5).uniform(0.0, 12.0, 200)])
+    got = cumulative(T)
+    w = cumulative.width
+    k = np.maximum(np.ceil(T / w) - 1, 0).astype(int)
+    ages, weights = habitat.age_panels(w * np.arange(k.max() + 2))
+    values = cumulative.slice(ages)
+    totals = np.concatenate([[0.0], np.cumsum(np.sum(values * weights, axis=1))])
+    partial = np.sum(values[k] * _old_partial_panel_weights(2.0 * (T / w - k) - 1.0), axis=-1)
+    want = totals[k] + partial * (w / 2.0)
+    # relative to the largest |C|: near T = 0, C is a few ulp of the
+    # panel's own content
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_survival_cumulative_bits_hold_across_queries(case):
+    hab, model, h, cuts = _cumulative_cases()[case]
+    T = np.random.default_rng(6).uniform(0.0, 12.0, 300)
+    once = SurvivalCumulative(hab, model, h, cuts)
+    assert once(0.0) == 0.0 and once(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    got = once(T)
+    # every scalar query gives its bits inside the array
+    assert [once(t) for t in T[:40]] == got[:40].tolist()
+    # panels built over many small extensions give the bits of one extension
+    grown = SurvivalCumulative(hab, model, h, cuts)
+    for top in np.linspace(0.01, 12.0, 50):
+        grown(top)
+    assert grown(T).tolist() == got.tolist()
+    assert grown(0.0) == 0.0
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.7, 1.3])
+def test_survival_cumulative_starts_at_exactly_zero(c):
+    # the antiderivative's Clenshaw sum at a panel's left edge is a few ulp
+    # off 0 for some of these integrands
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    for model in (constant_rate(0.6), separable_rate(hab, 0.5, 1.0, 2.0)):
+        cumulative = SurvivalCumulative(hab, model, lambda x, u: np.cos(c * u) * (1.0 + x[..., 0]))
+        assert cumulative(0.0) == 0.0
+        assert cumulative(np.array([0.0, 0.5, 0.0]))[[0, 2]].tolist() == [0.0, 0.0]
+
+
 def test_gauss_profile_nodes_cached(habitat_1d):
     first = gauss_profile_nodes(habitat_1d, breakpoints=(0.7, 0.3))
     again = gauss_profile_nodes(habitat_1d, breakpoints=[0.3, 0.7, 0.3])

@@ -21,7 +21,6 @@ from agedpop import (
     count_law_oracle,
     cross_sampler_check,
     ergodicity_check,
-    ergodicity_gap_curve,
     fokker_planck_check,
     kappa_distance,
     format_reports,
@@ -32,6 +31,7 @@ from agedpop import (
     separable_rate,
     stationarity_check,
     stationary_intensity,
+    survival_factor,
     survival_weighted_integral,
     transient_intensity,
     uniform_habitat,
@@ -461,28 +461,43 @@ def test_martingale(theta_two, theta_one, habitat_1d, const_model, dirac_config,
 
 
 def test_ergodicity(theta_two, habitat_1d, const_model):
-    gaps, log_gaps, pi_value, tail = ergodicity_gap_curve(
-        theta_two, habitat_1d, const_model, [1.0, 2.0, 4.0]
-    )
-    assert pi_value > 0
-    assert np.all(np.diff(gaps) < 0)
-    # from the empty start mu_t(F) falls to pi(F) from above
-    np.testing.assert_allclose(log_gaps, np.log1p(gaps / pi_value), rtol=1e-10)
     report = ergodicity_check(theta_two, habitat_1d, const_model)
     assert report.passed, report.line()
+    assert 0.0 < report.value <= 0.5
     report = stationarity_check(theta_two, habitat_1d, const_model, [0.5, 1.5])
     assert report.passed, report.line()
 
 
-def test_ergodicity_gap_curve_reads_the_stationary_law(theta_two, habitat_1d, separable_model):
-    _, _, pi_value, tail = ergodicity_gap_curve(theta_two, habitat_1d, separable_model, [1.0, 2.0])
-    intensity = stationary_intensity(habitat_1d, separable_model)
-    assert pi_value == PoissonLaw(intensity).expect_F(theta_two)
-    assert tail == intensity.truncation_error
+def test_ergodicity_is_the_largest_gap_over_the_coupling_bound(theta_two, habitat_1d, separable_model):
+    # an independent route: the gaps from ExplicitLaw, pi(F) from the
+    # stationary PoissonLaw, and the mass of pi's particles alive at t,
+    # int_t^inf int e^{-M(x, u)} chi(dx) du, by adaptive quadrature in age
+    from agedpop.habitat import gauss_profile_nodes
+
+    times = np.linspace(1.0, 10.0, 10)
+    nodes, weights = gauss_profile_nodes(habitat_1d)
+
+    def newcomers(u):
+        return float(weights @ np.exp(-separable_model.cumulative(nodes, np.full(len(nodes), u))))
+
+    alive = np.array([integrate.quad(newcomers, t, np.inf, epsabs=1e-15, limit=400)[0] for t in times])
+    pi_value = PoissonLaw(stationary_intensity(habitat_1d, separable_model)).expect_F(theta_two)
+    ratios = []
+    for start in (MarkedConfiguration.empty(1), verify._dirac_start(habitat_1d)):
+        law = ExplicitLaw(DiracLaw(start), theta_two, habitat_1d, separable_model)
+        dead = np.ones(times.size)
+        for x, a in zip(start.positions, start.ages):
+            dead *= [1.0 - survival_factor(separable_model, x, a, t) for t in times]
+        bound = 1.0 - dead * np.exp(-alive)
+        ratios.append(np.abs(law.expect_F(times) - pi_value) / bound)
+    report = ergodicity_check(theta_two, habitat_1d, separable_model)
+    assert report.passed, report.line()
+    assert report.value == pytest.approx(np.max(ratios), rel=1e-6)
+    assert f"P(tau > 10) = {1.0 - math.exp(-alive[-1]):.3e} from empty" in report.note
 
 
 def test_ergodicity_band_for_varying_hazard():
-    # the gap of an age-varying hazard decays faster than m_zero, within m_star
+    # an age-varying hazard from a linear density
     hab = linear_habitat([(0.0, 1.0)], 2.0, 6.0)
     model = separable_rate(hab, 0.5, 1.0, 2.0)
     theta = Theta([(1, 1, 1), (3, 2, 1)], hab)
@@ -490,33 +505,54 @@ def test_ergodicity_band_for_varying_hazard():
     assert report.passed, report.line()
 
 
-def test_ergodicity_slope_reads_the_log_gap():
-    # chi_mass / m = 19: mu_t(F) is many times pi(F) at t = 1, so the log of
-    # the gap itself falls at about 1.06 here, outside [-0.77, -0.57]
+def test_ergodicity_holds_far_above_the_invariant_value():
+    # chi_mass / m = 19: mu_t(F) is many times pi(F) at t = 1
     hab = uniform_habitat([(0.0, 2.0), (0.0, 2.0)], 3.143275518314949)
     model = constant_rate(0.6653744636603192)
     theta = Theta([(2, 2, 16), (3, 3, 24), (3, 2, 13)], hab)
     report = ergodicity_check(theta, hab, model)
     assert report.passed, report.line()
+    assert report.value < 0.01
 
 
-def test_ergodicity_fails_when_the_slope_leaves_its_band(theta_two, habitat_1d, const_model, monkeypatch):
-    # flat gaps far below the envelope: the final gap passes, the slope of 0
-    # is outside [-1.1, -0.9]
-    def flat(theta, habitat, model, times):
-        return np.full(len(times), 1e-12), np.full(len(times), 2e-12), 0.5, 0.0
+@pytest.mark.parametrize("rate", [4.0, 8.0, 20.0])
+def test_ergodicity_times_follow_a_fast_hazard(theta_two, habitat_1d, rate):
+    # at t = 10 the bound e^{-rate t} would sink below the rounding of the
+    # gap, and past the invariant age window 40/rate
+    report = ergodicity_check(theta_two, habitat_1d, constant_rate(rate))
+    assert report.passed, report.line()
+    assert f"P(tau > {10.0 / rate:.4g})" in report.note
 
-    monkeypatch.setattr(verify, "ergodicity_gap_curve", flat)
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ergodicity_fails_a_start_aged_without_survival(dim, monkeypatch):
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 2.0 if dim == 1 else 3.0)
+    model = constant_rate(1.0) if dim == 1 else separable_rate(hab, 0.5, 1.0, 2.0)
+    theta = Theta([(1, 1, 1), (2, 1, 2)] if dim == 1 else [(1, 1, 1), (3, 2, 1)], hab)
+    assert ergodicity_check(theta, hab, model).passed
+
+    # the Dirac start's particles age but never depart
+    def log_survival(model, x, alpha, t):
+        return np.zeros(np.broadcast_shapes(np.shape(x)[:-1], np.shape(alpha), np.shape(t)))
+
+    monkeypatch.setattr(generator, "log_survival", log_survival)
+    report = ergodicity_check(theta, hab, model)
+    assert report.outcome == "FAIL", report.line()
+    assert report.value > 3.0
+
+
+def test_ergodicity_fails_a_gap_that_does_not_decay(theta_two, habitat_1d, const_model, monkeypatch):
+    # newcomers that stop arriving at t = 2 leave a gap that stays put while
+    # the coupling bound falls
+    H = generator.ArrivalExponent.H
+    monkeypatch.setattr(generator.ArrivalExponent, "H", lambda self, T: H(self, np.minimum(T, 2.0)))
     report = ergodicity_check(theta_two, habitat_1d, const_model)
     assert report.outcome == "FAIL", report.line()
-    assert "log-slope 0.0000" in report.note
 
 
 def test_ergodicity_requires_floor(theta_two, habitat_1d):
-    from agedpop import constant_rate
-
     with pytest.raises(ValueError):
-        ergodicity_gap_curve(theta_two, habitat_1d, constant_rate(0.0), [1.0])
+        ergodicity_check(theta_two, habitat_1d, constant_rate(0.0))
 
 
 def test_count_law_small(habitat_1d, const_model, rng):
