@@ -247,13 +247,14 @@ def _block_results(args, cfg, seed):
         for block in range(n_blocks):
             yield _simulate_block(cfg, block, seed)
         return
-    size = -(-n_blocks // args.threads)
+    # a forked pool starts all its workers at once: none without a block or a
+    # CPU; one chunk per worker, since each chunk loads the config again
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.threads, n_blocks, cpus)
+    size = -(-n_blocks // workers)
     work = [
         (args.config, range(b, min(b + size, n_blocks)), seed) for b in range(0, n_blocks, size)
     ]
-    # a forked pool starts all its workers at once: none without a chunk or a CPU
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(args.threads, len(work), cpus)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(_simulate_chunk, work):
             yield from chunk

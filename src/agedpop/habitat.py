@@ -185,6 +185,22 @@ def separable_rate(habitat, base, amplitude, frequency):
     The spatial profile s(x) = prod_i (1 - cos(2 pi z_i))/2 (z = position
     normalized to the unit box) is smooth, ranges over [0, 1], and attains
     both ends, so m_zero = base and m_star = base + amplitude.
+
+    Every trig factor is evaluated through tan, in half-angle form:
+
+      * (1 - cos(2 pi z))/2 = t^2/(1 + t^2), t = tan(pi z);
+      * int_0^a (1 + sin(f b))/2 db = a/2 + [t^2/(1 + t^2)]/f, t = tan(f a/2);
+      * (1 + sin(f a))/2 = 1/(1 + u^2), u = tan(f a/2 - pi/4) = (t - 1)/(t + 1),
+        evaluated as (1 + t)^2/((1 + t)^2 + (1 - t)^2).
+
+    numpy's float64 sin and cos run through scalar libm (about 25 ns an
+    element on x86-64), while its tan is vectorized (about 2 ns).  Each form
+    is bounded by construction: a quotient n/(n + s) with s >= 0 cannot
+    round above 1, so rate lies in [m_zero, m_star] exactly, as
+    event_driven_simulate requires.  The argument of tan is rounded once,
+    f/2 times a; subtracting pi/4 would round it twice.  The age part of the
+    cumulative also keeps its relative accuracy at small f a, where
+    1 - cos(f a) cancels.
     """
     base = float(base)
     amp = float(amplitude)
@@ -193,33 +209,50 @@ def separable_rate(habitat, base, amplitude, frequency):
         raise ValueError("need base, amplitude >= 0 and frequency > 0")
     lo, hi = habitat.lower.copy(), habitat.upper.copy()
     span = hi - lo
+    half = freq / 2.0
+
+    def sin_squared(t):
+        # sin^2 of the angle whose tangent is t, t^2/(1 + t^2), in place
+        t *= t
+        t /= 1.0 + t
+        return t
 
     def profile(x):
-        # (1 - cos(2 pi z_i))/2 one axis column at a time, worked in place and
-        # multiplied in axis order: the bits of the product over the last axis
+        # one axis column at a time, worked in place and multiplied in axis
+        # order: the bits of the product over the last axis
         x = np.asarray(x, dtype=float)
         out = None
         for i in range(lo.size):
             col = np.subtract(x[..., i], lo[i], out=np.empty(x.shape[:-1]))
             col /= span[i]
-            col *= 2.0 * np.pi
-            np.cos(col, out=col)
-            np.subtract(1.0, col, out=col)
-            col /= 2.0
+            col *= np.pi
+            col = sin_squared(np.tan(col, out=col))
             out = col if out is None else np.multiply(out, col, out=out)
         return out
 
     def rate(x, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        return base + amp * profile(x) * (1.0 + np.sin(freq * alpha)) / 2.0
+        wave = np.multiply(half, alpha, out=np.empty(alpha.shape))
+        np.tan(wave, out=wave)
+        # (1 + t)^2 over itself plus (1 - t)^2: the denominator is summed from
+        # the numerator, so the quotient cannot round above 1, and is 0 at t = -1
+        rise = wave + 1.0
+        rise *= rise
+        wave -= 1.0
+        wave *= wave
+        wave += rise
+        np.divide(rise, wave, out=wave)
+        spatial = profile(x)
+        spatial *= amp
+        out = spatial * wave
+        out += base
+        return out
 
     def cumulative(x, alpha):
         alpha = np.asarray(alpha, dtype=float)
-        # int_0^a (1 + sin(f b))/2 db = a/2 + (1 - cos(f a))/(2 f), in place
-        wave = np.multiply(freq, alpha, out=np.empty(alpha.shape))
-        np.cos(wave, out=wave)
-        np.subtract(1.0, wave, out=wave)
-        wave /= 2.0 * freq
+        wave = np.multiply(half, alpha, out=np.empty(alpha.shape))
+        wave = sin_squared(np.tan(wave, out=wave))
+        wave /= freq
         wave += alpha / 2.0
         spatial = profile(x)
         spatial *= amp

@@ -296,6 +296,8 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch):
             return super().map(fn, work)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # two usable CPUs, so that --threads 2 starts two workers on any machine
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -310,8 +312,9 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch):
 def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
     # a forked pool starts all its workers at once: --threads 5000 on a
     # two-block config asks for at most 2, checked with a stand-in pool that
-    # records max_workers and runs the work here, starting nothing
-    asked = []
+    # records max_workers and its chunks and runs the work here, starting
+    # nothing
+    asked, chunks, loads = [], [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -324,9 +327,17 @@ def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, work):
+            chunks.append([list(blocks) for _, blocks, _ in work])
             return map(fn, work)
 
+    load_config = cli.load_config
+
+    def counting_load(path):
+        loads.append(path)
+        return load_config(path)
+
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "load_config", counting_load)
     path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=150)), "two.json")
     outs = []
     for threads in ("1", "5000"):
@@ -340,6 +351,21 @@ def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
     assert main(["simulate", "--config", path, "--threads", "5000", "--out-dir", str(tmp_path / "one")]) == 0
     assert asked[-1] == 1
+    # one chunk per worker, since each chunk loads the config again: on 4
+    # CPUs, --threads 64 deals 1000 paths (10 blocks) to 4 workers in 4 chunks
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
+    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=1000)), "ten.json")
+    outs = []
+    for threads in ("1", "64"):
+        out = tmp_path / f"ten{threads}"
+        del loads[:]
+        assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
+        outs.append(out)
+    assert asked[-1] == 4
+    assert chunks[-1] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+    assert len(loads) == 1 + len(chunks[-1])
+    for name in ("summary.csv", "events.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -80,14 +81,38 @@ def test_separable_rate_bounds_and_cumulative(habitat_1d):
     x = rng.random((500, 1))
     a = rng.exponential(2.0, 500)
     r = model.rate(x, a)
-    assert np.all(r >= model.m_zero - 1e-12)
-    assert np.all(r <= model.m_star + 1e-12)
+    assert np.all((model.m_zero <= r) & (r <= model.m_star))
     # closed-form M against direct quadrature of the rate
     for i in range(5):
         xi, ai = x[i : i + 1], float(a[i])
         got = model.cumulative(xi, np.array([ai]))[0]
         want, _ = integrate.quad(lambda u: model.rate(xi, np.array([u]))[0], 0.0, ai)
         assert got == pytest.approx(want, abs=1e-10)
+    # exactly within the band where each factor reaches an end: the profile
+    # is 1 at z = 1/2 on every axis and 0 at z = 0, and the age wave peaks at
+    # f a = pi/2 + 2 pi k and vanishes at 3 pi/2 + 2 pi k
+    k = np.arange(1000)
+    windows = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)]
+    for dim in (1, 2, 3):
+        hab = uniform_habitat(windows[:dim], 1.0)
+        corners = np.stack([hab.midpoint, hab.lower])
+        x = np.concatenate([corners, hab.lower + rng.random((50, dim)) * (hab.upper - hab.lower)])
+        for freq in (2.0, 40.0, 100.0):
+            model = separable_rate(hab, 0.5, 1.9, freq)
+            ages = np.concatenate([np.pi / 2.0 + 2.0 * np.pi * k, 3.0 * np.pi / 2.0 + 2.0 * np.pi * k]) / freq
+            r = model.rate(x[:, None, :], ages[None, :])
+            assert np.all((model.m_zero <= r) & (r <= model.m_star)), (dim, freq)
+            np.testing.assert_array_equal(r[1], model.m_zero)
+    # numpy's tan gives exactly -1 at this float on x86-64: the age wave is
+    # exactly 0 there, with no division by zero
+    age = 160653.97972111145
+    model = separable_rate(habitat_1d, 0.5, 1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = model.rate(np.array([[0.5]]), np.array([age]))[0]
+    assert model.m_zero <= r <= model.m_star
+    if np.tan(age) == -1.0:
+        assert r == model.m_zero
 
 
 def test_numeric_cumulative_matches_closed_form_downstream(habitat_1d, separable_model, theta_two):
@@ -155,17 +180,35 @@ def test_survival_factor_one_cumulative_call_same_bits(dim, family):
 
 
 def test_separable_profile_is_the_axis_product():
-    # the column-by-column profile has the bits of np.prod over the last axis
-    hab = uniform_habitat([(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)], 1.0)
-    base, amp, freq = 0.5, 1.5, 3.0
-    model = separable_rate(hab, base, amp, freq)
+    # the profile prod_i sin^2(pi z_i), the age part and the rate against an
+    # np.longdouble (libm sinl) oracle on the same float64 inputs
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    windows = [(0.0, 1.0), (-1.0, 2.0), (0.5, 1.5)]
     rng = np.random.default_rng(4)
-    x = hab.lower + rng.random((3001, 3)) * (hab.upper - hab.lower)
-    a = rng.exponential(2.0, 3001)
-    z = (x - hab.lower) / (hab.upper - hab.lower)
-    profile = np.prod((1.0 - np.cos(2.0 * np.pi * z)) / 2.0, axis=-1)
-    age_part = a / 2.0 + (1.0 - np.cos(freq * a)) / (2.0 * freq)
-    np.testing.assert_array_equal(model.cumulative(x, a), base * a + amp * profile * age_part)
+    for dim in (1, 2, 3):
+        hab = uniform_habitat(windows[:dim], 1.0)
+        x = hab.lower + rng.random((3001, dim)) * (hab.upper - hab.lower)
+        z = (x.astype(np.longdouble) - hab.lower) / (hab.upper - hab.lower)
+        profile = np.prod(np.sin(pi * z) ** 2, axis=-1)
+        # at f a/2 = pi/4 the age wave is exactly 1, so the rate is the profile
+        got = separable_rate(hab, 0.0, 1.0, 2.0).rate(x, np.pi / 4.0)
+        assert np.max(np.abs(got - profile)) <= 1e-15, dim
+        # the rate, for f a <= 200: the float64 f a/2 is off by up to half an
+        # ulp of 100, 7.1e-15, and so is the age wave
+        base, amp, freq = 0.5, 1.0, 3.0
+        model = separable_rate(hab, base, amp, freq)
+        a = rng.random(3001) * 200.0 / freq
+        wave = (1.0 + np.sin(np.longdouble(freq) * a)) / 2.0
+        got = model.rate(x, a)
+        assert np.max(np.abs(got - (base + amp * profile * wave))) <= 1e-14, dim
+        # the age part, read at the midpoint where the profile is exactly 1;
+        # ages from 1e-9 up, where 1 - cos(f a) cancels
+        ages = np.concatenate([10.0 ** rng.uniform(-9.0, 0.0, 3001), rng.exponential(2.0, 3001)])
+        for freq in (3.0, 40.0):
+            fa = np.longdouble(freq) * ages
+            want = ages / np.longdouble(2.0) + np.sin(fa / 2.0) ** 2 / np.longdouble(freq)
+            got = separable_rate(hab, 0.0, 1.0, freq).cumulative(hab.midpoint, ages)
+            assert np.max(np.abs(got - want) / want) <= 1e-15, (dim, freq)
     assert model.cumulative(x[0], a[0]) == model.cumulative(x, a)[0]
 
 
