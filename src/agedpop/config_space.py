@@ -13,6 +13,8 @@ only reduces separating power, and every truncated distance reports its tail
 bound.  Both are mark_space.series_distance of per-configuration features:
 plateau sums (ground), and the weighted cells of the plateau matrix times the
 mark-weight matrix (kappa), which kappa_features computes in one call for many.
+A distance evaluates each kernel once over both configurations and reads each
+configuration's features from its own columns.
 
 The plateau family v_s is enumerated deterministically from the habitat
 window: scale j contributes one trapezoid profile per dyadic lattice cell and
@@ -33,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mark_space import mark_weights, served_tail, series_distance, series_weights
+from .mark_space import _size_groups, mark_weights, served_tail, series_distance, series_weights
 
 __all__ = [
     "MarkedConfiguration",
@@ -165,8 +167,10 @@ def ground_distance(config_a, config_b, habitat, budget=30):
     """
     tail = served_tail(budget, 1)
     plateaus = plateau_table(tuple(range(1, budget + 1)), habitat)
-    fa = plateaus(config_a.positions).sum(axis=1)
-    fb = plateaus(config_b.positions).sum(axis=1)
+    # one plateau call over both configurations; each sums its own columns
+    v = plateaus(np.concatenate([config_a.positions, config_b.positions]))
+    split = len(config_a)
+    fa, fb = v[:, :split].sum(axis=1), v[:, split:].sum(axis=1)
     return series_distance(series_weights(budget, budget), fa, fb), tail
 
 
@@ -188,24 +192,22 @@ def kappa_features(positions, ages, sizes, habitat, budget=30):
 
     Configuration c is the block of sizes[c] consecutive rows of positions
     (P, dim) and ages (P,), as in PathBundle; q runs over mark_weights(., budget - 1).
-    A block's features are its plateau matrix times its mark-weight matrix, one
-    stacked product per size: zero padding would change the order of BLAS's sums.
+    The plateaus and mark weights are evaluated once over all particles, ordered so
+    that each size's blocks are side by side; a block's features are its plateau
+    columns times its mark-weight columns, one stacked product per size: zero padding
+    would change the order of BLAS's sums.
     """
     served_tail(budget, 3)  # a budget past the last served raises before any allocation
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if np.any(sizes < 0) or sizes.sum() != np.size(ages):
-        raise ValueError("sizes must be nonnegative and sum to the number of particles")
-    plateaus = plateau_table(tuple(range(1, budget - 1)), habitat)
-    starts = np.cumsum(sizes) - sizes
-    out = np.empty((sizes.size, budget - 2, (budget - 2) * (budget - 1) // 2))
-    for n in sorted(set(sizes.tolist())):
-        group = np.flatnonzero(sizes == n)
-        rows = starts[group, None] + np.arange(n)
-        # v and w come out (index, block, particle) in C order, so each block's
+    order, groups = _size_groups(sizes, np.size(ages))
+    v = plateau_table(tuple(range(1, budget - 1)), habitat)(np.take(positions, order, axis=0))
+    w = mark_weights(np.take(ages, order), budget - 1)
+    out = np.empty((np.size(sizes), budget - 2, w.shape[0]))
+    for group, n, cols in groups:
+        # a size's columns read (index, block, particle) as views, so each block's
         # product is the one a lone block would get, to the bit
-        v = plateaus(np.take(positions, rows, axis=0))
-        w = mark_weights(np.take(ages, rows), budget - 1)
-        out[group] = v.transpose(1, 0, 2) @ w.transpose(1, 2, 0)
+        v_rows = v[:, cols].reshape(v.shape[0], group.size, n)
+        w_rows = w[:, cols].reshape(w.shape[0], group.size, n)
+        out[group] = v_rows.transpose(1, 0, 2) @ w_rows.transpose(1, 2, 0)
     return out
 
 
@@ -214,11 +216,18 @@ def kappa_distance(config_a, config_b, habitat, budget=30):
 
     Summed over the cells s + k + n <= budget only; returns (distance, tail_bound).
     Always below 1: the weights sum to less than 1 and each term is below its weight.
+    One kernel pass over both configurations; each one's features are its plateau
+    columns times its mark-weight columns, the product kappa_features gives it.
     """
     cells, weights, tail = _kappa_cells(budget)
-    pos = np.concatenate([config_a.positions, config_b.positions])
-    ages = np.concatenate([config_a.ages, config_b.ages])
-    feats = kappa_features(pos, ages, (len(config_a), len(config_b)), habitat, budget)
+    v = plateau_table(tuple(range(1, budget - 1)), habitat)(
+        np.concatenate([config_a.positions, config_b.positions])
+    )
+    w = mark_weights(np.concatenate([config_a.ages, config_b.ages]), budget - 1)
+    split = len(config_a)
+    feats = np.empty((2, v.shape[0], w.shape[0]))  # both products, so one take reads their cells
+    for out, cols in zip(feats, (slice(split), slice(split, None))):
+        np.matmul(v[:, cols], w[:, cols].T, out=out)
     return series_distance(weights, *np.take(feats.reshape(2, -1), cells, axis=1)), tail
 
 
@@ -241,10 +250,13 @@ def configuration_from_json(text, dim=None):
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != {"x", "alpha"} or not isinstance(rec["x"], list):
             raise ValueError(f"record {i}: expected exactly the keys 'x' (a list) and 'alpha'")
+        values = rec["x"] + [rec["alpha"]]  # JSON numbers only: Python counts a bool as an int
+        if not rec["x"] or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in values):
+            raise ValueError(f"record {i}: 'x' must be a nonempty list of numbers and 'alpha' a number")
         try:
             positions.append([float(c) for c in rec["x"]])
             ages.append(float(rec["alpha"]))
-        except TypeError as exc:
+        except OverflowError as exc:  # an integer too large for a float
             raise ValueError(f"record {i}: {exc}") from None
     widths = {len(p) for p in positions}
     if len(widths) != 1:

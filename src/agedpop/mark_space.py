@@ -101,8 +101,11 @@ class MarkSet:
     __slots__ = ("ages",)
 
     def __init__(self, ages=()):
-        arr = np.sort(np.asarray(list(ages), dtype=float).ravel())
-        if arr.size and (not np.all(np.isfinite(arr)) or arr[0] < 0):
+        if not isinstance(ages, np.ndarray):
+            ages = list(ages)
+        arr = np.sort(np.asarray(ages, dtype=float).ravel())
+        # sorted, so the two ends decide; nan sorts last and fails every comparison
+        if arr.size and not 0.0 <= arr[0] <= arr[-1] < math.inf:
             raise ValueError("ages must be finite and nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "ages", arr)
@@ -139,10 +142,37 @@ def mark_weights(ages, budget):
     return np.exp(np.multiply(w, neg_sigma.reshape(lead), out=w), out=w)
 
 
-def mark_sums(ages, budget):
-    """sum_alpha w_{k,n}(alpha) over the last axis of ages for the pairs k + n <= budget,
-    those a series truncated there weights: shape ages.shape[:-1] + (pairs,)."""
-    return np.moveaxis(mark_weights(ages, budget).sum(axis=-1), 0, -1)
+def _size_groups(sizes, total):
+    """For blocks of sizes[c] consecutive items: an item order that puts the blocks of
+    one size side by side (stable, so each block stays consecutive), and per distinct
+    size n the blocks of that size and the slice of the reordered items they fill.
+    ValueError unless the sizes are nonnegative and sum to total."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.min(initial=0) < 0 or sizes.sum() != total:
+        raise ValueError("sizes must be nonnegative and sum to the number of particles")
+    groups, start = [], 0
+    for n in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == n)
+        groups.append((group, n, slice(start, start + group.size * n)))
+        start += group.size * n
+    return np.argsort(np.repeat(sizes, sizes), kind="stable"), groups
+
+
+def mark_sums(ages, sizes, budget):
+    """sum_alpha w_{k,n}(alpha) over each multiset for the pairs k + n <= budget, those a
+    series truncated there weights: shape (len(sizes), pairs).
+
+    Multiset c is the block of sizes[c] consecutive ages, as in kappa_features.  The
+    weights are evaluated once over all ages, and each block's sum has the bits of
+    that block alone.
+    """
+    order, groups = _size_groups(sizes, np.size(ages))
+    w = mark_weights(np.take(ages, order), budget)
+    out = np.empty((np.size(sizes), w.shape[0]))
+    for group, n, cols in groups:
+        # a size's columns read (pair, block, age) as a view; each block sums its own row
+        out[group] = w[:, cols].reshape(w.shape[0], group.size, n).sum(axis=-1).T
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -201,5 +231,5 @@ def rho_distance(a, b, budget=40):
     the tail bound quantifies the missing separation only.
     """
     tail = served_tail(budget, 2)
-    sums = (mark_sums(m.ages, budget) for m in (a, b))
+    sums = mark_sums(np.concatenate([a.ages, b.ages]), (len(a), len(b)), budget)
     return series_distance(_mark_pairs(budget)[-1], *sums), tail

@@ -165,6 +165,11 @@ TWO_D = [{"x": [0.2, 0.4], "alpha": 1.0}]
         (TWO_D, TWO_D, ["--budget", "2", "--metric", "kappa"]),
         (TWO_D, TWO_D, ["--budget", "1", "--metric", "rho"]),
         (TWO_D, TWO_D, ["--budget", "-3", "--metric", "ground"]),
+        (TWO_D, [{"x": [True, 0.4], "alpha": 1.0}], []),  # a bool coordinate
+        (TWO_D, [{"x": [0.2, 0.4], "alpha": False}], []),  # a bool age
+        ([{"x": ["0.2", 0.4], "alpha": 1.0}], TWO_D, []),  # a numeric string coordinate
+        (TWO_D, [{"x": [0.2, 0.4], "alpha": "1.5"}], []),  # a numeric string age
+        (TWO_D, [{"x": [], "alpha": 1.0}], []),  # no coordinates
     ],
 )
 def test_distance_rejects_bad_input(tmp_path, capsys, first, second, extra):
@@ -174,7 +179,7 @@ def test_distance_rejects_bad_input(tmp_path, capsys, first, second, extra):
     code = main(["distance", pa, pb, "--config", config, *extra])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err and captured.out == ""
 
 

@@ -27,7 +27,9 @@ from agedpop import (
     sigma,
     uniform_habitat,
 )
-from agedpop.mark_space import served_tail
+from agedpop import config_space, mark_space
+from agedpop.config_space import _kappa_cells
+from agedpop.mark_space import _mark_pairs, mark_weights, served_tail
 from conftest import random_configuration, union, w_basis
 
 
@@ -242,7 +244,8 @@ def test_distances_symmetric_and_zero_on_diagonal(habitat_2d, configs_2d):
 
 def test_kernels_make_no_per_index_basis_calls(configs_2d, monkeypatch):
     """The metrics and Theta evaluate every plateau in one call, never one
-    index at a time; a fresh window forces fresh plateau tables."""
+    index at a time, and each distance makes one plateau call and one
+    mark-weight call at most; a fresh window forces fresh plateau tables."""
     rows = []
     real = Plateaus.__call__
 
@@ -251,14 +254,28 @@ def test_kernels_make_no_per_index_basis_calls(configs_2d, monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(Plateaus, "__call__", counted)
+    weight_calls = []
+    real_weights = mark_space.mark_weights
+
+    def counted_weights(ages, budget):
+        weight_calls.append(np.size(ages))
+        return real_weights(ages, budget)
+
+    for module in (mark_space, config_space):
+        monkeypatch.setattr(module, "mark_weights", counted_weights)
     window = uniform_habitat([(0.0, 1.1), (0.0, 2.1)], 1.0)
     a, b = configs_2d[1], configs_2d[2]
+    # each distance evaluates its kernels once, over both configurations
     assert kappa_distance(a, b, window)[0] > 0.0
+    assert rows == [28] and weight_calls == [len(a) + len(b)]
     assert ground_distance(a, b, window)[0] > 0.0
+    assert rows == [28, 30] and len(weight_calls) == 1
+    assert rho_distance(MarkSet(a.ages), MarkSet(b.ages))[0] > 0.0
+    assert len(rows) == 2 and weight_calls == [len(a) + len(b)] * 2
     theta = Theta([(1, 1, 1), (3, 2, 1), (9, 1, 3)], window)
     assert np.all(theta.g(b.positions, b.ages) >= 0.0)
     assert np.all(np.isfinite(theta.g_age_derivative(b.positions, b.ages)))
-    assert rows and min(rows) == 3
+    assert min(rows) == 3
 
 
 def features_one_by_one(config, habitat, budget):
@@ -289,6 +306,35 @@ def test_kappa_features_match_the_per_configuration_product(dim):
     for bad in (sizes[:-1], [-1, 4] + sizes[2:]):  # a short list; a negative size
         with pytest.raises(ValueError, match="sizes"):
             kappa_features(positions, ages, bad, habitat)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distances_are_their_per_configuration_references(dim):
+    # one kernel pass over both configurations gives each the bits of its
+    # own: kappa those of features_one_by_one, ground those of its plateau
+    # sums, rho those of its mark-weight sums; empty on either side
+    habitat = uniform_habitat([(0.0, 1.0)] * dim, 2.0)
+    gen = np.random.default_rng(70 + dim)
+    configs = {
+        n: MarkedConfiguration(gen.random((n, dim)), gen.exponential(1.0, n)) for n in (0, 1, 4, 5, 300)
+    }
+    for n in (5, 300):  # a second configuration of each size, for equal sizes on both sides
+        configs[f"{n}b"] = MarkedConfiguration(gen.random((n, dim)), gen.exponential(1.0, n))
+    pairs = [(0, 0), (0, 1), (1, 0), (4, 5), (5, "5b"), (0, 300), (300, 0), (300, 5), (300, "300b")]
+    for a, b in ((configs[i], configs[j]) for i, j in pairs):
+        for budget in (3, 12, 30):
+            cells, weights, _ = _kappa_cells(budget)
+            feats = [np.take(features_one_by_one(c, habitat, budget), cells) for c in (a, b)]
+            assert kappa_distance(a, b, habitat, budget=budget)[0] == series_distance(weights, *feats)
+        for budget in (1, 4, 30, 54):
+            plateaus = plateau_table(tuple(range(1, budget + 1)), habitat)
+            sums = [plateaus(c.positions).sum(axis=1) for c in (a, b)]
+            want = series_distance(series_weights(budget, budget), *sums)
+            assert ground_distance(a, b, habitat, budget=budget)[0] == want
+        for budget in (2, 16, 40, 59):
+            marks = [MarkSet(c.ages) for c in (a, b)]
+            sums = [mark_weights(m.ages, budget).sum(axis=-1) for m in marks]
+            assert rho_distance(*marks, budget=budget)[0] == series_distance(_mark_pairs(budget)[-1], *sums)
 
 
 def full_grid_kappa(a, b, habitat, budget):
@@ -446,6 +492,19 @@ def test_json_strictness():
         configuration_from_json(json.dumps([{"x": 0.1, "alpha": 1.0}]))
     with pytest.raises(ValueError, match="record 0"):
         configuration_from_json(json.dumps([{"x": [0.1], "alpha": None}]))
+    # JSON numbers only: no bools, no numeric strings, and at least one coordinate
+    for bad in (
+        {"x": [True], "alpha": 1.0},
+        {"x": [0.5], "alpha": False},
+        {"x": ["0.5"], "alpha": 1.5},
+        {"x": [0.5], "alpha": "1.5"},
+        {"x": [], "alpha": 1.0},
+        {"x": [0.5], "alpha": 10**400},  # an integer past the largest float
+    ):
+        with pytest.raises(ValueError, match="record 1: "):
+            configuration_from_json(json.dumps([{"x": [0.1], "alpha": 1.0}, bad]))
+    ints = configuration_from_json(json.dumps([{"x": [0, 1], "alpha": 2}]))
+    assert ints.positions.tolist() == [[0.0, 1.0]] and ints.ages.tolist() == [2.0]
     with pytest.raises(ValueError):
         configuration_from_json(json.dumps([{"x": [0.1], "alpha": 1.0}, {"x": [0.1, 0.2], "alpha": 1.0}]))
     with pytest.raises(ValueError):

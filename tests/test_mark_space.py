@@ -135,20 +135,25 @@ def test_w_basis_range_and_limits():
 
 def test_mark_sums_brute_force(rng):
     ages = rng.exponential(1.0, 6)
-    S = mark_sums(ages, 6)
+    (S,) = mark_sums(ages, [6], 6)
     pairs = _weighted_pairs(6)
     assert S.shape == (len(pairs),) == (15,)
     for got, (k, n) in zip(S, pairs):
         expected = sum(math.exp(-sigma(k) * _u_raw(n, a)) for a in ages)
         assert got == pytest.approx(expected, rel=1e-12)
-    # leading axes of ages are batch axes, with the bits of one row alone
-    batch = rng.exponential(1.0, (3, 2, 6))
-    sums = mark_sums(batch, 6)
-    assert sums.shape == (3, 2, 15)
-    for i in range(3):
-        for j in range(2):
-            assert np.array_equal(sums[i, j], mark_sums(batch[i, j], 6))
-    assert np.array_equal(mark_sums([], 6), np.zeros(15))
+    # consecutive blocks are the multisets, each with the bits of its block alone
+    sizes = [3, 0, 9, 1, 3, 0]
+    flat = rng.exponential(1.0, sum(sizes))
+    sums = mark_sums(flat, sizes, 6)
+    assert sums.shape == (6, 15)
+    for got, block in zip(sums, np.split(flat, np.cumsum(sizes)[:-1])):
+        assert np.array_equal(got, mark_sums(block, [block.size], 6)[0])
+        assert np.array_equal(got, mark_weights(block, 6).sum(axis=-1))
+    assert np.array_equal(mark_sums([], [0, 0], 6), np.zeros((2, 15)))
+    assert mark_sums([], [], 6).shape == (0, 15)
+    for bad in (sizes[:-2], [-1, 4] + sizes[2:]):  # a short list; a negative size
+        with pytest.raises(ValueError, match="sizes"):
+            mark_sums(flat, bad, 6)
 
 
 def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
@@ -157,7 +162,7 @@ def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
     ages = rng.exponential(1.0, 300)
     k, n = np.indices((39, 39)) + 1
     full = w_basis(k[..., None], n[..., None], ages).sum(axis=-1)
-    np.testing.assert_array_equal(mark_sums(ages, 40), full[k + n <= 40])
+    np.testing.assert_array_equal(mark_sums(ages, [300], 40)[0], full[k + n <= 40])
     evaluated = []
     real = mark_space.u_basis
 
@@ -315,6 +320,15 @@ def test_rho_component_matches_definition():
 def test_markset_validation():
     with pytest.raises(ValueError):
         MarkSet([-1.0])
-    with pytest.raises(ValueError):
-        MarkSet([np.inf])
-    assert len(MarkSet()) == 0
+    for bad in ([np.inf], [1.0, np.nan], [np.nan, np.nan], [-np.inf, 2.0], [3.0, -0.5]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MarkSet(bad)
+    assert len(MarkSet()) == 0 and MarkSet([0.0, -0.0]).ages.tolist() == [0.0, 0.0]
+    # an array is taken as it is, any other iterable through a list; either
+    # way the ages are a sorted read-only copy
+    ages = np.array([[2.0, 0.5], [1.0, 0.5]])
+    for given in (ages, ages.ravel().tolist(), iter(ages.ravel()), (a for a in ages.ravel())):
+        mark = MarkSet(given)
+        assert np.array_equal(mark.ages, [0.5, 0.5, 1.0, 2.0]) and not mark.ages.flags.writeable
+    assert ages[0, 0] == 2.0 and ages.flags.writeable  # the array itself is not sorted
+    assert MarkSet(np.array([2, 0, 1])).ages.dtype == float
