@@ -59,13 +59,20 @@ def _require(mapping, path, required, optional=()):
 
 
 def _in_section(section, build, *args):
-    """build(*args), with a ValueError or TypeError it raises named by section."""
+    """build(*args), with a ValueError, TypeError or OverflowError it raises named by section."""
     try:
         return build(*args)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _number(value, name):
+    """float(value) of a JSON number; a string or a bool is refused, not converted."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name}: {value!r}: expected a number")
+    return float(value)
 
 
 def _build_habitat(section):
@@ -75,15 +82,20 @@ def _build_habitat(section):
         isinstance(side, list) and len(side) == 2 for side in window
     ):
         raise ConfigError("habitat.window: expected a list of [low, high] pairs")
-    window = [(float(lo), float(hi)) for lo, hi in window]
+    window = [
+        (_number(lo, f"window[{i}][0]"), _number(hi, f"window[{i}][1]"))
+        for i, (lo, hi) in enumerate(window)
+    ]
     dens = _require(section["density"], "habitat.density", ["family"], ["level", "base", "slope"])
     family = dens["family"]
     if family == "constant":
         _require(dens, "habitat.density", ["family", "level"])
-        return uniform_habitat(window, float(dens["level"]))
+        return uniform_habitat(window, _number(dens["level"], "density.level"))
     if family == "linear":
         _require(dens, "habitat.density", ["family", "base", "slope"])
-        return linear_habitat(window, float(dens["base"]), float(dens["slope"]))
+        return linear_habitat(
+            window, _number(dens["base"], "density.base"), _number(dens["slope"], "density.slope")
+        )
     raise ConfigError(f"habitat.density.family: unknown family {family!r}")
 
 
@@ -94,11 +106,11 @@ def _build_model(section, habitat):
     family = fields["family"]
     if family == "constant":
         _require(fields, "model", ["family", "rate"])
-        model = constant_rate(float(fields["rate"]))
+        model = constant_rate(_number(fields["rate"], "rate"))
     elif family == "separable":
         _require(fields, "model", ["family", "base", "amplitude", "frequency"])
         model = separable_rate(
-            habitat, float(fields["base"]), float(fields["amplitude"]), float(fields["frequency"])
+            habitat, *(_number(fields[key], key) for key in ("base", "amplitude", "frequency"))
         )
     else:
         raise ConfigError(f"model.family: unknown family {family!r}")
@@ -125,13 +137,16 @@ def _build_run(section):
     seed = run["seed"]
     if type(seed) is not int or seed < 0:
         raise ConfigError(f"run.seed: {seed!r}: expected a nonnegative integer")
-    times = [float(t) for t in run.get("times", [1.0])]
+    times = run.get("times", [1.0])
+    if not isinstance(times, list):
+        raise ValueError(f"times: {times!r}: expected a list of numbers")
+    times = [_number(t, f"times[{i}]") for i, t in enumerate(times)]
     if times != sorted(times) or not all(0 <= t < math.inf for t in times):
         raise ConfigError("run.times: expected a sorted list of finite nonnegative times")
     n_paths = run.get("n_paths", 1000)
     if type(n_paths) is not int or n_paths < 2:
         raise ConfigError(f"run.n_paths: {n_paths!r}: expected an integer >= 2, for a standard error")
-    horizon = float(run.get("horizon", max(times) if times else 1.0))
+    horizon = _number(run.get("horizon", max(times) if times else 1.0), "horizon")
     if not 0 <= horizon < math.inf:
         raise ConfigError(f"run.horizon: {horizon}: expected a finite nonnegative time")
     if times and horizon < times[-1]:
@@ -168,6 +183,9 @@ def load_config(path):
     seed, n_paths, times, horizon = _in_section("run", _build_run, data["run"])
     out = data.get("output", {})
     _require(out, "output", [], ["dir"])
+    out_dir = out.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output.dir: {out_dir!r}: expected a string")
     return ExperimentConfig(
         habitat=habitat,
         model=model,
@@ -176,7 +194,7 @@ def load_config(path):
         n_paths=n_paths,
         times=times,
         horizon=horizon,
-        out_dir=str(out.get("dir", "out")),
+        out_dir=out_dir,
         raw_text=text,
     )
 
@@ -197,17 +215,33 @@ def _block_rng(seed, block):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
-def _event_lines(events, first_path):
-    """events.jsonl text of a structured event array, as json.dumps writes it."""
-    return "".join(
-        f'{{"path": {p}, "time": {t!r}, "kind": "{k}", "id": {i}, '
-        f'"x": [{", ".join(map(repr, x))}], "age": {a!r}}}\n'
-        for p, t, k, i, x, a in zip(
-            (events["path"] + first_path).tolist(), events["time"].tolist(),
-            events["kind"].tolist(), events["id"].tolist(), events["x"].tolist(),
-            events["age"].tolist(),
-        )
-    )
+def _event_lines(traj, first_path):
+    """(events.jsonl text, event count) of an EventTrajectory, paths numbered from first_path.
+
+    The lines are the rows of traj.events, in its (path, time) order, as
+    json.dumps writes them; they are built from the flat per-particle
+    arrays, each particle's coordinates formatted once for both its lines.
+    """
+    arrived = np.flatnonzero(traj.ids >= traj.n_initial)
+    departed = np.flatnonzero(np.isfinite(traj.deaths))
+    xs = list(map(", ".join(["%r"] * traj.dim).__mod__, zip(*traj.positions.T.tolist())))
+    paths = (traj.path_ids + first_path).tolist()
+    ids = traj.ids.tolist()
+    births = traj.births.tolist()
+    deaths = traj.deaths.tolist()
+    lines = [
+        f'{{"path": {paths[j]}, "time": {births[j]!r}, "kind": "arrival", "id": {ids[j]}, '
+        f'"x": [{xs[j]}], "age": 0.0}}\n'
+        for j in arrived.tolist()
+    ]
+    lines += [
+        f'{{"path": {paths[j]}, "time": {deaths[j]!r}, "kind": "departure", "id": {ids[j]}, '
+        f'"x": [{xs[j]}], "age": {deaths[j] - births[j]!r}}}\n'
+        for j in departed.tolist()
+    ]
+    times = np.concatenate([traj.births[arrived], traj.deaths[departed]])
+    order = np.lexsort((times, traj.path_ids[np.concatenate([arrived, departed])]))
+    return "".join([lines[i] for i in order.tolist()]), len(lines)
 
 
 def _simulate_block(cfg, block, seed):
@@ -229,8 +263,7 @@ def _simulate_block(cfg, block, seed):
         state = traj.state_at(t)
         counts[:, j] = state.counts()
         fvals[:, j] = state.f_theta(cfg.theta)
-    events = traj.events
-    return _event_lines(events, first), len(events), counts, fvals, traj.proposals, traj.accepts
+    return (*_event_lines(traj, first), counts, fvals, traj.proposals, traj.accepts)
 
 
 def _simulate_chunk(args):
@@ -261,6 +294,9 @@ def _block_results(args, cfg, seed):
 
 
 def cmd_simulate(args):
+    if args.threads < 1:
+        print(f"error: --threads {args.threads}: expected at least one process", file=sys.stderr)
+        return 2
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     out_dir = Path(args.out_dir or cfg.out_dir)

@@ -11,7 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-from agedpop import MarkedConfiguration, configuration_from_json, configuration_to_json
+from agedpop import (
+    MarkedConfiguration,
+    configuration_from_json,
+    configuration_to_json,
+    constant_rate,
+    event_driven_simulate,
+    separable_rate,
+    uniform_habitat,
+)
 from agedpop import cli
 from agedpop.cli import ConfigError, load_config, main
 from agedpop.verify import SUITES
@@ -276,7 +284,7 @@ def test_simulate_command(tmp_path, config_path, capsys):
     assert header["config"] == (tmp_path / "exp.json").read_text()
 
 
-def test_simulate_threads(tmp_path, config_path, monkeypatch):
+def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
     out_dir = tmp_path / "sim2"
     code = main(
         ["simulate", "--config", config_path, "--threads", "2", "--out-dir", str(out_dir)]
@@ -284,14 +292,13 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch):
     assert code == 0
     assert (out_dir / "events.jsonl").exists()
     # 300 paths of an age-varying hazard: enough rows that a reordered mean
-    # differs in its last digits
-    case = {
-        "habitat": {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
-        "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
-        "theta": [[1, 1, 1], [3, 2, 1]],
-        "run": {"seed": 11, "n_paths": 300, "times": [0.5, 1.0, 1.5, 2.0]},
-    }
-    path = _write(tmp_path, case, name="threads.json")
+    # differs in its last digits; in 1-d and on a 2-d window
+    separable = {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0}
+    run = {"seed": 11, "n_paths": 300, "times": [0.5, 1.0, 1.5, 2.0]}
+    cases = [
+        {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
+        {"window": [[0.0, 1.0], [0.0, 2.0]], "density": {"family": "constant", "level": 1.5}},
+    ]
     chunks = []
 
     class RecordingPool(cli.ProcessPoolExecutor):
@@ -303,15 +310,24 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     # two usable CPUs, so that --threads 2 starts two workers on any machine
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
-        outs.append(out)
-    # 300 paths are 3 blocks of 100, dealt to the 2 workers as [0, 1] and [2]
-    assert [list(blocks) for _, blocks, _ in chunks] == [[0, 1], [2]]
-    for name in ("summary.csv", "events.jsonl"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    capsys.readouterr()
+    for dim, habitat in enumerate(cases, 1):
+        path = _write(tmp_path, {"habitat": habitat, "model": separable, "theta": [[1, 1, 1], [3, 2, 1]],
+                                 "run": run}, name=f"threads{dim}d.json")
+        del chunks[:]
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}-{dim}d"
+            assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
+            outs.append(out)
+            # the closing line counts the lines of events.jsonl
+            lines = (out / "events.jsonl").read_text().splitlines()
+            assert capsys.readouterr().out.split()[:2] == ["wrote", str(len(lines))]
+            assert len(json.loads(lines[0])["x"]) == dim
+        # 300 paths are 3 blocks of 100, dealt to the 2 workers as [0, 1] and [2]
+        assert [list(blocks) for _, blocks, _ in chunks] == [[0, 1], [2]]
+        for name in ("summary.csv", "events.jsonl"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (dim, name)
 
 
 def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
@@ -397,6 +413,50 @@ def test_non_finite_run_times_exit_2(tmp_path, capsys, run, named, command):
     assert err.startswith(f"config error: {named}: ")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_threads_below_one(tmp_path, config_path, capsys, threads):
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", config_path, "--threads", threads, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --threads {threads}: ") and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def _json_event_lines(traj, first_path):
+    """events.jsonl text of traj.events by json.dumps, one row at a time."""
+    return "".join(
+        json.dumps({
+            "path": int(row["path"]) + first_path, "time": float(row["time"]), "kind": str(row["kind"]),
+            "id": int(row["id"]), "x": row["x"].tolist(), "age": float(row["age"]),
+        }) + "\n"
+        for row in traj.events
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("start", ["empty", "dirac"])
+@pytest.mark.parametrize("horizon", [0.0, 2.5])
+def test_event_lines_match_json_dumps_of_the_events(dim, start, horizon):
+    habitat = uniform_habitat([(0.0, 1.0)] * (dim - 1) + [(0.0, 2.0)], 1.5)
+    model = separable_rate(habitat, 0.5, 1.0, 2.0) if dim < 3 else constant_rate(0.8)
+    ages = np.array([0.4, 1.3])
+    config = (
+        MarkedConfiguration.empty(dim) if start == "empty"
+        else MarkedConfiguration(np.full((2, dim), 0.25), ages)
+    )
+    traj = event_driven_simulate(config, horizon, habitat, model, np.random.default_rng(dim), n_paths=9)
+    text, count = cli._event_lines(traj, 300)
+    assert text == _json_event_lines(traj, 300)
+    assert count == text.count("\n") == len(traj.events)
+    events = [json.loads(line) for line in text.splitlines()]
+    assert (count > 0) == (horizon > 0)
+    # an initial particle has no arrival line, and departs at age death + its initial age
+    initial = [ev for ev in events if ev["id"] < len(config)]
+    assert all(ev["kind"] == "departure" for ev in initial)
+    assert all(ev["age"] == ev["time"] + ages[ev["id"]] for ev in initial)
+    assert initial or start == "empty" or horizon == 0
 
 
 def test_simulate_with_no_times_writes_a_header_only_summary(tmp_path, capsys):
@@ -647,6 +707,65 @@ def test_bad_run_value_exits_2(tmp_path, capsys, run, command):
     assert err.startswith("config error: run")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out_dir.exists()
+
+
+_SEPARABLE = {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0}
+
+
+def _density(**fields):
+    return lambda d: d["habitat"].update(density={"family": "constant", **fields})
+
+
+@pytest.mark.parametrize(
+    "mutate, named",
+    [
+        pytest.param(lambda d: d["run"].update(times="12"), "run: times: '12'", id="times-text"),
+        pytest.param(lambda d: d["run"].update(times=["0.5"]), "run: times[0]: '0.5'", id="times-entry-text"),
+        pytest.param(lambda d: d["run"].update(times=[0.25, True]), "run: times[1]: True", id="times-entry-bool"),
+        pytest.param(lambda d: d["run"].update(horizon=True), "run: horizon: True", id="horizon-bool"),
+        pytest.param(lambda d: d["run"].update(horizon="0.5"), "run: horizon: '0.5'", id="horizon-text"),
+        pytest.param(_density(level="2"), "habitat: density.level: '2'", id="level-numeric-text"),
+        pytest.param(_density(level=True), "habitat: density.level: True", id="level-bool"),
+        pytest.param(_density(level=10**400), "habitat: ", id="level-past-float"),
+        pytest.param(
+            lambda d: d["habitat"].update(window=[["0", "1"]]), "habitat: window[0][0]: '0'", id="window-text"
+        ),
+        pytest.param(
+            lambda d: d["habitat"].update(window=[[0, False]]), "habitat: window[0][1]: False", id="window-bool"
+        ),
+        pytest.param(
+            _density(family="linear", base="1", slope=1.0), "habitat: density.base: '1'", id="linear-base-text"
+        ),
+        pytest.param(
+            _density(family="linear", base=1.0, slope=True), "habitat: density.slope: True", id="linear-slope-bool"
+        ),
+        pytest.param(lambda d: d["model"].update(rate="1"), "model: rate: '1'", id="rate-text"),
+        pytest.param(
+            lambda d: d.update(model={**_SEPARABLE, "base": False}), "model: base: False", id="separable-base-bool"
+        ),
+        pytest.param(
+            lambda d: d.update(model={**_SEPARABLE, "amplitude": "1"}), "model: amplitude: '1'",
+            id="separable-amplitude-text",
+        ),
+        pytest.param(
+            lambda d: d.update(model={**_SEPARABLE, "frequency": [2.0]}), "model: frequency: [2.0]",
+            id="separable-frequency-list",
+        ),
+        pytest.param(lambda d: d.update(output={"dir": ["a"]}), "output.dir: ['a']", id="output-dir-list"),
+        pytest.param(lambda d: d.update(output={"dir": 7}), "output.dir: 7", id="output-dir-number"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch, capsys, mutate, named, command):
+    # float() would read "12" as 12.0 and true as 1.0, and str() would make
+    # ["a"] the directory "['a']"
+    monkeypatch.chdir(tmp_path)
+    extra = ["--suite", "metrics", "--out-dir", "out"] if command == "verify" else []
+    assert main([command, "--config", _write(tmp_path, _with(mutate)), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 @pytest.mark.parametrize(
