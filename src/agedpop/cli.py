@@ -210,25 +210,35 @@ def _write_header(out_dir, cfg, command, seed):
 _BLOCK_PATHS = 100
 
 
+# Blocks per _run_blocks call in this process: enough that a thinning round's
+# array work is shared, few enough that one trajectory of about 2000 paths is
+# held at a time, however many paths a run has.
+_CALL_BLOCKS = 20
+
+
 def _block_rng(seed, block):
     """Generator of child `block` of SeedSequence(seed)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
-def _event_lines(traj, first_path):
-    """(events.jsonl text, event count) of an EventTrajectory, paths numbered from first_path.
+def _event_lines(traj, rows, first_path):
+    """(events.jsonl text, event count) of the whole paths traj holds in the slice
+    `rows` of its particles, paths numbered from first_path.
 
-    The lines are the rows of traj.events, in its (path, time) order, as
-    json.dumps writes them; they are built from the flat per-particle
-    arrays, each particle's coordinates formatted once for both its lines.
+    The lines are those paths' rows of traj.events, in its (path, time)
+    order, as json.dumps writes them; they are built from the flat
+    per-particle arrays, each particle's coordinates formatted once for both
+    its lines.
     """
-    arrived = np.flatnonzero(traj.ids >= traj.n_initial)
-    departed = np.flatnonzero(np.isfinite(traj.deaths))
-    xs = list(map(", ".join(["%r"] * traj.dim).__mod__, zip(*traj.positions.T.tolist())))
-    paths = (traj.path_ids + first_path).tolist()
-    ids = traj.ids.tolist()
-    births = traj.births.tolist()
-    deaths = traj.deaths.tolist()
+    path_ids, ids = traj.path_ids[rows], traj.ids[rows]
+    births, deaths = traj.births[rows], traj.deaths[rows]
+    arrived = np.flatnonzero(ids >= traj.n_initial)
+    departed = np.flatnonzero(np.isfinite(deaths))
+    xs = list(map(", ".join(["%r"] * traj.dim).__mod__, zip(*traj.positions[rows].T.tolist())))
+    times = np.concatenate([births[arrived], deaths[departed]])
+    order = np.lexsort((times, path_ids[np.concatenate([arrived, departed])]))
+    paths = (path_ids + first_path).tolist()
+    ids, births, deaths = ids.tolist(), births.tolist(), deaths.tolist()
     lines = [
         f'{{"path": {paths[j]}, "time": {births[j]!r}, "kind": "arrival", "id": {ids[j]}, '
         f'"x": [{xs[j]}], "age": 0.0}}\n'
@@ -239,23 +249,22 @@ def _event_lines(traj, first_path):
         f'"x": [{xs[j]}], "age": {deaths[j] - births[j]!r}}}\n'
         for j in departed.tolist()
     ]
-    times = np.concatenate([traj.births[arrived], traj.deaths[departed]])
-    order = np.lexsort((times, traj.path_ids[np.concatenate([arrived, departed])]))
     return "".join([lines[i] for i in order.tolist()]), len(lines)
 
 
-def _simulate_block(cfg, block, seed):
-    """One seeded block of paths from the empty start.
+def _run_blocks(cfg, blocks, seed):
+    """Consecutive seeded blocks of paths from the empty start, in one call.
 
-    Returns (events.jsonl text, event count, counts and F_theta values of
-    shape (paths, times), with no columns if there are no times, thinning
-    proposals, thinning accepts).
+    Returns (an iterator over each block's events.jsonl text and event
+    count, which builds one block's text at a time, counts and F_theta
+    values of shape (paths, times), with no columns if there are no times,
+    thinning proposals, thinning accepts).
     """
-    first = block * _BLOCK_PATHS
-    empty = MarkedConfiguration.empty(cfg.habitat.dim)
+    first = blocks[0] * _BLOCK_PATHS
+    sizes = [min(_BLOCK_PATHS, cfg.n_paths - b * _BLOCK_PATHS) for b in blocks]
     traj = event_driven_simulate(
-        empty, cfg.horizon, cfg.habitat, cfg.model, _block_rng(seed, block),
-        n_paths=min(_BLOCK_PATHS, cfg.n_paths - first),
+        MarkedConfiguration.empty(cfg.habitat.dim), cfg.horizon, cfg.habitat, cfg.model,
+        [_block_rng(seed, b) for b in blocks], sizes,
     )
     counts = np.empty((traj.n_paths, len(cfg.times)), dtype=np.int64)
     fvals = np.empty((traj.n_paths, len(cfg.times)))
@@ -263,22 +272,26 @@ def _simulate_block(cfg, block, seed):
         state = traj.state_at(t)
         counts[:, j] = state.counts()
         fvals[:, j] = state.f_theta(cfg.theta)
-    return (*_event_lines(traj, first), counts, fvals, traj.proposals, traj.accepts)
+    # path_ids is sorted, so block b's particles are rows ends[b]:ends[b + 1]
+    ends = np.searchsorted(traj.path_ids, np.cumsum([0, *sizes])).tolist()
+    texts = (_event_lines(traj, slice(lo, hi), first) for lo, hi in zip(ends, ends[1:]))
+    return texts, counts, fvals, traj.proposals, traj.accepts
 
 
 def _simulate_chunk(args):
-    """Worker: simulate whole blocks of paths; returns their results in order."""
+    """Worker: _run_blocks of whole blocks, with every block's text built."""
     config_path, blocks, seed = args
-    cfg = load_config(config_path)
-    return [_simulate_block(cfg, block, seed) for block in blocks]
+    texts, *rest = _run_blocks(load_config(config_path), blocks, seed)
+    return list(texts), *rest
 
 
-def _block_results(args, cfg, seed):
-    """Every block's result in block order, from this process or a pool."""
+def _chunk_results(args, cfg, seed):
+    """_run_blocks of every chunk of blocks in block order: chunks of
+    _CALL_BLOCKS in this process, or one chunk per worker of a pool."""
     n_blocks = -(-cfg.n_paths // _BLOCK_PATHS)
     if args.threads <= 1:
-        for block in range(n_blocks):
-            yield _simulate_block(cfg, block, seed)
+        for b in range(0, n_blocks, _CALL_BLOCKS):
+            yield _run_blocks(cfg, range(b, min(b + _CALL_BLOCKS, n_blocks)), seed)
         return
     # a forked pool starts all its workers at once: none without a block or a
     # CPU; one chunk per worker, since each chunk loads the config again
@@ -289,8 +302,7 @@ def _block_results(args, cfg, seed):
         (args.config, range(b, min(b + size, n_blocks)), seed) for b in range(0, n_blocks, size)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_simulate_chunk, work):
-            yield from chunk
+        yield from pool.map(_simulate_chunk, work)
 
 
 def cmd_simulate(args):
@@ -305,11 +317,12 @@ def cmd_simulate(args):
     counts, fvals = [], []
     n_events = proposals = accepts = 0
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for text, n_ev, c, f, prop, acc in _block_results(args, cfg, seed):
-            fh.write(text)
+        for texts, c, f, prop, acc in _chunk_results(args, cfg, seed):
+            for text, n_ev in texts:
+                fh.write(text)
+                n_events += n_ev
             counts.append(c)
             fvals.append(f)
-            n_events += n_ev
             proposals += prop
             accepts += acc
     counts = np.concatenate(counts).astype(float)

@@ -308,7 +308,9 @@ class PoissonLaw(_InitialLaw):
         """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
         habitat, model = self.intensity.habitat, self.intensity.model
         cumulative = SurvivalCumulative(habitat, model, h, vtheta.x_breakpoints, age_scale=vtheta.age_scale)
-        return cumulative(lo + self.intensity.age_upper) - cumulative(lo)
+        # one call, one Clenshaw sum, over both ends of every window
+        ends = cumulative(np.concatenate([lo + self.intensity.age_upper, lo]))
+        return ends[: len(lo)] - ends[len(lo) :]
 
     def aged_expectations(self, ts, model, vtheta, phi=None):
         lo = np.atleast_1d(np.asarray(ts, dtype=float))

@@ -139,7 +139,12 @@ def mark_weights(ages, budget):
     n_distinct, n_of_pair, neg_sigma, _ = _mark_pairs(budget)
     lead = (-1,) + (1,) * np.ndim(ages)
     w = np.take(u_basis(n_distinct.reshape(lead), ages), n_of_pair, axis=0)
-    return np.exp(np.multiply(w, neg_sigma.reshape(lead), out=w), out=w)
+    # the k = 1 rows, n = 1 .. budget - 1, lead, and sigma_1 = 0 makes each of
+    # their weights exactly 1
+    w[: budget - 1] = 1.0
+    rest = w[budget - 1 :]
+    np.exp(np.multiply(rest, neg_sigma[budget - 1 :].reshape(lead), out=rest), out=rest)
+    return w
 
 
 def _size_groups(sizes, total):

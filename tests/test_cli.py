@@ -292,9 +292,9 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
     assert code == 0
     assert (out_dir / "events.jsonl").exists()
     # 300 paths of an age-varying hazard: enough rows that a reordered mean
-    # differs in its last digits; in 1-d and on a 2-d window
+    # differs in its last digits, and 250, whose last block is short; in 1-d
+    # and on a 2-d window
     separable = {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0}
-    run = {"seed": 11, "n_paths": 300, "times": [0.5, 1.0, 1.5, 2.0]}
     cases = [
         {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
         {"window": [[0.0, 1.0], [0.0, 2.0]], "density": {"family": "constant", "level": 1.5}},
@@ -304,30 +304,35 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
     class RecordingPool(cli.ProcessPoolExecutor):
         def map(self, fn, work):
             work = list(work)
-            chunks.extend(work)
+            chunks.append([list(blocks) for _, blocks, _ in work])
             return super().map(fn, work)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    # two usable CPUs, so that --threads 2 starts two workers on any machine
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # three usable CPUs, so that --threads N starts N workers on any machine
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     capsys.readouterr()
     for dim, habitat in enumerate(cases, 1):
-        path = _write(tmp_path, {"habitat": habitat, "model": separable, "theta": [[1, 1, 1], [3, 2, 1]],
-                                 "run": run}, name=f"threads{dim}d.json")
-        del chunks[:]
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}-{dim}d"
-            assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
-            outs.append(out)
-            # the closing line counts the lines of events.jsonl
-            lines = (out / "events.jsonl").read_text().splitlines()
-            assert capsys.readouterr().out.split()[:2] == ["wrote", str(len(lines))]
-            assert len(json.loads(lines[0])["x"]) == dim
-        # 300 paths are 3 blocks of 100, dealt to the 2 workers as [0, 1] and [2]
-        assert [list(blocks) for _, blocks, _ in chunks] == [[0, 1], [2]]
-        for name in ("summary.csv", "events.jsonl"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (dim, name)
+        for n_paths in (300, 250):
+            run = {"seed": 11, "n_paths": n_paths, "times": [0.5, 1.0, 1.5, 2.0]}
+            path = _write(tmp_path, {"habitat": habitat, "model": separable, "theta": [[1, 1, 1], [3, 2, 1]],
+                                     "run": run}, name=f"threads{dim}d{n_paths}.json")
+            del chunks[:]
+            outs = []
+            for threads in ("1", "2", "3"):
+                out = tmp_path / f"threads{threads}-{dim}d{n_paths}"
+                assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
+                outs.append(out)
+                # the closing line counts the lines of events.jsonl
+                lines = (out / "events.jsonl").read_text().splitlines()
+                assert capsys.readouterr().out.split()[:4] == ["wrote", str(len(lines)), "events", "over"]
+                assert len(json.loads(lines[0])["x"]) == dim
+                assert {json.loads(line)["path"] for line in lines} <= set(range(n_paths))
+            # 3 blocks of at most 100 paths, dealt to 2 workers as [0, 1] and
+            # [2], and to 3 workers one each
+            assert chunks == [[[0, 1], [2]], [[0], [1], [2]]]
+            for name in ("summary.csv", "events.jsonl"):
+                for out in outs[1:]:
+                    assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (dim, n_paths, name)
 
 
 def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
@@ -385,6 +390,30 @@ def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
     assert asked[-1] == 4
     assert chunks[-1] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
     assert len(loads) == 1 + len(chunks[-1])
+    for name in ("summary.csv", "events.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_simulate_in_process_calls_take_whole_blocks(tmp_path, monkeypatch):
+    # in one process, 950 paths (10 blocks, the last of 50) run as one
+    # event_driven_simulate call, or at 4 blocks a call as calls of 4, 4 and
+    # 2 generators, with the same bytes
+    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=950)), "ten.json")
+    calls = []
+    real = cli.event_driven_simulate
+
+    def recording(config, horizon, habitat, model, rng, n_paths=1):
+        calls.append(list(n_paths))
+        return real(config, horizon, habitat, model, rng, n_paths)
+
+    monkeypatch.setattr(cli, "event_driven_simulate", recording)
+    outs = []
+    for call_blocks in (20, 4):
+        monkeypatch.setattr(cli, "_CALL_BLOCKS", call_blocks)
+        out = tmp_path / f"calls{call_blocks}"
+        assert main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+        outs.append(out)
+    assert calls == [[100] * 9 + [50], [100] * 4, [100] * 4, [100, 50]]
     for name in ("summary.csv", "events.jsonl"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
@@ -447,7 +476,7 @@ def test_event_lines_match_json_dumps_of_the_events(dim, start, horizon):
         else MarkedConfiguration(np.full((2, dim), 0.25), ages)
     )
     traj = event_driven_simulate(config, horizon, habitat, model, np.random.default_rng(dim), n_paths=9)
-    text, count = cli._event_lines(traj, 300)
+    text, count = cli._event_lines(traj, slice(None), 300)
     assert text == _json_event_lines(traj, 300)
     assert count == text.count("\n") == len(traj.events)
     events = [json.loads(line) for line in text.splitlines()]

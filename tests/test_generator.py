@@ -32,6 +32,7 @@ from agedpop import (
     uniform_habitat,
 )
 from agedpop.generator import particle_terms
+from agedpop.habitat import SurvivalCumulative
 from conftest import central_flow_residual, central_kolmogorov_residual, random_configuration
 
 
@@ -252,6 +253,24 @@ def test_stationary_law_is_the_limit_of_H(theta_two, habitat_1d, const_model):
     assert bound == pytest.approx(habitat_1d.chi_mass * math.exp(-40.0), rel=1e-12)
     log_pi = math.log(PoissonLaw(intensity).expect_F(theta_two))
     assert abs(_H_oracle(exponent, 80.0) - log_pi) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["constant", "separable"])
+def test_poisson_window_integrals_take_both_ends_in_one_call(dim, family):
+    # one SurvivalCumulative call over the upper and lower ends of every
+    # window has the bits of one call per end
+    habitat = uniform_habitat([(0.0, 1.0)] * (dim - 1) + [(0.0, 2.0)], 1.5)
+    model = constant_rate(0.8) if family == "constant" else separable_rate(habitat, 0.5, 1.0, 2.0)
+    theta = Theta([(1, 1, 1), (3, 2, 1)], habitat)
+    lo = np.array([0.0, 0.25, 1.0, 3.5, 10.0])
+    for intensity in (stationary_intensity(habitat, model), transient_intensity(habitat, model, 1.5)):
+        for h in (theta.theta, lambda x, a: 1.0 + np.cos(a) * theta.theta(x, a)):
+            got = PoissonLaw(intensity)._window_integrals(h, theta, lo)
+            cumulative = SurvivalCumulative(
+                habitat, model, h, theta.x_breakpoints, age_scale=theta.age_scale
+            )
+            assert np.array_equal(got, cumulative(lo + intensity.age_upper) - cumulative(lo))
 
 
 # ------------------------------------------------- explicit solution et al.

@@ -133,6 +133,26 @@ def test_w_basis_range_and_limits():
     assert np.all(w[k == 1] == 1.0)
 
 
+def _mark_weights_exp_on_every_row(ages, budget):
+    """mark_weights' formula with exp taken on every row, the k = 1 rows included."""
+    n_distinct, n_of_pair, neg_sigma, _ = mark_space._mark_pairs(budget)
+    lead = (-1,) + (1,) * np.ndim(ages)
+    w = np.take(mark_space.u_basis(n_distinct.reshape(lead), ages), n_of_pair, axis=0)
+    return np.exp(w * neg_sigma.reshape(lead))
+
+
+@pytest.mark.parametrize("budget", [12, 29, 40])
+def test_mark_weights_fill_the_k1_rows_with_exact_ones(rng, budget):
+    # sigma_1 = 0, so exp gives exactly 1 on the k = 1 rows: the filled rows
+    # have the bits of the formula, and the other rows are untouched
+    ages = np.concatenate([[0.0, 1e-300, 1e-9, 1e6, 1e12], rng.exponential(1.0, 300)])
+    for a in (ages, ages.reshape(5, 61), ages[7]):
+        got = mark_weights(a, budget)
+        assert got.shape == (len(_weighted_pairs(budget)),) + np.shape(a)
+        assert np.array_equal(got, _mark_weights_exp_on_every_row(a, budget))
+    assert np.all(mark_weights(ages, budget)[: budget - 1] == 1.0)
+
+
 def test_mark_sums_brute_force(rng):
     ages = rng.exponential(1.0, 6)
     (S,) = mark_sums(ages, [6], 6)
