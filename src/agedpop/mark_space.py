@@ -122,12 +122,14 @@ class MarkSet:
 
 @lru_cache(maxsize=None)
 def _mark_pairs(budget):
-    """For the pairs k + n <= budget, row-major: the distinct n (as floats), each
-    pair's index into them, -sigma_k and the weights 2**-(k+n)."""
+    """For the pairs k + n <= budget, row-major, the budget - 1 pairs with k = 1 first:
+    the distinct n of the pairs with k >= 2 (as floats), each such pair's index into
+    them and its -sigma_k, and the weights 2**-(k+n) of all pairs."""
     grid = series_weights(budget, budget - 1, budget - 1)
     ks, ns = np.nonzero(grid)
-    n_distinct, n_of_pair = np.unique(ns + 1, return_inverse=True)
-    tables = (n_distinct * 1.0, n_of_pair, -sigma(ks + 1), grid[ks, ns])
+    rest = ks > 0  # k >= 2
+    n_distinct, n_of_pair = np.unique(ns[rest] + 1, return_inverse=True)
+    tables = (n_distinct * 1.0, n_of_pair, -sigma(ks[rest] + 1), grid[ks, ns])
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -135,15 +137,18 @@ def _mark_pairs(budget):
 
 def mark_weights(ages, budget):
     """w_{k,n}(alpha) = exp(-sigma_k u_n(alpha)), shape (pairs,) + ages.shape, for the
-    pairs k + n <= budget in row-major order; u_n is evaluated once per distinct n."""
-    n_distinct, n_of_pair, neg_sigma, _ = _mark_pairs(budget)
+    pairs k + n <= budget in row-major order; u_n is evaluated once per distinct n
+    that a pair with k >= 2 reads."""
+    n_distinct, n_of_pair, neg_sigma, weights = _mark_pairs(budget)
     lead = (-1,) + (1,) * np.ndim(ages)
-    w = np.take(u_basis(n_distinct.reshape(lead), ages), n_of_pair, axis=0)
+    w = np.empty(weights.shape + np.shape(ages))
     # the k = 1 rows, n = 1 .. budget - 1, lead, and sigma_1 = 0 makes each of
     # their weights exactly 1
     w[: budget - 1] = 1.0
     rest = w[budget - 1 :]
-    np.exp(np.multiply(rest, neg_sigma[budget - 1 :].reshape(lead), out=rest), out=rest)
+    # mode="clip" writes into rest directly; the default mode buffers the gather
+    np.take(u_basis(n_distinct.reshape(lead), ages), n_of_pair, axis=0, out=rest, mode="clip")
+    np.exp(np.multiply(rest, neg_sigma.reshape(lead), out=rest), out=rest)
     return w
 
 
@@ -163,20 +168,33 @@ def _size_groups(sizes, total):
     return np.argsort(np.repeat(sizes, sizes), kind="stable"), groups
 
 
+def _last_axis_sums(block):
+    """block.sum(axis=-1), to the bit.  Below 8 terms numpy's pairwise sum is a left
+    fold, so there the block's columns are added in place, one whole column at a
+    time, which skips numpy's reduction row by row."""
+    n = block.shape[-1]
+    if not 0 < n < 8:
+        return block.sum(axis=-1)
+    out = block[..., 0].copy()
+    for j in range(1, n):
+        out += block[..., j]
+    return out
+
+
 def mark_sums(ages, sizes, budget):
     """sum_alpha w_{k,n}(alpha) over each multiset for the pairs k + n <= budget, those a
     series truncated there weights: shape (len(sizes), pairs).
 
-    Multiset c is the block of sizes[c] consecutive ages, as in kappa_features.  The
-    weights are evaluated once over all ages, and each block's sum has the bits of
-    that block alone.
+    The batch kernel of rho, as kappa_features is kappa's: multiset c is the block of
+    sizes[c] consecutive ages.  The weights are evaluated once over all ages, and each
+    block's sum has the bits of that block alone, those rho_distance gives it.
     """
     order, groups = _size_groups(sizes, np.size(ages))
     w = mark_weights(np.take(ages, order), budget)
     out = np.empty((np.size(sizes), w.shape[0]))
     for group, n, cols in groups:
         # a size's columns read (pair, block, age) as a view; each block sums its own row
-        out[group] = w[:, cols].reshape(w.shape[0], group.size, n).sum(axis=-1).T
+        out[group] = _last_axis_sums(w[:, cols].reshape(w.shape[0], group.size, n)).T
     return out
 
 
@@ -233,8 +251,12 @@ def rho_distance(a, b, budget=40):
 
     Returns (distance, tail_bound).  The truncated sum satisfies the metric
     axioms exactly (each component is a seminorm composed with t -> t/(1+t));
-    the tail bound quantifies the missing separation only.
+    the tail bound quantifies the missing separation only.  One mark_weights
+    call over both multisets; each sums its own columns, with the bits of
+    mark_sums.
     """
     tail = served_tail(budget, 2)
-    sums = mark_sums(np.concatenate([a.ages, b.ages]), (len(a), len(b)), budget)
+    w = mark_weights(np.concatenate([a.ages, b.ages]), budget)
+    split = len(a)
+    sums = _last_axis_sums(w[:, :split]), _last_axis_sums(w[:, split:])
     return series_distance(_mark_pairs(budget)[-1], *sums), tail

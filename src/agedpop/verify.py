@@ -513,13 +513,15 @@ def kappa_triangle_check(habitat, rng, name="metrics-triangle"):
     how close the others come to the bound.
     """
     n_triples, budget = 200, 12
-    sizes, pos, ages = [], [], []
+    sizes, uniforms, ages = [], [], []
     for _ in range(3 * n_triples):  # configurations a, b, c of each triple in turn
         sizes.append(int(rng.integers(0, 5)))
-        pos.append(habitat.lower + rng.random((sizes[-1], habitat.dim)) * (habitat.upper - habitat.lower))
+        uniforms.append(rng.random((sizes[-1], habitat.dim)))
         ages.append(rng.exponential(1.0, sizes[-1]))
+    # one scaling of all the uniforms gives each position the bits of its own
+    pos = habitat.lower + np.concatenate(uniforms) * (habitat.upper - habitat.lower)
     cells, weights, _ = _kappa_cells(budget)
-    feats = kappa_features(np.concatenate(pos), np.concatenate(ages), sizes, habitat, budget=budget)
+    feats = kappa_features(pos, np.concatenate(ages), sizes, habitat, budget=budget)
     feats = np.take(feats.reshape(len(sizes), -1), cells, axis=1)
     pairs = ((0, 1), (1, 2), (0, 2))  # a-b, b-c, a-c
     dab, dbc, dac = (series_distance(weights, feats[i::3], feats[j::3]) for i, j in pairs)

@@ -31,6 +31,7 @@ from agedpop import config_space, mark_space
 from agedpop.config_space import _kappa_cells
 from agedpop.mark_space import _mark_pairs, mark_weights, served_tail
 from conftest import random_configuration, union, w_basis
+from golden_metrics import RECORD, metrics_digest
 
 
 # ---------------------------------------------------------------- oracles
@@ -335,6 +336,15 @@ def test_distances_are_their_per_configuration_references(dim):
             marks = [MarkSet(c.ages) for c in (a, b)]
             sums = [mark_weights(m.ages, budget).sum(axis=-1) for m in marks]
             assert rho_distance(*marks, budget=budget)[0] == series_distance(_mark_pairs(budget)[-1], *sums)
+
+
+
+def test_distances_keep_their_recorded_bits():
+    # kappa, ground and rho on a seeded grid of pairs and one mark_sums batch,
+    # against the digest in tests/golden_metrics.json: a refactor that moves
+    # one bit fails here, and a deliberate change rewrites the record with
+    # tests/golden_metrics.py
+    assert metrics_digest() == json.loads(RECORD.read_text(encoding="utf-8"))["sha256"]
 
 
 def full_grid_kappa(a, b, habitat, budget):

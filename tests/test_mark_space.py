@@ -135,10 +135,9 @@ def test_w_basis_range_and_limits():
 
 def _mark_weights_exp_on_every_row(ages, budget):
     """mark_weights' formula with exp taken on every row, the k = 1 rows included."""
-    n_distinct, n_of_pair, neg_sigma, _ = mark_space._mark_pairs(budget)
     lead = (-1,) + (1,) * np.ndim(ages)
-    w = np.take(mark_space.u_basis(n_distinct.reshape(lead), ages), n_of_pair, axis=0)
-    return np.exp(w * neg_sigma.reshape(lead))
+    k, n = (np.reshape(i, lead) for i in np.array(_weighted_pairs(budget)).T)
+    return w_basis(k, n, ages)
 
 
 @pytest.mark.parametrize("budget", [12, 29, 40])
@@ -176,9 +175,22 @@ def test_mark_sums_brute_force(rng):
             mark_sums(flat, bad, 6)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_last_axis_sums_have_the_bits_of_numpy_sum(rng, n):
+    # the column fold below 8 terms is numpy's pairwise sum to the bit; a
+    # change in numpy's summation order fails here first
+    rows = (rng.random((780, 2 * n)), 10.0 ** rng.uniform(-300, 12, (780, 2 * n)), np.ones((780, 2 * n)))
+    for x in rows:
+        # a contiguous block, the column slices rho_distance takes, and the
+        # (pair, block, age) view of mark_sums
+        for block in (x[:, :n].copy(), x[:, :n], x[:, n:], x.reshape(780, 2, n)):
+            assert np.array_equal(mark_space._last_axis_sums(block), block.sum(axis=-1))
+
+
 def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
     # the weighted pairs k + n <= budget only, with the bits of the full
-    # grid there, and u_n evaluated once per distinct n and age
+    # grid there, and u_n evaluated once per age and distinct n that a pair
+    # with k >= 2 reads: n = 1 .. budget - 2
     ages = rng.exponential(1.0, 300)
     k, n = np.indices((39, 39)) + 1
     full = w_basis(k[..., None], n[..., None], ages).sum(axis=-1)
@@ -193,7 +205,7 @@ def test_mark_sums_evaluate_only_the_triangle(rng, monkeypatch):
 
     monkeypatch.setattr(mark_space, "u_basis", counted)
     rho_distance(MarkSet(ages), MarkSet(ages[:200]), budget=40)
-    assert sum(evaluated) == 39 * (300 + 200)
+    assert sum(evaluated) == 38 * (300 + 200)
 
 
 def full_grid_rho(a, b, budget):
