@@ -338,7 +338,6 @@ def test_distances_are_their_per_configuration_references(dim):
             assert rho_distance(*marks, budget=budget)[0] == series_distance(_mark_pairs(budget)[-1], *sums)
 
 
-
 def test_distances_keep_their_recorded_bits():
     # kappa, ground and rho on a seeded grid of pairs and one mark_sums batch,
     # against the digest in tests/golden_metrics.json: a refactor that moves
