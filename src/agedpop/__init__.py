@@ -59,7 +59,6 @@ from .habitat import (
 from .mark_space import (
     SIGMA_BAR,
     MarkSet,
-    mark_sums,
     rho_distance,
     series_distance,
     series_tail,

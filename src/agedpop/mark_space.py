@@ -40,7 +40,6 @@ __all__ = [
     "series_tail",
     "served_tail",
     "mark_weights",
-    "mark_sums",
     "series_weights",
     "series_distance",
 ]
@@ -181,23 +180,6 @@ def _last_axis_sums(block):
     return out
 
 
-def mark_sums(ages, sizes, budget):
-    """sum_alpha w_{k,n}(alpha) over each multiset for the pairs k + n <= budget, those a
-    series truncated there weights: shape (len(sizes), pairs).
-
-    The batch kernel of rho, as kappa_features is kappa's: multiset c is the block of
-    sizes[c] consecutive ages.  The weights are evaluated once over all ages, and each
-    block's sum has the bits of that block alone, those rho_distance gives it.
-    """
-    order, groups = _size_groups(sizes, np.size(ages))
-    w = mark_weights(np.take(ages, order), budget)
-    out = np.empty((np.size(sizes), w.shape[0]))
-    for group, n, cols in groups:
-        # a size's columns read (pair, block, age) as a view; each block sums its own row
-        out[group] = _last_axis_sums(w[:, cols].reshape(w.shape[0], group.size, n)).T
-    return out
-
-
 @lru_cache(maxsize=None)
 def series_weights(budget, *sizes):
     """Series weights 2**-(i_1 + ... + i_m) on the index grid 1..sizes[0] x ...
@@ -252,8 +234,8 @@ def rho_distance(a, b, budget=40):
     Returns (distance, tail_bound).  The truncated sum satisfies the metric
     axioms exactly (each component is a seminorm composed with t -> t/(1+t));
     the tail bound quantifies the missing separation only.  One mark_weights
-    call over both multisets; each sums its own columns, with the bits of
-    mark_sums.
+    call over both multisets; each sums its own columns, so its sums have the
+    bits of that multiset alone.
     """
     tail = served_tail(budget, 2)
     w = mark_weights(np.concatenate([a.ages, b.ages]), budget)

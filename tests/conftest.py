@@ -19,12 +19,31 @@ from agedpop import (
     u_basis,
     uniform_habitat,
 )
+from agedpop.mark_space import _last_axis_sums, _size_groups, mark_weights
 
 
 def w_basis(k, n, alpha):
     """The mark weight w_{k,n}(alpha) = exp(-sigma_k u_n(alpha)), broadcasting
     over all three arguments: the oracle for mark_weights and Theta's rungs."""
     return np.exp(-sigma(k) * u_basis(n, alpha))
+
+
+def mark_sums(ages, sizes, budget):
+    """sum_alpha w_{k,n}(alpha) over each multiset for the pairs k + n <= budget, those a
+    series truncated there weights: shape (len(sizes), pairs).
+
+    The batch rho kernel of acceptance criterion 2: multiset c is the block of sizes[c]
+    consecutive ages, as in kappa_features.  The weights are evaluated once over all
+    ages, and each block's sum has the bits of that block alone, those rho_distance
+    gives it.
+    """
+    order, groups = _size_groups(sizes, np.size(ages))
+    w = mark_weights(np.take(ages, order), budget)
+    out = np.empty((np.size(sizes), w.shape[0]))
+    for group, n, cols in groups:
+        # a size's columns read (pair, block, age) as a view; each block sums its own row
+        out[group] = _last_axis_sums(w[:, cols].reshape(w.shape[0], group.size, n)).T
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """The sha256 of the package's three distances on a fixed grid of inputs.
 
 tests/golden_metrics.json records it; test_config_space.py recomputes it, so a
-change that moves one bit of kappa, ground or rho fails tier-1.  A change that
-moves them on purpose rewrites the record in the same commit, and says why:
+change that moves one bit of kappa, ground or rho fails tier-1.  The last bits
+also depend on numpy, its BLAS and the SIMD paths they pick on the CPU (kappa
+goes through matmul, every distance through np.exp), so the record keeps those
+next to the digest, and a mismatch prints both.  A change that moves the bits
+on purpose rewrites the record in the same commit, and says why:
 
     PYTHONPATH=src python tests/golden_metrics.py
 """
@@ -20,14 +23,26 @@ from agedpop import (
     MarkSet,
     ground_distance,
     kappa_distance,
-    mark_sums,
     rho_distance,
     uniform_habitat,
 )
+from conftest import mark_sums
 
 RECORD = Path(__file__).with_name("golden_metrics.json")
 SIZES_A = range(13)
 SIZES_B = (0, 1, 3, 7, 8, 12, 300)
+
+
+def environment():
+    """What the digest's last bits depend on besides the code: numpy's version, its
+    BLAS and the SIMD extensions numpy found on this CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": config["SIMD Extensions"]["found"],
+    }
 
 
 def metrics_digest():
@@ -55,5 +70,6 @@ def metrics_digest():
 
 
 if __name__ == "__main__":
-    RECORD.write_text(json.dumps({"sha256": metrics_digest()}, indent=1) + "\n", encoding="utf-8")
+    record = {"sha256": metrics_digest(), "environment": environment()}
+    RECORD.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {RECORD}")

@@ -3,9 +3,10 @@
 Batch evaluation helpers re-derive the truncated metric sums with independent
 array code (validated against the library routines inside each test) so the
 10^5-10^6 sample sweeps stay inside their runtime budgets.  Criterion 1 takes
-its kappa sweep, and criterion 2 its kappa and rho pairs, from the library's
-kernels (kappa_features, mark_sums) and its weighted-cell tables, and both
-keep the helpers as the oracle on a slice.
+its kappa sweep, and criterion 2 its kappa pairs, from the library's batch
+kernel kappa_features and its weighted-cell tables; criterion 2's rho pairs
+come from conftest.mark_sums, a batch of rho_distance's sums on the library's
+mark_weights.  Both keep the helpers as the oracle on a slice.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from agedpop import (
     kappa_distance,
     kappa_features,
     laplace_uniqueness_check,
-    mark_sums,
     martingale_residual,
     plateau_table,
     resolvent,
@@ -57,7 +57,7 @@ from agedpop import (
 )
 from agedpop.config_space import _kappa_cells
 from agedpop.mark_space import _mark_pairs
-from conftest import central_flow_residual, central_kolmogorov_residual
+from conftest import central_flow_residual, central_kolmogorov_residual, mark_sums
 
 SEED = 20260817
 
@@ -295,7 +295,7 @@ def test_criterion_02_separation():
     # resample exact coincidences (none expected for continuous draws)
     same = (sizes_a == sizes_b) & np.all(np.isclose(ages_a, ages_b), axis=1)
     assert not same.any()
-    # rho from the library, one mark_sums call over each side's multisets
+    # rho on the library's weights, one mark_sums call over each side's multisets
     Sa = mark_sums(ages_a[mask_a > 0], sizes_a, budget_rho)
     Sb = mark_sums(ages_b[mask_b > 0], sizes_b, budget_rho)
     rho_d = series_distance(_mark_pairs(budget_rho)[-1], Sa, Sb)

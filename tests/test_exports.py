@@ -30,7 +30,6 @@ UNUSED_EXPORTS = {
     "F_theta": "the test functional of the paper, shown in the README",
     "age_distance": "the age metric of the paper, shown in the README",
     "flow": "the age flow of the paper, shown in the README",
-    "mark_sums": "rho's batch kernel, as kappa_features is kappa's; acceptance criterion 2 calls it",
     "resolvent_identity_residual": "called by demos/02_semigroup.py",
     "explicit_solution": "called by the benchmark's workloads",
     "sample_trajectory_marginals": "called by the benchmark's workloads",

@@ -13,7 +13,6 @@ from agedpop import mark_space
 from agedpop import (
     SIGMA_BAR,
     MarkSet,
-    mark_sums,
     rho_distance,
     series_distance,
     series_tail,
@@ -25,7 +24,7 @@ from agedpop import (
     u_prime_max_constant,
 )
 from agedpop.mark_space import mark_weights
-from conftest import w_basis
+from conftest import mark_sums, w_basis
 
 # ---------------------------------------------------------------- oracles
 # Each closed-form constant gets an independent numerical oracle that never
