@@ -1,0 +1,55 @@
+"""The sha256 of `simulate`'s output files on a fixed config and two seeds.
+
+tests/golden_simulate.json records them; test_cli.py reruns `simulate` and
+compares, at --threads 1 and through a pool, so a change that moves one byte
+of events.jsonl or summary.csv, or makes them depend on --threads, fails
+tier-1.  The last bits of F_theta and of the hazard also depend on numpy, its
+BLAS and the SIMD paths they pick on the CPU, so the record keeps those next
+to the digests, and a mismatch prints both.  A change that moves the bytes on
+purpose rewrites the record in the same commit, and says why:
+
+    PYTHONPATH=src python tests/golden_simulate.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+from agedpop.cli import main
+from golden_metrics import environment
+
+RECORD = Path(__file__).with_name("golden_simulate.json")
+# perfbench's simulate-1d config: a linear density on [0, 1] and a separable hazard
+CONFIG = {
+    "habitat": {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
+    "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
+    "theta": [[1, 1, 1], [3, 2, 1]],
+    "run": {"seed": 123, "n_paths": 2000, "times": [0.5, 1.0, 1.5, 2.0], "horizon": 2.0},
+}
+SEEDS = (123, 7)
+FILES = ("events.jsonl", "summary.csv")
+
+
+def simulate_digests(work_dir, threads=1):
+    """{seed: {file: sha256}} of `simulate --threads threads` on CONFIG, for each of SEEDS."""
+    work_dir = Path(work_dir)
+    config = work_dir / "golden_simulate.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    digests = {}
+    for seed in SEEDS:
+        out = work_dir / f"seed{seed}-threads{threads}"
+        argv = ["simulate", "--config", str(config), "--seed", str(seed), "--threads", str(threads)]
+        if main(argv + ["--out-dir", str(out)]) != 0:
+            raise RuntimeError(f"simulate exited nonzero at seed {seed}")
+        digests[str(seed)] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
+    return digests
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work_dir:
+        record = {"sha256": simulate_digests(work_dir), "environment": environment()}
+    RECORD.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {RECORD}")

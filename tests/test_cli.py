@@ -23,6 +23,8 @@ from agedpop import (
 from agedpop import cli
 from agedpop.cli import ConfigError, load_config, main
 from agedpop.verify import SUITES
+from golden_metrics import environment
+from golden_simulate import RECORD, simulate_digests
 
 GOOD = {
     "habitat": {"window": [[0.0, 1.0]], "density": {"family": "constant", "level": 2.0}},
@@ -416,6 +418,21 @@ def test_simulate_in_process_calls_take_whole_blocks(tmp_path, monkeypatch):
     assert calls == [[100] * 9 + [50], [100] * 4, [100] * 4, [100, 50]]
     for name in ("summary.csv", "events.jsonl"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch):
+    # events.jsonl and summary.csv of perfbench's simulate-1d config at 2000
+    # paths, seeds 123 and 7, against tests/golden_simulate.json: in this
+    # process, and on a pool of 2 forked workers at 2 blocks a chunk (10
+    # chunks). A deliberate change rewrites the record with
+    # tests/golden_simulate.py; the message names both environments, since
+    # another numpy, BLAS or CPU may move the last bits with no code change
+    record = json.loads(RECORD.read_text(encoding="utf-8"))
+    where = f"recorded on {record['environment']}, recomputed on {environment()}"
+    assert simulate_digests(tmp_path) == record["sha256"], where
+    monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert simulate_digests(tmp_path, threads=2) == record["sha256"], where
 
 
 @pytest.mark.parametrize(
