@@ -172,6 +172,10 @@ def load_config(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    return _parse_config(text, path)
+
+
+def _parse_config(text, path):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -210,9 +214,9 @@ def _write_header(out_dir, cfg, command, seed):
 _BLOCK_PATHS = 100
 
 
-# Blocks per _run_blocks call in this process: enough that a thinning round's
-# array work is shared, few enough that one trajectory of about 2000 paths is
-# held at a time, however many paths a run has.
+# Blocks per chunk, one _run_blocks call, in this process or a worker: enough
+# that a thinning round's array work is shared, few enough that one trajectory
+# of about 2000 paths is held at a time, however many paths a run has.
 _CALL_BLOCKS = 20
 
 
@@ -279,30 +283,27 @@ def _run_blocks(cfg, blocks, seed):
 
 
 def _simulate_chunk(args):
-    """Worker: _run_blocks of whole blocks, with every block's text built."""
-    config_path, blocks, seed = args
-    texts, *rest = _run_blocks(load_config(config_path), blocks, seed)
+    """Worker: _run_blocks of one chunk on the config text the parent read, every block's text built."""
+    config_text, blocks, seed = args
+    texts, *rest = _run_blocks(_parse_config(config_text, "config"), blocks, seed)
     return list(texts), *rest
 
 
 def _chunk_results(args, cfg, seed):
-    """_run_blocks of every chunk of blocks in block order: chunks of
-    _CALL_BLOCKS in this process, or one chunk per worker of a pool."""
+    """_run_blocks of every chunk of _CALL_BLOCKS blocks, in block order: in
+    this process, or on a pool fed 2 chunks per worker at a time."""
     n_blocks = -(-cfg.n_paths // _BLOCK_PATHS)
-    if args.threads <= 1:
-        for b in range(0, n_blocks, _CALL_BLOCKS):
-            yield _run_blocks(cfg, range(b, min(b + _CALL_BLOCKS, n_blocks)), seed)
-        return
-    # a forked pool starts all its workers at once: none without a block or a
-    # CPU; one chunk per worker, since each chunk loads the config again
+    chunks = [range(b, min(b + _CALL_BLOCKS, n_blocks)) for b in range(0, n_blocks, _CALL_BLOCKS)]
+    # a forked pool starts all its workers at once: none without a chunk or a CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(args.threads, n_blocks, cpus)
-    size = -(-n_blocks // workers)
-    work = [
-        (args.config, range(b, min(b + size, n_blocks)), seed) for b in range(0, n_blocks, size)
-    ]
+    workers = min(args.threads, len(chunks), cpus)
+    if workers == 1:
+        yield from (_run_blocks(cfg, blocks, seed) for blocks in chunks)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_simulate_chunk, work)
+        for w in range(0, len(chunks), 2 * workers):
+            window = [(cfg.raw_text, blocks, seed) for blocks in chunks[w : w + 2 * workers]]
+            yield from pool.map(_simulate_chunk, window)
 
 
 def cmd_simulate(args):
@@ -314,20 +315,19 @@ def cmd_simulate(args):
     out_dir = Path(args.out_dir or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_header(out_dir, cfg, "simulate", seed)
-    counts, fvals = [], []
-    n_events = proposals = accepts = 0
+    n = cfg.n_paths
+    counts, fvals = np.empty((n, len(cfg.times))), np.empty((n, len(cfg.times)))
+    n_events = proposals = accepts = row = 0
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
         for texts, c, f, prop, acc in _chunk_results(args, cfg, seed):
             for text, n_ev in texts:
                 fh.write(text)
                 n_events += n_ev
-            counts.append(c)
-            fvals.append(f)
+            counts[row : row + len(c)] = c
+            fvals[row : row + len(f)] = f
+            row += len(c)
             proposals += prop
             accepts += acc
-    counts = np.concatenate(counts).astype(float)
-    fvals = np.concatenate(fvals)
-    n = counts.shape[0]
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "statistic", "value", "stderr"])

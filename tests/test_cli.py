@@ -7,6 +7,7 @@ import math
 import operator
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,12 +306,13 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
 
     class RecordingPool(cli.ProcessPoolExecutor):
         def map(self, fn, work):
-            work = list(work)
             chunks.append([list(blocks) for _, blocks, _ in work])
             return super().map(fn, work)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    # three usable CPUs, so that --threads N starts N workers on any machine
+    # one block a chunk, so 3 chunks reach real workers; and three usable
+    # CPUs, so that --threads N starts N workers on any machine
+    monkeypatch.setattr(cli, "_CALL_BLOCKS", 1)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     capsys.readouterr()
     for dim, habitat in enumerate(cases, 1):
@@ -329,24 +331,24 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
                 assert capsys.readouterr().out.split()[:4] == ["wrote", str(len(lines)), "events", "over"]
                 assert len(json.loads(lines[0])["x"]) == dim
                 assert {json.loads(line)["path"] for line in lines} <= set(range(n_paths))
-            # 3 blocks of at most 100 paths, dealt to 2 workers as [0, 1] and
-            # [2], and to 3 workers one each
-            assert chunks == [[[0, 1], [2]], [[0], [1], [2]]]
+            # the same three one-block chunks, in block order, for 2 and 3 workers
+            assert chunks == [[[0], [1], [2]], [[0], [1], [2]]]
             for name in ("summary.csv", "events.jsonl"):
                 for out in outs[1:]:
                     assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (dim, n_paths, name)
 
 
-def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
-    # a forked pool starts all its workers at once: --threads 5000 on a
-    # two-block config asks for at most 2, checked with a stand-in pool that
-    # records max_workers and its chunks and runs the work here, starting
-    # nothing
-    asked, chunks, loads = [], [], []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in for the process pool that starts no process: it records each
+    pool's max_workers in .asked and each map call's chunks in .maps, and runs
+    the work here as the results are read."""
 
     class InlinePool:
+        asked, maps = [], []
+
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.asked.append(max_workers)
 
         def __enter__(self):
             return self
@@ -355,45 +357,88 @@ def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, work):
-            chunks.append([list(blocks) for _, blocks, _ in work])
+            self.maps.append([list(blocks) for _, blocks, _ in work])
             return map(fn, work)
 
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch, inline_pool):
+    # every --threads value runs the chunks of _CALL_BLOCKS blocks that one
+    # process runs; a pool gets them in block order, at most 2 per worker in
+    # one map call, and starts no more workers than chunks or CPUs
+    loads = []
     load_config = cli.load_config
 
     def counting_load(path):
         loads.append(path)
         return load_config(path)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli, "load_config", counting_load)
-    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=150)), "two.json")
-    outs = []
-    for threads in ("1", "5000"):
-        out = tmp_path / f"threads{threads}"
-        assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
-        outs.append(out)
-    assert len(asked) == 1 and 1 <= asked[0] <= 2
-    for name in ("summary.csv", "events.jsonl"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    # nor more than the CPUs this process may use
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+    def run(path, threads):
+        out = tmp_path / f"{Path(path).stem}-{threads}-{len(inline_pool.asked)}"
+        assert main(["simulate", "--config", path, "--threads", str(threads), "--out-dir", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in ("summary.csv", "events.jsonl")}
+
+    # 150 paths are 2 blocks, one chunk: --threads 5000 starts no pool
+    two = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=150)), "two.json")
+    assert run(two, 5000) == run(two, 1)
+    assert inline_pool.asked == []
+    # 1000 paths are 10 blocks
+    ten = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=1000)), "ten.json")
+    expected = run(ten, 1)
+    for call_blocks, threads, workers, maps in [
+        # 4 chunks, the last short, on 4 CPUs: 4 workers, one window of 8
+        (3, 5000, 4, [[[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]]),
+        # 10 one-block chunks: 2 workers take windows of 4, and 4 workers windows of 8
+        (1, 2, 2, [[[0], [1], [2], [3]], [[4], [5], [6], [7]], [[8], [9]]]),
+        (1, 5000, 4, [[[b] for b in range(8)], [[8], [9]]]),
+    ]:
+        monkeypatch.setattr(cli, "_CALL_BLOCKS", call_blocks)
+        del inline_pool.maps[:], loads[:]
+        assert run(ten, threads) == expected, (call_blocks, threads)
+        assert inline_pool.asked[-1] == workers and inline_pool.maps == maps
+        # the workers parse the parent's config text and read no file
+        assert loads == [ten]
+    # nor more workers than the CPUs this process may use: on one CPU the
+    # chunks run here
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-    assert main(["simulate", "--config", path, "--threads", "5000", "--out-dir", str(tmp_path / "one")]) == 0
-    assert asked[-1] == 1
-    # one chunk per worker, since each chunk loads the config again: on 4
-    # CPUs, --threads 64 deals 1000 paths (10 blocks) to 4 workers in 4 chunks
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
-    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=1000)), "ten.json")
+    asked = len(inline_pool.asked)
+    assert run(ten, 5000) == expected
+    assert len(inline_pool.asked) == asked
+
+
+def test_simulate_workers_ignore_a_config_edited_mid_run(tmp_path, monkeypatch, inline_pool):
+    # the config file is rewritten (a hazard 3 times as high) after every
+    # chunk a worker runs; the workers build their config from the text the
+    # parent read and wrote to header.json, so the output is the --threads 1 output
+    path = Path(_write(tmp_path, _with(lambda d: d["run"].update(n_paths=1000)), "edited.json"))
+    original = path.read_text(encoding="utf-8")
+    edited = json.loads(original)
+    edited["model"]["rate"] = 3.0
+    run_chunk = cli._simulate_chunk
+
+    def chunk_then_edit(work):
+        result = run_chunk(work)
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(cli, "_simulate_chunk", chunk_then_edit)
+    monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outs = []
-    for threads in ("1", "64"):
-        out = tmp_path / f"ten{threads}"
-        del loads[:]
-        assert main(["simulate", "--config", path, "--threads", threads, "--out-dir", str(out)]) == 0
+    for threads in ("1", "2"):
+        path.write_text(original, encoding="utf-8")
+        out = tmp_path / f"edited{threads}"
+        assert main(["simulate", "--config", str(path), "--threads", threads, "--out-dir", str(out)]) == 0
         outs.append(out)
-    assert asked[-1] == 4
-    assert chunks[-1] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-    assert len(loads) == 1 + len(chunks[-1])
     for name in ("summary.csv", "events.jsonl"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert json.loads((outs[1] / "header.json").read_text())["config"] == original
+    assert sum(map(len, inline_pool.maps)) == 5
 
 
 def test_simulate_in_process_calls_take_whole_blocks(tmp_path, monkeypatch):
@@ -424,15 +469,24 @@ def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch):
     # events.jsonl and summary.csv of perfbench's simulate-1d config at 2000
     # paths, seeds 123 and 7, against tests/golden_simulate.json: in this
     # process, and on a pool of 2 forked workers at 2 blocks a chunk (10
-    # chunks). A deliberate change rewrites the record with
-    # tests/golden_simulate.py; the message names both environments, since
-    # another numpy, BLAS or CPU may move the last bits with no code change
+    # chunks, fed in windows of 4). A deliberate change rewrites the record
+    # with tests/golden_simulate.py; the message names both environments,
+    # since another numpy, BLAS or CPU may move the last bits with no code change
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     where = f"recorded on {record['environment']}, recomputed on {environment()}"
     assert simulate_digests(tmp_path) == record["sha256"], where
+    windows = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, work):
+            windows.append(len(work))
+            return super().map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert simulate_digests(tmp_path, threads=2) == record["sha256"], where
+    assert windows == [4, 4, 2] * len(record["sha256"])
 
 
 @pytest.mark.parametrize(
