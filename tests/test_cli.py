@@ -287,7 +287,21 @@ def test_simulate_command(tmp_path, config_path, capsys):
     assert header["config"] == (tmp_path / "exp.json").read_text()
 
 
-def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
+@pytest.fixture
+def pool_maps(monkeypatch):
+    """The chunks of each map call of the real process pool, in call order."""
+    maps = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, work):
+            maps.append([list(blocks) for _, blocks, _ in work])
+            return super().map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return maps
+
+
+def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys, pool_maps):
     out_dir = tmp_path / "sim2"
     code = main(
         ["simulate", "--config", config_path, "--threads", "2", "--out-dir", str(out_dir)]
@@ -302,14 +316,6 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
         {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
         {"window": [[0.0, 1.0], [0.0, 2.0]], "density": {"family": "constant", "level": 1.5}},
     ]
-    chunks = []
-
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def map(self, fn, work):
-            chunks.append([list(blocks) for _, blocks, _ in work])
-            return super().map(fn, work)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     # one block a chunk, so 3 chunks reach real workers; and three usable
     # CPUs, so that --threads N starts N workers on any machine
     monkeypatch.setattr(cli, "_CALL_BLOCKS", 1)
@@ -320,7 +326,7 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
             run = {"seed": 11, "n_paths": n_paths, "times": [0.5, 1.0, 1.5, 2.0]}
             path = _write(tmp_path, {"habitat": habitat, "model": separable, "theta": [[1, 1, 1], [3, 2, 1]],
                                      "run": run}, name=f"threads{dim}d{n_paths}.json")
-            del chunks[:]
+            del pool_maps[:]
             outs = []
             for threads in ("1", "2", "3"):
                 out = tmp_path / f"threads{threads}-{dim}d{n_paths}"
@@ -332,7 +338,7 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys):
                 assert len(json.loads(lines[0])["x"]) == dim
                 assert {json.loads(line)["path"] for line in lines} <= set(range(n_paths))
             # the same three one-block chunks, in block order, for 2 and 3 workers
-            assert chunks == [[[0], [1], [2]], [[0], [1], [2]]]
+            assert pool_maps == [[[0], [1], [2]], [[0], [1], [2]]]
             for name in ("summary.csv", "events.jsonl"):
                 for out in outs[1:]:
                     assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (dim, n_paths, name)
@@ -465,7 +471,7 @@ def test_simulate_in_process_calls_take_whole_blocks(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch):
+def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch, pool_maps):
     # events.jsonl and summary.csv of perfbench's simulate-1d config at 2000
     # paths, seeds 123 and 7, against tests/golden_simulate.json: in this
     # process, and on a pool of 2 forked workers at 2 blocks a chunk (10
@@ -475,18 +481,10 @@ def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch):
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     where = f"recorded on {record['environment']}, recomputed on {environment()}"
     assert simulate_digests(tmp_path) == record["sha256"], where
-    windows = []
-
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def map(self, fn, work):
-            windows.append(len(work))
-            return super().map(fn, work)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert simulate_digests(tmp_path, threads=2) == record["sha256"], where
-    assert windows == [4, 4, 2] * len(record["sha256"])
+    assert list(map(len, pool_maps)) == [4, 4, 2] * len(record["sha256"])
 
 
 @pytest.mark.parametrize(
