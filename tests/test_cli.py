@@ -26,6 +26,9 @@ from agedpop.cli import ConfigError, load_config, main
 from agedpop.verify import SUITES
 from golden_metrics import environment
 from golden_simulate import RECORD, simulate_digests
+from golden_verify import CONFIGS as VERIFY_CONFIGS
+from golden_verify import RECORD as VERIFY_RECORD
+from golden_verify import reports_digest, run_verify
 
 GOOD = {
     "habitat": {"window": [[0.0, 1.0]], "density": {"family": "constant", "level": 2.0}},
@@ -606,17 +609,35 @@ def test_verify_generator_suite_2d(tmp_path, capsys):
     assert "3/3 checks passed" in capsys.readouterr().out
 
 
-def test_verify_all_suites_2d(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def recorded_verify(tmp_path_factory):
+    """(exit code, stdout, out dir) of `verify --suite all` on a config of
+    tests/golden_verify.py, run once per config for every test that reads it."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = run_verify(name, tmp_path_factory.mktemp(name))
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", list(VERIFY_CONFIGS))
+def test_verify_keeps_its_recorded_reports(recorded_verify, name):
+    # reports.csv of the four recorded configs at 1000 paths against
+    # tests/golden_verify.json. A deliberate change rewrites the record with
+    # tests/golden_verify.py; the message names both environments, since
+    # another numpy, BLAS or CPU may move the last bits with no code change
+    record = json.loads(VERIFY_RECORD.read_text(encoding="utf-8"))
+    where = f"recorded on {record['environment']}, recomputed on {environment()}"
+    assert reports_digest(recorded_verify(name)[2]) == record["sha256"][name], where
+
+
+def test_verify_all_suites_2d(recorded_verify):
     # the Fokker-Planck checks run on the age rule and report its halving
     # difference
-    data = {
-        "habitat": {"window": [[0.0, 1.0], [0.0, 1.0]], "density": {"family": "constant", "level": 3.0}},
-        "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
-        "theta": [[1, 1, 1], [3, 2, 1]],
-        "run": {"seed": 11},
-    }
-    code = main(["verify", "--config", _write(tmp_path, data), "--suite", "all"])
-    out = capsys.readouterr().out
+    code, out, _ = recorded_verify("2d-separable")
     assert code == 0, out
     assert "FAIL" not in out
     # the sampler-count skip is counted apart, as neither a pass nor a fail
