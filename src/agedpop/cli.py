@@ -32,7 +32,7 @@ from .config_space import (
     kappa_distance,
     load_configuration,
 )
-from .habitat import constant_rate, linear_habitat, separable_rate, uniform_habitat, window_grid
+from .habitat import constant_rate, linear_habitat, run_memo, separable_rate, uniform_habitat, window_grid
 from .mark_space import MarkSet, rho_distance
 from .sampler import event_driven_simulate, sample_poisson, stationary_intensity
 from .test_functions import Theta
@@ -348,7 +348,8 @@ def cmd_verify(args):
         cfg = replace(cfg, seed=args.seed)
     rng = np.random.default_rng(cfg.seed)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [r for suite in suites for check in SUITES[suite] for r in check(cfg, rng)]
+    with run_memo():
+        reports = [r for suite in suites for check in SUITES[suite] for r in check(cfg, rng)]
     print(format_reports(reports))
     if args.out_dir:
         out_dir = Path(args.out_dir)

@@ -53,6 +53,7 @@ from .habitat import (
     age_rule,
     chi_integral,
     log_survival,
+    run_shared,
     survival_factor,
     window_grid,
 )
@@ -136,25 +137,22 @@ class FlowedTheta:
         g = self.base.g(x, alpha + self.t)
         return flowed_exponent(g, log_survival(self.model, x, alpha, self.t))
 
-    def g_age_derivative(self, x, alpha):
-        """d/dalpha g_t = q e^{g_t} (g'(a) e^{-g(a)} + theta(a) (m(a) - m(alpha))),
-        a = alpha + t, from one base g, one base g' and one log_survival.
-        """
+    def g_and_derivative(self, x, alpha):
+        """(g_t, d/dalpha g_t = q e^{g_t} (g'(a) e^{-g(a)} + theta(a) (m(a) - m(alpha)))),
+        a = alpha + t, from one rung pass of the base and one log_survival."""
         alpha = np.asarray(alpha, dtype=float)
         shifted = alpha + self.t
-        g = self.base.g(x, shifted)
+        g, slope = self.base.g_and_derivative(x, shifted)
         log_q = log_survival(self.model, x, alpha, self.t)
-        rate_gap = self.model.rate(x, shifted) - self.model.rate(x, alpha)
-        inner = self.base.g_age_derivative(x, shifted) * np.exp(-g) + np.expm1(-g) * rate_gap
-        return np.exp(log_q + flowed_exponent(g, log_q)) * inner
+        g_t = flowed_exponent(g, log_q)
+        inner = slope * np.exp(-g) + np.expm1(-g) * (self.model.rate(x, shifted) - self.model.rate(x, alpha))
+        return g_t, np.exp(log_q + g_t) * inner
 
     def time_derivative(self, x, alpha):
         """d/dt theta_t = d/dalpha theta_t - m(x, alpha) theta_t, with
-        d/dalpha theta_t = -g_t' e^{-g_t}.
-        """
-        g_t = self.g(x, alpha)
-        d_alpha = -self.g_age_derivative(x, alpha) * np.exp(-g_t)
-        return d_alpha - self.model.rate(x, alpha) * np.expm1(-g_t)
+        d/dalpha theta_t = -g_t' e^{-g_t}."""
+        g_t, slope = self.g_and_derivative(x, alpha)
+        return -slope * np.exp(-g_t) - self.model.rate(x, alpha) * np.expm1(-g_t)
 
 
 def flow(theta, t, model=None):
@@ -188,14 +186,15 @@ class ArrivalExponent:
     """The arrival-side exponent H(T) = int_0^T psi(u) du, psi(u) = int_window
     theta(x, u) exp(-M(x, u)) chi(dx): one SurvivalCumulative of theta, on
     the spatial rule split at the plateau kinks and age panels of width
-    age_panel_width(model, theta.age_scale)."""
+    age_panel_width(model, theta.age_scale); a run_memo block (one `agedpop
+    verify` run) shares it among the exponents and PoissonLaw F windows of theta."""
 
     def __init__(self, theta, habitat, model):
         self.theta = theta
         self.habitat = habitat
         self.model = model
-        self._cumulative = SurvivalCumulative(
-            habitat, model, theta.theta, theta.x_breakpoints, age_scale=theta.age_scale
+        self._cumulative = run_shared(
+            SurvivalCumulative, habitat, model, theta.theta, theta.x_breakpoints, theta.age_scale
         )
 
     def psi(self, u):
@@ -214,10 +213,10 @@ def particle_terms(theta_like, model, x, alpha):
 
     phi is the particle term of L F_theta = F_theta (sum phi + arrival
     constant); every reduction of it, per configuration or per path, reads
-    it here.
+    it here, from one rung pass of (g, g'), and nothing is kept between calls.
     """
-    g = theta_like.g(x, alpha)
-    return g, -theta_like.g_age_derivative(x, alpha) + model.rate(x, alpha) * np.expm1(g)
+    g, slope = theta_like.g_and_derivative(x, alpha)
+    return g, -slope + model.rate(x, alpha) * np.expm1(g)
 
 
 def apply_generator(theta_like, config, habitat, model):
@@ -307,7 +306,7 @@ class PoissonLaw(_InitialLaw):
     def _window_integrals(self, h, vtheta, lo):
         """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
         habitat, model = self.intensity.habitat, self.intensity.model
-        cumulative = SurvivalCumulative(habitat, model, h, vtheta.x_breakpoints, age_scale=vtheta.age_scale)
+        cumulative = run_shared(SurvivalCumulative, habitat, model, h, vtheta.x_breakpoints, vtheta.age_scale)
         # one call, one Clenshaw sum, over both ends of every window
         ends = cumulative(np.concatenate([lo + self.intensity.age_upper, lo]))
         return ends[: len(lo)] - ends[len(lo) :]
@@ -361,8 +360,8 @@ class ExplicitLaw:
     (up to quadrature); expect_LF(t) evaluates mu_t(L F_theta) through the
     factorized particle sums, an independent route from differentiating
     expect_F.  Both are vectorized over t (a scalar t gives a float), and
-    the age integrals of the arrivals are running SurvivalCumulatives built
-    once per law.
+    the age integrals of the arrivals are running SurvivalCumulatives, built
+    once per law; H's is shared within a run_memo block.
     """
 
     def __init__(self, initial, theta, habitat, model):
@@ -403,8 +402,7 @@ def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
     Equals exp(H(s+t) - H(s)) * F_{theta_{s+t}}(config) with H the arrival
     exponent; at s = 0 it is ExplicitLaw(DiracLaw(config), ...).expect_F(t).
     """
-    if exponent is None:
-        exponent = ArrivalExponent(theta, habitat, model)
+    exponent = exponent or ArrivalExponent(theta, habitat, model)
     f, _ = DiracLaw(config).aged_expectations(s + t, model, theta)
     return float(np.exp(exponent.H(s + t) - exponent.H(s)) * f[0])
 
@@ -446,8 +444,7 @@ def resolvent(theta, lam, config, habitat, model, exponent=None):
 
     Truncated at T = 40/lam where the integrand is below e^{-40}/lam.
     """
-    if exponent is None:
-        exponent = ArrivalExponent(theta, habitat, model)
+    exponent = exponent or ArrivalExponent(theta, habitat, model)
     t, weights, factor = _laplace_rule(lam, model, exponent)
     f, _ = DiracLaw(config).aged_expectations(t, model, theta)
     return float(weights @ (factor * f))
@@ -458,8 +455,7 @@ def resolvent_identity_residual(theta, lam, config, habitat, model, exponent=Non
 
     Zero analytically; the returned value is pure quadrature error.
     """
-    if exponent is None:
-        exponent = ArrivalExponent(theta, habitat, model)
+    exponent = exponent or ArrivalExponent(theta, habitat, model)
     t, weights, factor = _laplace_rule(lam, model, exponent)
     lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
     lf_lam = float(weights @ (factor * lf))

@@ -25,6 +25,8 @@ Shipped families:
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -52,6 +54,7 @@ __all__ = [
     "chi_integral",
     "gauss_profile_nodes",
     "window_grid",
+    "run_memo",
 ]
 
 
@@ -346,19 +349,22 @@ def survival_slice(model, nodes, weights, h, ages):
 
     (nodes, weights) is a chi-weighted spatial rule from gauss_profile_nodes,
     so this is the window integral int h(x, u) exp(-M(x, u)) chi(dx).  h
-    broadcasts like model.rate.  Vectorized over ages of any shape, taken in
-    blocks so that no temporary exceeds _BLOCK elements; a scalar age gives
-    a float.
+    broadcasts like model.rate.  Vectorized over ages of any shape (a scalar
+    gives a float); each row of the last axis is cut into the same blocks of
+    at most _BLOCK // len(nodes) ages, so an age's bits depend on its row.
     """
     u = np.asarray(ages, dtype=float)
-    flat = u.ravel()
+    shape = u.shape or (1,)
+    rows = u.reshape(math.prod(shape[:-1]), 1, shape[-1])
     x = nodes[:, None, :]
-    out = np.empty(flat.size)
-    step = max(1, _BLOCK // len(nodes))
-    for i in range(0, flat.size, step):
-        uu = flat[None, i : i + step]
-        out[i : i + step] = weights @ (h(x, uu) * np.exp(-model.cumulative(x, uu)))
-    return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
+    out = np.empty((len(rows), shape[-1]))
+    cols = max(1, _BLOCK // len(nodes))
+    step = max(1, cols // max(1, shape[-1]))
+    for i in range(0, len(rows), step):
+        for j in range(0, shape[-1], cols):
+            uu = rows[i : i + step, :, j : j + cols]
+            out[i : i + step, j : j + cols] = np.matmul(weights, h(x, uu) * np.exp(-model.cumulative(x, uu)))
+    return float(out[0, 0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
 class SurvivalCumulative:
@@ -369,8 +375,9 @@ class SurvivalCumulative:
     (Theta.age_scale when h is built on a test function).  Whole panels
     carry the 16-point Gauss-Legendre rule; their running totals, and the
     Legendre coefficients of the antiderivative of the degree-15 interpolant
-    through their node values, are cached and extended on demand.  A call
-    costs 16 slice evaluations per new panel and one Clenshaw sum per T.
+    through their node values, are cached and extended on demand, each panel
+    with the bits of its own ages alone, so no order of queries moves C.  A
+    call costs 16 slice evaluations per new panel and one Clenshaw sum per T.
     Vectorized over T; a scalar T gives a float, and C(0) is exactly 0.
     """
 
@@ -394,8 +401,8 @@ class SurvivalCumulative:
         n_panels = max(n_panels, 2 * have)
         ages, weights = age_panels(self.width * np.arange(have, n_panels + 1))
         values = self.slice(ages)
-        # elementwise products summed row by row, not a matrix product: a
-        # panel's bits do not depend on how many panels one extension builds
+        # survival_slice reduces each panel alone, and the moments are summed
+        # row by row: a panel's bits do not depend on its neighbours
         s = np.sum(_MOMENTS[:, None, :] * values, axis=-1) * (self.width / 2.0)
         # int_{-1}^X P_0 = P_0 + P_1 and int_{-1}^X P_k = (P_{k+1} - P_{k-1}) / (2k + 1)
         anti = np.concatenate([s[:1], s]) - np.concatenate([s[1:], np.zeros((2, s.shape[1]))])
@@ -417,6 +424,28 @@ class SurvivalCumulative:
         # legval at the left edge is only close to 0
         out = self._totals[k] + np.where(pos > 0, partial, 0.0)
         return float(out) if out.ndim == 0 else out
+
+
+_RUN_MEMO = contextvars.ContextVar("agedpop_run_memo", default=None)
+
+
+@contextlib.contextmanager
+def run_memo():
+    """A block inside which run_shared builds each object once; all are dropped when it closes."""
+    token = _RUN_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def run_shared(build, *args):
+    """build(*args): fresh outside a run_memo block, once per (build, args) inside one.
+    Habitats, models and test functions (and theta.theta per theta) hash by identity."""
+    memo, key = _RUN_MEMO.get(), (build, *args)
+    if memo is not None and key not in memo:
+        memo[key] = build(*args)
+    return build(*args) if memo is None else memo[key]
 
 
 def survival_weighted_integral(habitat, model, h, a_lo, a_hi, breakpoints=(), age_scale=1.0):

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .config_space import MarkedConfiguration
-from .habitat import _BLOCK, chi_sample, survival_factor, survival_weighted_integral
+from .habitat import _BLOCK, chi_sample, run_shared, survival_factor, survival_weighted_integral
 
 __all__ = [
     "IntensityMeasure",
@@ -91,13 +91,13 @@ def stationary_intensity(habitat, model):
     """Invariant intensity truncated to ages [0, a_max], a_max = 40/m_zero.
 
     Requires m_zero > 0; reports the sharp discarded-mass bound
-    chi_mass exp(-m_zero a_max)/m_zero.
+    chi_mass exp(-m_zero a_max)/m_zero; built once per habitat.run_memo block.
     """
     if model.m_zero <= 0:
         raise ValueError("a stationary intensity requires m_zero > 0")
     a_max = 40.0 / model.m_zero
     err = habitat.chi_mass * math.exp(-model.m_zero * a_max) / model.m_zero
-    return _make_intensity(habitat, model, a_max, truncation_error=err)
+    return run_shared(_make_intensity, habitat, model, a_max, err)
 
 
 def _sample_points(intensity, count, rng):

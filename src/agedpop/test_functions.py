@@ -96,12 +96,12 @@ class Theta:
         return float((self._ns ** (-1.0 / 3.0)).min())
 
     def _rung_sum(self, x, alpha, slope):
-        """g (slope False) or g' = d/dalpha g (slope True) at x (..., dim), alpha (...).
+        """[g], or [g, g'] with g' = d/dalpha g when slope, at x (..., dim), alpha (...).
 
-        Broadcasts x against alpha.  Adds v_j w_j, or v_j ((-sigma_j
-        u'_{n_j}) w_j), in term order with the bits of exp(-sigma_j u_{n_j}) and
-        u_basis_derivative; u_n (and u'_n) are computed once per distinct n,
-        and a term with sigma = 0 adds v_j to g and nothing to g'.
+        Broadcasts x against alpha, from one Plateaus call.  Adds v_j w_j to g and
+        v_j ((-sigma_j u'_{n_j}) w_j) to g', in term order with the bits of
+        exp(-sigma_j u_{n_j}) and u_basis_derivative; u_n (and u'_n) are computed
+        once per distinct n, and a term with sigma = 0 adds v_j to g alone.
         """
         x = np.asarray(x, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
@@ -117,26 +117,30 @@ class Theta:
                 u.append(np.divide(a2, den, out=den))
                 if slope:
                     du.append(u_basis_derivative(n, alpha))
-        out = np.zeros(shape)
+        sums = [np.zeros(shape) for _ in range(1 + slope)]
         for vj, (sigma, i) in zip(v, self._rungs):
             if i is None:
-                if not slope:
-                    out += vj
+                sums[0] += vj
                 continue
             w = np.multiply(-sigma, u[i], out=np.empty(alpha.shape))
             np.exp(w, out=w)
-            if slope:
-                w *= np.multiply(-sigma, du[i])
-            out += np.multiply(w, vj, out=w) if w.shape == shape else w * vj
-        return out if out.ndim else float(out)
+            # w, then w (-sigma u'): the factors that multiply v_j in g and g'
+            factors = [w, np.multiply(w, -sigma * du[i], out=np.empty(alpha.shape))] if slope else [w]
+            for total, f in zip(sums, factors):
+                total += np.multiply(f, vj, out=f) if f.shape == shape else f * vj
+        return [total if total.ndim else float(total) for total in sums]
 
     def g(self, x, alpha):
         """g(x, alpha); broadcasts x (..., dim) against alpha (...)."""
-        return self._rung_sum(x, alpha, False)
+        return self._rung_sum(x, alpha, False)[0]
 
     def g_age_derivative(self, x, alpha):
         """d/dalpha g = -sum_j v_j(x) sigma_j u'_{n_j}(alpha) w_j(alpha)."""
-        return self._rung_sum(x, alpha, True)
+        return self._rung_sum(x, alpha, True)[1]
+
+    def g_and_derivative(self, x, alpha):
+        """(g, d/dalpha g) from one rung pass, with the bits of each alone."""
+        return tuple(self._rung_sum(x, alpha, True))
 
     def theta(self, x, alpha):
         """theta = exp(-g) - 1 in (-1, 0]."""

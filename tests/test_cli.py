@@ -634,6 +634,47 @@ def test_verify_keeps_its_recorded_reports(recorded_verify, name):
     assert reports_digest(recorded_verify(name)[2]) == record["sha256"][name], where
 
 
+def _deterministic_rows(out_dir):
+    """{name: row} of the rows of reports.csv that draw nothing (no seed)."""
+    with open(Path(out_dir) / "reports.csv", newline="", encoding="utf-8") as fh:
+        return {row["name"]: row for row in csv.DictReader(fh) if not row["seed"]}
+
+
+@pytest.mark.parametrize("suite", ["ergodicity", "laws"])
+def test_verify_rows_do_not_depend_on_the_suites_run_with_them(recorded_verify, tmp_path, suite):
+    # the checks of one run share the cumulatives of theta, which other
+    # checks may have extended first: on the 3-d recorded config (13 824
+    # spatial nodes) every deterministic row of one suite has the bits it has
+    # under --suite all
+    code, out, alone = run_verify("3d", tmp_path, suite=suite)
+    assert code == 0, out
+    rows = _deterministic_rows(alone)
+    assert len(rows) >= 2
+    everything = _deterministic_rows(recorded_verify("3d")[2])
+    for name, row in rows.items():
+        assert row == everything[name], name
+
+
+def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatch):
+    # four checks read the stationary intensity of the 1-d recorded config;
+    # one run integrates its mass over [0, 40/m_zero] once, and keeps nothing
+    from agedpop import habitat, sampler
+
+    spans = []
+    mass = sampler.survival_weighted_integral
+
+    def counted(hab, model, h, a_lo, a_hi, *args):
+        spans.append((a_lo, a_hi))
+        return mass(hab, model, h, a_lo, a_hi, *args)
+
+    monkeypatch.setattr(sampler, "survival_weighted_integral", counted)
+    data = dict(VERIFY_CONFIGS["1d"], run={"seed": 7, "n_paths": 200})
+    for runs in (1, 2):
+        assert main(["verify", "--config", _write(tmp_path, data), "--suite", "all"]) == 0
+        assert spans.count((0.0, 40.0 / 0.6)) == runs
+        assert habitat._RUN_MEMO.get() is None
+
+
 def test_verify_all_suites_2d(recorded_verify):
     # the Fokker-Planck checks run on the age rule and report its halving
     # difference

@@ -431,3 +431,98 @@ def test_zero_rate_model(theta_two, habitat_1d):
     frozen = constant_rate(0.0)
     b = compute_bounds(theta_two, habitat_1d, frozen)
     assert b.tau_star == math.inf
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_flowed_g_and_derivative_is_one_base_pass_with_the_bits_of_separate_passes(dim, rng, monkeypatch):
+    # (g_t, g_t') of a flowed test function from one rung pass of the base
+    # and one cumulative call, with the bits of g_t and of g_t' spelled from a
+    # separate base g, base g' and log_survival; at a scalar flow time and at
+    # an array of them, with a sigma = 0 term among the base's
+    from agedpop.config_space import Plateaus
+    from agedpop.generator import flowed_exponent
+    from agedpop.habitat import log_survival
+
+    habitat = uniform_habitat([(0.0, 1.0), (0.0, 2.0), (-0.5, 1.0)][:dim], 2.0)
+    exact = separable_rate(habitat, 0.5, 1.0, 2.0)
+    calls = {"plateaus": 0, "cumulative": 0}
+
+    def cumulative(x, alpha):
+        calls["cumulative"] += 1
+        return exact.cumulative(x, alpha)
+
+    model = DepartureModel(exact.m_star, exact.m_zero, exact.rate, cumulative, exact.modulus)
+    theta = Theta([(1, 1, 1), (3, 2, 1), (2, 3, 4)], habitat)
+    span = habitat.upper - habitat.lower
+    original = Plateaus.__call__
+
+    def counted(self, x):
+        calls["plateaus"] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(Plateaus, "__call__", counted)
+    x = habitat.lower + rng.random((25, 1, dim)) * span
+    a = rng.exponential(1.0, (25, 1))
+    for t in (0.6, np.array([0.0, 0.3, 1.7])):
+        flowed = FlowedTheta(theta, t, model)
+        calls.update(plateaus=0, cumulative=0)
+        g_t, slope = flowed.g_and_derivative(x, a)
+        assert calls == {"plateaus": 1, "cumulative": 1}
+        shifted = a + t
+        g = theta.g(x, shifted)
+        log_q = log_survival(model, x, a, t)
+        inner = theta.g_age_derivative(x, shifted) * np.exp(-g) + np.expm1(-g) * (
+            model.rate(x, shifted) - model.rate(x, a)
+        )
+        want_g = flowed.g(x, a)
+        want_slope = np.exp(log_q + flowed_exponent(g, log_q)) * inner
+        np.testing.assert_array_equal(g_t, want_g)
+        np.testing.assert_array_equal(slope, want_slope)
+        want_time = -want_slope * np.exp(-want_g) - model.rate(x, a) * np.expm1(-want_g)
+        np.testing.assert_array_equal(flowed.time_derivative(x, a), want_time)
+        g_p, phi = particle_terms(flowed, model, x, a)
+        np.testing.assert_array_equal(g_p, want_g)
+        np.testing.assert_array_equal(phi, -want_slope + model.rate(x, a) * np.expm1(want_g))
+
+
+def test_run_memo_shares_the_closed_forms_of_one_run_and_nothing_else(
+    theta_two, habitat_1d, const_model, monkeypatch
+):
+    from agedpop import generator
+    from agedpop.habitat import run_memo
+
+    built = []
+
+    class Counted(generator.SurvivalCumulative):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "SurvivalCumulative", Counted)
+
+    def closed_forms():
+        intensity = stationary_intensity(habitat_1d, const_model)
+        exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
+        pi_value = PoissonLaw(intensity).expect_F(theta_two)
+        return intensity, exponent._cumulative, pi_value
+
+    # outside a run every call builds afresh
+    first, second = closed_forms(), closed_forms()
+    assert first[0] is not second[0] and first[1] is not second[1]
+    assert len(built) == 4
+    with run_memo():
+        built.clear()
+        inside = closed_forms()
+        # one cumulative of theta serves H and the F window of the invariant law
+        assert built == [theta_two.theta]
+        again = closed_forms()
+        assert again[0] is inside[0] and again[1] is inside[1] and len(built) == 1
+        # another theta, habitat or model is another key
+        other = Theta(theta_two.terms, habitat_1d)
+        assert ArrivalExponent(other, habitat_1d, const_model)._cumulative is not inside[1]
+        assert stationary_intensity(habitat_1d, constant_rate(const_model.m_star)) is not inside[0]
+    # the shared cumulative was extended in another order, with the same bits
+    assert inside[2] == first[2] == again[2]
+    assert closed_forms()[0] is not inside[0]
+    with run_memo():
+        assert closed_forms()[1] is not inside[1]

@@ -465,10 +465,13 @@ def _cumulative_cases():
     theta = Theta([(1, 1, 1), (2, 1, 2)], hab)
     sep = separable_rate(hab, 0.5, 1.0, 50.0)
     hab2 = uniform_habitat([(0.0, 1.0), (0.0, 2.0)], 3.0)
+    hab3 = uniform_habitat([(0.0, 1.0)] * 3, 2.0)
     return [
         (hab, constant_rate(0.6), lambda x, u: 1.0, ()),
         (hab, sep, theta.theta, theta.x_breakpoints),
         (hab2, separable_rate(hab2, 0.5, 1.0, 2.0), Theta([(1, 1, 1), (3, 2, 1)], hab2).theta, ()),
+        # the recorded 3-d config: 13 824 spatial nodes
+        (hab3, constant_rate(1.0), Theta([(1, 1, 1), (2, 1, 2)], hab3).theta, ()),
     ]
 
 
@@ -490,7 +493,7 @@ def test_survival_cumulative_matches_the_partial_panel_weights(case):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(4))
 def test_survival_cumulative_bits_hold_across_queries(case):
     hab, model, h, cuts = _cumulative_cases()[case]
     T = np.random.default_rng(6).uniform(0.0, 12.0, 300)

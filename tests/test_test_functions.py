@@ -155,3 +155,38 @@ def test_g_sums_terms_in_term_order(rng):
             x, a = flat
             assert theta.g(x[7], a[7]) == theta.g(x, a)[7]
             assert theta.g_age_derivative(x[7], a[7]) == theta.g_age_derivative(x, a)[7]
+
+
+def test_g_and_derivative_is_one_rung_pass_with_the_bits_of_g_and_g_prime(rng, monkeypatch):
+    # one Plateaus call gives (g, g') with the bits of g and g_age_derivative
+    # apart, in 1-3 d, at a scalar age and on arrays, with a sigma = 0 term
+    from agedpop.config_space import Plateaus
+
+    calls = []
+    original = Plateaus.__call__
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(Plateaus, "__call__", counted)
+    sides = [(0.0, 1.0), (0.0, 2.0), (-0.5, 1.0)]
+    for dim in (1, 2, 3):
+        habitat = uniform_habitat(sides[:dim], 2.0)
+        span = habitat.upper - habitat.lower
+        theta = Theta([(1, 1, 1), (3, 2, 1), (2, 3, 4), (5, 2, 2)], habitat)
+        assert sigma(1) == 0.0
+        cases = [
+            (habitat.lower + rng.random(dim) * span, 0.7),
+            (habitat.lower + rng.random((300, dim)) * span, rng.exponential(1.0, 300)),
+            (habitat.lower + rng.random((40, 1, dim)) * span, rng.exponential(1.0, 30)),
+        ]
+        for x, a in cases:
+            calls.clear()
+            g, gp = theta.g_and_derivative(x, a)
+            assert len(calls) == 1
+            want_g, want_gp = theta.g(x, a), theta.g_age_derivative(x, a)
+            assert len(calls) == 3
+            assert type(g) is type(want_g) and type(gp) is type(want_gp)
+            np.testing.assert_array_equal(g, want_g)
+            np.testing.assert_array_equal(gp, want_gp)
