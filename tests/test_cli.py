@@ -655,7 +655,7 @@ def test_verify_rows_do_not_depend_on_the_suites_run_with_them(recorded_verify, 
         assert row == everything[name], name
 
 
-def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatch):
+def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatch, capsys):
     # four checks read the stationary intensity of the 1-d recorded config;
     # one run integrates its mass over [0, 40/m_zero] once, and keeps nothing
     from agedpop import habitat, sampler
@@ -670,7 +670,7 @@ def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatc
     monkeypatch.setattr(sampler, "survival_weighted_integral", counted)
     data = dict(VERIFY_CONFIGS["1d"], run={"seed": 7, "n_paths": 200})
     for runs in (1, 2):
-        assert main(["verify", "--config", _write(tmp_path, data), "--suite", "all"]) == 0
+        assert main(["verify", "--config", _write(tmp_path, data), "--suite", "all"]) == 0, capsys.readouterr().out
         assert spans.count((0.0, 40.0 / 0.6)) == runs
         assert habitat._RUN_MEMO.get() is None
 
