@@ -124,7 +124,6 @@ class Theta:
                 continue
             w = np.multiply(-sigma, u[i], out=np.empty(alpha.shape))
             np.exp(w, out=w)
-            # w, then w (-sigma u'): the factors that multiply v_j in g and g'
             factors = [w, np.multiply(w, -sigma * du[i], out=np.empty(alpha.shape))] if slope else [w]
             for total, f in zip(sums, factors):
                 total += np.multiply(f, vj, out=f) if f.shape == shape else f * vj
