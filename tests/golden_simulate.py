@@ -1,4 +1,4 @@
-"""The sha256 of `simulate`'s output files on a fixed config and two seeds.
+"""The sha256 of `simulate`'s output files on three fixed configs.
 
 tests/golden_simulate.json records them; test_cli.py reruns `simulate` and
 compares, at --threads 1 and through a pool, so a change that moves one byte
@@ -29,22 +29,42 @@ CONFIG = {
     "theta": [[1, 1, 1], [3, 2, 1]],
     "run": {"seed": 123, "n_paths": 2000, "times": [0.5, 1.0, 1.5, 2.0], "horizon": 2.0},
 }
-SEEDS = (123, 7)
+# a separable hazard on [0, 1]^2 and a constant one on [0, 1]^3: each path's
+# (path, time) order and its chi_sample positions in dimensions 2 and 3
+SEPARABLE_2D = {
+    "habitat": {"window": [[0.0, 1.0]] * 2, "density": {"family": "constant", "level": 3.0}},
+    "model": {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0},
+    "theta": [[1, 1, 1], [3, 2, 1]],
+    "run": {"seed": 11, "n_paths": 1000, "times": [0.5, 1.0, 2.0], "horizon": 2.0},
+}
+CONSTANT_3D = {
+    "habitat": {"window": [[0.0, 1.0]] * 3, "density": {"family": "constant", "level": 2.0}},
+    "model": {"family": "constant", "rate": 1.0},
+    "theta": [[1, 1, 1], [2, 1, 2]],
+    "run": {"seed": 7, "n_paths": 1000, "times": [0.5, 1.0, 2.0], "horizon": 2.0},
+}
+# the record's key of each run: (config, seed); simulate-1d's runs are keyed by their seed
+RUNS = {
+    "123": (CONFIG, 123),
+    "7": (CONFIG, 7),
+    "2d-separable-11": (SEPARABLE_2D, 11),
+    "3d-7": (CONSTANT_3D, 7),
+}
 FILES = ("events.jsonl", "summary.csv")
 
 
 def simulate_digests(work_dir, threads=1):
-    """{seed: {file: sha256}} of `simulate --threads threads` on CONFIG, for each of SEEDS."""
+    """{run: {file: sha256}} of `simulate --threads threads` for each of RUNS."""
     work_dir = Path(work_dir)
-    config = work_dir / "golden_simulate.json"
-    config.write_text(json.dumps(CONFIG), encoding="utf-8")
     digests = {}
-    for seed in SEEDS:
-        out = work_dir / f"seed{seed}-threads{threads}"
+    for name, (data, seed) in RUNS.items():
+        config = work_dir / f"golden_simulate-{name}.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = work_dir / f"{name}-threads{threads}"
         argv = ["simulate", "--config", str(config), "--seed", str(seed), "--threads", str(threads)]
         if main(argv + ["--out-dir", str(out)]) != 0:
-            raise RuntimeError(f"simulate exited nonzero at seed {seed}")
-        digests[str(seed)] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
+            raise RuntimeError(f"simulate exited nonzero on run {name}")
+        digests[name] = {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in FILES}
     return digests
 
 

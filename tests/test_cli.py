@@ -26,6 +26,7 @@ from agedpop.cli import ConfigError, load_config, main
 from agedpop.verify import SUITES
 from golden_metrics import environment
 from golden_simulate import RECORD, simulate_digests
+from golden_simulate import RUNS as SIMULATE_RUNS
 from golden_verify import CONFIGS as VERIFY_CONFIGS
 from golden_verify import RECORD as VERIFY_RECORD
 from golden_verify import reports_digest, run_verify
@@ -476,18 +477,22 @@ def test_simulate_in_process_calls_take_whole_blocks(tmp_path, monkeypatch):
 
 def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch, pool_maps):
     # events.jsonl and summary.csv of perfbench's simulate-1d config at 2000
-    # paths, seeds 123 and 7, against tests/golden_simulate.json: in this
-    # process, and on a pool of 2 forked workers at 2 blocks a chunk (10
-    # chunks, fed in windows of 4). A deliberate change rewrites the record
-    # with tests/golden_simulate.py; the message names both environments,
-    # since another numpy, BLAS or CPU may move the last bits with no code change
+    # paths, seeds 123 and 7, and of a 2-d separable and a 3-d constant config
+    # at 1000 paths, against tests/golden_simulate.json: in this process, and
+    # on a pool of 2 forked workers at 2 blocks a chunk (10 or 5 chunks, fed
+    # in windows of 4). A deliberate change rewrites the record with
+    # tests/golden_simulate.py; the message names both environments, since
+    # another numpy, BLAS or CPU may move the last bits with no code change
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     where = f"recorded on {record['environment']}, recomputed on {environment()}"
     assert simulate_digests(tmp_path) == record["sha256"], where
     monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert simulate_digests(tmp_path, threads=2) == record["sha256"], where
-    assert list(map(len, pool_maps)) == [4, 4, 2] * len(record["sha256"])
+    windows = {2000: [4, 4, 2], 1000: [4, 1]}
+    assert list(map(len, pool_maps)) == [
+        n for data, _ in SIMULATE_RUNS.values() for n in windows[data["run"]["n_paths"]]
+    ]
 
 
 @pytest.mark.parametrize(
