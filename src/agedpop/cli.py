@@ -34,7 +34,7 @@ from .config_space import (
 )
 from .habitat import constant_rate, linear_habitat, run_memo, separable_rate, uniform_habitat, window_grid
 from .mark_space import MarkSet, rho_distance
-from .sampler import event_driven_simulate, sample_poisson, stationary_intensity
+from .sampler import _path_time_order, event_driven_simulate, sample_poisson, stationary_intensity
 from .test_functions import Theta
 from .verify import SUITES, format_reports, write_reports_csv
 
@@ -240,7 +240,7 @@ def _event_lines(traj, rows, first_path):
     departed = np.flatnonzero(np.isfinite(deaths))
     xs = list(map(", ".join(["%r"] * traj.dim).__mod__, zip(*traj.positions[rows].T.tolist())))
     times = np.concatenate([births[arrived], deaths[departed]])
-    order = np.lexsort((times, path_ids[np.concatenate([arrived, departed])]))
+    order = _path_time_order(path_ids[np.concatenate([arrived, departed])], times)
     paths = (path_ids + first_path).tolist()
     ids, births, deaths = ids.tolist(), births.tolist(), deaths.tolist()
     lines = [

@@ -91,7 +91,7 @@ class Habitat:
     def dim(self):
         return int(self.lower.size)
 
-    @property
+    @functools.cached_property
     def volume(self):
         return float(np.prod(self.upper - self.lower))
 
@@ -177,7 +177,10 @@ def constant_rate(m):
     def cumulative(x, alpha):
         x = np.asarray(x, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
-        return np.broadcast_to(m * alpha, np.broadcast_shapes(x.shape[:-1], alpha.shape)).copy()
+        shape = x.shape[:-1]
+        if shape != alpha.shape:
+            shape = np.broadcast_shapes(shape, alpha.shape)
+        return np.multiply(m, alpha, out=np.empty(shape))
 
     return DepartureModel(m_star=m, m_zero=m, rate=rate, cumulative=cumulative)
 
@@ -469,36 +472,37 @@ def chi_sample(habitat, rng, size):
     """
     if habitat.chi_mass <= 0:
         raise ValueError("cannot sample from a zero arrival measure")
-    n = int(size)
+    need = int(size)
     d = habitat.dim
-    lo, span = habitat.lower, habitat.upper - habitat.lower
-    out = np.empty((n, d))
-    filled = 0
-    box = habitat.density_sup * habitat.volume
+    if need == 0:
+        return np.empty((0, d))
+    lo, span, sup = habitat.lower, habitat.upper - habitat.lower, habitat.density_sup
+    box = sup * habitat.volume
     rate = min(1.0, habitat.chi_mass / box) if box > 0 else 1.0
     # uniform-box proposals accepted with density / density_sup (chance
     # rate), drawn as lo + span * U column by column, in place: the bits of
     # rng.uniform(lo, hi) without its broadcast; a round proposes want / rate
-    # plus three standard deviations, so a uniform density proposes exactly want
-    while filled < n:
-        want = n - filled
-        mean = want / rate
+    # plus three standard deviations, so a uniform density proposes exactly
+    # want, all at density_sup, and returns its proposals as they are
+    parts = []
+    while need:
+        mean = need / rate
         batch = math.ceil(mean + 3.0 * math.sqrt(mean * (1.0 - rate) / rate))
         props = rng.random((batch, d))
         for i in range(d):
             props[:, i] *= span[i]
             props[:, i] += lo[i]
         dens = habitat.density(props)
-        if np.any(dens > habitat.density_sup):
+        if (dens > sup).any():
             raise ValueError("arrival density exceeds its declared bound density_sup")
-        accept = dens == habitat.density_sup  # accepted without a uniform
-        below = np.flatnonzero(~accept)
-        accept[below] = habitat.density_sup * rng.random(below.size) < dens[below]
-        hits = np.compress(accept, props, axis=0)
-        take = min(want, hits.shape[0])
-        out[filled : filled + take] = hits[:take]
-        filled += take
-    return out
+        accept = dens == sup  # accepted without a uniform
+        below = (~accept).nonzero()[0]
+        if below.size:
+            accept[below] = sup * rng.random(below.size) < dens.take(below)
+            props = props.compress(accept, axis=0)
+        parts.append(props[:need] if len(props) > need else props)
+        need -= len(parts[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def chi_integral(habitat, f, points=()):

@@ -100,6 +100,19 @@ def stationary_intensity(habitat, model):
     return run_shared(_make_intensity, habitat, model, a_max, err)
 
 
+def _path_time_order(path_ids, times):
+    """The permutation that sorts particles by path, then time, ties kept in
+    input order: one stable argsort of the complex keys path + i time, which
+    numpy orders by real part, then imaginary part.  Both parts are written,
+    not computed, and a path id below 2**53 is exact as a float64, so the keys
+    order as the (path, time) pairs do; times must not be NaN.
+    """
+    keys = np.empty(len(times), dtype=complex)
+    keys.real = path_ids
+    keys.imag = times
+    return np.argsort(keys, kind="stable")
+
+
 def _sample_points(intensity, count, rng):
     """Exact iid draws from the normalized intensity; returns (positions, ages).
 
@@ -133,12 +146,14 @@ def _sample_points(intensity, count, rng):
         u = rng.random(n)
         ages = -np.log1p(u * drop) / m_zero if m_zero > 0 else top * u
         excess = intensity.model.cumulative(xs, ages) - m_zero * ages
-        if np.any(excess < -_SQUEEZE_SLACK * m_zero * ages):
+        if (excess < -_SQUEEZE_SLACK * m_zero * ages).any():
             raise ValueError("exp(-M) exceeds its envelope exp(-m_zero alpha): hazard below m_zero")
-        hit = np.flatnonzero(rng.random(n) < np.exp(-excess))[:need]
-        pos_parts.append(np.take(xs, hit, axis=0))
-        age_parts.append(np.take(ages, hit))
+        hit = (rng.random(n) < np.exp(-excess)).nonzero()[0][:need]
+        pos_parts.append(xs.take(hit, axis=0))
+        age_parts.append(ages.take(hit))
         need -= hit.size
+    if len(pos_parts) == 1:
+        return pos_parts[0], age_parts[0]
     return np.concatenate(pos_parts), np.concatenate(age_parts)
 
 
@@ -189,20 +204,18 @@ class PathBundle:
         lo = math.exp(-model.m_star * dt) * (1.0 - _SQUEEZE_SLACK)
         hi = math.exp(-model.m_zero * dt) * (1.0 + _SQUEEZE_SLACK)
         keep = u < lo
-        band = np.flatnonzero(~keep & (u < hi))
+        band = (~keep & (u < hi)).nonzero()[0]
         if band.size:
-            q = survival_factor(
-                model, np.take(self.positions, band, axis=0), np.take(self.ages, band), dt
-            )
-            if not np.all((q >= lo) & (q <= hi)):
+            q = survival_factor(model, self.positions.take(band, axis=0), self.ages.take(band), dt)
+            if not ((q >= lo) & (q <= hi)).all():
                 raise ValueError(
                     "survival chance outside [exp(-m_star dt), exp(-m_zero dt)]: "
                     "hazard outside [m_zero, m_star]"
                 )
-            keep[band] = np.take(u, band) < q
-        self.path_ids = np.compress(keep, self.path_ids)
-        self.positions = np.compress(keep, self.positions, axis=0)
-        self.ages = np.compress(keep, self.ages) + dt
+            keep[band] = u.take(band) < q
+        self.path_ids = self.path_ids.compress(keep)
+        self.positions = self.positions.compress(keep, axis=0)
+        self.ages = self.ages.compress(keep) + dt
 
     def add_poisson(self, intensity, rng):
         """An independent Poisson(intensity) configuration for every path: one
@@ -212,7 +225,7 @@ class PathBundle:
         ids = rng.integers(self.n_paths, size=total)
         pos, ages = _sample_points(intensity, total, rng)
         self.path_ids = np.concatenate([self.path_ids, ids])
-        self.positions = np.vstack([self.positions, pos])
+        self.positions = np.concatenate([self.positions, pos])
         self.ages = np.concatenate([self.ages, ages])
 
     def transition(self, dt, intensity, model, rng):
@@ -291,7 +304,7 @@ class EventTrajectory:
         out["id"] = self.ids[rows]
         out["x"] = self.positions[rows]
         out["age"] = np.where(is_departure, out["time"] - self.births[rows], 0.0)
-        return out[np.lexsort((out["time"], out["path"]))]
+        return out[_path_time_order(out["path"], out["time"])]
 
 
 def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
@@ -331,7 +344,7 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
     initial = ids < k
     births = np.empty(path_ids.size)
     births[initial] = np.tile(-np.asarray(config.ages, dtype=float), n_paths)
-    births[~initial] = times[np.lexsort((times, path_ids[~initial]))]
+    births[~initial] = times[_path_time_order(path_ids[~initial], times)]
     positions = np.empty((path_ids.size, dim))
     positions[initial] = np.tile(config.positions, (n_paths, 1))
     if spots:

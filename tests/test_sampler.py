@@ -577,6 +577,31 @@ def test_blocks_of_one_call_are_their_single_generator_calls(dim, family, start)
         event_driven_simulate(config, horizon, habitat, model, rngs[:2], sizes)
 
 
+@pytest.mark.parametrize(
+    "case", ["random", "repeated-times", "one-path", "zero-times", "large-ids", "empty"]
+)
+def test_path_time_order_is_the_lexicographic_order(case):
+    # the (path, time) order of the samplers and of events.jsonl is one stable
+    # argsort of complex keys; numpy's lexsort on (path, time) is the oracle,
+    # ties (equal times within a path) in input order included
+    rng = np.random.default_rng(29)
+    n = 0 if case == "empty" else 5000
+    paths = rng.integers(300, size=n)
+    times = rng.uniform(0.0, 2.0, n)
+    if case == "repeated-times":
+        times = rng.choice(times[:40], n)
+    elif case == "one-path":
+        paths = np.full(n, 7)
+    elif case == "zero-times":
+        times[rng.random(n) < 0.3] = 0.0
+        times[rng.random(n) < 0.1] = -0.0
+    elif case == "large-ids":
+        paths += 2**53 - 300
+    order = sampler._path_time_order(paths, times)
+    assert order.shape == (n,)
+    np.testing.assert_array_equal(order, np.lexsort((times, paths)))
+
+
 def test_event_driven_rejects_rate_above_m_star(habitat_1d):
     fast = constant_rate(2.0)
     bad = DepartureModel(m_star=1.0, m_zero=1.0, rate=fast.rate, cumulative=fast.cumulative)
