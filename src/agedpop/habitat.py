@@ -177,10 +177,7 @@ def constant_rate(m):
     def cumulative(x, alpha):
         x = np.asarray(x, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
-        shape = x.shape[:-1]
-        if shape != alpha.shape:
-            shape = np.broadcast_shapes(shape, alpha.shape)
-        return np.multiply(m, alpha, out=np.empty(shape))
+        return np.multiply(m, alpha, out=np.empty(np.broadcast_shapes(x.shape[:-1], alpha.shape)))
 
     return DepartureModel(m_star=m, m_zero=m, rate=rate, cumulative=cumulative)
 

@@ -101,12 +101,10 @@ def stationary_intensity(habitat, model):
 
 
 def _path_time_order(path_ids, times):
-    """The permutation that sorts particles by path, then time, ties kept in
-    input order: one stable argsort of the complex keys path + i time, which
-    numpy orders by real part, then imaginary part.  Both parts are written,
-    not computed, and a path id below 2**53 is exact as a float64, so the keys
-    order as the (path, time) pairs do; times must not be NaN.
-    """
+    """The permutation sorting particles by path, then time, ties in input order:
+    a stable argsort of the complex keys path + i time, which numpy orders by
+    real part, then imaginary part (exact for path ids below 2**53 and
+    times that are not NaN)."""
     keys = np.empty(len(times), dtype=complex)
     keys.real = path_ids
     keys.imag = times
