@@ -478,9 +478,9 @@ def chi_sample(habitat, rng, size):
     rate = min(1.0, habitat.chi_mass / box) if box > 0 else 1.0
     # uniform-box proposals accepted with density / density_sup (chance
     # rate), drawn as lo + span * U column by column, in place: the bits of
-    # rng.uniform(lo, hi) without its broadcast; a round proposes want / rate
+    # rng.uniform(lo, hi) without its broadcast; a round proposes need / rate
     # plus three standard deviations, so a uniform density proposes exactly
-    # want, all at density_sup, and returns its proposals as they are
+    # need, all at density_sup, and returns its proposals as they are
     parts = []
     while need:
         mean = need / rate
@@ -497,7 +497,7 @@ def chi_sample(habitat, rng, size):
         if below.size:
             accept[below] = sup * rng.random(below.size) < dens.take(below)
             props = props.compress(accept, axis=0)
-        parts.append(props[:need] if len(props) > need else props)
+        parts.append(props[:need])
         need -= len(parts[-1])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
