@@ -303,24 +303,26 @@ class PoissonLaw(_InitialLaw):
     def __init__(self, intensity):
         self.intensity = intensity
 
-    def _window_integrals(self, h, vtheta, lo):
-        """int over ages [lo, lo + age_upper] of int h e^{-M} chi(dx), per lo."""
-        habitat, model = self.intensity.habitat, self.intensity.model
-        cumulative = run_shared(SurvivalCumulative, habitat, model, h, vtheta.x_breakpoints, vtheta.age_scale)
+    def _window_integrals(self, cumulative, lo):
+        """int over ages [lo, lo + age_upper] of the cumulative's integrand, per lo."""
         # one call, one Clenshaw sum, over both ends of every window
         ends = cumulative(np.concatenate([lo + self.intensity.age_upper, lo]))
         return ends[: len(lo)] - ends[len(lo) :]
 
     def aged_expectations(self, ts, model, vtheta, phi=None):
         lo = np.atleast_1d(np.asarray(ts, dtype=float))
-        f = np.exp(self._window_integrals(vtheta.theta, vtheta, lo))
+        field = (self.intensity.habitat, self.intensity.model)
+        rule = (vtheta.x_breakpoints, vtheta.age_scale)
+        # vtheta.theta is also H's key, so a run_memo block shares this window
+        f = np.exp(self._window_integrals(run_shared(SurvivalCumulative, *field, vtheta.theta, *rule), lo))
         if phi is None:
             return f, None
 
         def h(x, a):
             return phi(x, a) * (1.0 + vtheta.theta(x, a))
 
-        return f, f * self._window_integrals(h, vtheta, lo)
+        # h is new on every call, a key that would never repeat
+        return f, f * self._window_integrals(SurvivalCumulative(*field, h, *rule), lo)
 
     def sample_paths(self, n_paths, rng):
         bundle = PathBundle(n_paths, self.intensity.habitat.dim)
@@ -353,15 +355,27 @@ class ConvolutionLaw(_InitialLaw):
         )
 
 
+def _weighted_arrivals(theta, habitat, model):
+    """The SurvivalCumulative of phi e^{-g}, phi and g of particle_terms: the
+    arrivals' share of mu_t(L F_theta) is e^{H(t)} times it at t."""
+
+    def h(pos, ages):
+        g, phi = particle_terms(theta, model, pos, ages)
+        return phi * np.exp(-g)
+
+    return SurvivalCumulative(habitat, model, h, theta.x_breakpoints, age_scale=theta.age_scale)
+
+
 class ExplicitLaw:
     """Closed-form transient law from an initial law under a test function.
 
     expect_F(t) evaluates mu_t(F_theta) = exp(H(t)) mu(F_{theta_t}) exactly
     (up to quadrature); expect_LF(t) evaluates mu_t(L F_theta) through the
     factorized particle sums, an independent route from differentiating
-    expect_F.  Both are vectorized over t (a scalar t gives a float), and
-    the age integrals of the arrivals are running SurvivalCumulatives, built
-    once per law; H's is shared within a run_memo block.
+    expect_F.  Both are vectorized over t (a scalar t gives a float).  The
+    age integrals of the arrivals, H and the weighted arrivals, are running
+    SurvivalCumulatives keyed on (theta, habitat, model): a run_memo block
+    shares them among its laws, and outside one each law builds its own.
     """
 
     def __init__(self, initial, theta, habitat, model):
@@ -372,16 +386,10 @@ class ExplicitLaw:
         self.exponent = ArrivalExponent(theta, habitat, model)
         # the arrival constant int theta(x, 0) chi(dx)
         self._c3 = self.exponent.psi(0.0)
-        self._arrivals_weighted = SurvivalCumulative(
-            habitat, model, self._phi_weighted, theta.x_breakpoints, age_scale=theta.age_scale
-        )
+        self._arrivals_weighted = run_shared(_weighted_arrivals, theta, habitat, model)
 
     def _phi(self, pos, ages):
         return particle_terms(self.theta, self.model, pos, ages)[1]
-
-    def _phi_weighted(self, pos, ages):
-        g, phi = particle_terms(self.theta, self.model, pos, ages)
-        return phi * np.exp(-g)
 
     def expect_F(self, t):
         f, _ = self.initial.aged_expectations(t, self.model, self.theta)
@@ -396,13 +404,13 @@ class ExplicitLaw:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def explicit_solution(theta, s, t, config, habitat, model, exponent=None):
+def explicit_solution(theta, s, t, config, habitat, model):
     """E_config F_{theta_s}(X_t): the closed-form semigroup action.
 
     Equals exp(H(s+t) - H(s)) * F_{theta_{s+t}}(config) with H the arrival
     exponent; at s = 0 it is ExplicitLaw(DiracLaw(config), ...).expect_F(t).
     """
-    exponent = exponent or ArrivalExponent(theta, habitat, model)
+    exponent = ArrivalExponent(theta, habitat, model)
     f, _ = DiracLaw(config).aged_expectations(s + t, model, theta)
     return float(np.exp(exponent.H(s + t) - exponent.H(s)) * f[0])
 
@@ -439,27 +447,25 @@ def _laplace_rule(lam, model, exponent):
     return t, weights, np.exp(-lam * t + exponent.H(t))
 
 
-def resolvent(theta, lam, config, habitat, model, exponent=None):
+def resolvent(theta, lam, config, habitat, model):
     """int_0^inf e^{-lam t} E_config F_theta(X_t) dt, in (0, 1/lam).
 
     Truncated at T = 40/lam where the integrand is below e^{-40}/lam.
     """
-    exponent = exponent or ArrivalExponent(theta, habitat, model)
-    t, weights, factor = _laplace_rule(lam, model, exponent)
+    t, weights, factor = _laplace_rule(lam, model, ArrivalExponent(theta, habitat, model))
     f, _ = DiracLaw(config).aged_expectations(t, model, theta)
     return float(weights @ (factor * f))
 
 
-def resolvent_identity_residual(theta, lam, config, habitat, model, exponent=None):
+def resolvent_identity_residual(theta, lam, config, habitat, model):
     """|L F_lam - lam F_lam + F_theta| with L applied under the integral.
 
     Zero analytically; the returned value is pure quadrature error.
     """
-    exponent = exponent or ArrivalExponent(theta, habitat, model)
-    t, weights, factor = _laplace_rule(lam, model, exponent)
+    t, weights, factor = _laplace_rule(lam, model, ArrivalExponent(theta, habitat, model))
     lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
     lf_lam = float(weights @ (factor * lf))
-    f_lam = resolvent(theta, lam, config, habitat, model, exponent=exponent)
+    f_lam = resolvent(theta, lam, config, habitat, model)
     return abs(lf_lam - lam * f_lam + DiracLaw(config).expect_F(theta))
 
 

@@ -170,7 +170,7 @@ def laplace_uniqueness_check(theta, config, lam, habitat, model, name="laplace-u
     mu_s(F) <= 1, the tail past 40/lam is below e^{-40}/lam.
     """
     law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
-    lhs = resolvent(theta, lam, config, habitat, model, exponent=law.exponent)
+    lhs = resolvent(theta, lam, config, habitat, model)
     horizon = 40.0 / lam
     width = min(1.0 / lam, age_panel_width(model, theta.age_scale)) / 2.0
     s, weights = age_rule(0.0, horizon, width)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from agedpop import (
+    ArrivalExponent,
     DepartureModel,
     FlowedTheta,
     MarkedConfiguration,
@@ -122,12 +123,15 @@ def central_flow_residual(theta, t, x, alpha, model, h):
     return np.abs((f_plus - f_minus) / (2.0 * h) - analytic)
 
 
-def central_kolmogorov_residual(theta, t, config, habitat, model, h, exponent):
-    """|central difference of t -> P_t F - e^{H(t)} L F_{theta_t}| at config."""
+def central_kolmogorov_residual(theta, t, config, habitat, model, h):
+    """|central difference of t -> P_t F - e^{H(t)} L F_{theta_t}| at config.
+
+    Each call builds H afresh unless the caller runs it inside run_memo().
+    """
 
     def value(tt):
-        return explicit_solution(theta, 0.0, tt, config, habitat, model, exponent=exponent)
+        return explicit_solution(theta, 0.0, tt, config, habitat, model)
 
     deriv = (value(t + h) - value(t - h)) / (2.0 * h)
     lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
-    return abs(deriv - lf * math.exp(exponent.H(t)))
+    return abs(deriv - lf * math.exp(ArrivalExponent(theta, habitat, model).H(t)))

@@ -56,6 +56,7 @@ from agedpop import (
     uniform_habitat,
 )
 from agedpop.config_space import _kappa_cells
+from agedpop.habitat import run_memo
 from agedpop.mark_space import _mark_pairs
 from conftest import central_flow_residual, central_kolmogorov_residual, mark_sums
 
@@ -371,27 +372,22 @@ def test_criterion_03_flow_and_pde():
 # ------------------------------------------------------------- criterion 4
 def test_criterion_04_kolmogorov_equation():
     rng = np.random.default_rng(SEED + 3)
-    exponents = {}
     residuals = []
     ratios = []
     combos = []
-    for i in range(100):
-        theta = THETAS[i % len(THETAS)]
-        model = CONST if i % 2 == 0 else SEPARABLE
-        key = (id(theta), id(model))
-        if key not in exponents:
-            exponents[key] = ArrivalExponent(theta, HAB, model)
-        t = float(rng.uniform(0.1, 1.4))
-        config = _random_config(rng, int(rng.integers(0, 31)))
-        combos.append((theta, model, t, config, exponents[key]))
-        residuals.append(
-            central_kolmogorov_residual(theta, t, config, HAB, model, 1e-3, exponents[key])
-        )
-    for theta, model, t, config, exponent in combos[:10]:
-        r_2h = central_kolmogorov_residual(theta, t, config, HAB, model, 2e-3, exponent)
-        r_h = central_kolmogorov_residual(theta, t, config, HAB, model, 1e-3, exponent)
-        if r_h > 1e-11:  # skip ratios at the quadrature noise floor
-            ratios.append(r_2h / r_h)
+    with run_memo():
+        for i in range(100):
+            theta = THETAS[i % len(THETAS)]
+            model = CONST if i % 2 == 0 else SEPARABLE
+            t = float(rng.uniform(0.1, 1.4))
+            config = _random_config(rng, int(rng.integers(0, 31)))
+            combos.append((theta, model, t, config))
+            residuals.append(central_kolmogorov_residual(theta, t, config, HAB, model, 1e-3))
+        for theta, model, t, config in combos[:10]:
+            r_2h = central_kolmogorov_residual(theta, t, config, HAB, model, 2e-3)
+            r_h = central_kolmogorov_residual(theta, t, config, HAB, model, 1e-3)
+            if r_h > 1e-11:  # skip ratios at the quadrature noise floor
+                ratios.append(r_2h / r_h)
     worst = max(residuals)
     med_ratio = float(np.median(ratios))
     ok = worst < 1e-5 and 3.0 <= med_ratio <= 5.0
@@ -412,24 +408,24 @@ def test_criterion_05_resolvent():
         theta = THETAS[i % len(THETAS)]
         config = _random_config(rng, int(rng.integers(0, 5)))
         cases.append((theta, config))
-    exponents = {id(t): ArrivalExponent(t, HAB, CONST) for t in THETAS}
     worst = 0.0
-    for theta, config in cases:
-        for lam in (0.5, 1.0, 2.0):
-            res = resolvent_identity_residual(theta, lam, config, HAB, CONST, exponent=exponents[id(theta)])
-            worst = max(worst, res)
-    ident_ok = worst < 1e-6
-    bounds = {id(t): compute_bounds(t, HAB, CONST) for t in THETAS}
-    tail_ok = True
-    worst_frac = 0.0
-    for theta, config in cases:
-        f0 = F_theta(theta, config)
-        for lam in (10.0, 100.0):
-            val = resolvent(theta, lam, config, HAB, CONST, exponent=exponents[id(theta)])
-            gap = abs(lam * val - f0)
-            cap = bounds[id(theta)].ell_theta / lam
-            worst_frac = max(worst_frac, gap / cap)
-            tail_ok = tail_ok and gap <= cap
+    with run_memo():
+        for theta, config in cases:
+            for lam in (0.5, 1.0, 2.0):
+                res = resolvent_identity_residual(theta, lam, config, HAB, CONST)
+                worst = max(worst, res)
+        ident_ok = worst < 1e-6
+        bounds = {id(t): compute_bounds(t, HAB, CONST) for t in THETAS}
+        tail_ok = True
+        worst_frac = 0.0
+        for theta, config in cases:
+            f0 = F_theta(theta, config)
+            for lam in (10.0, 100.0):
+                val = resolvent(theta, lam, config, HAB, CONST)
+                gap = abs(lam * val - f0)
+                cap = bounds[id(theta)].ell_theta / lam
+                worst_frac = max(worst_frac, gap / cap)
+                tail_ok = tail_ok and gap <= cap
     _criterion(
         5,
         "resolvent identity",

@@ -14,6 +14,7 @@ import pytest
 
 from agedpop import (
     MarkedConfiguration,
+    Theta,
     configuration_from_json,
     configuration_to_json,
     constant_rate,
@@ -678,6 +679,43 @@ def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatc
         assert main(["verify", "--config", _write(tmp_path, data), "--suite", "all"]) == 0, capsys.readouterr().out
         assert spans.count((0.0, 40.0 / 0.6)) == runs
         assert habitat._RUN_MEMO.get() is None
+
+
+def test_verify_laws_builds_the_cumulatives_of_theta_once(tmp_path, monkeypatch, capsys):
+    # laws-fpe-dirac, laws-laplace and laws-fpe-stationary each make an
+    # ExplicitLaw of the run's theta: one `verify --suite laws` run builds its
+    # weighted arrivals once, and resolvent reads H from the run instead of
+    # building a second cumulative of theta.theta
+    from agedpop import generator, verify
+
+    weighted, built, thetas = [], [], []
+    builder, resolvent = generator._weighted_arrivals, verify.resolvent
+
+    def counted_builder(theta, hab, model):
+        weighted.append(theta)
+        return builder(theta, hab, model)
+
+    class Counted(generator.SurvivalCumulative):
+        def __init__(self, hab, model, h, *args, **kwargs):
+            built.append((h, bool(thetas)))
+            super().__init__(hab, model, h, *args, **kwargs)
+
+    def traced_resolvent(theta, *args):
+        thetas.append(theta)
+        try:
+            return resolvent(theta, *args)
+        finally:
+            thetas.pop()
+
+    monkeypatch.setattr(generator, "_weighted_arrivals", counted_builder)
+    monkeypatch.setattr(generator, "SurvivalCumulative", Counted)
+    monkeypatch.setattr(verify, "resolvent", traced_resolvent)
+    code, out, _ = run_verify("1d", tmp_path, suite="laws")
+    assert code == 0, out
+    theta = weighted[0]
+    assert isinstance(theta, Theta) and weighted.count(theta) == 1
+    of_theta = [in_resolvent for h, in_resolvent in built if h == theta.theta]
+    assert of_theta == [False]
 
 
 def test_verify_all_suites_2d(recorded_verify):

@@ -32,7 +32,7 @@ from agedpop import (
     uniform_habitat,
 )
 from agedpop.generator import particle_terms
-from agedpop.habitat import SurvivalCumulative
+from agedpop.habitat import SurvivalCumulative, run_memo
 from conftest import central_flow_residual, central_kolmogorov_residual, random_configuration
 
 
@@ -266,10 +266,11 @@ def test_poisson_window_integrals_take_both_ends_in_one_call(dim, family):
     lo = np.array([0.0, 0.25, 1.0, 3.5, 10.0])
     for intensity in (stationary_intensity(habitat, model), transient_intensity(habitat, model, 1.5)):
         for h in (theta.theta, lambda x, a: 1.0 + np.cos(a) * theta.theta(x, a)):
-            got = PoissonLaw(intensity)._window_integrals(h, theta, lo)
-            cumulative = SurvivalCumulative(
-                habitat, model, h, theta.x_breakpoints, age_scale=theta.age_scale
+            fresh, cumulative = (
+                SurvivalCumulative(habitat, model, h, theta.x_breakpoints, age_scale=theta.age_scale)
+                for _ in range(2)
             )
+            got = PoissonLaw(intensity)._window_integrals(fresh, lo)
             assert np.array_equal(got, cumulative(lo + intensity.age_upper) - cumulative(lo))
 
 
@@ -341,20 +342,20 @@ def test_kolmogorov_residual_small(theta_two, habitat_1d, separable_model, rng):
 
 def test_kolmogorov_richardson(theta_two, habitat_1d, const_model):
     config = MarkedConfiguration(np.array([[0.45]]), np.array([0.7]))
-    exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
-    r1 = central_kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, 2e-3, exponent)
-    r2 = central_kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, 1e-3, exponent)
+    with run_memo():
+        r1 = central_kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, 2e-3)
+        r2 = central_kolmogorov_residual(theta_two, 0.5, config, habitat_1d, const_model, 1e-3)
     assert r1 / r2 == pytest.approx(4.0, abs=1.0)
 
 
 def test_resolvent_range_and_identity(theta_two, habitat_1d, const_model, rng):
     config = random_configuration(rng, habitat_1d, max_particles=3)
-    exponent = ArrivalExponent(theta_two, habitat_1d, const_model)
-    for lam in (0.5, 2.0):
-        val = resolvent(theta_two, lam, config, habitat_1d, const_model, exponent=exponent)
-        assert 0.0 < val < 1.0 / lam
-        res = resolvent_identity_residual(theta_two, lam, config, habitat_1d, const_model, exponent=exponent)
-        assert res < 1e-6
+    with run_memo():
+        for lam in (0.5, 2.0):
+            val = resolvent(theta_two, lam, config, habitat_1d, const_model)
+            assert 0.0 < val < 1.0 / lam
+            res = resolvent_identity_residual(theta_two, lam, config, habitat_1d, const_model)
+            assert res < 1e-6
     with pytest.raises(ValueError):
         resolvent(theta_two, -1.0, config, habitat_1d, const_model)
 
@@ -489,7 +490,6 @@ def test_run_memo_shares_the_closed_forms_of_one_run_and_nothing_else(
     theta_two, habitat_1d, const_model, monkeypatch
 ):
     from agedpop import generator
-    from agedpop.habitat import run_memo
 
     built = []
 

@@ -248,7 +248,7 @@ def test_expect_LF_poisson_start_integrates_each_window_once(theta_two, habitat_
     f = math.exp(window(theta_two.theta, 0.6, top))
     w = f * window(lambda x, a: law._phi(x, a) * (1.0 + theta_two.theta(x, a)), 0.6, top)
     pre = math.exp(law.exponent.H(0.6))
-    p_w = window(law._phi_weighted, 0.0, 0.6)
+    p_w = window(law._arrivals_weighted.h, 0.0, 0.6)
     assert one == pytest.approx(pre * (f * law._c3 + p_w * f + w), abs=1e-12)
 
 
