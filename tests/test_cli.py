@@ -681,7 +681,7 @@ def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatc
         assert habitat._RUN_MEMO.get() is None
 
 
-def test_verify_laws_builds_the_cumulatives_of_theta_once(tmp_path, monkeypatch, capsys):
+def test_verify_laws_builds_the_cumulatives_of_theta_once(tmp_path, monkeypatch):
     # laws-fpe-dirac, laws-laplace and laws-fpe-stationary each make an
     # ExplicitLaw of the run's theta: one `verify --suite laws` run builds its
     # weighted arrivals once, and resolvent reads H from the run instead of
