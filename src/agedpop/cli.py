@@ -32,7 +32,7 @@ from .config_space import (
     kappa_distance,
     load_configuration,
 )
-from .habitat import constant_rate, linear_habitat, run_memo, separable_rate, uniform_habitat, window_grid
+from .habitat import constant_rate, linear_habitat, run_memo, separable_rate, uniform_habitat
 from .mark_space import MarkSet, rho_distance
 from .sampler import _path_time_order, event_driven_simulate, sample_poisson, stationary_intensity
 from .test_functions import Theta
@@ -68,58 +68,51 @@ def _in_section(section, build, *args):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _number(value, name):
-    """float(value) of a JSON number; a string or a bool is refused, not converted."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name}: {value!r}: expected a number")
+def _number(value, path):
+    """float(value) of a JSON number that is finite as a float, else a ConfigError naming
+    its path: a string or a bool, NaN, an infinity, and 1e400, which json reads as inf."""
+    if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{path}: {value!r}: expected a finite number")
     return float(value)
 
 
+# section -> family -> (builder, fields): the builder takes the window or the habitat, then
+# the fields in this order, and checks their ranges.  README's configuration table lists them.
+_FAMILIES = {
+    "habitat.density": {
+        "constant": (uniform_habitat, ("level",)),
+        "linear": (linear_habitat, ("base", "slope")),
+    },
+    "model": {
+        "constant": (lambda habitat, rate: constant_rate(rate), ("rate",)),
+        "separable": (separable_rate, ("base", "amplitude", "frequency")),
+    },
+}
+
+
+def _build_family(section, path, first):
+    """What the family of the section at `path` builds from `first` and its fields, read by _number."""
+    families = _FAMILIES[path]
+    fields = {key for _, keys in families.values() for key in keys}
+    family = _require(section, path, ["family"], fields)["family"]
+    if not isinstance(family, str) or family not in families:
+        raise ConfigError(f"{path}.family: unknown family {family!r}")
+    build, keys = families[family]
+    _require(section, path, ["family", *keys])
+    return build(first, *(_number(section[key], f"{path}.{key}") for key in keys))
+
+
 def _build_habitat(section):
-    _require(section, "habitat", ["window", "density"])
-    window = section["window"]
+    window = _require(section, "habitat", ["window", "density"])["window"]
     if not isinstance(window, list) or not window or not all(
         isinstance(side, list) and len(side) == 2 for side in window
     ):
         raise ConfigError("habitat.window: expected a list of [low, high] pairs")
     window = [
-        (_number(lo, f"window[{i}][0]"), _number(hi, f"window[{i}][1]"))
-        for i, (lo, hi) in enumerate(window)
+        [_number(bound, f"habitat.window[{i}][{j}]") for j, bound in enumerate(side)]
+        for i, side in enumerate(window)
     ]
-    dens = _require(section["density"], "habitat.density", ["family"], ["level", "base", "slope"])
-    family = dens["family"]
-    if family == "constant":
-        _require(dens, "habitat.density", ["family", "level"])
-        return uniform_habitat(window, _number(dens["level"], "density.level"))
-    if family == "linear":
-        _require(dens, "habitat.density", ["family", "base", "slope"])
-        return linear_habitat(
-            window, _number(dens["base"], "density.base"), _number(dens["slope"], "density.slope")
-        )
-    raise ConfigError(f"habitat.density.family: unknown family {family!r}")
-
-
-def _build_model(section, habitat):
-    fields = _require(
-        section, "model", ["family"], ["rate", "base", "amplitude", "frequency"]
-    )
-    family = fields["family"]
-    if family == "constant":
-        _require(fields, "model", ["family", "rate"])
-        model = constant_rate(_number(fields["rate"], "rate"))
-    elif family == "separable":
-        _require(fields, "model", ["family", "base", "amplitude", "frequency"])
-        model = separable_rate(
-            habitat, *(_number(fields[key], key) for key in ("base", "amplitude", "frequency"))
-        )
-    else:
-        raise ConfigError(f"model.family: unknown family {family!r}")
-    # probe the stated bounds on a grid; a violation means bad parameters
-    ages = np.linspace(0.0, 25.0, 41)
-    rates = model.rate(window_grid(habitat)[:, None, :], ages[None, :])
-    if rates.min() < model.m_zero - 1e-9 or rates.max() > model.m_star + 1e-9:
-        raise ConfigError("model: hazard leaves the declared [m_zero, m_star] band")
-    return model
+    return _build_family(section["density"], "habitat.density", window)
 
 
 def _build_theta(entries, habitat):
@@ -139,15 +132,15 @@ def _build_run(section):
         raise ConfigError(f"run.seed: {seed!r}: expected a nonnegative integer")
     times = run.get("times", [1.0])
     if not isinstance(times, list):
-        raise ValueError(f"times: {times!r}: expected a list of numbers")
-    times = [_number(t, f"times[{i}]") for i, t in enumerate(times)]
-    if times != sorted(times) or not all(0 <= t < math.inf for t in times):
+        raise ConfigError(f"run.times: {times!r}: expected a list of numbers")
+    times = [_number(t, f"run.times[{i}]") for i, t in enumerate(times)]
+    if times != sorted(times) or not all(t >= 0 for t in times):
         raise ConfigError("run.times: expected a sorted list of finite nonnegative times")
     n_paths = run.get("n_paths", 1000)
     if type(n_paths) is not int or n_paths < 2:
         raise ConfigError(f"run.n_paths: {n_paths!r}: expected an integer >= 2, for a standard error")
-    horizon = _number(run.get("horizon", max(times) if times else 1.0), "horizon")
-    if not 0 <= horizon < math.inf:
+    horizon = _number(run.get("horizon", max(times) if times else 1.0), "run.horizon")
+    if horizon < 0:
         raise ConfigError(f"run.horizon: {horizon}: expected a finite nonnegative time")
     if times and horizon < times[-1]:
         raise ConfigError(f"run.horizon: {horizon} is before the last of run.times ({times[-1]})")
@@ -182,11 +175,10 @@ def _parse_config(text, path):
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     _require(data, "config", ["habitat", "model", "theta", "run"], ["output"])
     habitat = _in_section("habitat", _build_habitat, data["habitat"])
-    model = _in_section("model", _build_model, data["model"], habitat)
+    model = _in_section("model", _build_family, data["model"], "model", habitat)
     theta = _in_section("theta", _build_theta, data["theta"], habitat)
-    seed, n_paths, times, horizon = _in_section("run", _build_run, data["run"])
-    out = data.get("output", {})
-    _require(out, "output", [], ["dir"])
+    seed, n_paths, times, horizon = _build_run(data["run"])
+    out = _require(data.get("output", {}), "output", [], ["dir"])
     out_dir = out.get("dir", "out")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output.dir: {out_dir!r}: expected a string")

@@ -208,8 +208,8 @@ def separable_rate(habitat, base, amplitude, frequency):
     base = float(base)
     amp = float(amplitude)
     freq = float(frequency)
-    if base < 0 or amp < 0 or freq <= 0:
-        raise ValueError("need base, amplitude >= 0 and frequency > 0")
+    if base < 0 or amp < 0 or not 0 < freq < math.inf:
+        raise ValueError("need base, amplitude >= 0 and a finite frequency > 0")
     lo, hi = habitat.lower.copy(), habitat.upper.copy()
     span = hi - lo
     half = freq / 2.0
@@ -490,7 +490,7 @@ def chi_sample(habitat, rng, size):
             props[:, i] *= span[i]
             props[:, i] += lo[i]
         dens = habitat.density(props)
-        if (dens > sup).any():
+        if not (dens <= sup).all():
             raise ValueError("arrival density exceeds its declared bound density_sup")
         accept = dens == sup  # accepted without a uniform
         below = (~accept).nonzero()[0]

@@ -27,8 +27,8 @@ squeezed (Marsaglia 1977; Devroye 1986, II.5): q lies in the band
 inside it, and each computed q is checked against the band.
 
 The samplers rely on the declared bounds m_zero <= m <= m_star and
-density <= density_sup; a draw that sees one broken raises ValueError
-instead of quietly biasing the sample.
+density <= density_sup; a draw that sees one not hold (a NaN holds none)
+raises ValueError instead of quietly biasing the sample.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _sample_points(intensity, count, rng):
         u = rng.random(n)
         ages = -np.log1p(u * drop) / m_zero if m_zero > 0 else top * u
         excess = intensity.model.cumulative(xs, ages) - m_zero * ages
-        if (excess < -_SQUEEZE_SLACK * m_zero * ages).any():
+        if not (excess >= -_SQUEEZE_SLACK * m_zero * ages).all():
             raise ValueError("exp(-M) exceeds its envelope exp(-m_zero alpha): hazard below m_zero")
         hit = (rng.random(n) < np.exp(-excess)).nonzero()[0][:need]
         pos_parts.append(xs.take(hit, axis=0))
@@ -368,7 +368,7 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
         live = live[clock[live] < horizon]
         ages = clock[live] - births[live]
         rate = model.rate(positions[live], ages)
-        if np.any(rate > m_star):
+        if not (rate <= m_star).all():
             raise ValueError("departure rate exceeds its declared bound m_star")
         hit = per_block(lambda g, n: g.random(n)) * m_star < rate
         deaths[live[hit]] = clock[live[hit]]

@@ -653,7 +653,9 @@ SUITES = {
             cfg.habitat, cfg.model, [0.5, 2.0], min(cfg.n_paths, 2000), rng, seed=cfg.seed,
             ks_samples=20_000, name="sampler-count",
         ) if cfg.model.m_zero == cfg.model.m_star > 0 else [
-            VerificationReport.skip("sampler-count", "hazard not constant")
+            VerificationReport.skip(
+                "sampler-count", "hazard not constant" if cfg.model.m_zero < cfg.model.m_star else "hazard is zero"
+            )
         ],
     ],
     "ergodicity": [

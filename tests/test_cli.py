@@ -157,10 +157,11 @@ def test_distance_command(tmp_path, config_path, capsys):
 
 
 def _distance_files(tmp_path, first, second):
+    """Two configuration files: each record list as json.dumps writes it, or a text as it is."""
     paths = []
     for name, records in (("a.json", first), ("b.json", second)):
         path = tmp_path / name
-        path.write_text(json.dumps(records), encoding="utf-8")
+        path.write_text(records if isinstance(records, str) else json.dumps(records), encoding="utf-8")
         paths.append(str(path))
     return paths
 
@@ -186,6 +187,12 @@ TWO_D = [{"x": [0.2, 0.4], "alpha": 1.0}]
         ([{"x": ["0.2", 0.4], "alpha": 1.0}], TWO_D, []),  # a numeric string coordinate
         (TWO_D, [{"x": [0.2, 0.4], "alpha": "1.5"}], []),  # a numeric string age
         (TWO_D, [{"x": [], "alpha": 1.0}], []),  # no coordinates
+        (TWO_D, '[{"x": [0.2, NaN], "alpha": 1.0}]', []),  # non-finite coordinates
+        (TWO_D, '[{"x": [Infinity, 0.4], "alpha": 1.0}]', []),
+        (TWO_D, '[{"x": [0.2, 1e400], "alpha": 1.0}]', []),
+        (TWO_D, '[{"x": [0.2, 0.4], "alpha": NaN}]', []),  # non-finite ages
+        (TWO_D, '[{"x": [0.2, 0.4], "alpha": Infinity}]', []),
+        ('[{"x": [0.2, 0.4], "alpha": 1e400}]', TWO_D, []),
     ],
 )
 def test_distance_rejects_bad_input(tmp_path, capsys, first, second, extra):
@@ -496,23 +503,68 @@ def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch, pool_maps):
     ]
 
 
+# the text json.dumps writes for a value that the test puts in its place
+_HOLE = "@value@"
+_NON_FINITE = {"nan": "NaN", "infinity": "Infinity", "minus-infinity": "-Infinity", "overflow": "1e400"}
+
+
+def _set_family(section, family, keys, key):
+    """A mutator putting at `section` (habitat.density or model) the family with
+    each of its fields 1.0, but `key`, which it sets to its argument."""
+    head, _, last = section.rpartition(".")
+
+    def mutate(d, value):
+        (d[head] if head else d)[last] = {"family": family, **dict.fromkeys(keys, 1.0), key: value}
+    return mutate
+
+
+def _set_window(j):
+    def mutate(d, value):
+        d["habitat"]["window"][0][j] = value
+    return mutate
+
+
+# (JSON path, mutator setting it to its argument) of every numeric field of
+# every family in cli's table, and of the window bounds
+_NUMERIC_FIELDS = [
+    (f"{section}.{key}", _set_family(section, family, keys, key))
+    for section, families in cli._FAMILIES.items()
+    for family, (_, keys) in families.items()
+    for key in keys
+] + [(f"habitat.window[0][{j}]", _set_window(j)) for j in (0, 1)]
+
+
+def _run(**fields):
+    return lambda d: d.update(run={"seed": 11, "n_paths": 6, **fields})
+
+
 @pytest.mark.parametrize(
-    "run, named",
+    "mutate, literal, named",
     [
-        pytest.param('"times": [NaN]', "run.times", id="times-nan"),
-        pytest.param('"times": [Infinity]', "run.times", id="times-infinity"),
-        pytest.param('"times": [0.5, 1e400]', "run.times", id="times-overflow"),
-        pytest.param('"times": [0.5], "horizon": NaN', "run.horizon", id="horizon-nan"),
-        pytest.param('"times": [0.5], "horizon": Infinity', "run.horizon", id="horizon-infinity"),
-        pytest.param('"times": [0.5], "horizon": 1e400', "run.horizon", id="horizon-overflow"),
+        pytest.param(_run(times=[_HOLE]), "NaN", "run.times[0]", id="times-nan"),
+        pytest.param(_run(times=[_HOLE]), "Infinity", "run.times[0]", id="times-infinity"),
+        pytest.param(_run(times=[_HOLE]), "-Infinity", "run.times[0]", id="times-minus-infinity"),
+        pytest.param(_run(times=[0.5, _HOLE]), "1e400", "run.times[1]", id="times-overflow"),
+        pytest.param(_run(times=[0.5], horizon=_HOLE), "NaN", "run.horizon", id="horizon-nan"),
+        pytest.param(_run(times=[0.5], horizon=_HOLE), "Infinity", "run.horizon", id="horizon-infinity"),
+        pytest.param(
+            _run(times=[0.5], horizon=_HOLE), "-Infinity", "run.horizon", id="horizon-minus-infinity"
+        ),
+        pytest.param(_run(times=[0.5], horizon=_HOLE), "1e400", "run.horizon", id="horizon-overflow"),
+    ] + [
+        pytest.param(lambda d, put=put: put(d, _HOLE), literal, path, id=f"{path}-{name}")
+        for path, put in _NUMERIC_FIELDS
+        for name, literal in _NON_FINITE.items()
     ],
 )
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_non_finite_run_times_exit_2(tmp_path, capsys, run, named, command):
-    text = json.dumps(GOOD).replace('"times": [0.25, 0.5], "horizon": 0.5', run)
-    assert run in text
+@pytest.mark.parametrize("command", ["simulate", "verify", "stationary-sample"])
+def test_non_finite_run_times_exit_2(tmp_path, capsys, mutate, literal, named, command):
+    # NaN, the infinities and 1e400 (which json reads as inf) are numbers to
+    # json, but no field of the config may hold one
+    text = json.dumps(_with(mutate))
+    assert text.count(f'"{_HOLE}"') == 1
     config = tmp_path / "bad.json"
-    config.write_text(text, encoding="utf-8")
+    config.write_text(text.replace(f'"{_HOLE}"', literal), encoding="utf-8")
     out_dir = tmp_path / "out"
     extra = ["--suite", "metrics"] if command == "verify" else []
     assert main([command, "--config", str(config), *extra, "--out-dir", str(out_dir)]) == 2
@@ -797,6 +849,13 @@ _SUITE_CONFIGS = {
         "theta": [[1, 1, 1], [3, 2, 1]],
         "run": {"seed": 11, "n_paths": 200},
     },
+    "1d-zero-rate": _with(lambda d: d["model"].update(rate=0.0)),
+}
+# the reason of each check a config skips
+_SKIPS = {
+    "1d": {},
+    "2d": {"sampler-count": "hazard not constant"},
+    "1d-zero-rate": {"sampler-count": "hazard is zero", "ergodicity": "hazard floor is zero"},
 }
 
 
@@ -810,10 +869,29 @@ def test_suite_outcomes_follow_one_rule(tmp_path, suite, config):
     for r in reports:
         if r.outcome == "SKIP":
             assert r.sense is None and math.isnan(r.value) and math.isnan(r.threshold)
+            assert r.statistic == _SKIPS[config][r.name]
             continue
         assert r.sense == _SENSE_OF.get(r.name, "<"), r.line()
         compared = _SENSES[r.sense](r.value, r.threshold)
         assert r.outcome == ("PASS" if compared else "FAIL"), r.line()
+
+
+def test_readme_config_table_lists_the_families_of_the_reader():
+    # the README's family rows: | `section` | `family` | `field`, ... | ...
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [
+        [cell.strip().replace("`", "") for cell in line.strip("|").split("|")]
+        for line in readme.split("\n## Command line\n")[1].split("\n## ")[0].splitlines()
+        if line.startswith("| `")
+    ]
+    families = {}
+    for section, family, fields, *_ in rows:
+        if family:
+            families.setdefault(section, {})[family] = tuple(fields.split(", "))
+    assert families == {
+        section: {family: keys for family, (_, keys) in rows.items()}
+        for section, rows in cli._FAMILIES.items()
+    }
 
 
 def test_console_script_help():
@@ -875,8 +953,12 @@ def _linear(base, slope, window=((0.0, 1.0),)):
         pytest.param("habitat", _linear(-1.0, 1.0), id="linear-negative"),
         pytest.param("model", lambda d: d["model"].update(rate=-0.5), id="rate-negative"),
         pytest.param("habitat", lambda d: d["habitat"].update(window=[[1.0, 0.0]]), id="window-reversed"),
-        pytest.param("habitat", lambda d: d["habitat"]["density"].update(level="abc"), id="level-text"),
-        pytest.param("habitat", lambda d: d["habitat"]["density"].update(level=None), id="level-null"),
+        pytest.param(
+            "habitat.density.level", lambda d: d["habitat"]["density"].update(level="abc"), id="level-text"
+        ),
+        pytest.param(
+            "habitat.density.level", lambda d: d["habitat"]["density"].update(level=None), id="level-null"
+        ),
         pytest.param("theta", lambda d: d.update(theta=[[0, 1, 1]]), id="theta-s-zero"),
         pytest.param(
             "model", lambda d: d.update(model={"family": "separable", "base": -1, "amplitude": 1, "frequency": 2}),
@@ -926,43 +1008,50 @@ def _density(**fields):
 @pytest.mark.parametrize(
     "mutate, named",
     [
-        pytest.param(lambda d: d["run"].update(times="12"), "run: times: '12'", id="times-text"),
-        pytest.param(lambda d: d["run"].update(times=["0.5"]), "run: times[0]: '0.5'", id="times-entry-text"),
-        pytest.param(lambda d: d["run"].update(times=[0.25, True]), "run: times[1]: True", id="times-entry-bool"),
-        pytest.param(lambda d: d["run"].update(horizon=True), "run: horizon: True", id="horizon-bool"),
-        pytest.param(lambda d: d["run"].update(horizon="0.5"), "run: horizon: '0.5'", id="horizon-text"),
-        pytest.param(_density(level="2"), "habitat: density.level: '2'", id="level-numeric-text"),
-        pytest.param(_density(level=True), "habitat: density.level: True", id="level-bool"),
-        pytest.param(_density(level=10**400), "habitat: ", id="level-past-float"),
+        pytest.param(lambda d: d["run"].update(times="12"), "run.times: '12': ", id="times-text"),
+        pytest.param(lambda d: d["run"].update(times=["0.5"]), "run.times[0]: '0.5': ", id="times-entry-text"),
+        pytest.param(lambda d: d["run"].update(times=[0.25, True]), "run.times[1]: True: ", id="times-entry-bool"),
+        pytest.param(lambda d: d["run"].update(horizon=True), "run.horizon: True: ", id="horizon-bool"),
+        pytest.param(lambda d: d["run"].update(horizon="0.5"), "run.horizon: '0.5': ", id="horizon-text"),
+        pytest.param(_density(level="2"), "habitat.density.level: '2': ", id="level-numeric-text"),
+        pytest.param(_density(level=True), "habitat.density.level: True: ", id="level-bool"),
+        pytest.param(_density(level=10**400), f"habitat.density.level: {10**400}: ", id="level-past-float"),
         pytest.param(
-            lambda d: d["habitat"].update(window=[["0", "1"]]), "habitat: window[0][0]: '0'", id="window-text"
+            lambda d: d["habitat"].update(window=[["0", "1"]]), "habitat.window[0][0]: '0': ", id="window-text"
         ),
         pytest.param(
-            lambda d: d["habitat"].update(window=[[0, False]]), "habitat: window[0][1]: False", id="window-bool"
+            lambda d: d["habitat"].update(window=[[0, False]]), "habitat.window[0][1]: False: ", id="window-bool"
         ),
         pytest.param(
-            _density(family="linear", base="1", slope=1.0), "habitat: density.base: '1'", id="linear-base-text"
+            _density(family="linear", base="1", slope=1.0), "habitat.density.base: '1': ", id="linear-base-text"
         ),
         pytest.param(
-            _density(family="linear", base=1.0, slope=True), "habitat: density.slope: True", id="linear-slope-bool"
+            _density(family="linear", base=1.0, slope=True), "habitat.density.slope: True: ",
+            id="linear-slope-bool",
         ),
-        pytest.param(lambda d: d["model"].update(rate="1"), "model: rate: '1'", id="rate-text"),
+        pytest.param(lambda d: d["model"].update(rate="1"), "model.rate: '1': ", id="rate-text"),
         pytest.param(
-            lambda d: d.update(model={**_SEPARABLE, "base": False}), "model: base: False", id="separable-base-bool"
+            lambda d: d.update(model={**_SEPARABLE, "base": False}), "model.base: False: ", id="separable-base-bool"
         ),
         pytest.param(
-            lambda d: d.update(model={**_SEPARABLE, "amplitude": "1"}), "model: amplitude: '1'",
+            lambda d: d.update(model={**_SEPARABLE, "amplitude": "1"}), "model.amplitude: '1': ",
             id="separable-amplitude-text",
         ),
         pytest.param(
-            lambda d: d.update(model={**_SEPARABLE, "frequency": [2.0]}), "model: frequency: [2.0]",
+            lambda d: d.update(model={**_SEPARABLE, "frequency": [2.0]}), "model.frequency: [2.0]: ",
             id="separable-frequency-list",
         ),
         pytest.param(lambda d: d.update(output={"dir": ["a"]}), "output.dir: ['a']", id="output-dir-list"),
         pytest.param(lambda d: d.update(output={"dir": 7}), "output.dir: 7", id="output-dir-number"),
+    ] + [
+        pytest.param(
+            lambda d, put=put, value=value: put(d, value), f"{path}: {value!r}: ", id=f"{path}-{name}"
+        )
+        for path, put in _NUMERIC_FIELDS
+        for name, value in (("text", "1"), ("bool", True), ("null", None))
     ],
 )
-@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "stationary-sample"])
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch, capsys, mutate, named, command):
     # float() would read "12" as 12.0 and true as 1.0, and str() would make
     # ["a"] the directory "['a']"

@@ -271,6 +271,24 @@ def test_chi_sample_rejects_density_above_sup():
         chi_sample(bad, np.random.default_rng(5), size=100)
 
 
+def test_chi_sample_rejects_a_nan_density():
+    # density 2, but NaN on the left half of the window: no uniform falls
+    # below NaN, so unchecked chi_sample would quietly draw from the right
+    # half alone
+    def density(x):
+        return np.where(x[..., 0] < 0.5, math.nan, 2.0)
+
+    bad = Habitat(np.array([0.0]), np.array([1.0]), density, chi_mass=2.0, density_sup=2.0)
+    with pytest.raises(ValueError, match="density_sup"):
+        chi_sample(bad, np.random.default_rng(5), size=100)
+
+
+@pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+def test_separable_rate_refuses_a_non_finite_frequency(habitat_1d, frequency):
+    with pytest.raises(ValueError, match="frequency"):
+        separable_rate(habitat_1d, 0.5, 1.0, frequency)
+
+
 def test_chi_sample_draws_no_acceptance_uniform_at_the_density_sup():
     # a uniform density equals density_sup everywhere: every proposal is
     # accepted without a uniform, so the draw is the proposals' uniforms alone

@@ -237,6 +237,20 @@ def test_envelope_sampler_checks_the_envelope_at_late_ages(habitat_1d):
         sampler._sample_points(intensity, 2000, np.random.default_rng(3))
 
 
+def test_envelope_sampler_rejects_a_nan_cumulative_hazard(habitat_1d):
+    # hazard 1, but a NaN cumulative on the left half of the window: exp(-NaN)
+    # is NaN, below which no uniform falls, so unchecked the sampler would
+    # quietly draw from the right half alone
+    def cumulative(x, alpha):
+        return np.where(np.asarray(x)[..., 0] < 0.5, math.nan, np.asarray(alpha, dtype=float))
+
+    one = constant_rate(1.0)
+    nan = DepartureModel(m_star=1.0, m_zero=1.0, rate=one.rate, cumulative=cumulative)
+    intensity = sampler.IntensityMeasure(habitat_1d, nan, 5.0, total_mass=1.0)
+    with pytest.raises(ValueError, match="envelope"):
+        sampler._sample_points(intensity, 100, np.random.default_rng(3))
+
+
 def test_total_mass_on_the_age_rule():
     # the mass is the age rule's value over the whole window, to the bit at
     # age frequency 50; for a constant hazard it is the closed form
@@ -608,6 +622,17 @@ def test_event_driven_rejects_rate_above_m_star(habitat_1d):
     start = MarkedConfiguration(np.array([[0.5]]), np.array([0.0]))
     with pytest.raises(ValueError, match="m_star"):
         event_driven_simulate(start, 5.0, habitat_1d, bad, np.random.default_rng(0), n_paths=50)
+
+
+def test_event_driven_rejects_a_nan_rate(habitat_1d):
+    # a NaN hazard accepts no proposal: unchecked, no particle would depart
+    nan = DepartureModel(
+        m_star=1.0, m_zero=0.0, rate=lambda x, a: np.full(np.shape(a), math.nan),
+        cumulative=lambda x, a: np.full(np.shape(a), math.nan),
+    )
+    start = MarkedConfiguration(np.array([[0.5]]), np.array([0.0]))
+    with pytest.raises(ValueError, match="m_star"):
+        event_driven_simulate(start, 5.0, habitat_1d, nan, np.random.default_rng(0), n_paths=50)
 
 
 # -------------------------------------------------------------- marginals
