@@ -503,7 +503,8 @@ def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch, pool_maps):
     ]
 
 
-# the text json.dumps writes for a value that the test puts in its place
+# a string put where a value goes; the test replaces its quoted text by a
+# JSON literal such as 1e400, which json.dumps cannot write
 _HOLE = "@value@"
 _NON_FINITE = {"nan": "NaN", "infinity": "Infinity", "minus-infinity": "-Infinity", "overflow": "1e400"}
 
@@ -889,8 +890,8 @@ def test_readme_config_table_lists_the_families_of_the_reader():
         if family:
             families.setdefault(section, {})[family] = tuple(fields.split(", "))
     assert families == {
-        section: {family: keys for family, (_, keys) in rows.items()}
-        for section, rows in cli._FAMILIES.items()
+        section: {family: keys for family, (_, keys) in table.items()}
+        for section, table in cli._FAMILIES.items()
     }
 
 
