@@ -5,16 +5,16 @@ chi(dx) = density(x) dx with a bounded density.  Departure models supply the
 age-dependent hazard m(x, alpha) together with its bounds m_zero <= m <= m_star,
 its closed-form cumulative hazard, and a continuity modulus.
 The survival integral int int h(x, u) exp(-M(x, u)) chi(dx) du, to which every
-law agedpop checks reduces, is computed here and nowhere else.  Every
-chi-integral, that one and chi_integral alike, uses the one deterministic
-Gauss-Legendre rule of gauss_profile_nodes, split at the kinks in dim 1 only
-and cached per (habitat, kinks).  Every age integral uses one rule as well:
-16-point Gauss-Legendre on panels no wider than age_panel_width, which
+law agedpop checks reduces, is computed here and nowhere else, by one engine:
+SurvivalCumulative, the running integral from age 0, on 16-point
+Gauss-Legendre panels [k w, (k+1) w] of width w = age_panel_width, which
 follows the age scales of the integrand (the survival decay 1/m_star, the
 hazard's own variation read off its modulus, and the test function's age
-scale), vectorized over all ages at once, behind SurvivalCumulative (a
-running integral queried at many ends) and survival_weighted_integral (one
-window).
+scale); survival_weighted_integral is one cumulative's difference.  Every
+chi-integral, that one and chi_integral alike, uses the one deterministic
+Gauss-Legendre rule of gauss_profile_nodes, split at the kinks in dim 1 only
+and cached per (habitat, kinks).  age_rule lays the same panels on one
+interval, for the time integrals of the checks.
 
 Shipped families:
   * constant_rate(m):    m(x, alpha) = m, exactly solvable throughout;
@@ -44,7 +44,6 @@ __all__ = [
     "separable_rate",
     "log_survival",
     "survival_factor",
-    "survival_slice",
     "survival_weighted_integral",
     "SurvivalCumulative",
     "age_panel_width",
@@ -344,29 +343,6 @@ def age_rule(a_lo, a_hi, width):
     return ages.ravel(), weights.ravel()
 
 
-def survival_slice(model, nodes, weights, h, ages):
-    """sum_i weights[i] h(nodes[i], u) exp(-M(nodes[i], u)) at each age u.
-
-    (nodes, weights) is a chi-weighted spatial rule from gauss_profile_nodes,
-    so this is the window integral int h(x, u) exp(-M(x, u)) chi(dx).  h
-    broadcasts like model.rate.  Vectorized over ages of any shape (a scalar
-    gives a float); each row of the last axis is cut into the same blocks of
-    at most _BLOCK // len(nodes) ages, so an age's bits depend on its row.
-    """
-    u = np.asarray(ages, dtype=float)
-    shape = u.shape or (1,)
-    rows = u.reshape(math.prod(shape[:-1]), 1, shape[-1])
-    x = nodes[:, None, :]
-    out = np.empty((len(rows), shape[-1]))
-    cols = max(1, _BLOCK // len(nodes))
-    step = max(1, cols // max(1, shape[-1]))
-    for i in range(0, len(rows), step):
-        for j in range(0, shape[-1], cols):
-            uu = rows[i : i + step, :, j : j + cols]
-            out[i : i + step, j : j + cols] = np.matmul(weights, h(x, uu) * np.exp(-model.cumulative(x, uu)))
-    return float(out[0, 0]) if u.ndim == 0 else out.reshape(u.shape)
-
-
 class SurvivalCumulative:
     """C(T) = int_0^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any T >= 0.
 
@@ -391,8 +367,22 @@ class SurvivalCumulative:
         self._totals = np.zeros(1)  # C at each panel edge
 
     def slice(self, ages):
-        """int h(x, u) exp(-M(x, u)) chi(dx) at each age u."""
-        return survival_slice(self.model, self._nodes, self._weights, self.h, ages)
+        """int h(x, u) exp(-M(x, u)) chi(dx) at each age u, for ages of any shape
+        (a scalar gives a float).  Each row of the last axis is cut into the same
+        blocks of at most _BLOCK // len(nodes) ages: an age's bits depend on its row."""
+        u = np.asarray(ages, dtype=float)
+        shape = u.shape or (1,)
+        rows = u.reshape(math.prod(shape[:-1]), 1, shape[-1])
+        x = self._nodes[:, None, :]
+        out = np.empty((len(rows), shape[-1]))
+        cols = max(1, _BLOCK // len(x))
+        step = max(1, cols // max(1, shape[-1]))
+        for i in range(0, len(rows), step):
+            for j in range(0, shape[-1], cols):
+                uu = rows[i : i + step, :, j : j + cols]
+                survival = np.exp(-self.model.cumulative(x, uu))
+                out[i : i + step, j : j + cols] = np.matmul(self._weights, self.h(x, uu) * survival)
+        return float(out[0, 0]) if u.ndim == 0 else out.reshape(u.shape)
 
     def _extend(self, n_panels):
         have = self._antiderivatives.shape[1]
@@ -401,7 +391,7 @@ class SurvivalCumulative:
         n_panels = max(n_panels, 2 * have)
         ages, weights = age_panels(self.width * np.arange(have, n_panels + 1))
         values = self.slice(ages)
-        # survival_slice reduces each panel alone, and the moments are summed
+        # slice reduces each panel alone, and the moments are summed
         # row by row: a panel's bits do not depend on its neighbours
         s = np.sum(_MOMENTS[:, None, :] * values, axis=-1) * (self.width / 2.0)
         # int_{-1}^X P_0 = P_0 + P_1 and int_{-1}^X P_k = (P_{k+1} - P_{k-1}) / (2k + 1)
@@ -449,17 +439,14 @@ def run_shared(build, *args):
 
 
 def survival_weighted_integral(habitat, model, h, a_lo, a_hi, breakpoints=(), age_scale=1.0):
-    """int_{a_lo}^{a_hi} int_window h(x, u) exp(-M(x, u)) chi(dx) du.
+    """int_{a_lo}^{a_hi} int_window h(x, u) exp(-M(x, u)) chi(dx) du, for 0 <= a_lo.
 
-    Gauss-Legendre in space (split at the supplied kinks) and, in age, the
-    composite rule of age_rule on the fewest equal panels no wider than
-    age_panel_width(model, age_scale).
+    C(a_hi) - C(a_lo) of one SurvivalCumulative C of h: Gauss-Legendre in
+    space (split at the supplied kinks) and the cumulative's age panels of
+    width age_panel_width(model, age_scale).
     """
-    if a_hi <= a_lo:
-        return 0.0
-    nodes, weights = gauss_profile_nodes(habitat, breakpoints=breakpoints)
-    ages, age_weights = age_rule(a_lo, a_hi, age_panel_width(model, age_scale))
-    return float(age_weights @ survival_slice(model, nodes, weights, h, ages))
+    lo, hi = SurvivalCumulative(habitat, model, h, breakpoints, age_scale)(np.array([a_lo, a_hi]))
+    return float(hi - lo) if a_hi > a_lo else 0.0
 
 
 def chi_sample(habitat, rng, size):

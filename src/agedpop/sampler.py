@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .config_space import MarkedConfiguration
-from .habitat import _BLOCK, chi_sample, run_shared, survival_factor, survival_weighted_integral
+from .habitat import _BLOCK, SurvivalCumulative, chi_sample, run_shared, survival_factor
 
 __all__ = [
     "IntensityMeasure",
@@ -64,8 +64,8 @@ class IntensityMeasure:
 
     The window is [0, t) for the law of newcomers since an empty start t
     ago, or [0, a_max] truncating the invariant intensity, with
-    truncation_error bounding the discarded mass.  total_mass is the age
-    rule's value of the intensity over the window.
+    truncation_error bounding the discarded mass.  total_mass is C(age_upper)
+    of _newcomers, so every intensity of a run reads one age rule.
     """
 
     habitat: object
@@ -75,10 +75,20 @@ class IntensityMeasure:
     truncation_error: float = 0.0
 
 
+def _unit(x, u):
+    return 1.0
+
+
+def _newcomers(habitat, model):
+    """C(t) = |rho_t|, the mass of the newcomers since an empty start t ago: the
+    SurvivalCumulative of h = 1, one per habitat.run_memo block."""
+    return run_shared(SurvivalCumulative, habitat, model, _unit)
+
+
 def _make_intensity(habitat, model, age_upper, truncation_error=0.0):
     if age_upper < 0:
         raise ValueError("age window must be nonnegative")
-    mass = survival_weighted_integral(habitat, model, lambda x, u: 1.0, 0.0, age_upper)
+    mass = _newcomers(habitat, model)(float(age_upper))
     return IntensityMeasure(habitat, model, float(age_upper), mass, truncation_error)
 
 
@@ -120,9 +130,9 @@ def _sample_points(intensity, count, rng):
     _BLOCK, with chi-distributed positions and truncated-exponential ages
     drawn by inversion, and accepts a proposal with chance
     exp(-(M(x, alpha) - m_zero alpha)); the first `need` accepted are kept.
-    The acceptance is total_mass over the envelope's mass, 1 under a
-    constant hazard.  The points come back grouped by round: an iid sample
-    whose order carries no meaning.
+    The acceptance is total_mass over the envelope's mass, taken as exactly 1
+    when m_zero = m_star, where the two differ by rounding alone.  The points
+    come back grouped by round: an iid sample whose order carries no meaning.
     """
     habitat = intensity.habitat
     m_zero = intensity.model.m_zero
@@ -134,7 +144,8 @@ def _sample_points(intensity, count, rng):
     drop = math.expm1(-m_zero * top)
     # the envelope's mass is chi_mass times int_0^top exp(-m_zero a) da
     span = -drop / m_zero if m_zero > 0 else top
-    accept = min(1.0, intensity.total_mass / (habitat.chi_mass * span))
+    envelope = habitat.chi_mass * span
+    accept = 1.0 if m_zero == intensity.model.m_star else min(1.0, intensity.total_mass / envelope)
     pos_parts, age_parts = [], []
     need = count
     while need:

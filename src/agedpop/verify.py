@@ -34,12 +34,13 @@ from .generator import (
     particle_terms,
     resolvent,
 )
-from .habitat import SurvivalCumulative, age_panel_width, age_rule, survival_factor
+from .habitat import age_panel_width, age_rule, survival_factor
 # re-exported for callers (and the benchmark's tracer) that reach them through this module
 from .habitat import chi_integral, survival_weighted_integral
 from .mark_space import series_distance
 from .sampler import (
     PathBundle,
+    _newcomers,
     _sample_points,
     event_driven_simulate,
     stationary_intensity,
@@ -256,23 +257,22 @@ def ergodicity_check(theta, habitat, model, name="ergodicity"):
 
     S_i = survival_factor(model, x_i, a_i, t) over gamma's particles, and
     |pi| - |rho_t| the mass of pi's particles alive at t (Kingman 1993): |pi|
-    is the invariant intensity's mass plus its truncation error, and all the
-    |rho_t| one SurvivalCumulative of h = 1.  gamma is empty and
-    _dirac_start, and t = k / max(1, m_zero), k = 1..10: under a fast hazard
-    the times shrink, so the bound stays far above the rounding of the gap.
+    is the invariant intensity's mass plus its truncation error, and both
+    masses are read off the one h = 1 cumulative of sampler._newcomers.
+    gamma is empty and _dirac_start, and t = k / max(1, m_zero), k = 1..10:
+    under a fast hazard the times shrink, so the bound stays far above the
+    rounding of the gap.  mu_t(F) is the ExplicitLaw of each start.
     """
     times = np.linspace(1.0, 10.0, 10) / max(1.0, model.m_zero)
     intensity = stationary_intensity(habitat, model)
     pi_value = PoissonLaw(intensity).expect_F(theta)
-    newcomers = SurvivalCumulative(habitat, model, lambda x, u: 1.0)
-    pi_alive = intensity.total_mass + intensity.truncation_error - newcomers(times)
-    arrivals = np.exp(ArrivalExponent(theta, habitat, model).H(times))
+    pi_alive = intensity.total_mass + intensity.truncation_error - _newcomers(habitat, model)(times)
     ratios, bounds = [], []
     for start in (MarkedConfiguration.empty(habitat.dim), _dirac_start(habitat)):
-        f, _ = DiracLaw(start).aged_expectations(times, model, theta)
+        mu_t = ExplicitLaw(DiracLaw(start), theta, habitat, model).expect_F(times)
         survival = survival_factor(model, start.positions[:, None, :], start.ages[:, None], times)
         bound = -np.expm1(np.sum(np.log1p(-survival), axis=0) - pi_alive)
-        ratios.append(np.abs(arrivals * f - pi_value) / bound)
+        ratios.append(np.abs(mu_t - pi_value) / bound)
         bounds.append(bound[-1])
     return VerificationReport(
         name=name,

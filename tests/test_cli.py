@@ -30,7 +30,7 @@ from golden_simulate import RECORD, simulate_digests
 from golden_simulate import RUNS as SIMULATE_RUNS
 from golden_verify import CONFIGS as VERIFY_CONFIGS
 from golden_verify import RECORD as VERIFY_RECORD
-from golden_verify import reports_digest, run_verify
+from golden_verify import moved_rows, reports_digest, row_digests, run_verify
 
 GOOD = {
     "habitat": {"window": [[0.0, 1.0]], "density": {"family": "constant", "level": 2.0}},
@@ -686,11 +686,23 @@ def recorded_verify(tmp_path_factory):
 def test_verify_keeps_its_recorded_reports(recorded_verify, name):
     # reports.csv of the four recorded configs at 1000 paths against
     # tests/golden_verify.json. A deliberate change rewrites the record with
-    # tests/golden_verify.py; the message names both environments, since
-    # another numpy, BLAS or CPU may move the last bits with no code change
+    # tests/golden_verify.py; the message names the rows that moved and both
+    # environments, since another numpy, BLAS or CPU may move the last bits
+    # with no code change
     record = json.loads(VERIFY_RECORD.read_text(encoding="utf-8"))
-    where = f"recorded on {record['environment']}, recomputed on {environment()}"
-    assert reports_digest(recorded_verify(name)[2]) == record["sha256"][name], where
+    out_dir = recorded_verify(name)[2]
+    where = (
+        f"rows moved: {moved_rows(record['rows'][name], row_digests(out_dir))}; "
+        f"recorded on {record['environment']}, recomputed on {environment()}"
+    )
+    assert reports_digest(out_dir) == record["sha256"][name], where
+
+
+def test_moved_rows_names_every_row_that_differs():
+    # the golden test names changed rows, and rows that one side lacks, by label
+    recorded = {"a": "1", "b": "2", "b#2": "3"}
+    assert moved_rows(recorded, dict(recorded)) == []
+    assert moved_rows(recorded, {"a": "1", "b": "9", "c": "4"}) == ["b", "b#2", "c"]
 
 
 def _deterministic_rows(out_dir):
@@ -715,22 +727,36 @@ def test_verify_rows_do_not_depend_on_the_suites_run_with_them(recorded_verify, 
 
 
 def test_verify_integrates_the_stationary_mass_once_per_run(tmp_path, monkeypatch, capsys):
-    # four checks read the stationary intensity of the 1-d recorded config;
-    # one run integrates its mass over [0, 40/m_zero] once, and keeps nothing
-    from agedpop import habitat, sampler
+    # every intensity mass of a run is C(age_upper) of one SurvivalCumulative
+    # of h = 1, and ergodicity_check reads |pi| and every |rho_t| off the same
+    # one: a `verify --suite all` run on the 1-d recorded config builds it
+    # once, integrates the stationary window [0, 40/m_zero] on it, and keeps
+    # nothing after the run
+    from agedpop import generator, habitat, sampler
 
-    spans = []
-    mass = sampler.survival_weighted_integral
+    built, queried = [], {}
 
-    def counted(hab, model, h, a_lo, a_hi, *args):
-        spans.append((a_lo, a_hi))
-        return mass(hab, model, h, a_lo, a_hi, *args)
+    class Counted(habitat.SurvivalCumulative):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(sampler, "survival_weighted_integral", counted)
+        def __call__(self, T):
+            queried.setdefault(id(self), []).extend(np.atleast_1d(T).tolist())
+            return super().__call__(T)
+
+    for module in (habitat, sampler, generator):
+        monkeypatch.setattr(module, "SurvivalCumulative", Counted)
     data = dict(VERIFY_CONFIGS["1d"], run={"seed": 7, "n_paths": 200})
+    ergodicity_times = (np.linspace(1.0, 10.0, 10) / max(1.0, 0.6)).tolist()
     for runs in (1, 2):
+        built.clear()
         assert main(["verify", "--config", _write(tmp_path, data), "--suite", "all"]) == 0, capsys.readouterr().out
-        assert spans.count((0.0, 40.0 / 0.6)) == runs
+        # the cumulatives whose h is 1 at their spatial nodes, at two ages
+        (ones,) = [c for c in built if np.all(c.h(c._nodes[:, None, :], np.array([[0.3, 1.7]])) == 1.0)]
+        assert ones.h is sampler._unit
+        assert queried[id(ones)].count(40.0 / 0.6) == 1
+        assert set(ergodicity_times) <= set(queried[id(ones)])
         assert habitat._RUN_MEMO.get() is None
 
 

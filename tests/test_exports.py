@@ -34,6 +34,7 @@ UNUSED_EXPORTS = {
     "explicit_solution": "called by the benchmark's workloads",
     "sample_trajectory_marginals": "called by the benchmark's workloads",
     "star_product": "the star product of the paper; ROADMAP item 5 gives it a caller",
+    "survival_weighted_integral": "shown in the README; the benchmark's tracer wraps it in agedpop.verify",
 }
 
 

@@ -251,20 +251,35 @@ def test_envelope_sampler_rejects_a_nan_cumulative_hazard(habitat_1d):
         sampler._sample_points(intensity, 100, np.random.default_rng(3))
 
 
-def test_total_mass_on_the_age_rule():
-    # the mass is the age rule's value over the whole window, to the bit at
-    # age frequency 50; for a constant hazard it is the closed form
-    # chi_mass (1 - e^{-mA}) / m
+def test_total_mass_is_the_h1_cumulative_at_age_upper():
+    # the mass is C(age_upper) of the SurvivalCumulative of h = 1, to the bit,
+    # stationary and transient, at age frequency 50 and under constant
+    # hazards, whose windows end inside a panel; for a constant hazard it is
+    # the closed form chi_mass (1 - e^{-mA}) / m
     hab = uniform_habitat([(0.0, 1.0)], 2.0)
-    model = separable_rate(hab, 0.5, 1.0, 50.0)
-    intensity = stationary_intensity(hab, model)
-    one = lambda x, u: 1.0  # noqa: E731
-    assert intensity.total_mass == survival_weighted_integral(hab, model, one, 0.0, intensity.age_upper)
-    for m in (0.6, 1.0, 2.0):
-        model = constant_rate(m)
+    for m in (None, 0.6, 1.0, 2.0):
+        model = separable_rate(hab, 0.5, 1.0, 50.0) if m is None else constant_rate(m)
+        cumulative = SurvivalCumulative(hab, model, lambda x, u: 1.0)
         for intensity in (stationary_intensity(hab, model), transient_intensity(hab, model, 0.7)):
-            want = hab.chi_mass * -math.expm1(-m * intensity.age_upper) / m
-            assert intensity.total_mass == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert intensity.total_mass == cumulative(intensity.age_upper)
+            if m is not None:
+                want = hab.chi_mass * -math.expm1(-m * intensity.age_upper) / m
+                assert intensity.total_mass == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_constant_hazard_acceptance_is_exactly_one():
+    # under a constant hazard the intensity's mass equals the envelope's up
+    # to rounding; a mass one ulp below it draws the same points, where an
+    # acceptance of 1 - 1e-16 would propose need + 1 points a round
+    hab = uniform_habitat([(0.0, 1.0)], 2.0)
+    model = constant_rate(0.6)
+    envelope = hab.chi_mass * -math.expm1(-0.6 * 5.0) / 0.6
+    draws = []
+    for mass in (envelope, np.nextafter(envelope, 0.0)):
+        intensity = sampler.IntensityMeasure(hab, model, 5.0, total_mass=float(mass))
+        draws.append(sampler._sample_points(intensity, 50, np.random.default_rng(4)))
+    np.testing.assert_array_equal(draws[0][0], draws[1][0])
+    np.testing.assert_array_equal(draws[0][1], draws[1][1])
 
 
 def _counting(model, seen):

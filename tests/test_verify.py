@@ -574,8 +574,9 @@ def test_stationary_count_fails_on_scaled_total_mass(habitat_1d, const_model, mo
 
     report = count_report()
     assert report.passed and report.value <= 1e-14, report.line()
-    mass = sampler.survival_weighted_integral
-    monkeypatch.setattr(sampler, "survival_weighted_integral", lambda *a: mass(*a) * (1.0 + 1e-9))
+    # every intensity reads its mass off the h = 1 cumulative of _newcomers
+    newcomers = sampler._newcomers
+    monkeypatch.setattr(sampler, "_newcomers", lambda *a: lambda t: newcomers(*a)(t) * (1.0 + 1e-9))
     report = count_report()
     assert report.outcome == "FAIL", report.line()
 
