@@ -200,21 +200,20 @@ def _write_header(out_dir, cfg, command, seed):
     (out_dir / "header.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-# Paths per seeded block: block b draws from child b of SeedSequence(seed),
-# and workers receive whole blocks, so the output is the same for any
-# --threads.  Changing it changes every simulate output.
-_BLOCK_PATHS = 100
+# Paths per seeded chunk: chunk c draws from child c of SeedSequence(seed) in
+# one event_driven_simulate call, in this process or a worker, so the output is
+# the same for any --threads; one trajectory of at most this many paths is
+# held at a time.  Changing it changes simulate's outputs.
+_CHUNK_PATHS = 2000
 
 
-# Blocks per chunk, one _run_blocks call, in this process or a worker: enough
-# that a thinning round's array work is shared, few enough that one trajectory
-# of about 2000 paths is held at a time, however many paths a run has.
-_CALL_BLOCKS = 20
+# Paths whose events.jsonl text is built at a time: it bounds memory and moves no byte.
+_TEXT_PATHS = 100
 
 
-def _block_rng(seed, block):
-    """Generator of child `block` of SeedSequence(seed)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+def _chunk_rng(seed, chunk):
+    """Generator of child `chunk` of SeedSequence(seed)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
 def _event_lines(traj, rows, first_path):
@@ -248,53 +247,52 @@ def _event_lines(traj, rows, first_path):
     return "".join([lines[i] for i in order.tolist()]), len(lines)
 
 
-def _run_blocks(cfg, blocks, seed):
-    """Consecutive seeded blocks of paths from the empty start, in one call.
+def _run_chunk(cfg, chunk, seed):
+    """The paths of seeded chunk `chunk` from the empty start, in one call.
 
-    Returns (an iterator over each block's events.jsonl text and event
-    count, which builds one block's text at a time, counts and F_theta
-    values of shape (paths, times), with no columns if there are no times,
-    thinning proposals, thinning accepts).
+    Returns (an iterator over the events.jsonl text and event count of each
+    _TEXT_PATHS paths, which builds one slice's text at a time, counts and
+    F_theta values of shape (paths, times), with no columns if there are no
+    times, thinning proposals, thinning accepts).
     """
-    first = blocks[0] * _BLOCK_PATHS
-    sizes = [min(_BLOCK_PATHS, cfg.n_paths - b * _BLOCK_PATHS) for b in blocks]
+    first = chunk * _CHUNK_PATHS
+    n = min(_CHUNK_PATHS, cfg.n_paths - first)
     traj = event_driven_simulate(
         MarkedConfiguration.empty(cfg.habitat.dim), cfg.horizon, cfg.habitat, cfg.model,
-        [_block_rng(seed, b) for b in blocks], sizes,
+        _chunk_rng(seed, chunk), n,
     )
-    counts = np.empty((traj.n_paths, len(cfg.times)), dtype=np.int64)
-    fvals = np.empty((traj.n_paths, len(cfg.times)))
+    counts = np.empty((n, len(cfg.times)), dtype=np.int64)
+    fvals = np.empty((n, len(cfg.times)))
     for j, t in enumerate(cfg.times):
         state = traj.state_at(t)
         counts[:, j] = state.counts()
         fvals[:, j] = state.f_theta(cfg.theta)
-    # path_ids is sorted, so block b's particles are rows ends[b]:ends[b + 1]
-    ends = np.searchsorted(traj.path_ids, np.cumsum([0, *sizes])).tolist()
+    # path_ids is sorted, so each slice of paths is one run of rows
+    ends = np.searchsorted(traj.path_ids, [*range(0, n, _TEXT_PATHS), n]).tolist()
     texts = (_event_lines(traj, slice(lo, hi), first) for lo, hi in zip(ends, ends[1:]))
     return texts, counts, fvals, traj.proposals, traj.accepts
 
 
 def _simulate_chunk(args):
-    """Worker: _run_blocks of one chunk on the config text the parent read, every block's text built."""
-    config_text, blocks, seed = args
-    texts, *rest = _run_blocks(_parse_config(config_text, "config"), blocks, seed)
+    """Worker: _run_chunk on the config text the parent read, every slice's text built."""
+    config_text, chunk, seed = args
+    texts, *rest = _run_chunk(_parse_config(config_text, "config"), chunk, seed)
     return list(texts), *rest
 
 
 def _chunk_results(args, cfg, seed):
-    """_run_blocks of every chunk of _CALL_BLOCKS blocks, in block order: in
-    this process, or on a pool fed 2 chunks per worker at a time."""
-    n_blocks = -(-cfg.n_paths // _BLOCK_PATHS)
-    chunks = [range(b, min(b + _CALL_BLOCKS, n_blocks)) for b in range(0, n_blocks, _CALL_BLOCKS)]
+    """_run_chunk of every chunk, in order: in this process, or on a pool fed
+    2 chunks per worker at a time."""
+    n_chunks = -(-cfg.n_paths // _CHUNK_PATHS)
     # a forked pool starts all its workers at once: none without a chunk or a CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(args.threads, len(chunks), cpus)
+    workers = min(args.threads, n_chunks, cpus)
     if workers == 1:
-        yield from (_run_blocks(cfg, blocks, seed) for blocks in chunks)
+        yield from (_run_chunk(cfg, c, seed) for c in range(n_chunks))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w in range(0, len(chunks), 2 * workers):
-            window = [(cfg.raw_text, blocks, seed) for blocks in chunks[w : w + 2 * workers]]
+        for w in range(0, n_chunks, 2 * workers):
+            window = [(cfg.raw_text, c, seed) for c in range(w, min(w + 2 * workers, n_chunks))]
             yield from pool.map(_simulate_chunk, window)
 
 

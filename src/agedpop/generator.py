@@ -53,6 +53,7 @@ from .habitat import (
     age_rule,
     chi_integral,
     log_survival,
+    run_memo,
     run_shared,
     survival_factor,
     window_grid,
@@ -425,11 +426,12 @@ def kolmogorov_residual(theta, t1, t2, config, habitat, model):
     """
     if not 0.0 <= t1 <= t2:
         raise ValueError("need 0 <= t1 <= t2")
-    law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
-    s, weights = age_rule(t1, t2, age_panel_width(model, theta.age_scale))
-    lf = apply_generator(FlowedTheta(theta, s, model), config, habitat, model)
-    integral = weights @ (np.exp(law.exponent.H(s)) * lf)
-    f1, f2 = law.expect_F(np.array([t1, t2]))
+    with run_memo():
+        law = ExplicitLaw(DiracLaw(config), theta, habitat, model)
+        s, weights = age_rule(t1, t2, age_panel_width(model, theta.age_scale))
+        lf = apply_generator(FlowedTheta(theta, s, model), config, habitat, model)
+        integral = weights @ (np.exp(law.exponent.H(s)) * lf)
+        f1, f2 = law.expect_F(np.array([t1, t2]))
     return abs(f2 - f1 - integral)
 
 
@@ -462,10 +464,11 @@ def resolvent_identity_residual(theta, lam, config, habitat, model):
 
     Zero analytically; the returned value is pure quadrature error.
     """
-    t, weights, factor = _laplace_rule(lam, model, ArrivalExponent(theta, habitat, model))
-    lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
-    lf_lam = float(weights @ (factor * lf))
-    f_lam = resolvent(theta, lam, config, habitat, model)
+    with run_memo():
+        t, weights, factor = _laplace_rule(lam, model, ArrivalExponent(theta, habitat, model))
+        lf = apply_generator(FlowedTheta(theta, t, model), config, habitat, model)
+        lf_lam = float(weights @ (factor * lf))
+        f_lam = resolvent(theta, lam, config, habitat, model)
     return abs(lf_lam - lam * f_lam + DiracLaw(config).expect_F(theta))
 
 

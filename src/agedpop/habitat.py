@@ -421,8 +421,10 @@ _RUN_MEMO = contextvars.ContextVar("agedpop_run_memo", default=None)
 
 @contextlib.contextmanager
 def run_memo():
-    """A block inside which run_shared builds each object once; all are dropped when it closes."""
-    token = _RUN_MEMO.set({})
+    """A block inside which run_shared builds each object once.  A block opened inside
+    another shares its caller's objects; all are dropped when the outermost one closes."""
+    memo = _RUN_MEMO.get()
+    token = _RUN_MEMO.set({} if memo is None else memo)
     try:
         yield
     finally:

@@ -8,8 +8,8 @@ Two independent routes to the same law:
   * event-driven simulation: each path's arrivals are a homogeneous Poisson
     stream in time with chi-distributed locations, and given them each
     particle departs by Lewis-Shedler thinning of its own rate-m_star clock;
-    all paths of a call are drawn together and kept as flat per-particle
-    arrays (EventTrajectory).
+    all paths of a call are drawn together from one generator and kept as
+    flat per-particle arrays (EventTrajectory).
 
 The newcomer intensity at horizon t is
 
@@ -327,26 +327,16 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
     together, one proposal per round, until each has departed or passed the
     horizon.  Raises ValueError if a proposal sees m(x, a) > m_star.
 
-    rng may also be a sequence of generators, one per block of paths, with
-    n_paths the sequence of the blocks' path counts.  Block b draws its
-    arrivals, their times and positions, and each round's clocks and
-    uniforms from rng[b], in the order and sizes of a call with rng[b] and
-    n_paths[b] alone, while the array work of each round is shared.  The
-    result is those calls' results concatenated, block b's paths numbered
-    after the earlier blocks'.
+    The one generator rng draws, in this order: the n_paths arrival counts,
+    their times, their positions (none if there are no arrivals), then each
+    round's clocks and acceptance uniforms, one per live particle.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     horizon = float(horizon)
-    rngs, block_paths = ([rng], [n_paths]) if isinstance(rng, np.random.Generator) else (rng, n_paths)
-    if len(rngs) != len(block_paths):
-        raise ValueError("one generator per block of paths")
     dim, k = habitat.dim, len(config)
-    arrivals = [g.poisson(habitat.chi_mass * horizon, n) for g, n in zip(rngs, block_paths)]
-    times = [g.uniform(0.0, horizon, int(a.sum())) for g, a in zip(rngs, arrivals)]
-    spots = [chi_sample(habitat, g, size=t.size) for g, t in zip(rngs, times) if t.size]
-    arrivals, times = np.concatenate(arrivals), np.concatenate(times)
-    n_paths = arrivals.size
+    arrivals = rng.poisson(habitat.chi_mass * horizon, n_paths)
+    times = rng.uniform(0.0, horizon, int(arrivals.sum()))
     sizes = k + arrivals
     path_ids = np.repeat(np.arange(n_paths, dtype=np.int64), sizes)
     ids = np.arange(path_ids.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -356,32 +346,21 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
     births[~initial] = times[_path_time_order(path_ids[~initial], times)]
     positions = np.empty((path_ids.size, dim))
     positions[initial] = np.tile(config.positions, (n_paths, 1))
-    if spots:
-        positions[~initial] = np.concatenate(spots)
+    if times.size:
+        positions[~initial] = chi_sample(habitat, rng, size=times.size)
     deaths = np.full(path_ids.size, math.inf)
     proposals = accepts = 0
     m_star = model.m_star
     live = np.arange(path_ids.size) if m_star > 0 else np.empty(0, dtype=np.int64)
     clock = np.maximum(births, 0.0)
-    # the rows where each block's particles start, and their end: compaction
-    # keeps live sorted, so a block's live particles are one run of it
-    bounds = np.searchsorted(path_ids, np.cumsum([0, *block_paths]))
-
-    def per_block(draw):
-        """One draw per block, sized by its live particles; a block with none draws nothing."""
-        if len(rngs) == 1:
-            return draw(rngs[0], live.size)
-        runs = np.diff(np.searchsorted(live, bounds)).tolist()
-        return np.concatenate([draw(g, n) for g, n in zip(rngs, runs)])
-
     while live.size:
-        clock[live] += per_block(lambda g, n: g.exponential(1.0 / m_star, n))
+        clock[live] += rng.exponential(1.0 / m_star, live.size)
         live = live[clock[live] < horizon]
         ages = clock[live] - births[live]
         rate = model.rate(positions[live], ages)
         if not (rate <= m_star).all():
             raise ValueError("departure rate exceeds its declared bound m_star")
-        hit = per_block(lambda g, n: g.random(n)) * m_star < rate
+        hit = rng.random(live.size) * m_star < rate
         deaths[live[hit]] = clock[live[hit]]
         proposals += live.size
         accepts += int(np.count_nonzero(hit))

@@ -1,4 +1,4 @@
-"""The sha256 of `simulate`'s output files on three fixed configs.
+"""The sha256 of `simulate`'s output files on fixed configs.
 
 tests/golden_simulate.json records them; test_cli.py reruns `simulate` and
 compares, at --threads 1 and through a pool, so a change that moves one byte
@@ -43,21 +43,25 @@ CONSTANT_3D = {
     "theta": [[1, 1, 1], [2, 1, 2]],
     "run": {"seed": 7, "n_paths": 1000, "times": [0.5, 1.0, 2.0], "horizon": 2.0},
 }
+# simulate-1d at 4500 paths: three seeded chunks of cli._CHUNK_PATHS = 2000, the last short
+CONFIG_4500 = {**CONFIG, "run": {**CONFIG["run"], "n_paths": 4500}}
 # the record's key of each run: (config, seed); simulate-1d's runs are keyed by their seed
 RUNS = {
     "123": (CONFIG, 123),
     "7": (CONFIG, 7),
+    "123-4500": (CONFIG_4500, 123),
     "2d-separable-11": (SEPARABLE_2D, 11),
     "3d-7": (CONSTANT_3D, 7),
 }
 FILES = ("events.jsonl", "summary.csv")
 
 
-def simulate_digests(work_dir, threads=1):
-    """{run: {file: sha256}} of `simulate --threads threads` for each of RUNS."""
+def simulate_digests(work_dir, threads=1, runs=RUNS):
+    """{run: {file: sha256}} of `simulate --threads threads` for each of runs, a subset of RUNS."""
     work_dir = Path(work_dir)
     digests = {}
-    for name, (data, seed) in RUNS.items():
+    for name in runs:
+        data, seed = RUNS[name]
         config = work_dir / f"golden_simulate-{name}.json"
         config.write_text(json.dumps(data), encoding="utf-8")
         out = work_dir / f"{name}-threads{threads}"

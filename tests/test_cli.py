@@ -27,7 +27,6 @@ from agedpop.cli import ConfigError, load_config, main
 from agedpop.verify import SUITES
 from golden_metrics import environment
 from golden_simulate import RECORD, simulate_digests
-from golden_simulate import RUNS as SIMULATE_RUNS
 from golden_verify import CONFIGS as VERIFY_CONFIGS
 from golden_verify import RECORD as VERIFY_RECORD
 from golden_verify import moved_rows, reports_digest, row_digests, run_verify
@@ -306,7 +305,7 @@ def pool_maps(monkeypatch):
 
     class RecordingPool(cli.ProcessPoolExecutor):
         def map(self, fn, work):
-            maps.append([list(blocks) for _, blocks, _ in work])
+            maps.append([chunk for _, chunk, _ in work])
             return super().map(fn, work)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
@@ -321,16 +320,16 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys, pool_maps)
     assert code == 0
     assert (out_dir / "events.jsonl").exists()
     # 300 paths of an age-varying hazard: enough rows that a reordered mean
-    # differs in its last digits, and 250, whose last block is short; in 1-d
+    # differs in its last digits, and 250, whose last chunk is short; in 1-d
     # and on a 2-d window
     separable = {"family": "separable", "base": 0.5, "amplitude": 1.0, "frequency": 2.0}
     cases = [
         {"window": [[0.0, 1.0]], "density": {"family": "linear", "base": 2.0, "slope": 6.0}},
         {"window": [[0.0, 1.0], [0.0, 2.0]], "density": {"family": "constant", "level": 1.5}},
     ]
-    # one block a chunk, so 3 chunks reach real workers; and three usable
-    # CPUs, so that --threads N starts N workers on any machine
-    monkeypatch.setattr(cli, "_CALL_BLOCKS", 1)
+    # 100 paths a chunk at every --threads value, so 3 chunks reach real
+    # workers; and three usable CPUs, so that --threads N starts N workers on any machine
+    monkeypatch.setattr(cli, "_CHUNK_PATHS", 100)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     capsys.readouterr()
     for dim, habitat in enumerate(cases, 1):
@@ -349,8 +348,8 @@ def test_simulate_threads(tmp_path, config_path, monkeypatch, capsys, pool_maps)
                 assert capsys.readouterr().out.split()[:4] == ["wrote", str(len(lines)), "events", "over"]
                 assert len(json.loads(lines[0])["x"]) == dim
                 assert {json.loads(line)["path"] for line in lines} <= set(range(n_paths))
-            # the same three one-block chunks, in block order, for 2 and 3 workers
-            assert pool_maps == [[[0], [1], [2]], [[0], [1], [2]]]
+            # the same three chunks, in order, for 2 and 3 workers
+            assert pool_maps == [[0, 1, 2], [0, 1, 2]]
             for name in ("summary.csv", "events.jsonl"):
                 for out in outs[1:]:
                     assert (outs[0] / name).read_bytes() == (out / name).read_bytes(), (dim, n_paths, name)
@@ -375,7 +374,7 @@ def inline_pool(monkeypatch):
             return False
 
         def map(self, fn, work):
-            self.maps.append([list(blocks) for _, blocks, _ in work])
+            self.maps.append([chunk for _, chunk, _ in work])
             return map(fn, work)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
@@ -383,9 +382,9 @@ def inline_pool(monkeypatch):
 
 
 def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch, inline_pool):
-    # every --threads value runs the chunks of _CALL_BLOCKS blocks that one
-    # process runs; a pool gets them in block order, at most 2 per worker in
-    # one map call, and starts no more workers than chunks or CPUs
+    # every --threads value runs the chunks that one process runs; a pool
+    # gets them in order, at most 2 per worker in one map call, and starts no
+    # more workers than chunks or CPUs
     loads = []
     load_config = cli.load_config
 
@@ -401,23 +400,22 @@ def test_simulate_pool_is_sized_by_its_work(tmp_path, monkeypatch, inline_pool):
         assert main(["simulate", "--config", path, "--threads", str(threads), "--out-dir", str(out)]) == 0
         return {name: (out / name).read_bytes() for name in ("summary.csv", "events.jsonl")}
 
-    # 150 paths are 2 blocks, one chunk: --threads 5000 starts no pool
-    two = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=150)), "two.json")
-    assert run(two, 5000) == run(two, 1)
+    # 150 paths are one chunk: --threads 5000 starts no pool
+    one = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=150)), "one.json")
+    assert run(one, 5000) == run(one, 1)
     assert inline_pool.asked == []
-    # 1000 paths are 10 blocks
     ten = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=1000)), "ten.json")
-    expected = run(ten, 1)
-    for call_blocks, threads, workers, maps in [
+    for chunk_paths, threads, workers, maps in [
         # 4 chunks, the last short, on 4 CPUs: 4 workers, one window of 8
-        (3, 5000, 4, [[[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]]),
-        # 10 one-block chunks: 2 workers take windows of 4, and 4 workers windows of 8
-        (1, 2, 2, [[[0], [1], [2], [3]], [[4], [5], [6], [7]], [[8], [9]]]),
-        (1, 5000, 4, [[[b] for b in range(8)], [[8], [9]]]),
+        (300, 5000, 4, [[0, 1, 2, 3]]),
+        # 10 chunks: 2 workers take windows of 4, and 4 workers windows of 8
+        (100, 2, 2, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
+        (100, 5000, 4, [list(range(8)), [8, 9]]),
     ]:
-        monkeypatch.setattr(cli, "_CALL_BLOCKS", call_blocks)
+        monkeypatch.setattr(cli, "_CHUNK_PATHS", chunk_paths)
+        expected = run(ten, 1)
         del inline_pool.maps[:], loads[:]
-        assert run(ten, threads) == expected, (call_blocks, threads)
+        assert run(ten, threads) == expected, (chunk_paths, threads)
         assert inline_pool.asked[-1] == workers and inline_pool.maps == maps
         # the workers parse the parent's config text and read no file
         assert loads == [ten]
@@ -445,7 +443,7 @@ def test_simulate_workers_ignore_a_config_edited_mid_run(tmp_path, monkeypatch, 
         return result
 
     monkeypatch.setattr(cli, "_simulate_chunk", chunk_then_edit)
-    monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
+    monkeypatch.setattr(cli, "_CHUNK_PATHS", 200)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outs = []
     for threads in ("1", "2"):
@@ -459,47 +457,57 @@ def test_simulate_workers_ignore_a_config_edited_mid_run(tmp_path, monkeypatch, 
     assert sum(map(len, inline_pool.maps)) == 5
 
 
-def test_simulate_in_process_calls_take_whole_blocks(tmp_path, monkeypatch):
-    # in one process, 950 paths (10 blocks, the last of 50) run as one
-    # event_driven_simulate call, or at 4 blocks a call as calls of 4, 4 and
-    # 2 generators, with the same bytes
-    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=950)), "ten.json")
-    calls = []
-    real = cli.event_driven_simulate
-
-    def recording(config, horizon, habitat, model, rng, n_paths=1):
-        calls.append(list(n_paths))
-        return real(config, horizon, habitat, model, rng, n_paths)
-
-    monkeypatch.setattr(cli, "event_driven_simulate", recording)
-    outs = []
-    for call_blocks in (20, 4):
-        monkeypatch.setattr(cli, "_CALL_BLOCKS", call_blocks)
-        out = tmp_path / f"calls{call_blocks}"
-        assert main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
-        outs.append(out)
-    assert calls == [[100] * 9 + [50], [100] * 4, [100] * 4, [100, 50]]
-    for name in ("summary.csv", "events.jsonl"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-
-
 def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch, pool_maps):
     # events.jsonl and summary.csv of perfbench's simulate-1d config at 2000
-    # paths, seeds 123 and 7, and of a 2-d separable and a 3-d constant config
-    # at 1000 paths, against tests/golden_simulate.json: in this process, and
-    # on a pool of 2 forked workers at 2 blocks a chunk (10 or 5 chunks, fed
-    # in windows of 4). A deliberate change rewrites the record with
-    # tests/golden_simulate.py; the message names both environments, since
-    # another numpy, BLAS or CPU may move the last bits with no code change
+    # paths, seeds 123 and 7, and at 4500 paths (three chunks, the last
+    # short), and of a 2-d separable and a 3-d constant config at 1000 paths,
+    # against tests/golden_simulate.json: in this process, and on a pool of 2
+    # forked workers; the 4500-path run also on 3. A deliberate change
+    # rewrites the record with tests/golden_simulate.py; the message names
+    # both environments, since another numpy, BLAS or CPU may move the last
+    # bits with no code change
     record = json.loads(RECORD.read_text(encoding="utf-8"))
     where = f"recorded on {record['environment']}, recomputed on {environment()}"
     assert simulate_digests(tmp_path) == record["sha256"], where
-    monkeypatch.setattr(cli, "_CALL_BLOCKS", 2)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert simulate_digests(tmp_path, threads=2) == record["sha256"], where
-    windows = {2000: [4, 4, 2], 1000: [4, 1]}
-    assert list(map(len, pool_maps)) == [
-        n for data, _ in SIMULATE_RUNS.values() for n in windows[data["run"]["n_paths"]]
+    multi = {"123-4500": record["sha256"]["123-4500"]}
+    assert simulate_digests(tmp_path, threads=3, runs=multi) == multi, where
+    # only the 4500-path run starts a pool: one window of its 3 chunks, for 2 and 3 workers
+    assert pool_maps == [[0, 1, 2], [0, 1, 2]]
+
+
+def test_simulate_chunk_c_is_one_call_on_seed_child_c(tmp_path):
+    # 2300 paths are chunks of 2000 and 300; chunk c's events.jsonl lines,
+    # counts and F_theta values are those of one event_driven_simulate call
+    # on child c of SeedSequence(seed), its paths numbered from 2000 c
+    path = _write(tmp_path, _with(lambda d: d["run"].update(n_paths=2300)), "two.json")
+    out = tmp_path / "two"
+    assert main(["simulate", "--config", path, "--seed", "5", "--out-dir", str(out)]) == 0
+    cfg = load_config(path)
+    children = np.random.SeedSequence(5).spawn(2)
+    # (texts are compared as lists of lines, whose mismatch pytest reports by its first index)
+    lines, counts, fvals = [], [], []
+    for c, n in enumerate([2000, 300]):
+        traj = event_driven_simulate(
+            MarkedConfiguration.empty(1), cfg.horizon, cfg.habitat, cfg.model,
+            np.random.default_rng(children[c]), n,
+        )
+        want = _json_event_lines(traj, 2000 * c).splitlines()
+        lines += want
+        states = [traj.state_at(t) for t in cfg.times]
+        counts.append(np.stack([s.counts() for s in states], axis=1))
+        fvals.append(np.stack([s.f_theta(cfg.theta) for s in states], axis=1))
+        texts, chunk_counts, chunk_fvals, *_ = cli._run_chunk(cfg, c, 5)
+        assert "".join(t for t, _ in texts).splitlines() == want
+        np.testing.assert_array_equal(chunk_counts, counts[-1])
+        np.testing.assert_array_equal(chunk_fvals, fvals[-1])
+    assert (out / "events.jsonl").read_text(encoding="utf-8").splitlines() == lines
+    counts, fvals = np.concatenate(counts), np.concatenate(fvals)
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["value"]) for r in rows] == [
+        v[:, j].mean() for j in range(len(cfg.times)) for v in (counts, fvals)
     ]
 
 
@@ -625,16 +633,6 @@ def test_simulate_with_no_times_writes_a_header_only_summary(tmp_path, capsys):
     assert main(["simulate", "--config", path, "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "summary.csv").read_bytes() == b"time,statistic,value,stderr\r\n"
     assert (out_dir / "events.jsonl").read_text().count("\n") > 0
-
-
-def test_block_seeds_deterministic():
-    a = cli._block_rng(7, 2).random(3)
-    b = cli._block_rng(7, 2).random(3)
-    np.testing.assert_array_equal(a, b)
-    # block b draws from child b of SeedSequence(seed), whatever the split
-    child = np.random.default_rng(np.random.SeedSequence(7).spawn(5)[2]).random(3)
-    np.testing.assert_array_equal(a, child)
-    assert not np.allclose(a, cli._block_rng(7, 3).random(3))
 
 
 def test_verify_metrics_suite(tmp_path, config_path, capsys):

@@ -525,4 +525,22 @@ def test_run_memo_shares_the_closed_forms_of_one_run_and_nothing_else(
     assert inside[2] == first[2] == again[2]
     assert closed_forms()[0] is not inside[0]
     with run_memo():
-        assert closed_forms()[1] is not inside[1]
+        outer = closed_forms()
+        assert outer[1] is not inside[1]
+        # a block inside another shares its caller's objects, and closing it drops none
+        with run_memo():
+            assert closed_forms()[1] is outer[1]
+        assert closed_forms()[1] is outer[1]
+    # each residual opens a block: one cumulative of theta serves all its H
+    # values, and kolmogorov_residual adds ExplicitLaw's weighted arrivals
+    config = MarkedConfiguration(np.array([[0.3], [0.7]]), np.array([0.2, 1.0]))
+    rate = constant_rate(0.6)
+    for residual, cumulatives in [
+        (lambda: resolvent_identity_residual(theta_two, 1.0, config, habitat_1d, rate), 1),
+        (lambda: kolmogorov_residual(theta_two, 0.0, 0.5, config, habitat_1d, rate), 2),
+    ]:
+        built.clear()
+        alone = residual()
+        assert len(built) == cumulatives
+        with run_memo():
+            assert residual() == alone

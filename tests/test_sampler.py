@@ -545,67 +545,6 @@ def test_event_driven_aged_initial_survival(habitat_1d, separable_model, rng):
     assert traj.accepts == gone.size and traj.proposals >= traj.accepts
 
 
-class _Recording:
-    """A generator that records the method and result shape of every draw."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.draws = []
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def draw(*args, **kwargs):
-            out = method(*args, **kwargs)
-            self.draws.append((name, np.shape(out)))
-            return out
-
-        return draw
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("family", ["constant", "separable"])
-@pytest.mark.parametrize("start", ["empty", "dirac"])
-def test_blocks_of_one_call_are_their_single_generator_calls(dim, family, start):
-    # k generators in one call give the k single-generator calls
-    # concatenated, block b's paths numbered after the earlier blocks'
-    habitat = uniform_habitat([(0.0, 1.0)] * (dim - 1) + [(0.0, 2.0)], 1.5)
-    model = constant_rate(0.8) if family == "constant" else separable_rate(habitat, 0.5, 1.0, 2.0)
-    config = (
-        MarkedConfiguration.empty(dim) if start == "empty"
-        else MarkedConfiguration(np.full((2, dim), 0.25), np.array([0.4, 1.3]))
-    )
-    horizon = 2.5
-    mean = habitat.chi_mass * horizon
-    # a one-path block with no arrivals: the first seed whose Poisson draw is 0
-    quiet = next(s for s in range(1000, 2000) if np.random.default_rng(s).poisson(mean, 1)[0] == 0)
-    # one-path blocks that empty rounds before the 60-path ones, and a short last block
-    seeds, sizes = [3, quiet, 4, 5, 6], [60, 1, 60, 1, 13]
-    singles = [
-        event_driven_simulate(config, horizon, habitat, model, np.random.default_rng(s), n_paths=n)
-        for s, n in zip(seeds, sizes)
-    ]
-    rngs = [_Recording(s) for s in seeds]
-    traj = event_driven_simulate(config, horizon, habitat, model, rngs, sizes)
-    firsts = np.cumsum([0, *sizes[:-1]])
-    assert (traj.n_paths, traj.n_initial, traj.dim) == (sum(sizes), len(config), dim)
-    np.testing.assert_array_equal(
-        traj.path_ids, np.concatenate([t.path_ids + f for t, f in zip(singles, firsts)])
-    )
-    for name in ("ids", "positions", "births", "deaths"):
-        assert np.array_equal(traj.__dict__[name], np.concatenate([getattr(t, name) for t in singles])), name
-    assert traj.proposals == sum(t.proposals for t in singles)
-    assert traj.accepts == sum(t.accepts for t in singles)
-    # the cases happen: no arrivals in block 1, and blocks that stop drawing first
-    assert np.count_nonzero(traj.ids[traj.path_ids == firsts[1]] >= len(config)) == 0
-    # (a constant hazard m_star accepts every proposal: one round)
-    rounds = [sum(name == "exponential" and shape != (0,) for name, shape in g.draws) for g in rngs]
-    assert 0 < rounds[3] < max(rounds) or family == "constant"
-    # one generator stays the one-block case
-    with pytest.raises(ValueError, match="one generator per block"):
-        event_driven_simulate(config, horizon, habitat, model, rngs[:2], sizes)
-
-
 @pytest.mark.parametrize(
     "case", ["random", "repeated-times", "one-path", "zero-times", "large-ids", "empty"]
 )
