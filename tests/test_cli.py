@@ -477,7 +477,18 @@ def test_simulate_keeps_its_recorded_bytes(tmp_path, monkeypatch, pool_maps):
     assert pool_maps == [[0, 1, 2], [0, 1, 2]]
 
 
-def test_simulate_chunk_c_is_one_call_on_seed_child_c(tmp_path):
+def test_block_seeds_deterministic():
+    # simulate's seeded block is its chunk of cli._CHUNK_PATHS paths
+    a = cli._chunk_rng(7, 2).random(3)
+    b = cli._chunk_rng(7, 2).random(3)
+    np.testing.assert_array_equal(a, b)
+    # chunk c draws from child c of SeedSequence(seed), whatever the split
+    child = np.random.default_rng(np.random.SeedSequence(7).spawn(5)[2]).random(3)
+    np.testing.assert_array_equal(a, child)
+    assert not np.allclose(a, cli._chunk_rng(7, 3).random(3))
+
+
+def test_simulate_in_process_calls_take_whole_blocks(tmp_path):
     # 2300 paths are chunks of 2000 and 300; chunk c's events.jsonl lines,
     # counts and F_theta values are those of one event_driven_simulate call
     # on child c of SeedSequence(seed), its paths numbered from 2000 c
