@@ -344,7 +344,7 @@ def age_rule(a_lo, a_hi, width):
 
 
 class SurvivalCumulative:
-    """C(T) = int_0^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any T >= 0.
+    """C(T) = int_0^T int h(x, u) exp(-M(x, u)) chi(dx) du, for any finite T >= 0.
 
     The ages are cut into the panels [k w, (k+1) w] with w =
     age_panel_width(model, age_scale), age_scale being the age scale of h
@@ -405,8 +405,8 @@ class SurvivalCumulative:
     def __call__(self, T):
         T = np.asarray(T, dtype=float)
         pos = T / self.width
-        if np.any(pos < 0):
-            raise ValueError("the cumulative integral starts at age 0")
+        if not 0.0 <= pos.min(initial=0.0) <= pos.max(initial=0.0) < math.inf:  # NaN fails too
+            raise ValueError("the cumulative integral needs a finite T >= 0")
         # the panel holding T; a T on an edge closes the panel below it
         k = np.maximum(np.ceil(pos) - 1, 0).astype(int)
         self._extend(int(k.max()) + 1 if k.size else 0)

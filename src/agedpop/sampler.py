@@ -56,6 +56,8 @@ __all__ = [
 # relative rounding allowance of the survival band of PathBundle.thin_and_age
 # and of the sampling envelope of _sample_points
 _SQUEEZE_SLACK = 1e-9
+# expected particles in one block of paths of sample_trajectory_marginals
+_BLOCK_PARTICLES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +88,12 @@ def _newcomers(habitat, model):
 
 
 def _make_intensity(habitat, model, age_upper, truncation_error=0.0):
-    if age_upper < 0:
-        raise ValueError("age window must be nonnegative")
     mass = _newcomers(habitat, model)(float(age_upper))
     return IntensityMeasure(habitat, model, float(age_upper), mass, truncation_error)
 
 
 def transient_intensity(habitat, model, t):
-    """Newcomer intensity rho_t: ages in [0, t), weighted by survival."""
+    """Newcomer intensity rho_t, t finite and >= 0: ages in [0, t), weighted by survival."""
     return _make_intensity(habitat, model, float(t))
 
 
@@ -206,6 +206,8 @@ class PathBundle:
         band keeps and one above it drops without q, so every decision is
         that of u < q on all particles.
         """
+        if not 0.0 <= dt < math.inf:
+            raise ValueError("a survival step must be finite and nonnegative")
         if self.path_ids.size == 0 or dt == 0.0:
             self.ages = self.ages + dt
             return
@@ -372,32 +374,40 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
 
 
 def sample_trajectory_marginals(initial, times, thetas, habitat, model, n_paths, rng):
-    """Monte Carlo marginals of F_theta and counts along a time grid.
+    """Monte Carlo marginals of F_theta and counts along a time grid, finite, >= 0 and sorted.
 
     initial: MarkedConfiguration (all paths start there), IntensityMeasure
     (Poisson start), or None (empty start).  Returns a dict with keys
     ("f", time_index, theta_index) -> per-path array and
-    ("count", time_index) -> per-path integer array.
+    ("count", time_index) -> per-path integer array.  The paths run through
+    the whole grid in blocks of _BLOCK_PARTICLES // (the start's size or mass
+    plus every step's newcomer mass) paths, drawing from rng in turn: each its
+    start, then at each time its thinning and newcomers.  So the first paths do
+    not depend on n_paths, but changing the budget changes every output.
     """
-    times = list(times)
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be sorted")
-    if isinstance(initial, MarkedConfiguration):
-        bundle = PathBundle.from_configuration(initial, n_paths)
-    else:
-        bundle = PathBundle(n_paths, habitat.dim)
-        if initial is not None:
-            bundle.add_poisson(initial, rng)
+    times = [float(t) for t in times]
+    if not all(0.0 <= a <= b < math.inf for a, b in zip([0.0, *times], times)):
+        raise ValueError("times must be finite, nonnegative and sorted")
+    steps = np.diff(times, prepend=0.0)
+    intensities = [transient_intensity(habitat, model, dt) if dt > 0 else None for dt in steps]
+    dirac = isinstance(initial, MarkedConfiguration)
+    start = len(initial) if dirac else 0.0 if initial is None else initial.total_mass
+    per_path = start + sum(i.total_mass for i in intensities if i is not None)
+    size = max(1, int(_BLOCK_PARTICLES / per_path)) if per_path > 0 else max(1, n_paths)
     out = {}
-    t_now = 0.0
-    for ti, t in enumerate(times):
-        dt = t - t_now
-        if dt > 0:
-            intensity = transient_intensity(habitat, model, dt)
-            bundle.transition(dt, intensity, model, rng)
-            t_now = t
-        for hi, theta in enumerate(thetas):
-            out[("f", ti, hi)] = bundle.f_theta(theta)
-        out[("count", ti)] = bundle.counts()
+    for ti in range(len(times)):
+        out.update({("f", ti, hi): np.empty(n_paths) for hi in range(len(thetas))})
+        out[("count", ti)] = np.empty(n_paths, dtype=np.intp)
+    for lo in range(0, n_paths, size):
+        n = min(size, n_paths - lo)
+        bundle = PathBundle.from_configuration(initial, n) if dirac else PathBundle(n, habitat.dim)
+        if initial is not None and not dirac:
+            bundle.add_poisson(initial, rng)
+        for ti, (dt, intensity) in enumerate(zip(steps, intensities)):
+            if dt > 0:
+                bundle.transition(dt, intensity, model, rng)
+            for hi, theta in enumerate(thetas):
+                out[("f", ti, hi)][lo : lo + n] = bundle.f_theta(theta)
+            out[("count", ti)][lo : lo + n] = bundle.counts()
     return out
 

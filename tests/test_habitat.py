@@ -539,6 +539,21 @@ def test_survival_cumulative_starts_at_exactly_zero(c):
         assert cumulative(np.array([0.0, 0.5, 0.0]))[[0, 2]].tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "T", [-0.5, math.nan, math.inf, [0.5, math.nan], [-1.0, 0.5], [0.2, math.inf]]
+)
+def test_survival_cumulative_refuses_a_negative_or_non_finite_T(habitat_1d, separable_model, T):
+    # unchecked, a NaN or infinite T was cast to a garbage panel index, which
+    # raised IndexError after a RuntimeWarning
+    cumulative = SurvivalCumulative(habitat_1d, separable_model, lambda x, u: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite T >= 0"):
+            cumulative(T)
+    assert cumulative(np.empty(0)).shape == (0,)
+    assert cumulative([0.0, 0.3])[0] == 0.0
+
+
 def test_gauss_profile_nodes_cached(habitat_1d):
     first = gauss_profile_nodes(habitat_1d, breakpoints=(0.7, 0.3))
     again = gauss_profile_nodes(habitat_1d, breakpoints=[0.3, 0.7, 0.3])

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +54,17 @@ def test_transient_mass_separable(habitat_1d, separable_model):
 
     want, _ = integrate.dblquad(integrand, 0.0, 1.0, 0.0, t, epsabs=1e-10)
     assert intensity.total_mass == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
+def test_transient_intensity_refuses_a_negative_or_non_finite_window(
+    habitat_1d, separable_model, t
+):
+    # unchecked, NaN and inf raised IndexError from a garbage panel index
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite T >= 0"):
+            transient_intensity(habitat_1d, separable_model, t)
 
 
 def test_stationary_mass_and_truncation(habitat_1d, const_model):
@@ -118,6 +131,21 @@ def test_thin_and_age_exact(habitat_1d, const_model, rng):
     np.testing.assert_allclose(bundle.ages, 0.7 + t)
     p = math.exp(-t)
     assert abs(survived / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("dt", [-0.5, math.nan, math.inf])
+def test_thin_and_age_refuses_a_negative_or_non_finite_step(const_model, dt):
+    # unchecked, dt = -0.5 kept every particle and made it younger (age 1.0
+    # came back as 0.5), and dt = NaN dropped every particle
+    start = MarkedConfiguration(np.array([[0.4]]), np.array([1.0]))
+    bundle = PathBundle.from_configuration(start, 50)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        bundle.thin_and_age(dt, const_model, np.random.default_rng(0))
+    # dt = 0 keeps its fast path: every particle, and no draw
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    bundle.thin_and_age(0.0, const_model, rng)
+    assert rng.bit_generator.state == state and bundle.ages.tolist() == [1.0] * 50
 
 
 def _squeeze_case(name):
@@ -608,3 +636,101 @@ def test_sample_trajectory_marginals_sorted_times(habitat_1d, const_model, theta
             None, [1.0, 0.5], [theta_two], habitat_1d, const_model, 10, rng
         )
 
+
+
+@pytest.mark.parametrize("times", [[-1.0, 0.5], [0.5, math.nan], [math.nan], [0.5, math.inf]])
+def test_sample_trajectory_marginals_refuses_non_finite_or_negative_times(
+    habitat_1d, const_model, theta_two, times
+):
+    # unchecked, [-1, 0.5] reported count 0 at t = -1, and [0.5, nan]
+    # reported the t = 0.5 state as the NaN row
+    with pytest.raises(ValueError, match="finite, nonnegative and sorted"):
+        sample_trajectory_marginals(
+            None, times, [theta_two], habitat_1d, const_model, 10, np.random.default_rng(0)
+        )
+
+
+def _start(kind, habitat, model):
+    if kind == "dirac":
+        return MarkedConfiguration(np.array([[0.2], [0.7], [0.9]]), np.array([0.3, 1.1, 4.0]))
+    return stationary_intensity(habitat, model)
+
+
+def _block_paths(initial, times, habitat, model):
+    """Paths in one block of sample_trajectory_marginals: the particle budget
+    over the start's expected size plus every step's newcomer mass."""
+    steps = np.diff(times, prepend=0.0)
+    start = len(initial) if isinstance(initial, MarkedConfiguration) else initial.total_mass
+    mass = start + sum(transient_intensity(habitat, model, dt).total_mass for dt in steps if dt > 0)
+    return int(sampler._BLOCK_PARTICLES / mass)
+
+
+_MARGINAL_TIMES = [0.0, 0.4, 0.4, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["dirac", "poisson"])
+def test_marginals_first_block_does_not_depend_on_n_paths(
+    habitat_1d, separable_model, theta_two, kind, monkeypatch
+):
+    sizes = []
+
+    class Recorded(PathBundle):
+        def __init__(self, n_paths, *args, **kwargs):
+            sizes.append(n_paths)
+            super().__init__(n_paths, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "PathBundle", Recorded)
+    start = _start(kind, habitat_1d, separable_model)
+    block = _block_paths(start, _MARGINAL_TIMES, habitat_1d, separable_model)
+    args = (start, _MARGINAL_TIMES, [theta_two], habitat_1d, separable_model)
+    one = sample_trajectory_marginals(*args, block, np.random.default_rng(3))
+    assert sizes == [block]
+    sizes.clear()
+    more = sample_trajectory_marginals(*args, 5 * block // 2, np.random.default_rng(3))
+    assert sizes == [block, block, 5 * block // 2 - 2 * block]
+    assert one.keys() == more.keys()
+    for key, values in one.items():
+        assert more[key].dtype == values.dtype
+        np.testing.assert_array_equal(more[key][:block], values)
+    # the second block goes on drawing from the same generator
+    second = more[("f", 3, 0)][block : 2 * block]
+    assert not np.array_equal(second, one[("f", 3, 0)])
+
+
+@pytest.mark.parametrize("kind", ["dirac", "poisson"])
+def test_marginal_counts_over_blocks_match_their_exact_means(
+    habitat_1d, separable_model, theta_two, kind
+):
+    start = _start(kind, habitat_1d, separable_model)
+    block = _block_paths(start, _MARGINAL_TIMES, habitat_1d, separable_model)
+    n = 2 * block + block // 3
+    out = sample_trajectory_marginals(
+        start, _MARGINAL_TIMES, [theta_two], habitat_1d, separable_model, n,
+        np.random.default_rng(4),
+    )
+    for ti, t in enumerate(_MARGINAL_TIMES):
+        if kind == "dirac":
+            want = survival_factor(separable_model, start.positions, start.ages, t).sum()
+            if t > 0:
+                want += transient_intensity(habitat_1d, separable_model, t).total_mass
+        else:
+            want = start.total_mass
+        counts = out[("count", ti)]
+        assert abs(counts.mean() - want) <= 4 * counts.std() / math.sqrt(n)  # exact at t = 0
+
+
+def test_marginals_memory_is_bounded_by_the_block(habitat_1d, separable_model, theta_two):
+    start = stationary_intensity(habitat_1d, separable_model)
+    n = 4 * _block_paths(start, _MARGINAL_TIMES, habitat_1d, separable_model)
+    tracemalloc.start()
+    try:
+        sample_trajectory_marginals(
+            start, _MARGINAL_TIMES, [theta_two], habitat_1d, separable_model, n,
+            np.random.default_rng(5),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 30 924 paths: this peaks at 3.74 MiB (1.9 MiB of it the eight output
+    # arrays), and at 7.29 MiB when every path runs at once
+    assert peak < 5 << 20
