@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from agedpop.mark_space import u_basis
 from agedpop.verify import survival_weighted_integral
 from agedpop import (
     DepartureModel,
+    F_theta,
     MarkedConfiguration,
     PathBundle,
     PoissonLaw,
@@ -32,6 +34,9 @@ from agedpop import (
     uniform_habitat,
 )
 from conftest import quadrature_cumulative
+from golden_marginals import RECORD as MARGINALS_RECORD
+from golden_marginals import marginals_digests, moved_arrays
+from golden_metrics import environment
 
 
 # -------------------------------------------------------------- intensities
@@ -719,6 +724,52 @@ def test_marginal_counts_over_blocks_match_their_exact_means(
         assert abs(counts.mean() - want) <= 4 * counts.std() / math.sqrt(n)  # exact at t = 0
 
 
+def test_dirac_marginals_have_the_two_time_covariance_of_a_constant_hazard(habitat_1d, theta_two):
+    # under a constant hazard m each start particle is alive at s and at t
+    # with chance e^{-m t}, and the newcomers present at s that are still
+    # there at t are Poisson of mean chi_mass (1 - e^{-m s})/m e^{-m (t - s)},
+    # so Cov(N_s, N_t) = k e^{-m t}(1 - e^{-m s}) + that mean. Drawing the
+    # start's survivals afresh at each time leaves the means and drops the
+    # k e^{-m t}(1 - e^{-m s}) term: z near -21 here
+    m, s, t, n = 0.8, 0.5, 1.5, 20_000
+    start = _start("dirac", habitat_1d, None)
+    k, mass = len(start), habitat_1d.chi_mass
+    out = sample_trajectory_marginals(
+        start, [s, t], [theta_two], habitat_1d, constant_rate(m), n, np.random.default_rng(1)
+    )
+    means = [k * math.exp(-m * u) + mass * -math.expm1(-m * u) / m for u in (s, t)]
+    cov = k * math.exp(-m * t) * -math.expm1(-m * s) + mass * -math.expm1(-m * s) / m * math.exp(-m * (t - s))
+    x = (out[("count", 0)] - means[0]) * (out[("count", 1)] - means[1])
+    assert abs(x.mean() - cov) <= 4 * x.std() / math.sqrt(n)
+
+
+def test_dirac_marginals_at_time_zero_are_exact(habitat_1d, separable_model, theta_two, theta_one):
+    # at t = 0 every path holds the start itself: count k, and F_theta of the
+    # start to the bit, however many times the grid repeats 0
+    start = _start("dirac", habitat_1d, separable_model)
+    out = sample_trajectory_marginals(
+        start, [0.0, 0.0, 0.4], [theta_two, theta_one], habitat_1d, separable_model, 3000,
+        np.random.default_rng(6),
+    )
+    for ti in (0, 1):
+        assert (out[("count", ti)] == len(start)).all()
+        for hi, theta in enumerate([theta_two, theta_one]):
+            assert (out[("f", ti, hi)] == F_theta(theta, start)).all()
+    assert (out[("count", 2)] != len(start)).any()
+
+
+def test_an_empty_dirac_start_is_the_empty_start(habitat_1d, separable_model, theta_two):
+    args = ([0.0, 0.4, 1.0], [theta_two], habitat_1d, separable_model, 3000)
+    empty = sample_trajectory_marginals(
+        MarkedConfiguration.empty(1), *args, np.random.default_rng(7)
+    )
+    none = sample_trajectory_marginals(None, *args, np.random.default_rng(7))
+    assert empty.keys() == none.keys()
+    for key, values in none.items():
+        assert empty[key].dtype == values.dtype
+        np.testing.assert_array_equal(empty[key], values)
+
+
 def test_marginals_memory_is_bounded_by_the_block(habitat_1d, separable_model, theta_two):
     start = stationary_intensity(habitat_1d, separable_model)
     n = 4 * _block_paths(start, _MARGINAL_TIMES, habitat_1d, separable_model)
@@ -734,3 +785,15 @@ def test_marginals_memory_is_bounded_by_the_block(habitat_1d, separable_model, t
     # 30 924 paths: this peaks at 3.74 MiB (1.9 MiB of it the eight output
     # arrays), and at 7.29 MiB when every path runs at once
     assert peak < 5 << 20
+
+
+def test_marginals_keep_their_recorded_bits():
+    # every output array of an empty, a stationary Poisson and a 3-particle
+    # Dirac start on a 1-d and a 2-d config, over one and a half blocks,
+    # against tests/golden_marginals.json. A deliberate change rewrites the
+    # record with tests/golden_marginals.py; the message names the arrays that
+    # moved and both environments, since another numpy, BLAS or CPU may move
+    # the last bits with no code change
+    record = json.loads(MARGINALS_RECORD.read_text(encoding="utf-8"))
+    moved = moved_arrays(record["sha256"], marginals_digests())
+    assert not moved, f"{moved}: recorded on {record['environment']}, recomputed on {environment()}"
