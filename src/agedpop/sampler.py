@@ -2,9 +2,9 @@
 
 Two independent routes to the same law:
 
-  * one-shot transition sampling: the time-t state from an initial
-    configuration is (survivors, aged by t) union (fresh arrivals from the
-    newcomer intensity rho_t), both exact draws;
+  * one-shot transition sampling: the time-t state is (survivors of the start,
+    aged by t) union (newcomers from the intensity rho_t), both exact draws; a
+    fixed start survives by one uniform per particle against its survival table;
   * event-driven simulation: each path's arrivals are a homogeneous Poisson
     stream in time with chi-distributed locations, and given them each
     particle departs by Lewis-Shedler thinning of its own rate-m_star clock;
@@ -40,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .config_space import MarkedConfiguration
-from .habitat import _BLOCK, SurvivalCumulative, chi_sample, run_shared, survival_factor
+from .habitat import _BLOCK, SurvivalCumulative, chi_sample, log_survival, run_shared, survival_factor
+from .mark_space import _last_axis_sums
 
 __all__ = [
     "IntensityMeasure",
@@ -384,13 +385,25 @@ def sample_trajectory_marginals(initial, times, thetas, habitat, model, n_paths,
     plus every step's newcomer mass) paths, drawing from rng in turn: each its
     start, then at each time its thinning and newcomers.  So the first paths do
     not depend on n_paths, but changing the budget changes every output.
+    A configuration's k particles stay out of the PathBundle: (k, T) tables hold
+    their g and survival chances S to each time, S checked against its band, and
+    a block's start is k x n uniforms U; particle i is alive in path p at t_j iff
+    U[i, p] < S[i, j] (Devroye 1986, II.2).
     """
     times = [float(t) for t in times]
     if not all(0.0 <= a <= b < math.inf for a, b in zip([0.0, *times], times)):
         raise ValueError("times must be finite, nonnegative and sorted")
+    dirac = isinstance(initial, MarkedConfiguration)
+    if dirac:
+        x, a, grid = initial.positions[:, None], initial.ages[:, None], np.array(times)
+        survival = np.exp(log_survival(model, x, a, grid))
+        floor = np.exp(-model.m_star * grid) * (1.0 - _SQUEEZE_SLACK)
+        ceiling = np.exp(-model.m_zero * grid) * (1.0 + _SQUEEZE_SLACK)
+        if not ((survival >= floor) & (survival <= ceiling)).all():
+            raise ValueError("survival chance outside its band: hazard outside [m_zero, m_star]")
+        g_start = [theta.g(x, a + grid) for theta in thetas]
     steps = np.diff(times, prepend=0.0)
     intensities = [transient_intensity(habitat, model, dt) if dt > 0 else None for dt in steps]
-    dirac = isinstance(initial, MarkedConfiguration)
     start = len(initial) if dirac else 0.0 if initial is None else initial.total_mass
     per_path = start + sum(i.total_mass for i in intensities if i is not None)
     size = max(1, int(_BLOCK_PARTICLES / per_path)) if per_path > 0 else max(1, n_paths)
@@ -400,14 +413,21 @@ def sample_trajectory_marginals(initial, times, thetas, habitat, model, n_paths,
         out[("count", ti)] = np.empty(n_paths, dtype=np.intp)
     for lo in range(0, n_paths, size):
         n = min(size, n_paths - lo)
-        bundle = PathBundle.from_configuration(initial, n) if dirac else PathBundle(n, habitat.dim)
-        if initial is not None and not dirac:
+        bundle = PathBundle(n, habitat.dim)
+        if dirac:
+            u = rng.random((len(initial), n))
+        elif initial is not None:
             bundle.add_poisson(initial, rng)
         for ti, (dt, intensity) in enumerate(zip(steps, intensities)):
             if dt > 0:
                 bundle.transition(dt, intensity, model, rng)
+            alive = u < survival[:, ti, None] if dirac else None
             for hi, theta in enumerate(thetas):
-                out[("f", ti, hi)][lo : lo + n] = bundle.f_theta(theta)
-            out[("count", ti)][lo : lo + n] = bundle.counts()
+                if dirac:
+                    g = _last_axis_sums((alive * g_start[hi][:, ti, None]).T)
+                    g += bundle.sum_by_path(theta.g(bundle.positions, bundle.ages))
+                    out[("f", ti, hi)][lo : lo + n] = np.exp(-g)
+                else:
+                    out[("f", ti, hi)][lo : lo + n] = bundle.f_theta(theta)
+            out[("count", ti)][lo : lo + n] = bundle.counts() + (alive.sum(axis=0) if dirac else 0)
     return out
-

@@ -770,6 +770,29 @@ def test_an_empty_dirac_start_is_the_empty_start(habitat_1d, separable_model, th
         np.testing.assert_array_equal(empty[key], values)
 
 
+_HALF = constant_rate(0.5)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # declares m_zero = 1 for a hazard of 0.5: the start survives too often
+        DepartureModel(m_star=1.0, m_zero=1.0, rate=_HALF.rate, cumulative=_HALF.cumulative),
+        DepartureModel(
+            m_star=1.0, m_zero=0.0, rate=_HALF.rate,
+            cumulative=lambda x, a: np.full(np.broadcast_shapes(np.shape(x)[:-1], np.shape(a)), math.nan),
+        ),
+    ],
+    ids=["hazard-below-m_zero", "nan-cumulative"],
+)
+def test_dirac_marginals_refuse_a_survival_outside_its_band(habitat_1d, theta_two, model):
+    start = _start("dirac", habitat_1d, model)
+    with pytest.raises(ValueError, match="survival chance outside its band"):
+        sample_trajectory_marginals(
+            start, [0.4, 1.0], [theta_two], habitat_1d, model, 100, np.random.default_rng(0)
+        )
+
+
 def test_marginals_memory_is_bounded_by_the_block(habitat_1d, separable_model, theta_two):
     start = stationary_intensity(habitat_1d, separable_model)
     n = 4 * _block_paths(start, _MARGINAL_TIMES, habitat_1d, separable_model)
