@@ -50,10 +50,12 @@ reports.append(
 reports.append(laplace_uniqueness_check(theta, config, 1.5, hab, model))
 
 # F(X_t) - integral of LF along the path is a martingale: a weighted
-# increment conditioned on the time-t1 state has mean zero
+# increment conditioned on the time-t1 state has mean zero.  The paths start
+# at config itself (an intensity or None would start them Poisson or empty)
+# and are read at t1, the n_grid midpoints and t2 off sample_trajectory_marginals' blocks
 reports.append(
     martingale_residual(
-        theta, DiracLaw(config), 0.25, 0.75, Theta([(1, 1, 1)], hab), hab, model,
+        theta, config, 0.25, 0.75, Theta([(1, 1, 1)], hab), hab, model,
         20_000, rng, n_grid=16,
     )
 )

@@ -59,7 +59,6 @@ from .habitat import (
     window_grid,
 )
 from .mark_space import SIGMA_BAR, u_basis_max, u_prime_max_constant
-from .sampler import PathBundle
 
 __all__ = [
     "FlowedTheta",
@@ -246,9 +245,8 @@ class _InitialLaw:
     pushed through each time of ts of survival and aging under model,
     (E F_theta, E[F_theta * sum_particles phi]) as two arrays; the second is
     None when phi is None.  Each is computed once per call, for all ts; time
-    enters a law only there.  sample_paths(n_paths, rng) draws n_paths iid
-    configurations from the law itself as a PathBundle (PathBundle.thin_and_age
-    ages them).
+    enters a law only there.  A law draws nothing: sample_trajectory_marginals
+    samples the process from a configuration, an intensity or the empty start.
     """
 
     def expect_F(self, vtheta):
@@ -286,9 +284,6 @@ class DiracLaw(_InitialLaw):
         contrib = phi(pos, shifted) * np.exp(log_q + g_aged - g)
         return f, f * np.sum(contrib, axis=0)
 
-    def sample_paths(self, n_paths, rng):
-        return PathBundle.from_configuration(self.config, n_paths)
-
 
 class PoissonLaw(_InitialLaw):
     """Poisson field over an intensity.
@@ -325,11 +320,6 @@ class PoissonLaw(_InitialLaw):
         # h is new on every call, a key that would never repeat
         return f, f * self._window_integrals(SurvivalCumulative(*field, h, *rule), lo)
 
-    def sample_paths(self, n_paths, rng):
-        bundle = PathBundle(n_paths, self.intensity.habitat.dim)
-        bundle.add_poisson(self.intensity, rng)
-        return bundle
-
 
 class ConvolutionLaw(_InitialLaw):
     """Law of the union of independent draws from the component laws."""
@@ -346,14 +336,6 @@ class ConvolutionLaw(_InitialLaw):
         # E[F sum phi] = sum_i E_i[F sum phi] prod_{j != i} E_j[F]
         w = sum(w_i * np.prod(fs[:i] + fs[i + 1 :], axis=0) for i, (_, w_i) in enumerate(pairs))
         return f, w
-
-    def sample_paths(self, n_paths, rng):
-        parts = [p.sample_paths(n_paths, rng) for p in self.parts]
-        return PathBundle(
-            n_paths,
-            parts[0].dim,
-            *(np.concatenate([getattr(b, k) for b in parts]) for k in ("path_ids", "positions", "ages")),
-        )
 
 
 def _weighted_arrivals(theta, habitat, model):

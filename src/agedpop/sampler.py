@@ -77,6 +77,10 @@ class IntensityMeasure:
     total_mass: float
     truncation_error: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.total_mass):  # else rng.poisson fails with numpy's message
+            raise ValueError(f"intensity mass {self.total_mass} is not finite: hazard outside [m_zero, m_star]")
+
 
 def _unit(x, u):
     return 1.0
@@ -178,25 +182,11 @@ class PathBundle:
 
     __slots__ = ("n_paths", "dim", "path_ids", "positions", "ages")
 
-    def __init__(self, n_paths, dim, path_ids=None, positions=None, ages=None):
-        self.n_paths = int(n_paths)
-        self.dim = int(dim)
-        self.path_ids = (
-            np.empty(0, dtype=np.int64) if path_ids is None else np.asarray(path_ids, np.int64)
-        )
-        self.positions = (
-            np.empty((0, dim)) if positions is None else np.asarray(positions, dtype=float)
-        )
-        self.ages = np.empty(0) if ages is None else np.asarray(ages, dtype=float)
-
-    @classmethod
-    def from_configuration(cls, config, n_paths):
-        """Every path starts at the same configuration."""
-        n = len(config)
-        ids = np.repeat(np.arange(n_paths, dtype=np.int64), n)
-        pos = np.tile(config.positions, (n_paths, 1))
-        ages = np.tile(config.ages, n_paths)
-        return cls(n_paths, config.dim, ids, pos, ages)
+    def __init__(self, n_paths, dim, path_ids=(), positions=None, ages=()):
+        self.n_paths, self.dim = int(n_paths), int(dim)
+        self.path_ids = np.asarray(path_ids, dtype=np.int64)
+        self.positions = np.empty((0, dim)) if positions is None else np.asarray(positions, dtype=float)
+        self.ages = np.asarray(ages, dtype=float)
 
     def thin_and_age(self, dt, model, rng):
         """Each particle survives dt with chance q_dt(x, alpha), then ages by dt.
@@ -245,7 +235,8 @@ class PathBundle:
         self.add_poisson(intensity, rng)
 
     def sum_by_path(self, particle_values):
-        return np.bincount(self.path_ids, weights=particle_values, minlength=self.n_paths)
+        # float64 also when the bundle is empty, where bincount gives int64
+        return np.bincount(self.path_ids, weights=particle_values, minlength=self.n_paths).astype(float, copy=False)
 
     def counts(self):
         return np.bincount(self.path_ids, minlength=self.n_paths)
@@ -374,6 +365,50 @@ def event_driven_simulate(config, horizon, habitat, model, rng, n_paths=1):
     )
 
 
+def _walk(initial, times, habitat, model, n_paths, rng):
+    """(x, ages, blocks), the paths of sample_trajectory_marginals.  x (k, 1, dim)
+    and ages (k, T) are the positions of initial's particles (none unless it is a
+    MarkedConfiguration) and their ages at each time; blocks yields (paths, ti,
+    bundle, alive) at each time of each block in turn: the block's slice, its
+    newcomers (and Poisson start) at times[ti], and the (k, n) mask of the start's
+    particles alive then.  All is checked and built before the first draw, the
+    step masses by one call of the _newcomers cumulative."""
+    if not all(0.0 <= a <= b < math.inf for a, b in zip([0.0, *times], times)):
+        raise ValueError("times must be finite, nonnegative and sorted")
+    start = initial if isinstance(initial, MarkedConfiguration) else MarkedConfiguration.empty(habitat.dim)
+    grid, x, a = np.array(times, dtype=float), start.positions[:, None], start.ages[:, None]
+    survival = np.exp(log_survival(model, x, a, grid))
+    floor = np.exp(-model.m_star * grid) * (1.0 - _SQUEEZE_SLACK)
+    ceiling = np.exp(-model.m_zero * grid) * (1.0 + _SQUEEZE_SLACK)
+    if not ((survival >= floor) & (survival <= ceiling)).all():
+        raise ValueError("survival chance outside its band: hazard outside [m_zero, m_star]")
+    steps = np.diff(grid, prepend=0.0)
+    masses = _newcomers(habitat, model)(steps).tolist()
+    intensities = [IntensityMeasure(habitat, model, dt, mass) for dt, mass in zip(steps.tolist(), masses)]
+    poisson = isinstance(initial, IntensityMeasure)
+    per_path = len(start) + (initial.total_mass if poisson else 0.0) + sum(masses)
+    size = max(1, int(_BLOCK_PARTICLES / per_path)) if per_path > 0 else max(1, n_paths)
+
+    def blocks():
+        for lo in range(0, n_paths, size):
+            n = min(size, n_paths - lo)
+            bundle = PathBundle(n, habitat.dim)
+            u = rng.random((len(start), n))
+            if poisson:
+                bundle.add_poisson(initial, rng)
+            for ti, (dt, intensity) in enumerate(zip(steps, intensities)):
+                if dt > 0:
+                    bundle.transition(dt, intensity, model, rng)
+                yield slice(lo, lo + n), ti, bundle, u < survival[:, ti, None]
+
+    return x, a + grid, blocks()
+
+
+def _path_sums(bundle, alive, values, start_values):
+    """Per path: values summed over the bundle's particles plus start_values over its alive start rows."""
+    return _last_axis_sums((alive * start_values[:, None]).T) + bundle.sum_by_path(values)
+
+
 def sample_trajectory_marginals(initial, times, thetas, habitat, model, n_paths, rng):
     """Monte Carlo marginals of F_theta and counts along a time grid, finite, >= 0 and sorted.
 
@@ -391,43 +426,13 @@ def sample_trajectory_marginals(initial, times, thetas, habitat, model, n_paths,
     U[i, p] < S[i, j] (Devroye 1986, II.2).
     """
     times = [float(t) for t in times]
-    if not all(0.0 <= a <= b < math.inf for a, b in zip([0.0, *times], times)):
-        raise ValueError("times must be finite, nonnegative and sorted")
-    dirac = isinstance(initial, MarkedConfiguration)
-    if dirac:
-        x, a, grid = initial.positions[:, None], initial.ages[:, None], np.array(times)
-        survival = np.exp(log_survival(model, x, a, grid))
-        floor = np.exp(-model.m_star * grid) * (1.0 - _SQUEEZE_SLACK)
-        ceiling = np.exp(-model.m_zero * grid) * (1.0 + _SQUEEZE_SLACK)
-        if not ((survival >= floor) & (survival <= ceiling)).all():
-            raise ValueError("survival chance outside its band: hazard outside [m_zero, m_star]")
-        g_start = [theta.g(x, a + grid) for theta in thetas]
-    steps = np.diff(times, prepend=0.0)
-    intensities = [transient_intensity(habitat, model, dt) if dt > 0 else None for dt in steps]
-    start = len(initial) if dirac else 0.0 if initial is None else initial.total_mass
-    per_path = start + sum(i.total_mass for i in intensities if i is not None)
-    size = max(1, int(_BLOCK_PARTICLES / per_path)) if per_path > 0 else max(1, n_paths)
-    out = {}
-    for ti in range(len(times)):
-        out.update({("f", ti, hi): np.empty(n_paths) for hi in range(len(thetas))})
-        out[("count", ti)] = np.empty(n_paths, dtype=np.intp)
-    for lo in range(0, n_paths, size):
-        n = min(size, n_paths - lo)
-        bundle = PathBundle(n, habitat.dim)
-        if dirac:
-            u = rng.random((len(initial), n))
-        elif initial is not None:
-            bundle.add_poisson(initial, rng)
-        for ti, (dt, intensity) in enumerate(zip(steps, intensities)):
-            if dt > 0:
-                bundle.transition(dt, intensity, model, rng)
-            alive = u < survival[:, ti, None] if dirac else None
-            for hi, theta in enumerate(thetas):
-                if dirac:
-                    g = _last_axis_sums((alive * g_start[hi][:, ti, None]).T)
-                    g += bundle.sum_by_path(theta.g(bundle.positions, bundle.ages))
-                    out[("f", ti, hi)][lo : lo + n] = np.exp(-g)
-                else:
-                    out[("f", ti, hi)][lo : lo + n] = bundle.f_theta(theta)
-            out[("count", ti)][lo : lo + n] = bundle.counts() + (alive.sum(axis=0) if dirac else 0)
+    x, ages, blocks = _walk(initial, times, habitat, model, n_paths, rng)
+    g_start = [theta.g(x, ages) for theta in thetas]
+    out = {("f", ti, hi): np.empty(n_paths) for ti in range(len(times)) for hi in range(len(thetas))}
+    out.update({("count", ti): np.empty(n_paths, dtype=np.intp) for ti in range(len(times))})
+    for paths, ti, bundle, alive in blocks:
+        for hi, theta in enumerate(thetas):
+            g = _path_sums(bundle, alive, theta.g(bundle.positions, bundle.ages), g_start[hi][:, ti])
+            out[("f", ti, hi)][paths] = np.exp(-g)
+        out[("count", ti)][paths] = bundle.counts() + alive.sum(axis=0)
     return out

@@ -39,12 +39,13 @@ from .habitat import age_panel_width, age_rule, survival_factor
 from .habitat import chi_integral, survival_weighted_integral
 from .mark_space import series_distance
 from .sampler import (
-    PathBundle,
     _newcomers,
+    _path_sums,
     _sample_points,
+    _walk,
     event_driven_simulate,
+    sample_trajectory_marginals,
     stationary_intensity,
-    transient_intensity,
 )
 
 __all__ = [
@@ -205,33 +206,33 @@ def martingale_residual(
     """MC test that F(X_t) - int_0^t (L F)(X_u) du has flat expectation.
 
     Estimates E[(F(X_{t2}) - F(X_{t1}) - int_{t1}^{t2} L F(X_u) du) * W] with
-    W = F_witness(X_{t1}); the time integral uses the midpoint rule on n_grid
-    cells, fine enough that its bias is far below the Monte Carlo error.
+    W = F_witness(X_{t1}) (1 for no witness); the time integral uses the
+    midpoint rule on n_grid cells, fine enough that its bias is far below the
+    Monte Carlo error.  The paths are the blocks of sample_trajectory_marginals
+    from initial (a MarkedConfiguration, an IntensityMeasure or None), read at
+    t1, the midpoints and t2, with g and phi of particle_terms on the newcomers
+    and from (k, T) tables, built once, on the start's alive particles.
     """
     if not (0.0 <= t1 < t2):
         raise ValueError("need 0 <= t1 < t2")
     c3 = ArrivalExponent(theta, habitat, model).psi(0.0)
-    bundle = initial.sample_paths(n_paths, rng)
-    if t1 > 0:
-        bundle.transition(t1, transient_intensity(habitat, model, t1), model, rng)
-    w_vals = bundle.f_theta(witness) if witness is not None else np.ones(n_paths)
-    f1 = bundle.f_theta(theta)
-
-    def lf_by_path():
-        g, phi = particle_terms(theta, model, bundle.positions, bundle.ages)
-        return np.exp(-bundle.sum_by_path(g)) * (bundle.sum_by_path(phi) + c3)
-
     delta = (t2 - t1) / n_grid
-    half_int = transient_intensity(habitat, model, delta / 2.0)
-    full_int = transient_intensity(habitat, model, delta)
-    integral = np.zeros(n_paths)
-    bundle.transition(delta / 2.0, half_int, model, rng)
-    for j in range(n_grid):
-        integral += delta * lf_by_path()
-        if j < n_grid - 1:
-            bundle.transition(delta, full_int, model, rng)
-    bundle.transition(delta / 2.0, half_int, model, rng)
-    f2 = bundle.f_theta(theta)
+    times = [t1, *(t1 + delta * (j + 0.5) for j in range(n_grid)), t2]
+    x, ages, blocks = _walk(initial, times, habitat, model, n_paths, rng)
+    g_start, phi_start = particle_terms(theta, model, x, ages)
+    w_start = witness.g(x[:, 0], ages[:, 0]) if witness is not None else None
+    w_vals, f1, integral, f2 = np.ones(n_paths), np.empty(n_paths), np.zeros(n_paths), np.empty(n_paths)
+    for paths, ti, bundle, alive in blocks:
+        g, phi = particle_terms(theta, model, bundle.positions, bundle.ages)
+        f = np.exp(-_path_sums(bundle, alive, g, g_start[:, ti]))
+        if ti == 0:
+            f1[paths] = f
+            if witness is not None:
+                w_vals[paths] = np.exp(-_path_sums(bundle, alive, witness.g(bundle.positions, bundle.ages), w_start))
+        elif ti <= n_grid:
+            integral[paths] += delta * f * (_path_sums(bundle, alive, phi, phi_start[:, ti]) + c3)
+        else:
+            f2[paths] = f
     residuals = (f2 - f1 - integral) * w_vals
     est = float(residuals.mean())
     se = float(residuals.std(ddof=1) / math.sqrt(n_paths))
@@ -242,7 +243,7 @@ def martingale_residual(
         threshold=4.0 * se,
         seed=seed,
         n_samples=n_paths,
-        note=f"t1={t1}, t2={t2}, SE={se:.3e}",
+        note=f"t1={t1}, t2={t2}, mean={est:.6e}, SE={se:.6e}",
     )
 
 
@@ -462,14 +463,11 @@ def cross_sampler_check(theta, t, habitat, model, n_paths, rng, seed=None, name=
     Compares the mean of F_theta (4 SE band on the difference) and the count
     histograms (two-sample chi-squared at the 1% level).
     """
-    bundle = PathBundle(n_paths, habitat.dim)
-    bundle.add_poisson(transient_intensity(habitat, model, t), rng)
-    f_one = bundle.f_theta(theta)
-    counts_one = bundle.counts()
+    one_shot = sample_trajectory_marginals(None, [t], [theta], habitat, model, n_paths, rng)
+    f_one, counts_one = one_shot[("f", 0, 0)], one_shot[("count", 0)]
     empty = MarkedConfiguration.empty(habitat.dim)
     state = event_driven_simulate(empty, t, habitat, model, rng, n_paths=n_paths).state_at(t)
-    f_evt = state.f_theta(theta)
-    counts_evt = state.counts()
+    f_evt, counts_evt = state.f_theta(theta), state.counts()
     diff = f_one.mean() - f_evt.mean()
     se = math.sqrt(f_one.var(ddof=1) / n_paths + f_evt.var(ddof=1) / n_paths)
     reports = [
@@ -640,7 +638,7 @@ SUITES = {
             cfg.habitat, cfg.model, name="laws-fpe-stationary",
         )] if cfg.model.m_zero > 0 else [],
         lambda cfg, rng: [martingale_residual(
-            cfg.theta, DiracLaw(_dirac_start(cfg.habitat)), 0.25, 0.75, cfg.theta, cfg.habitat,
+            cfg.theta, _dirac_start(cfg.habitat), 0.25, 0.75, cfg.theta, cfg.habitat,
             cfg.model, min(cfg.n_paths, 4000), rng, n_grid=32, seed=cfg.seed, name="laws-martingale",
         )],
     ],

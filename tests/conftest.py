@@ -10,6 +10,7 @@ from agedpop import (
     DepartureModel,
     FlowedTheta,
     MarkedConfiguration,
+    PathBundle,
     Theta,
     apply_generator,
     constant_rate,
@@ -101,6 +102,20 @@ def quadrature_cumulative(model, order=32):
         return alpha * sum(w / 2.0 * model.rate(x, alpha * (z + 1.0) / 2.0) for z, w in zip(nodes, weights))
 
     return DepartureModel(model.m_star, model.m_zero, model.rate, cumulative, model.modulus)
+
+
+def tiled_bundle(config, n_paths):
+    """A PathBundle whose every path holds config."""
+    ids = np.repeat(np.arange(n_paths, dtype=np.int64), len(config))
+    pos, ages = np.tile(config.positions, (n_paths, 1)), np.tile(config.ages, n_paths)
+    return PathBundle(n_paths, config.dim, ids, pos, ages)
+
+
+def poisson_bundle(intensity, n_paths, rng):
+    """A PathBundle of n_paths independent Poisson(intensity) configurations."""
+    bundle = PathBundle(n_paths, intensity.habitat.dim)
+    bundle.add_poisson(intensity, rng)
+    return bundle
 
 
 def union(a, b):

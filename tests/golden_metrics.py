@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +36,20 @@ SIZES_B = (0, 1, 3, 7, 8, 12, 300)
 
 def environment():
     """What the digest's last bits depend on besides the code: numpy's version, its
-    BLAS and the SIMD extensions numpy found on this CPU."""
+    BLAS, the SIMD extensions numpy found on this CPU, and the BLAS thread setting.
+    A threaded BLAS splits a long dot product or matmul over its threads, so the
+    thread count can move the last bits of a sum: with OPENBLAS_NUM_THREADS=1,
+    rows of golden_verify's 3d and 1d-frequency-100 configs move.  The records
+    are written with both variables unset, as tier-1 runs."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "simd": config["SIMD Extensions"]["found"],
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
     }
 
 

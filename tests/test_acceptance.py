@@ -58,7 +58,7 @@ from agedpop import (
 from agedpop.config_space import _kappa_cells
 from agedpop.habitat import run_memo
 from agedpop.mark_space import _mark_pairs
-from conftest import central_flow_residual, central_kolmogorov_residual, mark_sums
+from conftest import central_flow_residual, central_kolmogorov_residual, mark_sums, tiled_bundle
 
 SEED = 20260817
 
@@ -533,10 +533,10 @@ def test_criterion_08_chapman_kolmogorov():
     n = 100_000
     s, t = 0.5, 0.7
     theta = THETAS[1]
-    one = PathBundle.from_configuration(config, n)
+    one = tiled_bundle(config, n)
     one.transition(s + t, transient_intensity(HAB, CONST, s + t), CONST, rng)
     f_one = one.f_theta(theta)
-    two = PathBundle.from_configuration(config, n)
+    two = tiled_bundle(config, n)
     two.transition(s, transient_intensity(HAB, CONST, s), CONST, rng)
     two.transition(t, transient_intensity(HAB, CONST, t), CONST, rng)
     f_two = two.f_theta(theta)
@@ -597,9 +597,9 @@ def test_criterion_12_martingale():
     rng = np.random.default_rng(SEED + 10)
     config = MarkedConfiguration(np.array([[0.35], [0.75]]), np.array([0.4, 1.3]))
     combos = [
-        (0.25, 0.75, THETAS[1], THETAS[0], DiracLaw(config)),
-        (0.1, 0.6, THETAS[0], THETAS[2], DiracLaw(MarkedConfiguration.empty(1))),
-        (0.5, 1.0, THETAS[2], THETAS[1], PoissonLaw(stationary_intensity(HAB, CONST))),
+        (0.25, 0.75, THETAS[1], THETAS[0], config),
+        (0.1, 0.6, THETAS[0], THETAS[2], None),
+        (0.5, 1.0, THETAS[2], THETAS[1], stationary_intensity(HAB, CONST)),
     ]
     reports = [
         martingale_residual(

@@ -659,6 +659,20 @@ def test_verify_metrics_suite(tmp_path, config_path, capsys):
     assert all(r["passed"] == "True" for r in rows)
 
 
+@pytest.mark.parametrize("suite", ["metrics", "sampler"])
+def test_verify_seed_flag_is_the_config_seed(tmp_path, config_path, capsys, suite):
+    # verify --seed N runs the config as if its run.seed were N: the same
+    # reports.csv, seed column included, and not that of the config's own seed
+    def reports(config, *flag):
+        out_dir = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        main(["verify", "--config", config, "--suite", suite, "--out-dir", str(out_dir), *flag])
+        return (out_dir / "reports.csv").read_bytes()
+
+    reseeded = _write(tmp_path, _with(lambda d: d["run"].update(seed=5)), "seed5.json")
+    assert reports(config_path, "--seed", "5") == reports(reseeded)
+    assert reports(config_path, "--seed", "5") != reports(config_path)
+
+
 def test_verify_generator_suite(config_path, capsys):
     code = main(["verify", "--config", config_path, "--suite", "generator"])
     assert code == 0

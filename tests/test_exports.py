@@ -32,7 +32,7 @@ UNUSED_EXPORTS = {
     "flow": "the age flow of the paper, shown in the README",
     "resolvent_identity_residual": "called by demos/02_semigroup.py",
     "explicit_solution": "called by the benchmark's workloads",
-    "sample_trajectory_marginals": "called by the benchmark's workloads",
+    "transient_intensity": "the newcomer intensity rho_t of the paper, shown in the README; the benchmark's tracer wraps it",
     "star_product": "the star product of the paper; ROADMAP item 5 gives it a caller",
     "survival_weighted_integral": "shown in the README; the benchmark's tracer wraps it in agedpop.verify",
 }

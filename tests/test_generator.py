@@ -14,7 +14,6 @@ from agedpop import (
     F_theta,
     FlowedTheta,
     MarkedConfiguration,
-    PathBundle,
     PoissonLaw,
     Theta,
     apply_generator,
@@ -33,7 +32,7 @@ from agedpop import (
 )
 from agedpop.generator import particle_terms
 from agedpop.habitat import SurvivalCumulative, run_memo
-from conftest import central_flow_residual, central_kolmogorov_residual, random_configuration
+from conftest import central_flow_residual, central_kolmogorov_residual, random_configuration, tiled_bundle
 
 
 # ---------------------------------------------------------------- age flow
@@ -286,7 +285,7 @@ def test_explicit_solution_vs_monte_carlo(theta_two, habitat_1d, const_model, rn
     t = 0.8
     want = explicit_solution(theta_two, 0.0, t, config, habitat_1d, const_model)
     n = 40_000
-    bundle = PathBundle.from_configuration(config, n)
+    bundle = tiled_bundle(config, n)
     bundle.transition(t, transient_intensity(habitat_1d, const_model, t), const_model, rng)
     f = bundle.f_theta(theta_two)
     se = f.std(ddof=1) / math.sqrt(n)

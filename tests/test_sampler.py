@@ -33,7 +33,7 @@ from agedpop import (
     transient_intensity,
     uniform_habitat,
 )
-from conftest import quadrature_cumulative
+from conftest import poisson_bundle, quadrature_cumulative, tiled_bundle
 from golden_marginals import RECORD as MARGINALS_RECORD
 from golden_marginals import marginals_digests, moved_arrays
 from golden_metrics import environment
@@ -130,7 +130,7 @@ def test_thin_and_age_exact(habitat_1d, const_model, rng):
     config = MarkedConfiguration(np.array([[0.4]]), np.array([0.7]))
     t = 0.9
     n = 20_000
-    bundle = PathBundle.from_configuration(config, n)
+    bundle = tiled_bundle(config, n)
     bundle.thin_and_age(t, const_model, rng)
     survived = int(np.count_nonzero(bundle.counts()))
     np.testing.assert_allclose(bundle.ages, 0.7 + t)
@@ -143,7 +143,7 @@ def test_thin_and_age_refuses_a_negative_or_non_finite_step(const_model, dt):
     # unchecked, dt = -0.5 kept every particle and made it younger (age 1.0
     # came back as 0.5), and dt = NaN dropped every particle
     start = MarkedConfiguration(np.array([[0.4]]), np.array([1.0]))
-    bundle = PathBundle.from_configuration(start, 50)
+    bundle = tiled_bundle(start, 50)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         bundle.thin_and_age(dt, const_model, np.random.default_rng(0))
     # dt = 0 keeps its fast path: every particle, and no draw
@@ -202,7 +202,7 @@ def test_thinning_rejects_hazard_outside_its_bounds(rate):
     liar = constant_rate(rate)
     bad = DepartureModel(m_star=1.0, m_zero=0.5, rate=liar.rate, cumulative=liar.cumulative)
     config = MarkedConfiguration(np.array([[0.4]]), np.array([0.7]))
-    bundle = PathBundle.from_configuration(config, 1000)
+    bundle = tiled_bundle(config, 1000)
     with pytest.raises(ValueError, match="m_star"):
         bundle.thin_and_age(0.25, bad, np.random.default_rng(6))
 
@@ -231,7 +231,7 @@ def test_transition_step_mean_count(habitat_1d, const_model, rng):
     config = MarkedConfiguration(np.array([[0.2], [0.8]]), np.array([0.1, 2.0]))
     t = 0.6
     n = 5000
-    bundle = PathBundle.from_configuration(config, n)
+    bundle = tiled_bundle(config, n)
     bundle.transition(t, transient_intensity(habitat_1d, const_model, t), const_model, rng)
     counts = bundle.counts()
     want = 2 * math.exp(-t) + habitat_1d.chi_mass * (-math.expm1(-t))
@@ -282,6 +282,42 @@ def test_envelope_sampler_rejects_a_nan_cumulative_hazard(habitat_1d):
     intensity = sampler.IntensityMeasure(habitat_1d, nan, 5.0, total_mass=1.0)
     with pytest.raises(ValueError, match="envelope"):
         sampler._sample_points(intensity, 100, np.random.default_rng(3))
+
+
+_NAN_MASS = "intensity mass nan is not finite: hazard outside \\[m_zero, m_star\\]"
+
+
+def _nan_cumulative(m_zero):
+    """A hazard of 1 whose cumulative M is NaN everywhere: every mass it gives is NaN."""
+    one = constant_rate(1.0)
+    nan = lambda x, a: np.full(np.broadcast_shapes(np.shape(x)[:-1], np.shape(a)), math.nan)
+    return DepartureModel(m_star=1.0, m_zero=m_zero, rate=one.rate, cumulative=nan)
+
+
+def test_an_intensity_with_a_non_finite_mass_is_refused_where_it_is_built(habitat_1d):
+    for mass in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="is not finite: hazard outside"):
+            sampler.IntensityMeasure(habitat_1d, constant_rate(1.0), 5.0, total_mass=mass)
+    with pytest.raises(ValueError, match=_NAN_MASS):
+        stationary_intensity(habitat_1d, _nan_cumulative(0.5))
+    with pytest.raises(ValueError, match=_NAN_MASS):
+        transient_intensity(habitat_1d, _nan_cumulative(0.0), 0.7)
+    # a mass a rounding below 0, as the age rule gives at a tiny step, is built
+    assert sampler.IntensityMeasure(habitat_1d, constant_rate(1.0), 1e-17, -1.1e-16).total_mass < 0
+
+
+@pytest.mark.parametrize("start", ["empty", "poisson"])
+def test_marginals_refuse_a_nan_newcomer_mass_before_drawing(habitat_1d, const_model, theta_two, start):
+    # unchecked, the NaN mass reached rng.poisson, which failed with numpy's
+    # "lam < 0 or lam is NaN"; a Dirac start fails earlier, on its survival band
+    initial = stationary_intensity(habitat_1d, const_model) if start == "poisson" else None
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=_NAN_MASS):
+        sample_trajectory_marginals(
+            initial, [0.4, 1.0], [theta_two], habitat_1d, _nan_cumulative(0.0), 100, rng
+        )
+    assert rng.bit_generator.state == state
 
 
 def test_total_mass_is_the_h1_cumulative_at_age_upper():
@@ -493,7 +529,7 @@ def test_f_theta_in_slices_has_the_bits_of_one_g_call(dim):
 # -------------------------------------------------------------- path bundle
 def test_bundle_reductions(habitat_1d, theta_two, rng):
     config = MarkedConfiguration(np.array([[0.3], [0.7]]), np.array([1.0, 0.5]))
-    bundle = PathBundle.from_configuration(config, 3)
+    bundle = tiled_bundle(config, 3)
     assert bundle.counts().tolist() == [2, 2, 2]
     vals = np.arange(6, dtype=float)
     np.testing.assert_allclose(bundle.sum_by_path(vals), [1.0, 5.0, 9.0])
@@ -505,11 +541,21 @@ def test_bundle_reductions(habitat_1d, theta_two, rng):
     np.testing.assert_allclose(bundle.positions[bundle.path_ids == 1], config.positions)
 
 
+def test_sums_over_an_empty_bundle_are_float():
+    # np.bincount with no particles gives int64 zeros, onto which an in-place
+    # float add raised; the paths at t = 0 of an empty start hold no particle
+    bundle = PathBundle(4, 2)
+    sums = bundle.sum_by_path(np.empty(0))
+    assert sums.dtype == np.float64
+    sums += 0.5
+    np.testing.assert_array_equal(sums, [0.5] * 4)
+
+
 def test_bundle_transition_matches_scalar_sampler(habitat_1d, const_model, rng):
     config = MarkedConfiguration(np.array([[0.5]]), np.array([0.3]))
     t = 0.7
     n = 4000
-    bundle = PathBundle.from_configuration(config, n)
+    bundle = tiled_bundle(config, n)
     bundle.transition(t, transient_intensity(habitat_1d, const_model, t), const_model, rng)
     counts = bundle.counts()
     want = math.exp(-t) + habitat_1d.chi_mass * (-math.expm1(-t))
@@ -633,6 +679,21 @@ def test_sample_trajectory_marginals(habitat_1d, const_model, theta_two, rng):
     assert abs(counts.mean() - lam) < 4 * math.sqrt(lam / 2000)
     f = out[("f", 0, 0)]
     assert np.all((0 < f) & (f <= 1))
+
+
+def test_an_empty_start_at_one_time_is_one_poisson_field(habitat_1d, separable_model, theta_two):
+    # within one block, the engine's empty start read at a single time t draws
+    # the newcomer field rho_t by one add_poisson, with the bits of a bundle
+    # built by hand: cross_sampler_check's one-shot half keeps its stream
+    t, n = 1.0, 3000
+    intensity = transient_intensity(habitat_1d, separable_model, t)
+    assert n * intensity.total_mass < sampler._BLOCK_PARTICLES
+    out = sample_trajectory_marginals(
+        None, [t], [theta_two], habitat_1d, separable_model, n, np.random.default_rng(8)
+    )
+    bundle = poisson_bundle(intensity, n, np.random.default_rng(8))
+    np.testing.assert_array_equal(out[("f", 0, 0)], bundle.f_theta(theta_two))
+    np.testing.assert_array_equal(out[("count", 0)], bundle.counts())
 
 
 def test_sample_trajectory_marginals_sorted_times(habitat_1d, const_model, theta_two, rng):

@@ -41,6 +41,7 @@ from agedpop import generator, verify
 from agedpop.habitat import age_panel_width, age_rule
 from agedpop.sampler import _make_intensity, _sample_points
 from agedpop.verify import _chi2_independence_p, _chi2_sf, _ks_statistic, _pool_columns
+from conftest import poisson_bundle, tiled_bundle
 
 
 def expect_weighted(law, vtheta, phi):
@@ -78,7 +79,7 @@ def test_thinned_dirac_vs_monte_carlo(theta_two, dirac_config, const_model, rng)
     phi = lambda x, a: x[..., 0] + a
     (want_f,), (want_w,) = law.aged_expectations(t, const_model, theta_two, phi)
     n = 30_000
-    bundle = law.sample_paths(n, rng)
+    bundle = tiled_bundle(dirac_config, n)
     bundle.thin_and_age(t, const_model, rng)
     fs = bundle.f_theta(theta_two)
     ws = fs * bundle.sum_by_path(phi(bundle.positions, bundle.ages))
@@ -105,7 +106,7 @@ def test_poisson_weighted_vs_monte_carlo(theta_two, habitat_1d, const_model, rng
     phi = lambda x, a: np.exp(-a) * x[..., 0]
     want = expect_weighted(law, theta_two, phi)
     n = 30_000
-    bundle = law.sample_paths(n, rng)
+    bundle = poisson_bundle(intensity, n, rng)
     ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
     th = theta_two.theta(pos, ages)
     logf = np.zeros(n)
@@ -125,7 +126,7 @@ def test_aged_poisson_pushforward(theta_two, habitat_1d, const_model, rng):
     # MC check of the aged expectation: sample the field, then age it
     want = law.aged_expectations(0.7, const_model, theta_two)[0][0]
     n = 20_000
-    bundle = law.sample_paths(n, rng)
+    bundle = poisson_bundle(intensity, n, rng)
     bundle.thin_and_age(0.7, const_model, rng)
     ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
     assert ages.min() >= 0.7
@@ -148,10 +149,6 @@ def test_convolution_law(theta_two, habitat_1d, const_model, dirac_config, rng):
         + pois.expect_F(theta_two) * expect_weighted(dirac, theta_two, phi)
     )
     assert expect_weighted(conv, theta_two, phi) == pytest.approx(want, rel=1e-10)
-    bundle = conv.sample_paths(50, rng)
-    ids, pos, ages = bundle.path_ids, bundle.positions, bundle.ages
-    assert pos.shape[1] == 1
-    assert ids.size == pos.shape[0] == ages.size
 
 
 def test_survival_weighted_integral_oracle(habitat_1d, separable_model):
@@ -454,10 +451,33 @@ def test_chapman(theta_two, habitat_1d, separable_model, dirac_config):
 
 def test_martingale(theta_two, theta_one, habitat_1d, const_model, dirac_config, rng):
     report = martingale_residual(
-        theta_two, DiracLaw(dirac_config), 0.2, 0.7, theta_one,
+        theta_two, dirac_config, 0.2, 0.7, theta_one,
         habitat_1d, const_model, 4000, rng, n_grid=16,
     )
     assert report.passed, report.line()
+
+
+@pytest.mark.parametrize("start", ["empty", "poisson"])
+def test_martingale_refuses_a_nan_newcomer_mass(theta_two, habitat_1d, const_model, start):
+    # a hazard of 1 whose cumulative is NaN: the newcomers' intensity is
+    # refused where it is built, with the bound it breaks, not inside rng.poisson
+    shape = lambda x, a: np.broadcast_shapes(np.shape(x)[:-1], np.shape(a))
+    nan = dataclasses.replace(const_model, cumulative=lambda x, a: np.full(shape(x, a), math.nan))
+    initial = stationary_intensity(habitat_1d, const_model) if start == "poisson" else None
+    with pytest.raises(ValueError, match=r"intensity mass nan is not finite: hazard outside \[m_zero, m_star\]"):
+        martingale_residual(
+            theta_two, initial, 0.2, 0.7, theta_two, habitat_1d, nan, 100, np.random.default_rng(0), n_grid=4
+        )
+
+
+def test_martingale_reads_a_poisson_start_at_time_zero(theta_two, habitat_1d, const_model, rng):
+    # from the invariant law at t1 = 0 and from the empty start, with no witness
+    stationary = stationary_intensity(habitat_1d, const_model)
+    for initial in (stationary, None):
+        report = martingale_residual(
+            theta_two, initial, 0.0, 0.5, None, habitat_1d, const_model, 4000, rng, n_grid=16
+        )
+        assert report.passed, report.line()
 
 
 def test_ergodicity(theta_two, habitat_1d, const_model):
