@@ -372,7 +372,8 @@ def _walk(initial, times, habitat, model, n_paths, rng):
     bundle, alive) at each time of each block in turn: the block's slice, its
     newcomers (and Poisson start) at times[ti], and the (k, n) mask of the start's
     particles alive then.  All is checked and built before the first draw, the
-    step masses by one call of the _newcomers cumulative."""
+    step masses by one call of the _newcomers cumulative.  A bundle is emptied
+    when its block ends: the caller's copy would keep two blocks in the cache."""
     if not all(0.0 <= a <= b < math.inf for a, b in zip([0.0, *times], times)):
         raise ValueError("times must be finite, nonnegative and sorted")
     start = initial if isinstance(initial, MarkedConfiguration) else MarkedConfiguration.empty(habitat.dim)
@@ -400,6 +401,7 @@ def _walk(initial, times, habitat, model, n_paths, rng):
                 if dt > 0:
                     bundle.transition(dt, intensity, model, rng)
                 yield slice(lo, lo + n), ti, bundle, u < survival[:, ti, None]
+            bundle.path_ids = bundle.positions = bundle.ages = None
 
     return x, a + grid, blocks()
 

@@ -221,19 +221,17 @@ def martingale_residual(
     x, ages, blocks = _walk(initial, times, habitat, model, n_paths, rng)
     g_start, phi_start = particle_terms(theta, model, x, ages)
     w_start = witness.g(x[:, 0], ages[:, 0]) if witness is not None else None
-    w_vals, f1, integral, f2 = np.ones(n_paths), np.empty(n_paths), np.zeros(n_paths), np.empty(n_paths)
+    w_vals, increment = np.ones(n_paths), np.zeros(n_paths)  # F(X_t2) - F(X_t1) - int L F per path
     for paths, ti, bundle, alive in blocks:
         g, phi = particle_terms(theta, model, bundle.positions, bundle.ages)
         f = np.exp(-_path_sums(bundle, alive, g, g_start[:, ti]))
-        if ti == 0:
-            f1[paths] = f
-            if witness is not None:
-                w_vals[paths] = np.exp(-_path_sums(bundle, alive, witness.g(bundle.positions, bundle.ages), w_start))
-        elif ti <= n_grid:
-            integral[paths] += delta * f * (_path_sums(bundle, alive, phi, phi_start[:, ti]) + c3)
+        if 0 < ti <= n_grid:
+            increment[paths] -= delta * f * (_path_sums(bundle, alive, phi, phi_start[:, ti]) + c3)
         else:
-            f2[paths] = f
-    residuals = (f2 - f1 - integral) * w_vals
+            increment[paths] += f if ti else -f
+        if ti == 0 and witness is not None:
+            w_vals[paths] = np.exp(-_path_sums(bundle, alive, witness.g(bundle.positions, bundle.ages), w_start))
+    residuals = increment * w_vals
     est = float(residuals.mean())
     se = float(residuals.std(ddof=1) / math.sqrt(n_paths))
     return VerificationReport(

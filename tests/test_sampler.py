@@ -336,6 +336,20 @@ def test_total_mass_is_the_h1_cumulative_at_age_upper():
                 assert intensity.total_mass == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_array_call_gives_each_step_mass_of_its_own_call(dim):
+    # the one-shot walker reads every step's newcomer mass off one array call
+    # of the h = 1 cumulative: each has the bits of a transient_intensity of
+    # its own, whose fresh cumulative extends over other panels
+    hab = uniform_habitat([(0.0, 1.0)] * dim, 2.0)
+    model = separable_rate(hab, 0.5, 1.0, 2.0)
+    steps = np.diff([0.0, 0.03, 0.25, 0.25, 0.8, 1.7], prepend=0.0)
+    masses = sampler._newcomers(hab, model)(steps)
+    assert masses[3] == 0.0
+    for dt, mass in zip(steps, masses):
+        assert transient_intensity(hab, model, dt).total_mass == mass
+
+
 def test_constant_hazard_acceptance_is_exactly_one():
     # under a constant hazard the intensity's mass equals the envelope's up
     # to rounding; a mass one ulp below it draws the same points, where an
