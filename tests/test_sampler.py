@@ -885,6 +885,27 @@ def test_marginals_memory_is_bounded_by_the_block(habitat_1d, separable_model, t
     assert peak < 5 << 20
 
 
+def test_the_walker_empties_each_block_before_drawing_the_next(habitat_1d, separable_model):
+    # the caller holds the last bundle of a block while the next block is
+    # drawn; unless the walker empties it, two blocks' particles share the
+    # cache (oneshot-2d's invariant half ran 3 % slower so, paired in-process)
+    start = stationary_intensity(habitat_1d, separable_model)
+    block = _block_paths(start, _MARGINAL_TIMES, habitat_1d, separable_model)
+    _, _, blocks = sampler._walk(
+        start, _MARGINAL_TIMES, habitat_1d, separable_model, 2 * block, np.random.default_rng(2)
+    )
+    last = len(_MARGINAL_TIMES) - 1
+    held = []
+    for paths, ti, bundle, alive in blocks:
+        if held:
+            assert held[-1].ages is None and held[-1] is not bundle
+            held.clear()
+        if ti == last:
+            assert bundle.ages.size > 0
+            held.append(bundle)
+    assert held and held[-1].ages is None
+
+
 def test_marginals_keep_their_recorded_bits():
     # every output array of an empty, a stationary Poisson and a 3-particle
     # Dirac start on a 1-d and a 2-d config, over one and a half blocks,
